@@ -141,47 +141,19 @@ def approach_stats(iet: Iet, x, r: int) -> ApproachStats:
     identifications l_b = r_a.  An exact hit on an endpoint is reported
     with its orbit index.
     """
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
-    below = sorted(iet.left(a) for a in iet.perm.alphabet)       # {l_a}
-    above = sorted(iet.right(a) for a in iet.perm.alphabet)      # {r_a}
-    best_u = None
-    best_v = None
-    u_idx = None
-    v_idx = None
-    if r == 0:
-        return ApproachStats(0.0, 0.0, None, None, None, None, 0)
-    if r > 0:
-        indices = range(r)
-        step = iet.evaluate
-        pre_step = False
-    else:
-        indices = range(-1, r - 1, -1)
-        step = iet.evaluate_inverse
-        pre_step = True
-    pt = x
-    for i in indices:
-        if pre_step:
-            pt = step(pt)
-        for s in below:
-            if s < pt:
-                dist = pt - s
-                if best_u is None or dist < best_u:
-                    best_u, u_idx = dist, i
-            elif s == pt:
-                raise ExactHitError(i, pt)
-        for s in above:
-            if pt < s:
-                dist = s - pt
-                if best_v is None or dist < best_v:
-                    best_v, v_idx = dist, i
-            elif s == pt:
-                raise ExactHitError(i, pt)
-        if not pre_step:
-            pt = step(pt)
-    U = 1.0 / float(best_u) if best_u is not None else 0.0
-    V = 1.0 / float(best_v) if best_v is not None else 0.0
-    return ApproachStats(U, V, best_u, best_v, u_idx, v_idx, abs(r))
+    cur = BirkhoffCursor(iet, None, x, forward=r >= 0)
+    return _approaches(cur.advance_to(abs(r)))
+
+
+def _approaches(cur: BirkhoffCursor) -> ApproachStats:
+    """U, V from the gap minima of a cursor: the nearest l_a strictly below
+    a point of I_a is l_a itself and the nearest r_b above it is r_a."""
+    if cur.hit is not None:
+        raise ExactHitError(*cur.hit)
+    u, u_idx, v, v_idx = cur.gap_minima()
+    U = 1.0 / float(u) if u is not None else 0.0
+    V = 1.0 / float(v) if v is not None else 0.0
+    return ApproachStats(U, V, u, v, u_idx, v_idx, cur.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +227,9 @@ def derivative_growth_check(accel: AccelTimes, spec: RoofSpec, x, r: int,
                 % (ell, wit[0].to_string(), wit[1].to_string()), wit)
     if M is None:
         M = default_slack_constant(spec)
-    cur = BirkhoffCursor(iet, spec, x, forward=True, track_derivative=True)
+    cur = BirkhoffCursor(iet, spec, x, forward=True)
     val = cur.derivative_sum_at(r)
-    stats = approach_stats(iet, x, r)
+    stats = _approaches(cur)
     gap_signed = float(spec.asymmetry_gap)
     orient = -1.0 if gap_signed < 0 else 1.0
     gap = abs(gap_signed)
@@ -303,38 +275,40 @@ def prty_conditions(accel: AccelTimes, spec: RoofSpec, x, ell: int,
     shifted variant backward, and on success check the derivative-sum ratio
     against |C- - C+| on a grid of r in [q_l, q_{l+1}) at desk tolerance."""
     iet = accel.trace.base
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
     q_l = accel.q(ell)
     q_next = accel.q(ell + 1)
     threshold = 2.0 * q_l * math.log(q_l) ** xi
-    fwd = approach_stats(iet, x, q_next)
-    # U(q_{l+1}, T^(-q_{l+1}) x) is the max over the backward segment of x
-    bwd = approach_stats(iet, x, -q_next)
-    forward_ok = fwd.U <= threshold and fwd.V <= threshold
-    backward_ok = bwd.U <= threshold and bwd.V <= threshold
     gap = abs(float(spec.asymmetry_gap))
     orient = -1.0 if float(spec.asymmetry_gap) < 0 else 1.0
     rs = sorted({min(q_next - 1, max(q_l, round(q_l * (q_next / q_l) **
                                                 (i / max(grid - 1, 1)))))
                  for i in range(grid)})
+
+    def walk(forward):
+        # one walk per direction: the derivative sums at the grid times on
+        # the way, U and V over the whole q_{l+1} segment at its end (the
+        # backward segment gives U(q_{l+1}, T^(-q_{l+1}) x))
+        cur = BirkhoffCursor(iet, spec, x, forward=forward)
+        sums = [(r, cur.derivative_sum_at(r).value) for r in rs]
+        return sums, _approaches(cur.advance_to(q_next))
+
+    fwd_sums, fwd = walk(True)
+    bwd_sums, bwd = walk(False)
+    forward_ok = fwd.U <= threshold and fwd.V <= threshold
+    backward_ok = bwd.U <= threshold and bwd.V <= threshold
     report = PrtyReport(ell=ell, threshold=threshold, forward_ok=forward_ok,
                         backward_ok=backward_ok, forward_stats=fwd,
                         backward_stats=bwd)
     if forward_ok:
-        cur = BirkhoffCursor(iet, spec, x, forward=True,
-                             track_derivative=True)
-        for r in rs:
-            ratio = orient * cur.derivative_sum_at(r).value / (r * math.log(r))
+        for r, value in fwd_sums:
+            ratio = orient * value / (r * math.log(r))
             report.forward_bounds.append(
                 (r, ratio, abs(ratio - gap) <= tolerance))
     if backward_ok:
-        cur = BirkhoffCursor(iet, spec, x, forward=False,
-                             track_derivative=True)
-        for r in rs:
+        for r, value in bwd_sums:
             # conclusion reads through -S_(-r)(f'); the backward cursor
             # already returns S_(-r)
-            ratio = -orient * cur.derivative_sum_at(r).value / (r * math.log(r))
+            ratio = -orient * value / (r * math.log(r))
             report.backward_bounds.append(
                 (r, ratio, abs(ratio - gap) <= tolerance))
     return report

@@ -285,12 +285,12 @@ class IntegerOrbit:
     common denominator D, so a scalar (a + b sqrt(d))/1 becomes an integer
     pair (P, Q) with value (P + Q sqrt(d))/D and every orbit step is two
     integer additions plus sign tests — no rational normalization.  This is
-    the carrier for the long exact scans (first-return times, distance
-    minima); results convert back to ExactScalar on demand.
+    the one carrier of every exact orbit walk in the package; results
+    convert back to ExactScalar on demand.
     """
 
-    __slots__ = ("iet", "den", "field", "cuts", "trans", "cuts_b", "trans_b",
-                 "p", "q", "steps")
+    __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
+                 "trans_b", "p", "q", "steps")
 
     def __init__(self, iet: Iet, x, extra=()):
         x = _as_scalar(x)
@@ -311,11 +311,15 @@ class IntegerOrbit:
         self.den = den
         self.field = field
         self.cuts = [self._pair(c) for c in iet._top_cuts]
+        self.lefts = [(0, 0)] + self.cuts[:-1]
         self.cuts_b = [self._pair(c) for c in iet._bottom_cuts]
         self.trans = [self._pair(iet.translation(a)) for a in iet.perm.top]
         self.trans_b = [self._pair(iet.translation(a))
                         for a in iet.perm.bottom]
         self.p, self.q = self._pair(x)
+        if self._sign(self.p, self.q) < 0 or not self.less_than(self.cuts[-1]):
+            raise IetDomainError("point %r outside [0, %s)" %
+                                 (x, iet.total.to_string()))
         self.steps = 0
 
     def _pair(self, s: ExactScalar):
@@ -326,11 +330,11 @@ class IntegerOrbit:
         """Integer pair of an external scalar (extends the denominator
         exactly or fails)."""
         s = _as_scalar(s)
+        if s.d is not None and s.d != self.field:
+            raise InvalidIetError("mixed quadratic fields in orbit")
         if (self.den % s.a.denominator) or (self.den % s.b.denominator):
             raise InvalidIetError("scalar does not share the orbit "
                                   "denominator")
-        if s.d is not None and self.field is not None and s.d != self.field:
-            raise InvalidIetError("mixed quadratic fields in orbit")
         return self._pair(s)
 
     def _sign(self, p: int, q: int) -> int:
@@ -366,6 +370,19 @@ class IntegerOrbit:
                 return i
         return len(cuts) - 1
 
+    def gaps(self) -> tuple:
+        """(i, x - l_i, r_i - x): the top-order index of the interval I_i
+        holding the current point x and its two gaps as integer pairs.
+
+        The nearest singular endpoints of x are the ends of its own
+        interval, so these two gaps carry every distance the walkers need.
+        """
+        i = self.interval_index()
+        left = self.lefts[i]
+        right = self.cuts[i]
+        return (i, (self.p - left[0], self.q - left[1]),
+                (right[0] - self.p, right[1] - self.q))
+
     def image_interval_index(self) -> int:
         cuts = self.cuts_b
         for i in range(len(cuts) - 1):
@@ -385,14 +402,17 @@ class IntegerOrbit:
         self.q -= t[1]
         self.steps -= 1
 
-    def value(self) -> ExactScalar:
-        return ExactScalar(Fraction(self.p, self.den),
-                           Fraction(self.q, self.den), self.field)
+    def value(self, pair=None) -> ExactScalar:
+        p, q = (self.p, self.q) if pair is None else pair
+        return ExactScalar(Fraction(p, self.den), Fraction(q, self.den),
+                           self.field)
 
     def to_float(self, pair=None) -> float:
+        """float(value): both parts rounded once, exactly as
+        ExactScalar.__float__ rounds them."""
         p, q = (self.p, self.q) if pair is None else pair
         root = math.sqrt(self.field) if self.field else 0.0
-        return (p + q * root) / self.den
+        return p / self.den + (q / self.den) * root
 
 
 @dataclass(frozen=True)
@@ -413,18 +433,22 @@ def keane_check(iet: Iet, depth: int) -> KeaneReport:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     discs = iet.discontinuities()
-    disc_set = set(discs)
-    seen: dict[ExactScalar, tuple[int, int]] = {}
-    for j, x0 in enumerate(discs):
-        x = x0
+    # discontinuities are cut points, so every orbit has the denominator of
+    # the IET itself and points compare as integer pairs
+    orbits = [IntegerOrbit(iet, x0) for x0 in discs]
+    disc_set = {orbits[0].pair_of(x0) for x0 in discs}
+    seen: dict[tuple, tuple[int, int]] = {}
+    for j, orbit in enumerate(orbits):
         for k in range(depth + 1):
+            x = (orbit.p, orbit.q)
             if k > 0 and x in disc_set:
-                return KeaneReport(False, depth, ((j, k), ("disc", x.to_string())))
+                return KeaneReport(False, depth, ((j, k), ("disc",
+                                   orbit.value().to_string())))
             if x in seen and seen[x] != (j, k):
                 return KeaneReport(False, depth, ((j, k), seen[x]))
             seen[x] = (j, k)
             if k < depth:
-                x = iet.evaluate(x)
+                orbit.step_forward()
     return KeaneReport(True, depth)
 
 
@@ -437,16 +461,17 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     if not (ExactScalar(0) < cut and cut <= iet.total):
         raise IetDomainError("cut must lie in (0, total]")
 
-    def hit(x: ExactScalar):
+    def hit(x):
+        x = _as_scalar(x)
         if not x < cut:
             raise IetDomainError("start point outside the inducing interval")
-        y = iet.evaluate(x)
-        n = 1
-        while not y < cut:
-            y = iet.evaluate(y)
-            n += 1
-            if n > max_steps:
+        orbit = IntegerOrbit(iet, x, extra=[cut])
+        bound = orbit.pair_of(cut)
+        orbit.step_forward()
+        while not orbit.less_than(bound):
+            orbit.step_forward()
+            if orbit.steps > max_steps:
                 raise RuntimeError("no return within %d steps" % max_steps)
-        return y, n
+        return orbit.value(), orbit.steps
 
     return hit

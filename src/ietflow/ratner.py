@@ -26,7 +26,7 @@ from .exact import ExactScalar, exact_min
 from .iet import Iet
 from .intervals import IntervalUnion, neighborhood, pullback_union
 from .rauzy import AccelTimes
-from .roof import RoofSpec, SingularityTooClose, roof_area
+from .roof import BirkhoffCursor, RoofSpec, roof_area
 
 F = Fraction
 
@@ -64,32 +64,6 @@ class ForbacReport:
         return "neither"
 
 
-def _min_orbit_distance_exact(iet: Iet, x: ExactScalar, n: int,
-                              points) -> ExactScalar:
-    """Exact min distance of the orbit segment to a set of points.
-
-    Forward segment {T^i x : 0 <= i < n} for n > 0, backward
-    {T^i x : n <= i < 0} for n < 0.
-    """
-    best = None
-    pt = x
-    if n >= 0:
-        for i in range(n):
-            for s in points:
-                d = pt - s if s < pt else s - pt
-                if best is None or d < best:
-                    best = d
-            pt = iet.evaluate(pt)
-    else:
-        for i in range(-n):
-            pt = iet.evaluate_inverse(pt)
-            for s in points:
-                d = pt - s if s < pt else s - pt
-                if best is None or d < best:
-                    best = d
-    return best
-
-
 def forbac_scan(accel: AccelTimes, x, ell: int, params: DcParams,
                 epsilon: Optional[float] = None) -> ForbacReport:
     """Exact min distances of the q_l-orbit segments (forward and backward)
@@ -113,10 +87,8 @@ def forbac_scan(accel: AccelTimes, x, ell: int, params: DcParams,
         raise ValueError("acceleration too short: need index %d" % (ell + L))
     q_l = accel.q(ell)
     threshold = F(1, 6) / params.nu / accel.q(ell + L)
-    endpoints = sorted(set(iet.singular_points()) |
-                       {iet.right(a) for a in iet.perm.alphabet})
-    fwd = _min_orbit_distance_exact(iet, x, q_l, endpoints)
-    bwd = _min_orbit_distance_exact(iet, x, -q_l, endpoints)
+    fwd, bwd = (BirkhoffCursor(iet, None, x, forward=forward)
+                .advance_to(q_l).min_gap() for forward in (True, False))
     thr = ExactScalar(threshold)
     return ForbacReport(ell, L, q_l, threshold, fwd, bwd,
                         thr < fwd, thr < bwd)
@@ -307,7 +279,6 @@ class WitnessResult:
     failure_reason: str = ""
     worst_n: Optional[int] = None
     straddle_index: Optional[int] = None
-    forbac: Optional[ForbacReport] = None
     deviations: list = field(default_factory=list)
     attempts: list = field(default_factory=list)   # (direction, ok, reason,
     #                                                straddle_index)
@@ -451,7 +422,6 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     except ValueError as exc:
         raise WitnessPreconditionError(str(exc))
 
-    forbac = None
     direction = "forward"
     if ell + 1 + cfg.params.L <= accel.count:
         # float scan suggests the direction to try first; the verification
@@ -549,7 +519,7 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
                          "verified" if outcome["ok"] else "failed", kappa_ok,
                          failure_reason=outcome["reason"],
                          worst_n=outcome["worst"],
-                         straddle_index=outcome["straddle"], forbac=forbac,
+                         straddle_index=outcome["straddle"],
                          deviations=outcome["devs"], attempts=attempts)
 
 
@@ -562,36 +532,6 @@ try:
     import gmpy2
 except ImportError:         # pragma: no cover - gmpy2 is optional
     gmpy2 = None
-
-
-def _scalar_converter(prec_bits: int, field: Optional[int]):
-    """High-precision converter ExactScalar -> (value, log) backend pair.
-
-    Prefers MPFR via gmpy2 (fast compiled logs); falls back to mpmath.
-    """
-    if gmpy2 is not None:
-        ctx = gmpy2.context(precision=prec_bits)
-        gmpy2.set_context(ctx)
-        sqrt_d = gmpy2.sqrt(gmpy2.mpfr(field)) if field else None
-
-        def conv(s):
-            val = gmpy2.mpfr(gmpy2.mpq(s.a.numerator, s.a.denominator))
-            if s.b:
-                val += gmpy2.mpfr(gmpy2.mpq(s.b.numerator,
-                                            s.b.denominator)) * sqrt_d
-            return val
-
-        return conv, gmpy2.log, lambda v: float(v)
-    mpmath.mp.prec = prec_bits
-    sqrt_d = mpmath.sqrt(field) if field else None
-
-    def conv(s):
-        val = mpmath.mpf(s.a.numerator) / s.a.denominator
-        if s.b:
-            val += mpmath.mpf(s.b.numerator) / s.b.denominator * sqrt_d
-        return val
-
-    return conv, mpmath.log, lambda v: float(v)
 
 
 def verify_witness_high_precision(iet: Iet, spec: RoofSpec,

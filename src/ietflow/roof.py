@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import ExactScalar
-from .iet import Iet
+from .iet import Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
 _EPS = 2.0 ** -50
@@ -90,10 +90,6 @@ class RoofSpec:
     def has_log_singularity(self) -> bool:
         return self.cplus_total > 0 or self.cminus_total > 0
 
-    def constants_for(self, alphabet):
-        return ([float(self.cplus[a]) for a in alphabet],
-                [float(self.cminus[a]) for a in alphabet])
-
 
 @dataclass(frozen=True)
 class RoofValue:
@@ -128,44 +124,50 @@ def _distances(iet: Iet, spec: RoofSpec, x: ExactScalar, orbit_index=None):
     return a, dl, dr
 
 
-def eval_roof(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofValue:
-    """f(x) with a conservative rounding-error radius."""
+def _terms(c0: float, cp: float, cm: float, dl: float, dr: float):
+    """(f, err, f', err') at a point of I_a from its float gaps dl = x - l_a
+    and dr = r_a - x, with cp = Cplus_a, cm = Cminus_a; each value carries
+    a conservative rounding-error radius."""
+    val = c0
+    budget = abs(val)
+    dval = 0.0
+    dbudget = 0.0
+    if cp:
+        term = -cp * math.log(dl)
+        val += term
+        budget += abs(term) + cp
+        term = -cp / dl
+        dval += term
+        dbudget += abs(term)
+    if cm:
+        term = -cm * math.log(dr)
+        val += term
+        budget += abs(term) + cm
+        term = cm / dr
+        dval += term
+        dbudget += abs(term)
+    return (val, _EPS * (budget + abs(val)),
+            dval, _EPS * (dbudget + abs(dval)) + 1e-300)
+
+
+def _point_terms(iet: Iet, spec: RoofSpec, x, orbit_index=None):
     if not isinstance(x, ExactScalar):
         x = ExactScalar(x)
     a, dl, dr = _distances(iet, spec, x, orbit_index)
-    cp = float(spec.cplus[a])
-    cm = float(spec.cminus[a])
-    val = float(spec.c0)
-    err_budget = abs(val)
-    if cp:
-        term = -cp * math.log(float(dl))
-        val += term
-        err_budget += abs(term) + cp
-    if cm:
-        term = -cm * math.log(float(dr))
-        val += term
-        err_budget += abs(term) + cm
-    return RoofValue(val, _EPS * (err_budget + abs(val)))
+    return _terms(float(spec.c0), float(spec.cplus[a]),
+                  float(spec.cminus[a]), float(dl), float(dr))
+
+
+def eval_roof(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofValue:
+    """f(x) with a conservative rounding-error radius."""
+    val, err, _, _ = _point_terms(iet, spec, x, orbit_index)
+    return RoofValue(val, err)
 
 
 def eval_roof_derivative(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofValue:
     """f'(x) = -Cplus_a/(x - l_a) + Cminus_a/(r_a - x) on I_a."""
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
-    a, dl, dr = _distances(iet, spec, x, orbit_index)
-    cp = float(spec.cplus[a])
-    cm = float(spec.cminus[a])
-    val = 0.0
-    err_budget = 0.0
-    if cp:
-        term = -cp / float(dl)
-        val += term
-        err_budget += abs(term)
-    if cm:
-        term = cm / float(dr)
-        val += term
-        err_budget += abs(term)
-    return RoofValue(val, _EPS * (err_budget + abs(val)) + 1e-300)
+    _, _, val, err = _point_terms(iet, spec, x, orbit_index)
+    return RoofValue(val, err)
 
 
 def eval_roof_second_derivative(iet: Iet, spec: RoofSpec, x,
@@ -188,76 +190,99 @@ def birkhoff_sum(iet: Iet, spec: RoofSpec, x, r: int,
                  derivative: bool = False) -> RoofValue:
     """S_r(f)(x): sum of f over r forward orbit steps; 0 for r = 0;
     -sum over T^r x .. T^-1 x for r < 0.  Exact orbit, float values."""
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
-    term = eval_roof_derivative if derivative else eval_roof
-    acc = 0.0
-    err = 0.0
-    if r == 0:
-        return RoofValue(0.0, 0.0)
-    if r > 0:
-        pt = x
-        for i in range(r):
-            tv = term(iet, spec, pt, orbit_index=i)
-            acc += tv.value
-            err += tv.err + abs(acc) * 2.0 ** -52
-            pt = iet.evaluate(pt)
-        return RoofValue(acc, err)
-    pt = x
-    for i in range(-r):
-        pt = iet.evaluate_inverse(pt)
-        tv = term(iet, spec, pt, orbit_index=-(i + 1))
-        acc += tv.value
-        err += tv.err + abs(acc) * 2.0 ** -52
-    return RoofValue(-acc, err)
-
-
-def birkhoff_derivative_sum(iet: Iet, spec: RoofSpec, x, r: int) -> RoofValue:
-    return birkhoff_sum(iet, spec, x, r, derivative=True)
+    cur = BirkhoffCursor(iet, spec, x, forward=r >= 0)
+    return cur.derivative_sum_at(abs(r)) if derivative else cur.sum_at(abs(r))
 
 
 class BirkhoffCursor:
-    """Incremental S_n(f) (and optionally S_n(f')) along one exact orbit.
+    """Incremental S_n(f), S_n(f') and closest approaches along one exact
+    orbit, walked on IntegerOrbit.
 
     Forward direction walks x, Tx, ...; backward walks T^-1 x, T^-2 x, ...
     accumulating the negative-branch sums, so `sum_at(n)` returns S_n for
-    the forward cursor and S_{-n} for the backward one.
+    the forward cursor and S_{-n} for the backward one.  At each point of
+    I_a the cursor reads the two gaps dl = x - l_a and dr = r_a - x; they
+    give the roof terms and, as running minima, the closest approach to the
+    l family from above and to the r family from below.  The first point
+    landing exactly on an endpoint (dl = 0) is kept in `hit` as
+    (orbit index, point).  With `spec=None` the cursor walks distances
+    only; otherwise the singular-point and hard-cutoff checks of
+    `eval_roof` run exactly on every point, with its orbit index.
     """
 
-    def __init__(self, iet: Iet, spec: RoofSpec, x, forward: bool = True,
-                 track_derivative: bool = False):
+    def __init__(self, iet: Iet, spec: Optional[RoofSpec], x,
+                 forward: bool = True):
         self.iet = iet
         self.spec = spec
         self.forward = forward
-        self.track_derivative = track_derivative
-        self.point = x if isinstance(x, ExactScalar) else ExactScalar(x)
+        extra = () if spec is None else (spec.hard_cutoff,)
+        self.orbit = IntegerOrbit(iet, x, extra)
+        if spec is not None:
+            top = self._top = iet.perm.top
+            self._c0 = float(spec.c0)
+            self._cp = [float(spec.cplus[a]) for a in top]
+            self._cm = [float(spec.cminus[a]) for a in top]
+            self._check_l = [spec.cplus[a] != 0 for a in top]
+            self._check_r = [spec.cminus[a] != 0 for a in top]
+            self._singular = spec.has_log_singularity
+            self._cutoff = self.orbit.pair_of(spec.hard_cutoff)
         self.steps = 0
         self.sum = 0.0
         self.err = 0.0
         self.dsum = 0.0
         self.derr = 0.0
+        self.left_min = None        # smallest dl as an integer pair
+        self.left_index = None
+        self.right_min = None       # smallest dr as an integer pair
+        self.right_index = None
+        self.hit = None
+
+    def _visit(self, index: int):
+        """Record the gaps of the current point; return its roof terms."""
+        orbit = self.orbit
+        i, dl, dr = orbit.gaps()
+        if self.left_min is None or orbit.pair_less(dl, self.left_min):
+            self.left_min, self.left_index = dl, index
+            if dl == (0, 0):
+                self.hit = (index, orbit.value())
+        if self.right_min is None or orbit.pair_less(dr, self.right_min):
+            self.right_min, self.right_index = dr, index
+        if self.spec is None:
+            return None
+        if self._singular and dl == (0, 0):
+            # the model is undefined on {l_a}; constant roofs have no
+            # singular set and evaluate everywhere
+            raise RoofDomainError("evaluation at the singular point l_%s "
+                                  "(orbit index %d)" % (self._top[i], index))
+        cut = self._cutoff
+        if self._check_l[i] and not orbit.pair_less(cut, dl):
+            raise SingularityTooClose(self._top[i], "left", orbit.value(dl),
+                                      index)
+        if self._check_r[i] and not orbit.pair_less(cut, dr):
+            raise SingularityTooClose(self._top[i], "right", orbit.value(dr),
+                                      index)
+        return _terms(self._c0, self._cp[i], self._cm[i],
+                      orbit.to_float(dl), orbit.to_float(dr))
 
     def advance_to(self, n: int):
         if n < self.steps:
             raise ValueError("cursor cannot move backwards")
+        orbit = self.orbit
         while self.steps < n:
             if self.forward:
-                value_point = self.point
                 idx = self.steps
             else:
-                self.point = self.iet.evaluate_inverse(self.point)
-                value_point = self.point
+                orbit.step_backward()
                 idx = -(self.steps + 1)
-            tv = eval_roof(self.iet, self.spec, value_point, orbit_index=idx)
-            self.sum += tv.value
-            self.err += tv.err + abs(self.sum) * 2.0 ** -52
-            if self.track_derivative:
-                dv = eval_roof_derivative(self.iet, self.spec, value_point,
-                                          orbit_index=idx)
-                self.dsum += dv.value
-                self.derr += dv.err + abs(self.dsum) * 2.0 ** -52
+            terms = self._visit(idx)
+            if terms is not None:
+                val, err, dval, derr = terms
+                self.sum += val
+                self.err += err + abs(self.sum) * 2.0 ** -52
+                self.dsum += dval
+                self.derr += derr + abs(self.dsum) * 2.0 ** -52
             if self.forward:
-                self.point = self.iet.evaluate(self.point)
+                orbit.step_forward()
             self.steps += 1
         return self
 
@@ -268,36 +293,56 @@ class BirkhoffCursor:
         return RoofValue(-self.sum, self.err)
 
     def derivative_sum_at(self, n: int) -> RoofValue:
-        if not self.track_derivative:
-            raise ValueError("cursor not tracking the derivative")
         self.advance_to(n)
         if self.forward:
             return RoofValue(self.dsum, self.derr)
         return RoofValue(-self.dsum, self.derr)
 
+    def gap_minima(self) -> tuple:
+        """(dl, its index, dr, its index): the smallest gaps over the
+        points walked so far, as exact scalars with the first orbit index
+        at which each occurs; all None before the first step."""
+        if self.left_min is None:
+            return None, None, None, None
+        value = self.orbit.value
+        return (value(self.left_min), self.left_index,
+                value(self.right_min), self.right_index)
 
-def _advance(iet: Iet, spec: RoofSpec, x: ExactScalar, s: float,
+    def min_gap(self) -> Optional[ExactScalar]:
+        """Exact distance of the walked points to the endpoint set
+        {l_a, r_a}: the smaller of the two gap minima (None before the
+        first step)."""
+        if self.left_min is None:
+            return None
+        left, right = self.left_min, self.right_min
+        return self.orbit.value(
+            right if self.orbit.pair_less(right, left) else left)
+
+
+def _advance(iet: Iet, spec: RoofSpec, x, s: float,
              max_steps: int = 10 ** 7):
     """Move (x, 0) by s time units: returns (T^r x, s - S_r, r) with
     0 <= remainder < f(T^r x)."""
+    cur = BirkhoffCursor(iet, spec, x)
+    orbit = cur.orbit
     steps = 0
     if s >= 0:
         while True:
-            fx = eval_roof(iet, spec, x).value
+            fx = cur._visit(steps)[0]
             if s < fx:
-                return x, s, steps
+                return orbit.value(), s, steps
             s -= fx
-            x = iet.evaluate(x)
+            orbit.step_forward()
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("flow advance exceeded %d steps" % max_steps)
     while s < 0:
-        x = iet.evaluate_inverse(x)
-        s += eval_roof(iet, spec, x).value
+        orbit.step_backward()
         steps -= 1
+        s += cur._visit(steps)[0]
         if -steps > max_steps:
             raise RuntimeError("flow advance exceeded %d steps" % max_steps)
-    return x, s, steps
+    return orbit.value(), s, steps
 
 
 def flow(iet: Iet, spec: RoofSpec, point: FlowPoint, t: float) -> FlowPoint:
@@ -312,8 +357,6 @@ def discrete_iterations(iet: Iet, spec: RoofSpec, x, t: float) -> int:
 
     Equals max{r : S_r(f)(x) < t} for t > 0 (an exact tie S_r = t advances,
     keeping the image inside the flow space); negative for t < 0."""
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
     _, _, steps = _advance(iet, spec, x, t)
     return steps
 

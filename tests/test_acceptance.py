@@ -49,7 +49,7 @@ from ietflow.ratner import (
     sr_pair_test,
     verify_witness_high_precision,
 )
-from ietflow.roof import roof_area
+from ietflow.roof import BirkhoffCursor, roof_area
 from ietflow.birkhoff import default_slack_constant
 
 F = Fraction
@@ -304,8 +304,6 @@ def test_criterion_07_derivative_growth(golden_accel):
         if ell not in sigma_sets:
             sigma_sets[ell] = sigma_set(accel, ell, 0.995)
 
-    from ietflow.iet import IntegerOrbit
-
     rng = random.Random(77)
     points = []
     while len(points) < 50:
@@ -317,45 +315,14 @@ def test_criterion_07_derivative_growth(golden_accel):
     tol = 0.15
     clean = 0
     total = 0
-    top_label = {i: a for i, a in enumerate(iet.perm.top)}
     for x in points:
-        # one exact sweep to the largest r, checkpointing sums and the
-        # running closest approaches (integerized exact orbit)
-        orbit = IntegerOrbit(iet, x)
-        below = [orbit.pair_of(iet.left(a)) for a in iet.perm.top]
-        above = [orbit.pair_of(iet.right(a)) for a in iet.perm.top]
-        cm_by_idx = [float(spec.cminus[a]) for a in iet.perm.top]
-        cp_by_idx = [float(spec.cplus[a]) for a in iet.perm.top]
-        deriv = 0.0
-        best_u = None
-        best_v = None
-        marks = {}
-        top_r = r_grid[-1]
-        targets = set(r_grid)
-        for i in range(top_r):
-            for s in below:
-                d = orbit.abs_distance(s)
-                if orbit._sign(orbit.p - s[0], orbit.q - s[1]) > 0:
-                    if best_u is None or orbit.pair_less(d, best_u):
-                        best_u = d
-            for s in above:
-                if orbit._sign(orbit.p - s[0], orbit.q - s[1]) < 0:
-                    d = orbit.abs_distance(s)
-                    if best_v is None or orbit.pair_less(d, best_v):
-                        best_v = d
-            idx = orbit.interval_index()
-            cm = cm_by_idx[idx]
-            if cm:
-                deriv += cm / orbit.to_float(orbit.abs_distance(above[idx]))
-            cp = cp_by_idx[idx]
-            if cp:
-                deriv -= cp / orbit.to_float(orbit.abs_distance(below[idx]))
-            orbit.step_forward()
-            if (i + 1) in targets:
-                marks[i + 1] = (deriv, 1.0 / orbit.to_float(best_u),
-                                1.0 / orbit.to_float(best_v))
+        # one exact sweep to the largest r, read at every r: S_r(f') and
+        # the running closest approaches
+        cursor = BirkhoffCursor(iet, spec, x)
         for r in r_grid:
-            s_val, u_val, v_val = marks[r]
+            s_val = cursor.derivative_sum_at(r).value
+            u_gap, _, v_gap, _ = cursor.gap_minima()
+            u_val, v_val = 1.0 / float(u_gap), 1.0 / float(v_gap)
             rlog = r * math.log(r)
             assert s_val >= (1.0 - tol) * rlog, \
                 "lower bound failed at x=%s r=%d" % (x, r)
@@ -372,18 +339,11 @@ def test_criterion_07_derivative_growth(golden_accel):
 
 
 def test_criterion_08_backward_forward_control(golden_accel):
-    from ietflow.iet import IntegerOrbit
-
     start = time.time()
     accel = golden_accel
     params = validate_params(1.01, 0.995, 0.9, 0.992)
     iet = accel.trace.base
-    endpoint_scalars = sorted({ExactScalar(0), iet.total} |
-                              {iet.left(a) for a in iet.perm.alphabet} |
-                              {iet.right(a) for a in iet.perm.alphabet})
     ells = list(range(6, 13))
-    q_by_ell = {ell: accel.q(ell) for ell in ells}
-    q_max = q_by_ell[12]
     margin = F(1, 40)   # eps = 0.2: good region excludes [0, eps/8) etc.
     threshold_scalars = {ell: ExactScalar(F(1, 18) / accel.q(ell + params.L))
                          for ell in ells}
@@ -392,35 +352,14 @@ def test_criterion_08_backward_forward_control(golden_accel):
         x = F(k, 1001)
         if x < margin or x > 1 - margin:
             continue
-        fwd_min = {}
-        bwd_min = {}
-        walker = None
-        for forward in (True, False):
-            orbit = IntegerOrbit(iet, x, extra=threshold_scalars.values())
-            walker = orbit
-            endpoints = [orbit.pair_of(s) for s in endpoint_scalars]
-            best = None
-            sink = fwd_min if forward else bwd_min
-            for i in range(q_max):
-                if forward:
-                    for s in endpoints:
-                        d = orbit.abs_distance(s)
-                        if best is None or orbit.pair_less(d, best):
-                            best = d
-                    orbit.step_forward()
-                else:
-                    orbit.step_backward()
-                    for s in endpoints:
-                        d = orbit.abs_distance(s)
-                        if best is None or orbit.pair_less(d, best):
-                            best = d
-                for ell, q in q_by_ell.items():
-                    if i + 1 == q:
-                        sink[ell] = best
+        # one distances-only sweep per direction, read at every q_l
+        fwd = BirkhoffCursor(iet, None, x, forward=True)
+        bwd = BirkhoffCursor(iet, None, x, forward=False)
         for ell in ells:
-            thr = walker.pair_of(threshold_scalars[ell])
-            ok_f = walker.pair_less(thr, fwd_min[ell])
-            ok_b = walker.pair_less(thr, bwd_min[ell])
+            q = accel.q(ell)
+            thr = threshold_scalars[ell]
+            ok_f = thr < fwd.advance_to(q).min_gap()
+            ok_b = thr < bwd.advance_to(q).min_gap()
             assert ok_f or ok_b, "dichotomy failed at x=%s ell=%d" % (x, ell)
         tested += 1
     elapsed = time.time() - start

@@ -17,7 +17,6 @@ from ietflow.roof import (
     RoofDomainError,
     RoofSpec,
     SingularityTooClose,
-    birkhoff_derivative_sum,
     birkhoff_sum,
     discrete_iterations,
     eval_roof,
@@ -153,19 +152,32 @@ class TestBirkhoffSums:
             assert abs(smn.value - (sm.value + sn.value)) <= tol
 
     def test_cursor_matches_direct(self):
+        # reference: eval_roof / eval_roof_derivative summed term by term
+        # over the ExactScalar orbit, with the cursor's radius model
         iet = golden_rotation()
         spec = asymmetric_log_roof(iet)
         x = F(355, 1130)
-        cur = BirkhoffCursor(iet, spec, x, forward=True, track_derivative=True)
+
+        def direct(term, n):
+            pts = list(iet.orbit(x, n if n > 0 else n - 1))
+            pts = pts if n > 0 else pts[1:]
+            acc = err = 0.0
+            for pt in pts:
+                tv = term(iet, spec, pt)
+                acc += tv.value
+                err += tv.err + abs(acc) * 2.0 ** -52
+            return (acc if n > 0 else -acc), err
+
+        cur = BirkhoffCursor(iet, spec, x, forward=True)
         for n in [1, 5, 17, 40]:
-            assert cur.sum_at(n).value == pytest.approx(
-                birkhoff_sum(iet, spec, x, n).value, rel=1e-12)
-            assert cur.derivative_sum_at(n).value == pytest.approx(
-                birkhoff_derivative_sum(iet, spec, x, n).value, rel=1e-12)
+            s = cur.sum_at(n)
+            assert (s.value, s.err) == direct(eval_roof, n)
+            d = cur.derivative_sum_at(n)
+            assert (d.value, d.err) == direct(eval_roof_derivative, n)
         back = BirkhoffCursor(iet, spec, x, forward=False)
         for n in [1, 7, 23]:
-            assert back.sum_at(n).value == pytest.approx(
-                birkhoff_sum(iet, spec, x, -n).value, rel=1e-12)
+            s = back.sum_at(n)
+            assert (s.value, s.err) == direct(eval_roof, -n)
 
 
 class TestFlow:
