@@ -11,6 +11,7 @@ comparisons would no longer be decidable by integer arithmetic alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -44,6 +45,36 @@ def _sqrt_bracket(d: int, bits: int) -> tuple[Fraction, Fraction]:
     lo = Fraction(lo_num, scale)
     hi = Fraction(lo_num + 1, scale)
     return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_root(d: int, k: int) -> int:
+    """floor(sqrt(d) * 2**k)."""
+    return math.isqrt(d << 2 * k)
+
+
+def quadratic_float(p: int, q: int, den: int, d) -> float:
+    """float((p + q sqrt(d)) / den), correctly rounded, for den > 0.
+
+    With r = floor(sqrt(d) 2^k), (p + q sqrt(d)) 2^k lies strictly between
+    x = p 2^k + q r and x + q, so the value times 2^k lies between the
+    floor quotients by den of the lower end and of the upper end plus one.
+    Rounding is monotone: once both bounds round to one float, that float
+    is the value times 2^k rounded.  k doubles until they do (an irrational
+    value is never a rounding tie), so the result depends on the value
+    alone, however far p and q sqrt(d) cancel and whatever denominator
+    carries them.
+    """
+    if not q:
+        return p / den
+    k = 128
+    while True:
+        x = (p << k) + q * _scaled_root(d, k)
+        lo, hi = (x, x + q) if q > 0 else (x + q, x)
+        f = float(lo // den)
+        if f == float(hi // den + 1):
+            return math.ldexp(f, -k)
+        k *= 2
 
 
 _RAT_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
@@ -267,7 +298,11 @@ class ExactScalar:
     def __float__(self):
         if self.b == 0:
             return float(self.a)
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        a, b = self.a, self.b
+        den = math.lcm(a.denominator, b.denominator)
+        return quadratic_float(a.numerator * (den // a.denominator),
+                               b.numerator * (den // b.denominator), den,
+                               self.d)
 
     def bracket(self, bits: int = 80) -> tuple[Fraction, Fraction]:
         """Rigorous rational bracket [lo, hi] containing the value."""

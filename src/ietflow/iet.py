@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ExactScalar, exact_sum
+from .exact import ExactScalar, exact_sum, quadratic_float
 
 
 class IetDomainError(ValueError):
@@ -390,8 +390,9 @@ class IntegerOrbit:
                 return i
         return len(cuts) - 1
 
-    def step_forward(self):
-        t = self.trans[self.interval_index()]
+    def step_forward(self, i=None):
+        """Step to T x; i, when given, is interval_index() of x."""
+        t = self.trans[self.interval_index() if i is None else i]
         self.p += t[0]
         self.q += t[1]
         self.steps += 1
@@ -408,11 +409,9 @@ class IntegerOrbit:
                            self.field)
 
     def to_float(self, pair=None) -> float:
-        """float(value): both parts rounded once, exactly as
-        ExactScalar.__float__ rounds them."""
+        """float(value), bit for bit as ExactScalar.__float__."""
         p, q = (self.p, self.q) if pair is None else pair
-        root = math.sqrt(self.field) if self.field else 0.0
-        return p / self.den + (q / self.den) * root
+        return quadratic_float(p, q, self.den, self.field)
 
 
 @dataclass(frozen=True)

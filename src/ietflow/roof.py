@@ -127,7 +127,9 @@ def _distances(iet: Iet, spec: RoofSpec, x: ExactScalar, orbit_index=None):
 def _terms(c0: float, cp: float, cm: float, dl: float, dr: float):
     """(f, err, f', err') at a point of I_a from its float gaps dl = x - l_a
     and dr = r_a - x, with cp = Cplus_a, cm = Cminus_a; each value carries
-    a conservative rounding-error radius."""
+    a conservative rounding-error radius.  The gaps must be correctly
+    rounded (as float(ExactScalar) and IntegerOrbit.to_float are); a gap
+    is read only when its constant is nonzero."""
     val = c0
     budget = abs(val)
     dval = 0.0
@@ -207,7 +209,10 @@ class BirkhoffCursor:
     landing exactly on an endpoint (dl = 0) is kept in `hit` as
     (orbit index, point).  With `spec=None` the cursor walks distances
     only; otherwise the singular-point and hard-cutoff checks of
-    `eval_roof` run exactly on every point, with its orbit index.
+    `eval_roof` hold exactly on every point, with its orbit index (a gap
+    above the running minimum is above the cutoff whenever that minimum
+    is, so the cutoff test runs only at new minima and after the minimum
+    falls within the cutoff).
     """
 
     def __init__(self, iet: Iet, spec: Optional[RoofSpec], x,
@@ -215,17 +220,14 @@ class BirkhoffCursor:
         self.iet = iet
         self.spec = spec
         self.forward = forward
-        extra = () if spec is None else (spec.hard_cutoff,)
-        self.orbit = IntegerOrbit(iet, x, extra)
+        self.orbit = IntegerOrbit(iet, x)
         if spec is not None:
             top = self._top = iet.perm.top
             self._c0 = float(spec.c0)
             self._cp = [float(spec.cplus[a]) for a in top]
             self._cm = [float(spec.cminus[a]) for a in top]
-            self._check_l = [spec.cplus[a] != 0 for a in top]
-            self._check_r = [spec.cminus[a] != 0 for a in top]
             self._singular = spec.has_log_singularity
-            self._cutoff = self.orbit.pair_of(spec.hard_cutoff)
+            self._cutoff = spec.hard_cutoff
         self.steps = 0
         self.sum = 0.0
         self.err = 0.0
@@ -236,33 +238,49 @@ class BirkhoffCursor:
         self.right_min = None       # smallest dr as an integer pair
         self.right_index = None
         self.hit = None
+        # whether the gap minima lie within the hard cutoff: a gap that
+        # sets no new minimum is within it only if the minimum already is
+        self._left_near = self._right_near = False
+
+    def _within_cutoff(self, gap) -> bool:
+        """Exact test gap <= hard cutoff for an integer pair gap."""
+        cut = self._cutoff
+        orbit = self.orbit
+        return orbit._sign(gap[0] * cut.denominator -
+                           cut.numerator * orbit.den,
+                           gap[1] * cut.denominator) <= 0
 
     def _visit(self, index: int):
-        """Record the gaps of the current point; return its roof terms."""
+        """Record the gaps of the current point; return its interval index
+        and its roof terms (None with spec=None)."""
         orbit = self.orbit
         i, dl, dr = orbit.gaps()
+        spec = self.spec
         if self.left_min is None or orbit.pair_less(dl, self.left_min):
             self.left_min, self.left_index = dl, index
             if dl == (0, 0):
                 self.hit = (index, orbit.value())
+            self._left_near = spec is not None and self._within_cutoff(dl)
         if self.right_min is None or orbit.pair_less(dr, self.right_min):
             self.right_min, self.right_index = dr, index
-        if self.spec is None:
-            return None
+            self._right_near = spec is not None and self._within_cutoff(dr)
+        if spec is None:
+            return i, None
         if self._singular and dl == (0, 0):
             # the model is undefined on {l_a}; constant roofs have no
             # singular set and evaluate everywhere
             raise RoofDomainError("evaluation at the singular point l_%s "
                                   "(orbit index %d)" % (self._top[i], index))
-        cut = self._cutoff
-        if self._check_l[i] and not orbit.pair_less(cut, dl):
+        cp, cm = self._cp[i], self._cm[i]
+        if cp and self._left_near and self._within_cutoff(dl):
             raise SingularityTooClose(self._top[i], "left", orbit.value(dl),
                                       index)
-        if self._check_r[i] and not orbit.pair_less(cut, dr):
+        if cm and self._right_near and self._within_cutoff(dr):
             raise SingularityTooClose(self._top[i], "right", orbit.value(dr),
                                       index)
-        return _terms(self._c0, self._cp[i], self._cm[i],
-                      orbit.to_float(dl), orbit.to_float(dr))
+        return i, _terms(self._c0, cp, cm,
+                         orbit.to_float(dl) if cp else 0.0,
+                         orbit.to_float(dr) if cm else 0.0)
 
     def advance_to(self, n: int):
         if n < self.steps:
@@ -274,7 +292,7 @@ class BirkhoffCursor:
             else:
                 orbit.step_backward()
                 idx = -(self.steps + 1)
-            terms = self._visit(idx)
+            i, terms = self._visit(idx)
             if terms is not None:
                 val, err, dval, derr = terms
                 self.sum += val
@@ -282,7 +300,7 @@ class BirkhoffCursor:
                 self.dsum += dval
                 self.derr += derr + abs(self.dsum) * 2.0 ** -52
             if self.forward:
-                orbit.step_forward()
+                orbit.step_forward(i)
             self.steps += 1
         return self
 
@@ -328,18 +346,18 @@ def _advance(iet: Iet, spec: RoofSpec, x, s: float,
     steps = 0
     if s >= 0:
         while True:
-            fx = cur._visit(steps)[0]
+            i, (fx, _, _, _) = cur._visit(steps)
             if s < fx:
                 return orbit.value(), s, steps
             s -= fx
-            orbit.step_forward()
+            orbit.step_forward(i)
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("flow advance exceeded %d steps" % max_steps)
     while s < 0:
         orbit.step_backward()
         steps -= 1
-        s += cur._visit(steps)[0]
+        s += cur._visit(steps)[1][0]
         if -steps > max_steps:
             raise RuntimeError("flow advance exceeded %d steps" % max_steps)
     return orbit.value(), s, steps

@@ -1,7 +1,7 @@
 """Text formats: IET and roof files, trace records, CSV series.
 
 IET files are key = value lines, with lengths in exact-scalar notation
-("p/q" or "(a+b*sqrt(D))/c") so that files round-trip exactly:
+("p/q" or "(a+b*sqrt(D))/c") so that files load exactly:
 
     alphabet = A B
     top      = A B
@@ -60,23 +60,9 @@ def loads_iet(text: str) -> Iet:
     return Iet(perm, dict(zip(alphabet, lengths)))
 
 
-def dumps_iet(iet: Iet) -> str:
-    return (
-        "alphabet = %s\ntop = %s\nbottom = %s\nlengths = %s\n"
-        % (" ".join(iet.perm.alphabet), " ".join(iet.perm.top),
-           " ".join(iet.perm.bottom),
-           " ".join(v.to_string() for v in iet.lengths))
-    )
-
-
 def load_iet(path) -> Iet:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_iet(fh.read())
-
-
-def dump_iet(iet: Iet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_iet(iet))
 
 
 def _parse_label_map(text: str, alphabet) -> dict:
@@ -103,12 +89,6 @@ def loads_roof(text: str, iet: Iet) -> RoofSpec:
         cplus=_parse_label_map(fields.get("cplus", ""), alphabet),
         cminus=_parse_label_map(fields.get("cminus", ""), alphabet),
     )
-
-
-def dumps_roof(spec: RoofSpec, alphabet) -> str:
-    cplus = " ".join("%s:%s" % (a, spec.cplus[a]) for a in alphabet)
-    cminus = " ".join("%s:%s" % (a, spec.cminus[a]) for a in alphabet)
-    return "c0 = %s\ncplus = %s\ncminus = %s\n" % (spec.c0, cplus, cminus)
 
 
 def load_roof(path, iet: Iet) -> RoofSpec:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from ietflow.exact import (
     exact_max,
     exact_min,
     is_squarefree,
+    quadratic_float,
 )
 
 
@@ -64,6 +66,24 @@ class TestQuadratic:
             float(lo) <= float(GOLDEN) <= float(hi))
         assert hi - lo < Fraction(1, 2 ** 90)
         assert abs(float(GOLDEN) - 0.6180339887498949) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("n", [1, 5, 20, 40])
+    def test_float_correctly_rounded_under_cancellation(self, d, n):
+        # (a - b sqrt(d)) / c with a/b a continued-fraction convergent of
+        # sqrt(d): the two parts agree to about 2n digits
+        h0, h1, k0, k1 = 1, 1 if d == 2 else 2, 0, 1
+        step = 2 if d == 2 else 4
+        for _ in range(n):
+            h0, h1 = h1, step * h1 + h0
+            k0, k1 = k1, step * k1 + k0
+        x = quad(Fraction(h1, 7), Fraction(-k1, 7), d)
+        with mpmath.workprec(400):
+            ref = float((h1 - k1 * mpmath.sqrt(d)) / 7)
+        assert float(x) == ref
+        assert float(-x) == -ref
+        # the float depends on the value, not on the denominator carrying it
+        assert quadratic_float(3 * h1, -3 * k1, 21, d) == ref
 
     def test_mixed_field_rejected(self):
         with pytest.raises(FieldMismatchError):

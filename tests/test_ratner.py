@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ietflow.fixtures import (
     constant_roof,
     golden_rotation,
 )
-from ietflow.iet import Iet, Permutation
+from ietflow.iet import Iet, IntegerOrbit, Permutation
 from ietflow.rauzy import InductionTrace, select_accel_times
 from ietflow.ratner import (
     BumpObservable,
@@ -28,7 +30,7 @@ from ietflow.ratner import (
     triple_mixing_probe,
     verify_witness_high_precision,
 )
-from ietflow.roof import roof_area
+from ietflow.roof import BirkhoffCursor, RoofDomainError, roof_area
 
 F = Fraction
 
@@ -193,6 +195,108 @@ class TestWitness:
         assert cfg.shift_set == (-1, 1)
         assert cfg.ell_a == pytest.approx(101 / 0.2 ** 4)
         assert cfg.delta_asymptotic == pytest.approx(min(1 / cfg.ell_a ** 2, 0.04))
+
+
+def reference_checkpoints(iet, spec, res):
+    """The former 120-bit mpmath re-verification, kept as a reference:
+    n -> (S_n(f)(x) - S_n(f)(y), |x_n - y_n|) for n in [M, M+L], from
+    120-bit logs of the exact orbit gaps."""
+    ox = IntegerOrbit(iet, res.x, extra=[res.y])
+    oy = IntegerOrbit(iet, res.y, extra=[res.x])
+    top = iet.perm.top
+    lefts = [ox.pair_of(iet.left(a)) for a in top]
+    rights = [ox.pair_of(iet.right(a)) for a in top]
+    cps = [float(spec.cplus[a]) for a in top]
+    cms = [float(spec.cminus[a]) for a in top]
+    forward = res.direction == "forward"
+    out = {}
+    with mpmath.workprec(120):
+        root = mpmath.sqrt(ox.field)
+
+        def hp(pair):
+            return (mpmath.mpf(pair[0]) + mpmath.mpf(pair[1]) * root) / ox.den
+
+        def roof_hp(orbit):
+            idx = orbit.interval_index()
+            val = mpmath.mpf(spec.c0.numerator) / spec.c0.denominator
+            if cps[idx]:
+                dl = orbit.abs_distance(lefts[idx])
+                val -= cps[idx] * mpmath.log(hp(dl))
+            if cms[idx]:
+                dr = orbit.abs_distance(rights[idx])
+                val -= cms[idx] * mpmath.log(hp(dr))
+            return val
+
+        dsum = mpmath.mpf(0)
+        top_n = res.M + res.L
+        for n in range(top_n + 1):
+            if n >= res.M:
+                out[n] = (float(dsum),
+                          float(abs(hp((ox.p - oy.p, ox.q - oy.q)))))
+            if n == top_n:
+                break
+            if forward:
+                dsum += roof_hp(ox) - roof_hp(oy)
+                ox.step_forward()
+                oy.step_forward()
+            else:
+                ox.step_backward()
+                oy.step_backward()
+                dsum -= roof_hp(ox) - roof_hp(oy)
+    return out
+
+
+def bounded3_witness_setup():
+    accel = bounded3_accel()
+    params = validate_params(1.01, 0.995, 0.9, 0.992, nu=4, d=3,
+                             lbar=accel.lbar)
+    spec = asymmetric_log_roof(accel.trace.base)
+    cfg = WitnessConfig(epsilon=0.2, N=10, params=params, seed=3,
+                        window_len=0)
+    return accel, spec, cfg
+
+
+class TestReverification:
+    @pytest.mark.parametrize("setup,count", [(witness_setup, 3),
+                                             (bounded3_witness_setup, 1)])
+    def test_cursor_enclosure_against_mpmath(self, setup, count):
+        accel, spec, cfg = setup()
+        iet = accel.trace.base
+        pairs, region = sample_good_pairs(accel, spec, cfg, count,
+                                          F(1, 10 ** 5))
+        accepted = 0
+        for x, y in pairs:
+            res = sr_pair_test(accel, spec, cfg, x, y, good_region=region)
+            if res.verdict != "verified":
+                continue
+            ref = reference_checkpoints(iet, spec, res)
+            ok = verify_witness_high_precision(iet, spec, res, cfg.epsilon)
+            ref_ok = all(abs(dev - res.p) < cfg.epsilon and sep < cfg.epsilon
+                         for dev, sep in ref.values())
+            assert ref_ok or not ok
+            accepted += ok
+            forward = res.direction == "forward"
+            cx = BirkhoffCursor(iet, spec, x, forward=forward)
+            cy = BirkhoffCursor(iet, spec, y, forward=forward)
+            for n, (dev, _) in ref.items():
+                sx, sy = cx.sum_at(n), cy.sum_at(n)
+                assert abs(sx.value - sy.value - dev) <= sx.err + sy.err
+            # the shift of the other sign is off by about 2 everywhere
+            flipped = dataclasses.replace(res, p=-res.p)
+            assert not verify_witness_high_precision(iet, spec, flipped,
+                                                     cfg.epsilon)
+        assert accepted >= 1
+
+    def test_exact_hit_raises_with_orbit_index(self):
+        accel, spec, cfg = witness_setup()
+        iet = accel.trace.base
+        pairs, region = sample_good_pairs(accel, spec, cfg, 1, F(1, 10 ** 5))
+        res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
+        x = iet.iterate(iet.left("B"), -5)
+        planted = dataclasses.replace(res, x=x, y=x + F(1, 10 ** 5),
+                                      direction="forward")
+        with pytest.raises(RoofDomainError, match="orbit index 5"):
+            verify_witness_high_precision(iet, spec, planted, cfg.epsilon)
 
 
 class TestGoodRegion:

@@ -2,15 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (
     asymmetric_log_roof,
+    bounded_type_3iet,
     constant_roof,
     golden_rotation,
     rotation_third,
 )
+from ietflow.iet import IntegerOrbit
 from ietflow.roof import (
     BirkhoffCursor,
     FlowPoint,
@@ -178,6 +181,42 @@ class TestBirkhoffSums:
         for n in [1, 7, 23]:
             s = back.sum_at(n)
             assert (s.value, s.err) == direct(eval_roof, -n)
+
+    @pytest.mark.parametrize("make_iet", [golden_rotation, bounded_type_3iet])
+    def test_cursor_radii_enclose_reference(self, make_iet):
+        # long Q(sqrt D) orbits: the gap x - l_a is a small difference of
+        # two large parts, which a naive float conversion loses
+        iet = make_iet()
+        spec = asymmetric_log_roof(iet)
+        x, r = F(123457, 10 ** 6), 30000
+        cur = BirkhoffCursor(iet, spec, x)
+        s, d = cur.sum_at(r), cur.derivative_sum_at(r)
+        orbit = IntegerOrbit(iet, x)
+        top = iet.perm.top
+
+        def mpq(v):
+            return mpmath.mpf(v.numerator) / v.denominator
+
+        with mpmath.workprec(200):
+            root = mpmath.sqrt(orbit.field)
+
+            def gap(pair):
+                return (pair[0] + pair[1] * root) / orbit.den
+
+            ref = dref = mpmath.mpf(0)
+            for _ in range(r):
+                i, dl, dr = orbit.gaps()
+                cp, cm = mpq(spec.cplus[top[i]]), mpq(spec.cminus[top[i]])
+                ref += mpq(spec.c0)
+                if cp:
+                    ref -= cp * mpmath.log(gap(dl))
+                    dref -= cp / gap(dl)
+                if cm:
+                    ref -= cm * mpmath.log(gap(dr))
+                    dref += cm / gap(dr)
+                orbit.step_forward()
+            assert abs(s.value - ref) <= s.err
+            assert abs(d.value - dref) <= d.err
 
 
 class TestFlow:
