@@ -1,8 +1,9 @@
 """Benchmark: compiled kernels vs the numpy fallback.
 
-Times the three hot loops (base-map iteration, Birkhoff sums of the roof
-derivative, special-flow advance) on the golden asymmetric-log flow and
-prints a table with the speedup.  Run from the repository root:
+Times the hot loops (base-map iteration, Birkhoff sums of the roof
+derivative, special-flow advance, the closest approach of one orbit to
+the endpoints) on the golden asymmetric-log flow and prints a table with
+the speedup.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--samples N]
 """
@@ -40,6 +41,7 @@ def main():
     rng = np.random.default_rng(1)
     x = rng.uniform(0.001, 0.999, args.samples)
     y = rng.uniform(0.0, 0.9, args.samples)
+    endpoints = np.array(sorted({float(s) for s in iet.singular_points()}))
 
     fallback = kernels.load_fallback()
     compiled = kernels.load_compiled()
@@ -55,6 +57,8 @@ def main():
             tables, x, 200, derivative=True, module=mod)),
         ("flow t=50", lambda mod: kernels.flow_points(
             tables, x, y, 50.0, module=mod)),
+        ("min distance n=1e5", lambda mod: kernels.min_orbit_distance(
+            tables, 0.123, 10 ** 5, endpoints, module=mod)),
     ]
 
     print("%-20s %12s %12s %9s" % ("workload", "numpy [s]", "cython [s]",

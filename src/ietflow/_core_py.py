@@ -5,10 +5,15 @@ float64 arrays in top order (cumulative right endpoints, per-interval
 translations and roof constants) plus the bottom-order tables for the
 inverse map.  Distances to singular endpoints are floored at 1e-300 so a
 stray sample never produces an infinity; the Monte-Carlo callers treat
-those events as measure zero.
+those events as measure zero.  The kernels over sample arrays are numpy
+loops; `min_orbit_distance` walks a single point, where numpy calls on
+length-1 arrays cost more than the arithmetic, so it is a plain-float
+loop on Python lists with `bisect` lookups, bit for bit the numpy result.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -112,16 +117,31 @@ def min_orbit_distance(rights, trans, rights_b, trans_b, x, n, points):
 
     Forward segment 0 <= i < n for n > 0; backward -n <= i < 0 for n < 0.
     Float diagnostics only; the exact scan lives in the ratner module.
+    A plain-float loop: the nearest points lie on either side of the
+    current one in sorted order, and rounding is monotone, so the result
+    equals the minimum of |points - x_i| over all points bit for bit.
     """
-    points = np.asarray(points, dtype=np.float64)
+    pts = sorted(np.asarray(points, dtype=np.float64).tolist())
+    if n >= 0:
+        cuts, shift = rights.tolist(), trans.tolist()
+    else:
+        # x - t and x + (-t) round alike
+        cuts, shift = rights_b.tolist(), (-trans_b).tolist()
+    last = len(cuts) - 1
     best = np.inf
     cur = float(x)
-    if n >= 0:
-        for _ in range(n):
-            best = min(best, float(np.min(np.abs(points - cur))))
-            cur = cur + trans[int(_indices(rights, np.array([cur]))[0])]
-    else:
-        for _ in range(-n):
-            cur = cur - trans_b[int(_indices(rights_b, np.array([cur]))[0])]
-            best = min(best, float(np.min(np.abs(points - cur))))
+    for _ in range(abs(n)):
+        if n < 0:
+            cur += shift[min(bisect_right(cuts, cur), last)]
+        j = bisect_right(pts, cur)
+        if j < len(pts):
+            dist = pts[j] - cur
+            if dist < best:
+                best = dist
+        if j:
+            dist = cur - pts[j - 1]
+            if dist < best:
+                best = dist
+        if n >= 0:
+            cur += shift[min(bisect_right(cuts, cur), last)]
     return best

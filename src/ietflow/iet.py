@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import math
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import ExactScalar, exact_sum, quadratic_float
+
+#: Re-sync the float shadow of an IntegerOrbit point from its exact pair
+#: once the shadow's error bound passes this many rounding units.
+_SHADOW_RESYNC = 1 << 12
 
 
 class IetDomainError(ValueError):
@@ -287,10 +292,28 @@ class IntegerOrbit:
     integer additions plus sign tests — no rational normalization.  This is
     the one carrier of every exact orbit walk in the package; results
     convert back to ExactScalar on demand.
+
+    Float shadow: beside the exact pair the walker keeps a float `xf` of
+    the current point with a bound |xf - x| <= `xerr`, and correctly
+    rounded float tables (`quadratic_float`) of the right and left
+    endpoints in top order (`frights`, `flefts`), the bottom-order right
+    endpoints (`frights_b`) and the translations (`ftrans`, `ftrans_b`).
+    Every value involved lies below 2H, with H a power of two above the
+    total length, so each table entry and each rounded sum or difference
+    of two of them is off by at most `unit` = H 2^-53 (the ulp just below
+    H).  A step adds two units to `xerr` (translation entry and sum); past
+    `_SHADOW_RESYNC` units `xf` is read again from the exact pair.  The
+    invariant: a float decision x < c is taken only when the float
+    difference of `xf` and the table entry of c exceeds `xerr` + 2 units in
+    absolute value, which makes it provably the exact decision; otherwise
+    the exact sign test `_sign` decides.  Outside the range where these
+    roundings are bounded (total length below 2^-1000 or above 2^1000)
+    `unit` is infinite and every decision is exact.
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
-                 "trans_b", "p", "q", "steps")
+                 "trans_b", "p", "q", "steps", "frights", "flefts", "ftrans",
+                 "frights_b", "ftrans_b", "xf", "xerr", "unit")
 
     def __init__(self, iet: Iet, x, extra=()):
         x = _as_scalar(x)
@@ -321,6 +344,17 @@ class IntegerOrbit:
             raise IetDomainError("point %r outside [0, %s)" %
                                  (x, iet.total.to_string()))
         self.steps = 0
+        to_float = self.to_float
+        self.frights = [to_float(c) for c in self.cuts]
+        self.flefts = [to_float(c) for c in self.lefts]
+        self.ftrans = [to_float(t) for t in self.trans]
+        self.frights_b = [to_float(c) for c in self.cuts_b]
+        self.ftrans_b = [to_float(t) for t in self.trans_b]
+        total = self.frights[-1]
+        self.unit = (math.ldexp(1.0, math.frexp(total)[1] - 52)
+                     if 2.0 ** -1000 < total < 2.0 ** 1000 else math.inf)
+        self.xf = to_float()
+        self.xerr = self.unit
 
     def _pair(self, s: ExactScalar):
         return (s.a.numerator * (self.den // s.a.denominator),
@@ -363,12 +397,32 @@ class IntegerOrbit:
     def pair_less(self, a, b) -> bool:
         return self._sign(a[0] - b[0], a[1] - b[1]) < 0
 
-    def interval_index(self) -> int:
-        cuts = self.cuts
+    def _sign_index(self, cuts) -> int:
+        """Exact: the first i with x < cuts[i], the last cut excluded."""
+        p, q, sign = self.p, self.q, self._sign
         for i in range(len(cuts) - 1):
-            if self._sign(self.p - cuts[i][0], self.q - cuts[i][1]) < 0:
+            if sign(p - cuts[i][0], q - cuts[i][1]) < 0:
                 return i
         return len(cuts) - 1
+
+    def _locate(self, fcuts, cuts) -> int:
+        """Index of the interval holding x among the right endpoints
+        `cuts` (float table `fcuts`): by the shadow when both neighbouring
+        cuts are provably on their side, else by `_sign_index`."""
+        xf = self.xf
+        last = len(cuts) - 1
+        i = bisect_right(fcuts, xf, 0, last)
+        tol = self.xerr + 2 * self.unit
+        if (i == 0 or xf - fcuts[i - 1] > tol) and \
+                (i == last or fcuts[i] - xf > tol):
+            return i
+        return self._sign_index(cuts)
+
+    def interval_index(self) -> int:
+        return self._locate(self.frights, self.cuts)
+
+    def image_interval_index(self) -> int:
+        return self._locate(self.frights_b, self.cuts_b)
 
     def gaps(self) -> tuple:
         """(i, x - l_i, r_i - x): the top-order index of the interval I_i
@@ -383,25 +437,34 @@ class IntegerOrbit:
         return (i, (self.p - left[0], self.q - left[1]),
                 (right[0] - self.p, right[1] - self.q))
 
-    def image_interval_index(self) -> int:
-        cuts = self.cuts_b
-        for i in range(len(cuts) - 1):
-            if self._sign(self.p - cuts[i][0], self.q - cuts[i][1]) < 0:
-                return i
-        return len(cuts) - 1
+    def _shift(self, tf: float):
+        """Move the shadow by the float translation tf (exact pair moved
+        already)."""
+        xerr = self.xerr + 2 * self.unit
+        if xerr > _SHADOW_RESYNC * self.unit:
+            self.xf = self.to_float()
+            self.xerr = self.unit
+        else:
+            self.xf += tf
+            self.xerr = xerr
 
     def step_forward(self, i=None):
         """Step to T x; i, when given, is interval_index() of x."""
-        t = self.trans[self.interval_index() if i is None else i]
+        if i is None:
+            i = self._locate(self.frights, self.cuts)
+        t = self.trans[i]
         self.p += t[0]
         self.q += t[1]
         self.steps += 1
+        self._shift(self.ftrans[i])
 
     def step_backward(self):
-        t = self.trans_b[self.image_interval_index()]
+        j = self._locate(self.frights_b, self.cuts_b)
+        t = self.trans_b[j]
         self.p -= t[0]
         self.q -= t[1]
         self.steps -= 1
+        self._shift(-self.ftrans_b[j])
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair

@@ -305,9 +305,11 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
 
     Accumulates the difference of roof sums (term by term, which keeps the
     cancellation benign), the derivative sums at x, the separation, and
-    the first index at which the pair straddles a discontinuity.  Float
-    drift over these windows is ~1e-12, far below the pair gap; every
-    verified pair is re-checked on the exact orbit with rigorous radii.
+    the first index at which the pair straddles a discontinuity.  The
+    float orbit drifts from the exact one and its deviations carry no
+    stated error bound (they moved by up to 2.6e-7 when the float tables
+    changed by about one ulp); only `verify_witness_high_precision`, on
+    the exact orbit with rigorous radii, bounds them.
     Returns (checkpoints, straddle) with checkpoints[n] =
     (delta_sum, deriv_sum, separation) for n in [M, M+L].
     """

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactScalar
+from .exact import ExactScalar, quadratic_float
 from .iet import Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
@@ -207,12 +207,20 @@ class BirkhoffCursor:
     give the roof terms and, as running minima, the closest approach to the
     l family from above and to the r family from below.  The first point
     landing exactly on an endpoint (dl = 0) is kept in `hit` as
-    (orbit index, point).  With `spec=None` the cursor walks distances
-    only; otherwise the singular-point and hard-cutoff checks of
-    `eval_roof` hold exactly on every point, with its orbit index (a gap
-    above the running minimum is above the cutoff whenever that minimum
-    is, so the cutoff test runs only at new minima and after the minimum
-    falls within the cutoff).
+    (orbit index, point), and `last_f` holds f at the point visited last.
+    With `spec=None` the cursor walks distances only; otherwise the
+    singular-point and hard-cutoff checks of `eval_roof` hold exactly on
+    every point, with its orbit index (a gap above the running minimum is
+    above the cutoff whenever that minimum is, so the cutoff test runs only
+    at new minima and after the minimum falls within the cutoff).
+
+    Every decision is exact.  The interval index and the running minima are
+    read through the orbit's float shadow (see IntegerOrbit) only when the
+    float comparison is provably the exact one: a float gap is within
+    xerr + 2 units of the exact gap, so a gap and a minimum whose float
+    difference exceeds both their bounds plus one unit compare as their
+    floats do; closer ones are compared exactly.  The roof terms always
+    take the correctly rounded gaps of the exact pairs.
     """
 
     def __init__(self, iet: Iet, spec: Optional[RoofSpec], x,
@@ -233,11 +241,15 @@ class BirkhoffCursor:
         self.err = 0.0
         self.dsum = 0.0
         self.derr = 0.0
+        self.last_f = None
         self.left_min = None        # smallest dl as an integer pair
         self.left_index = None
         self.right_min = None       # smallest dr as an integer pair
         self.right_index = None
         self.hit = None
+        # shadows of the gap minima and their error bounds
+        self._left_f = self._right_f = math.inf
+        self._left_err = self._right_err = 0.0
         # whether the gap minima lie within the hard cutoff: a gap that
         # sets no new minimum is within it only if the minimum already is
         self._left_near = self._right_near = False
@@ -250,58 +262,96 @@ class BirkhoffCursor:
                            cut.numerator * orbit.den,
                            gap[1] * cut.denominator) <= 0
 
-    def _visit(self, index: int):
-        """Record the gaps of the current point; return its interval index
-        and its roof terms (None with spec=None)."""
-        orbit = self.orbit
-        i, dl, dr = orbit.gaps()
-        spec = self.spec
-        if self.left_min is None or orbit.pair_less(dl, self.left_min):
-            self.left_min, self.left_index = dl, index
-            if dl == (0, 0):
-                self.hit = (index, orbit.value())
-            self._left_near = spec is not None and self._within_cutoff(dl)
-        if self.right_min is None or orbit.pair_less(dr, self.right_min):
-            self.right_min, self.right_index = dr, index
-            self._right_near = spec is not None and self._within_cutoff(dr)
-        if spec is None:
-            return i, None
-        if self._singular and dl == (0, 0):
-            # the model is undefined on {l_a}; constant roofs have no
-            # singular set and evaluate everywhere
-            raise RoofDomainError("evaluation at the singular point l_%s "
-                                  "(orbit index %d)" % (self._top[i], index))
-        cp, cm = self._cp[i], self._cm[i]
-        if cp and self._left_near and self._within_cutoff(dl):
-            raise SingularityTooClose(self._top[i], "left", orbit.value(dl),
-                                      index)
-        if cm and self._right_near and self._within_cutoff(dr):
-            raise SingularityTooClose(self._top[i], "right", orbit.value(dr),
-                                      index)
-        return i, _terms(self._c0, cp, cm,
-                         orbit.to_float(dl) if cp else 0.0,
-                         orbit.to_float(dr) if cm else 0.0)
-
     def advance_to(self, n: int):
+        """Walk on until n points have been visited."""
         if n < self.steps:
             raise ValueError("cursor cannot move backwards")
         orbit = self.orbit
-        while self.steps < n:
-            if self.forward:
-                idx = self.steps
-            else:
-                orbit.step_backward()
-                idx = -(self.steps + 1)
-            i, terms = self._visit(idx)
-            if terms is not None:
-                val, err, dval, derr = terms
-                self.sum += val
-                self.err += err + abs(self.sum) * 2.0 ** -52
-                self.dsum += dval
-                self.derr += derr + abs(self.dsum) * 2.0 ** -52
-            if self.forward:
-                orbit.step_forward(i)
-            self.steps += 1
+        forward = self.forward
+        spec = self.spec
+        step = orbit.step_forward if forward else orbit.step_backward
+        locate = orbit._locate
+        pair_less = orbit.pair_less
+        lefts, rights = orbit.lefts, orbit.cuts
+        flefts, frights = orbit.flefts, orbit.frights
+        den, field = orbit.den, orbit.field
+        unit = orbit.unit
+        if spec is not None:
+            c0, cps, cms = self._c0, self._cp, self._cm
+            singular = self._singular
+        steps = self.steps
+        s, err, ds, derr, val = (self.sum, self.err, self.dsum, self.derr,
+                                 self.last_f)
+        lmin, lidx, lf, lerr, lnear = (self.left_min, self.left_index,
+                                       self._left_f, self._left_err,
+                                       self._left_near)
+        rmin, ridx, rf, rerr, rnear = (self.right_min, self.right_index,
+                                       self._right_f, self._right_err,
+                                       self._right_near)
+        try:
+            while steps < n:
+                if forward:
+                    idx = steps
+                else:
+                    step()
+                    idx = -steps - 1
+                i = locate(frights, rights)
+                p, q, xf = orbit.p, orbit.q, orbit.xf
+                left, right = lefts[i], rights[i]
+                dl = (p - left[0], q - left[1])
+                dr = (right[0] - p, right[1] - q)
+                gerr = orbit.xerr + 2 * unit
+                dlf = xf - flefts[i]
+                drf = frights[i] - xf
+                tol = gerr + lerr + unit
+                diff = dlf - lf
+                if diff < -tol or (diff <= tol and
+                                   (lmin is None or pair_less(dl, lmin))):
+                    lmin, lidx, lf, lerr = dl, idx, dlf, gerr
+                    if dl == (0, 0):
+                        self.hit = (idx, orbit.value())
+                    lnear = spec is not None and self._within_cutoff(dl)
+                tol = gerr + rerr + unit
+                diff = drf - rf
+                if diff < -tol or (diff <= tol and
+                                   (rmin is None or pair_less(dr, rmin))):
+                    rmin, ridx, rf, rerr = dr, idx, drf, gerr
+                    rnear = spec is not None and self._within_cutoff(dr)
+                if spec is not None:
+                    if singular and dl == (0, 0):
+                        # the model is undefined on {l_a}; constant roofs
+                        # have no singular set and evaluate everywhere
+                        raise RoofDomainError(
+                            "evaluation at the singular point l_%s (orbit "
+                            "index %d)" % (self._top[i], idx))
+                    cp, cm = cps[i], cms[i]
+                    if cp and lnear and self._within_cutoff(dl):
+                        raise SingularityTooClose(self._top[i], "left",
+                                                  orbit.value(dl), idx)
+                    if cm and rnear and self._within_cutoff(dr):
+                        raise SingularityTooClose(self._top[i], "right",
+                                                  orbit.value(dr), idx)
+                    val, verr, dval, dverr = _terms(
+                        c0, cp, cm,
+                        quadratic_float(dl[0], dl[1], den, field)
+                        if cp else 0.0,
+                        quadratic_float(dr[0], dr[1], den, field)
+                        if cm else 0.0)
+                    s += val
+                    err += verr + abs(s) * 2.0 ** -52
+                    ds += dval
+                    derr += dverr + abs(ds) * 2.0 ** -52
+                if forward:
+                    step(i)
+                steps += 1
+        finally:
+            self.steps = steps
+            self.sum, self.err, self.dsum, self.derr, self.last_f = (
+                s, err, ds, derr, val)
+            (self.left_min, self.left_index, self._left_f, self._left_err,
+             self._left_near) = lmin, lidx, lf, lerr, lnear
+            (self.right_min, self.right_index, self._right_f,
+             self._right_err, self._right_near) = rmin, ridx, rf, rerr, rnear
         return self
 
     def sum_at(self, n: int) -> RoofValue:
@@ -341,26 +391,23 @@ def _advance(iet: Iet, spec: RoofSpec, x, s: float,
              max_steps: int = 10 ** 7):
     """Move (x, 0) by s time units: returns (T^r x, s - S_r, r) with
     0 <= remainder < f(T^r x)."""
-    cur = BirkhoffCursor(iet, spec, x)
+    cur = BirkhoffCursor(iet, spec, x, forward=s >= 0)
     orbit = cur.orbit
-    steps = 0
     if s >= 0:
         while True:
-            i, (fx, _, _, _) = cur._visit(steps)
-            if s < fx:
-                return orbit.value(), s, steps
-            s -= fx
-            orbit.step_forward(i)
-            steps += 1
-            if steps > max_steps:
+            point = orbit.p, orbit.q
+            cur.advance_to(cur.steps + 1)
+            if s < cur.last_f:
+                return orbit.value(point), s, cur.steps - 1
+            s -= cur.last_f
+            if cur.steps > max_steps:
                 raise RuntimeError("flow advance exceeded %d steps" % max_steps)
     while s < 0:
-        orbit.step_backward()
-        steps -= 1
-        s += cur._visit(steps)[1][0]
-        if -steps > max_steps:
+        cur.advance_to(cur.steps + 1)
+        s += cur.last_f
+        if cur.steps > max_steps:
             raise RuntimeError("flow advance exceeded %d steps" % max_steps)
-    return orbit.value(), s, steps
+    return orbit.value(), s, -cur.steps
 
 
 def flow(iet: Iet, spec: RoofSpec, point: FlowPoint, t: float) -> FlowPoint:

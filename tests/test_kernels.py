@@ -7,13 +7,32 @@ import pytest
 from ietflow import kernels
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import asymmetric_log_roof, bounded_type_3iet, golden_rotation
-from ietflow.roof import FlowPoint, birkhoff_sum, flow, eval_roof
+from ietflow.roof import (BirkhoffCursor, FlowPoint, birkhoff_sum, eval_roof,
+                          flow)
 
 F = Fraction
 
 COMPILED = kernels.load_compiled()
 MODULES = [kernels.load_fallback()] + ([COMPILED] if COMPILED else [])
 IDS = ["numpy"] + (["cython"] if COMPILED else [])
+
+
+def numpy_min_distance(tables, x, n, points):
+    """The former numpy per-step scan of `_core_py.min_orbit_distance`,
+    kept as its reference."""
+    def index(cuts, v):
+        return min(int(np.searchsorted(cuts, np.array([v]), side="right")[0]),
+                   len(cuts) - 1)
+
+    best = np.inf
+    cur = float(x)
+    for _ in range(abs(n)):
+        if n < 0:
+            cur = cur - tables.trans_b[index(tables.rights_b, cur)]
+        best = min(best, float(np.min(np.abs(points - cur))))
+        if n > 0:
+            cur = cur + tables.trans[index(tables.rights, cur)]
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +81,23 @@ class TestAgainstExactPath:
                 assert xf[i] == pytest.approx(float(out.x), abs=1e-7)
                 assert yf[i] == pytest.approx(out.y, abs=1e-7)
 
+    @pytest.mark.parametrize("make_iet", [golden_rotation,
+                                          bounded_type_3iet])
+    def test_min_distance_matches_exact_path(self, module, make_iet):
+        iet = make_iet()
+        tables = kernels.float_tables(iet, asymmetric_log_roof(iet))
+        endpoints = np.array(sorted({float(s) for s in iet.singular_points()}))
+        for x in [F(123457, 10 ** 6), F(1, 3), F(9, 10)]:
+            for n in [400, -400]:
+                got = kernels.min_orbit_distance(tables, float(x), n,
+                                                 endpoints, module=module)
+                assert got == numpy_min_distance(tables, float(x), n,
+                                                 endpoints)
+                exact = BirkhoffCursor(iet, None, x, forward=n > 0) \
+                    .advance_to(abs(n)).min_gap()
+                # the float orbit drifts by at most two roundings a step
+                assert abs(got - float(exact)) <= 2 * abs(n) * 2.0 ** -52
+
     def test_roof_values(self, module, setup):
         iet, spec, tables = setup
         xs = np.array([0.1, 0.2, 0.5, 0.9])
@@ -107,7 +143,7 @@ class TestParity:
                                                module=COMPILED)
                 b = kernels.min_orbit_distance(tables, x, n, points,
                                                module=kernels.load_fallback())
-                assert a == pytest.approx(b, rel=1e-12)
+                assert a == b
 
     def test_3iet_roof_parity(self):
         iet = bounded_type_3iet()
