@@ -42,6 +42,19 @@ def _as_scalar(v) -> ExactScalar:
     raise TypeError("cannot interpret %r as an exact length" % (v,))
 
 
+def _common_denominator(scalars, den=1, field=None) -> tuple:
+    """(lcm of den and the denominators of the scalars, their quadratic
+    field); raises on scalars of two different fields."""
+    for s in scalars:
+        if s.d is not None:
+            if field is not None and s.d != field:
+                raise InvalidIetError("mixed quadratic fields in orbit")
+            field = s.d
+        den = den // math.gcd(den, s.a.denominator) * s.a.denominator
+        den = den // math.gcd(den, s.b.denominator) * s.b.denominator
+    return den, field
+
+
 class Permutation:
     """Pair of bijections (top, bottom) from a finite alphabet to 1..d.
 
@@ -123,7 +136,8 @@ class Iet:
     """
 
     __slots__ = ("perm", "lengths", "total", "_len", "_left_top",
-                 "_left_bottom", "_translation", "_top_cuts", "_bottom_cuts")
+                 "_left_bottom", "_translation", "_top_cuts", "_bottom_cuts",
+                 "_itables", "_ftables")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
@@ -163,6 +177,7 @@ class Iet:
         self._bottom_cuts = bottom_cuts
         self._translation = {a: left_bottom[a] - left_top[a]
                              for a in perm.alphabet}
+        self._itables = self._ftables = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -186,6 +201,49 @@ class Iet:
 
     def translation(self, label) -> ExactScalar:
         return self._translation[label]
+
+    def integer_tables(self) -> tuple:
+        """(D, d, rights, lefts, trans, rights_b, trans_b): the common
+        denominator D of the endpoints and translations, their quadratic
+        field d (None on Q) and, as integer pairs (P, Q) standing for
+        (P + Q sqrt(d))/D, the right and left endpoints and the
+        translations in top order and the right endpoints and the
+        translations in bottom order (computed once)."""
+        if self._itables is None:
+            top = [self._translation[a] for a in self.perm.top]
+            bottom = [self._translation[a] for a in self.perm.bottom]
+            den, field = _common_denominator(
+                [self.total, *self._top_cuts, *self._bottom_cuts, *top])
+
+            def pairs(scalars):
+                return tuple((s.a.numerator * (den // s.a.denominator),
+                              s.b.numerator * (den // s.b.denominator))
+                             for s in scalars)
+
+            rights = pairs(self._top_cuts)
+            self._itables = (den, field, rights, ((0, 0),) + rights[:-1],
+                             pairs(top), pairs(self._bottom_cuts),
+                             pairs(bottom))
+        return self._itables
+
+    def float_tables(self) -> Optional[tuple]:
+        """Correctly rounded floats of the right and left endpoints and the
+        translations in top order, and of the right endpoints and the
+        translations in bottom order (computed once); None when the total
+        length is at most 2^-1000 or at least 2^800, where these floats
+        may overflow or lose their relative precision."""
+        if self._ftables is None:
+            tables = None
+            if ExactScalar(Fraction(1, 2 ** 1000)) < self.total and \
+                    self.total < ExactScalar(2 ** 800):
+                rights = tuple(map(float, self._top_cuts))
+                trans = self._translation
+                tables = (rights, (0.0,) + rights[:-1],
+                          tuple(float(trans[a]) for a in self.perm.top),
+                          tuple(map(float, self._bottom_cuts)),
+                          tuple(float(trans[a]) for a in self.perm.bottom))
+            self._ftables = (tables,)
+        return self._ftables[0]
 
     def discontinuities(self) -> list[ExactScalar]:
         """Orbits of these points decide the Keane condition: l_a, pi_t(a) != 1."""
@@ -289,26 +347,36 @@ class IntegerOrbit:
     All endpoints, translations and reference points of one IET share a
     common denominator D, so a scalar (a + b sqrt(d))/1 becomes an integer
     pair (P, Q) with value (P + Q sqrt(d))/D and every orbit step is two
-    integer additions plus sign tests — no rational normalization.  This is
-    the one carrier of every exact orbit walk in the package; results
-    convert back to ExactScalar on demand.
+    integer additions plus sign tests — no rational normalization.  The
+    pairs of the IET's endpoints and translations are computed once per IET
+    (`Iet.integer_tables`) and scaled to D.  This is the one carrier of
+    every exact orbit walk in the package; results convert back to
+    ExactScalar on demand.
 
-    Float shadow: beside the exact pair the walker keeps a float `xf` of
-    the current point with a bound |xf - x| <= `xerr`, and correctly
-    rounded float tables (`quadratic_float`) of the right and left
-    endpoints in top order (`frights`, `flefts`), the bottom-order right
-    endpoints (`frights_b`) and the translations (`ftrans`, `ftrans_b`).
-    Every value involved lies below 2H, with H a power of two above the
-    total length, so each table entry and each rounded sum or difference
-    of two of them is off by at most `unit` = H 2^-53 (the ulp just below
-    H).  A step adds two units to `xerr` (translation entry and sum); past
-    `_SHADOW_RESYNC` units `xf` is read again from the exact pair.  The
-    invariant: a float decision x < c is taken only when the float
-    difference of `xf` and the table entry of c exceeds `xerr` + 2 units in
-    absolute value, which makes it provably the exact decision; otherwise
-    the exact sign test `_sign` decides.  Outside the range where these
-    roundings are bounded (total length below 2^-1000 or above 2^1000)
-    `unit` is infinite and every decision is exact.
+    Shadow: beside the exact pair the walker keeps a shadow `xf` of the
+    current point with a bound |xf - x| <= `xerr` (on the scale of the
+    tables, see below), and tables of the right and left endpoints in top
+    order (`frights`, `flefts`), the bottom-order right endpoints
+    (`frights_b`) and the translations (`ftrans`, `ftrans_b`).  The
+    invariant: a shadow decision x < c is taken only when the difference of
+    `xf` and the table entry of c exceeds `xerr` + 2 units in absolute
+    value, which makes it provably the exact decision; otherwise the exact
+    sign test `_sign` decides.
+
+    On Q every pair is (P, 0), so the shadow works on the numerators: the
+    tables hold the P of each entry, `xf` is the P of the point and `xerr`
+    = `unit` = 0; every lookup is an exact integer bisection, and only a
+    point exactly on a cut falls back to `_sign`.
+
+    On Q(sqrt d) the tables are the correctly rounded floats of
+    `Iet.float_tables`.  Every value involved lies below 2H, with H a power
+    of two above the total length, so each table entry and each rounded sum
+    or difference of two of them is off by at most half of `unit` =
+    H 2^-52.  A step adds two units to `xerr` (translation entry and sum);
+    past `_SHADOW_RESYNC` units `xf` is read again from the exact pair.
+    Outside the range where these floats are finite and their roundings
+    bounded (total length at most 2^-1000 or at least 2^800) `unit` is
+    infinite and every decision is exact.
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
@@ -318,42 +386,41 @@ class IntegerOrbit:
     def __init__(self, iet: Iet, x, extra=()):
         x = _as_scalar(x)
         self.iet = iet
-        field = None
-        scalars = [x, iet.total] + list(iet._top_cuts) + \
-            list(iet._bottom_cuts) + [iet.translation(a)
-                                      for a in iet.perm.alphabet] + \
-            [_as_scalar(s) for s in extra]
-        den = 1
-        for s in scalars:
-            if s.d is not None:
-                if field is not None and s.d != field:
-                    raise InvalidIetError("mixed quadratic fields in orbit")
-                field = s.d
-            den = den // math.gcd(den, s.a.denominator) * s.a.denominator
-            den = den // math.gcd(den, s.b.denominator) * s.b.denominator
+        tables = iet.integer_tables()
+        den, field = _common_denominator(
+            [x] + [_as_scalar(s) for s in extra], tables[0], tables[1])
+        k = den // tables[0]
+        if k > 1:
+            tables = tables[:2] + tuple(tuple((p * k, q * k) for p, q in t)
+                                        for t in tables[2:])
         self.den = den
         self.field = field
-        self.cuts = [self._pair(c) for c in iet._top_cuts]
-        self.lefts = [(0, 0)] + self.cuts[:-1]
-        self.cuts_b = [self._pair(c) for c in iet._bottom_cuts]
-        self.trans = [self._pair(iet.translation(a)) for a in iet.perm.top]
-        self.trans_b = [self._pair(iet.translation(a))
-                        for a in iet.perm.bottom]
+        _, _, self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b \
+            = tables
         self.p, self.q = self._pair(x)
         if self._sign(self.p, self.q) < 0 or not self.less_than(self.cuts[-1]):
             raise IetDomainError("point %r outside [0, %s)" %
                                  (x, iet.total.to_string()))
         self.steps = 0
-        to_float = self.to_float
-        self.frights = [to_float(c) for c in self.cuts]
-        self.flefts = [to_float(c) for c in self.lefts]
-        self.ftrans = [to_float(t) for t in self.trans]
-        self.frights_b = [to_float(c) for c in self.cuts_b]
-        self.ftrans_b = [to_float(t) for t in self.trans_b]
-        total = self.frights[-1]
-        self.unit = (math.ldexp(1.0, math.frexp(total)[1] - 52)
-                     if 2.0 ** -1000 < total < 2.0 ** 1000 else math.inf)
-        self.xf = to_float()
+        if field is None:
+            # on Q every pair is (P, 0): the numerators are the tables and
+            # the shadow, with no error
+            (self.frights, self.flefts, self.ftrans, self.frights_b,
+             self.ftrans_b) = ([c[0] for c in t] for t in tables[2:])
+            self.unit = 0
+            self.xf = self.p
+        elif iet.float_tables() is not None:
+            (self.frights, self.flefts, self.ftrans, self.frights_b,
+             self.ftrans_b) = iet.float_tables()
+            self.unit = math.ldexp(1.0, math.frexp(self.frights[-1])[1] - 52)
+            self.xf = self.to_float()
+        else:
+            # no float decision: the bisect answer is never kept
+            zeros = (0.0,) * len(self.cuts)
+            (self.frights, self.flefts, self.ftrans, self.frights_b,
+             self.ftrans_b) = (zeros,) * 5
+            self.unit = math.inf
+            self.xf = 0.0
         self.xerr = self.unit
 
     def _pair(self, s: ExactScalar):

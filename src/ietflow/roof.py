@@ -215,12 +215,13 @@ class BirkhoffCursor:
     at new minima and after the minimum falls within the cutoff).
 
     Every decision is exact.  The interval index and the running minima are
-    read through the orbit's float shadow (see IntegerOrbit) only when the
-    float comparison is provably the exact one: a float gap is within
-    xerr + 2 units of the exact gap, so a gap and a minimum whose float
-    difference exceeds both their bounds plus one unit compare as their
-    floats do; closer ones are compared exactly.  The roof terms always
-    take the correctly rounded gaps of the exact pairs.
+    read through the orbit's shadow (see IntegerOrbit; on Q it is the
+    exact numerator) only when the shadow comparison is provably the exact
+    one: a shadow gap is within xerr + 2 units of the exact gap, so a gap
+    and a minimum whose shadow difference exceeds both their bounds plus
+    one unit compare as their shadows do; closer ones are compared
+    exactly.  The roof terms always take the correctly rounded gaps of the
+    exact pairs.
     """
 
     def __init__(self, iet: Iet, spec: Optional[RoofSpec], x,
@@ -228,13 +229,19 @@ class BirkhoffCursor:
         self.iet = iet
         self.spec = spec
         self.forward = forward
-        self.orbit = IntegerOrbit(iet, x)
+        orbit = self.orbit = IntegerOrbit(iet, x)
+        # what advance_to binds on every call, packed once
+        self._walk = (orbit.step_forward if forward else orbit.step_backward,
+                      orbit._locate, orbit.pair_less, orbit.lefts, orbit.cuts,
+                      orbit.flefts, orbit.frights, orbit.den, orbit.field,
+                      orbit.unit)
+        self._roof = None
         if spec is not None:
             top = self._top = iet.perm.top
-            self._c0 = float(spec.c0)
-            self._cp = [float(spec.cplus[a]) for a in top]
-            self._cm = [float(spec.cminus[a]) for a in top]
-            self._singular = spec.has_log_singularity
+            self._roof = (float(spec.c0),
+                          [float(spec.cplus[a]) for a in top],
+                          [float(spec.cminus[a]) for a in top],
+                          spec.has_log_singularity)
             self._cutoff = spec.hard_cutoff
         self.steps = 0
         self.sum = 0.0
@@ -247,12 +254,10 @@ class BirkhoffCursor:
         self.right_min = None       # smallest dr as an integer pair
         self.right_index = None
         self.hit = None
-        # shadows of the gap minima and their error bounds
-        self._left_f = self._right_f = math.inf
-        self._left_err = self._right_err = 0.0
-        # whether the gap minima lie within the hard cutoff: a gap that
-        # sets no new minimum is within it only if the minimum already is
-        self._left_near = self._right_near = False
+        # per gap minimum: its shadow, the shadow's error bound and whether
+        # it lies within the hard cutoff (a gap that sets no new minimum is
+        # within it only if the minimum already is); left, then right
+        self._shadow = (None, 0.0, False, None, 0.0, False)
 
     def _within_cutoff(self, gap) -> bool:
         """Exact test gap <= hard cutoff for an integer pair gap."""
@@ -268,26 +273,17 @@ class BirkhoffCursor:
             raise ValueError("cursor cannot move backwards")
         orbit = self.orbit
         forward = self.forward
-        spec = self.spec
-        step = orbit.step_forward if forward else orbit.step_backward
-        locate = orbit._locate
-        pair_less = orbit.pair_less
-        lefts, rights = orbit.lefts, orbit.cuts
-        flefts, frights = orbit.flefts, orbit.frights
-        den, field = orbit.den, orbit.field
-        unit = orbit.unit
-        if spec is not None:
-            c0, cps, cms = self._c0, self._cp, self._cm
-            singular = self._singular
+        (step, locate, pair_less, lefts, rights, flefts, frights, den, field,
+         unit) = self._walk
+        roof = self._roof
+        if roof is not None:
+            c0, cps, cms, singular = roof
         steps = self.steps
         s, err, ds, derr, val = (self.sum, self.err, self.dsum, self.derr,
                                  self.last_f)
-        lmin, lidx, lf, lerr, lnear = (self.left_min, self.left_index,
-                                       self._left_f, self._left_err,
-                                       self._left_near)
-        rmin, ridx, rf, rerr, rnear = (self.right_min, self.right_index,
-                                       self._right_f, self._right_err,
-                                       self._right_near)
+        lmin, lidx, rmin, ridx = (self.left_min, self.left_index,
+                                  self.right_min, self.right_index)
+        lf, lerr, lnear, rf, rerr, rnear = self._shadow
         try:
             while steps < n:
                 if forward:
@@ -304,20 +300,18 @@ class BirkhoffCursor:
                 dlf = xf - flefts[i]
                 drf = frights[i] - xf
                 tol = gerr + lerr + unit
-                diff = dlf - lf
-                if diff < -tol or (diff <= tol and
-                                   (lmin is None or pair_less(dl, lmin))):
+                if lmin is None or (diff := dlf - lf) < -tol or (
+                        diff <= tol and pair_less(dl, lmin)):
                     lmin, lidx, lf, lerr = dl, idx, dlf, gerr
                     if dl == (0, 0):
                         self.hit = (idx, orbit.value())
-                    lnear = spec is not None and self._within_cutoff(dl)
+                    lnear = roof is not None and self._within_cutoff(dl)
                 tol = gerr + rerr + unit
-                diff = drf - rf
-                if diff < -tol or (diff <= tol and
-                                   (rmin is None or pair_less(dr, rmin))):
+                if rmin is None or (diff := drf - rf) < -tol or (
+                        diff <= tol and pair_less(dr, rmin)):
                     rmin, ridx, rf, rerr = dr, idx, drf, gerr
-                    rnear = spec is not None and self._within_cutoff(dr)
-                if spec is not None:
+                    rnear = roof is not None and self._within_cutoff(dr)
+                if roof is not None:
                     if singular and dl == (0, 0):
                         # the model is undefined on {l_a}; constant roofs
                         # have no singular set and evaluate everywhere
@@ -348,10 +342,9 @@ class BirkhoffCursor:
             self.steps = steps
             self.sum, self.err, self.dsum, self.derr, self.last_f = (
                 s, err, ds, derr, val)
-            (self.left_min, self.left_index, self._left_f, self._left_err,
-             self._left_near) = lmin, lidx, lf, lerr, lnear
-            (self.right_min, self.right_index, self._right_f,
-             self._right_err, self._right_near) = rmin, ridx, rf, rerr, rnear
+            self.left_min, self.left_index, self.right_min, self.right_index \
+                = lmin, lidx, rmin, ridx
+            self._shadow = lf, lerr, lnear, rf, rerr, rnear
         return self
 
     def sum_at(self, n: int) -> RoofValue:

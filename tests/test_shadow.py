@@ -1,15 +1,17 @@
-"""Differential tests of the float shadow of IntegerOrbit.
+"""Differential tests of the shadow of IntegerOrbit.
 
-Each float decision of the shadow (interval index, image interval index,
-the cursor's running gap minima) must equal the decision of the exact sign
-tests at every step: on IETs over Q, Q(sqrt2) and Q(sqrt5) with d = 2..5,
-from points on a cut, a few ulps from a cut or anywhere, forward and
-backward, on walks long enough to re-sync the shadow.
+Each decision of the shadow (interval index, image interval index, the
+cursor's running gap minima) must equal the decision of the exact sign
+tests at every step: on IETs over Q (integer shadow), Q(sqrt2) and
+Q(sqrt5) (float shadow) with d = 2..5, from points on a cut, a few ulps
+from a cut or anywhere, forward and backward, on walks long enough to
+re-sync the float shadow.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietflow import iet as iet_module
@@ -40,10 +42,19 @@ def sign_index(orbit, cuts):
     return len(cuts) - 1
 
 
+def assert_shadow_bound(orbit):
+    """|xf - x| <= xerr: on Q the shadow is the exact numerator."""
+    if orbit.field is None:
+        assert (orbit.xf, orbit.xerr, orbit.unit) == (orbit.p, 0, 0)
+    else:
+        assert abs(ExactScalar(F(orbit.xf)) - orbit.value()) <= \
+            ExactScalar(F(orbit.xerr))
+
+
 @st.composite
 def walks(draw):
-    """(iet, start, steps, forward, tie): tie marks a start on a cut or
-    within two ulps of one, where the shadow cannot decide."""
+    """(iet, start, steps, forward, tie): tie marks a start on a cut, or
+    within two ulps of one on Q(sqrt d), where the shadow cannot decide."""
     d = draw(st.integers(min_value=2, max_value=5))
     field = draw(st.sampled_from([None, 2, 5]))
     # small denominators make rational orbits collide with cuts
@@ -69,7 +80,8 @@ def walks(draw):
             x = x + iet.total * F(k, 2 ** 53)
     steps = draw(st.sampled_from([40, LONG_WALK]))
     forward = draw(st.booleans())
-    return iet, x, steps, forward, kind != "anywhere"
+    tie = kind == "cut" or (kind == "near" and field is not None)
+    return iet, x, steps, forward, tie
 
 
 @given(walks())
@@ -90,8 +102,7 @@ def test_shadow_decisions_are_exact(case):
         assert orbit.interval_index() == i
         assert orbit.image_interval_index() == sign_index(orbit,
                                                           orbit.cuts_b)
-        assert abs(ExactScalar(F(orbit.xf)) - orbit.value()) <= \
-            ExactScalar(F(orbit.xerr))
+        assert_shadow_bound(orbit)
         index = k if forward else -(k + 1)
         left, right = orbit.lefts[i], orbit.cuts[i]
         dl = (orbit.p - left[0], orbit.q - left[1])
@@ -105,16 +116,41 @@ def test_shadow_decisions_are_exact(case):
     assert (cursor.left_min, cursor.left_index) == (left_min, left_index)
     assert (cursor.right_min, cursor.right_index) == (right_min, right_index)
     # without a re-sync the bound would have grown by two units a step
-    assert steps < LONG_WALK or orbit.xerr < (2 * steps + 1) * orbit.unit
+    assert steps < LONG_WALK or orbit.field is None or \
+        orbit.xerr < (2 * steps + 1) * orbit.unit
 
 
-def test_shadow_off_outside_float_range():
-    # a total length below 2^-1000: every decision is exact
+@pytest.mark.parametrize("scale", [F(1, 2 ** 1100), F(2 ** 1100)])
+def test_shadow_off_outside_float_range(scale):
+    # a total length below 2^-1000 or above 2^800 on Q(sqrt2): every
+    # decision is exact
+    r2 = ExactScalar(0, 1, 2)
     iet = Iet(Permutation("ABC", "CBA"),
-              [F(1, 2 ** 1100), F(2, 2 ** 1100), F(4, 2 ** 1100)])
-    orbit = CountingOrbit(iet, F(3, 2 ** 1100))
+              [(1 + r2) * scale, 2 * r2 * scale, (4 - r2) * scale])
+    x = (3 + r2) * scale
+    orbit = CountingOrbit(iet, x)
     assert orbit.unit == math.inf
     for _ in range(20):
         assert orbit.interval_index() == sign_index(orbit, orbit.cuts)
         orbit.step_forward()
     assert orbit.exact_calls == 40
+    # the exact walkers stay usable at either end
+    assert iet_module.keane_check(iet, 30).satisfied_to_depth
+    cut = iet._top_cuts[0]
+    assert iet_module.first_return_map(iet, cut)(cut / 3)[1] >= 1
+    walk = BirkhoffCursor(iet, None, x).advance_to(50)
+    assert walk.min_gap() == min(walk.gap_minima()[0::2])
+
+
+def test_shadow_exact_on_rationals_of_any_size():
+    # on Q the shadow is the exact numerator, however large the lengths
+    for scale in (F(1, 2 ** 1100), F(2 ** 1100)):
+        iet = Iet(Permutation("ABC", "CBA"),
+                  [F(1) * scale, F(2) * scale, F(4) * scale])
+        orbit = CountingOrbit(iet, F(3, 2) * scale)
+        for _ in range(20):
+            assert orbit.interval_index() == sign_index(orbit, orbit.cuts)
+            assert_shadow_bound(orbit)
+            orbit.step_forward()
+        assert orbit.exact_calls == 0
+        assert iet_module.keane_check(iet, 30).colliding_pair is not None
