@@ -1,9 +1,10 @@
-"""Benchmark: compiled kernels vs the numpy fallback.
+"""Benchmark: compiled kernels vs the numpy fallback, and exact scalar ops.
 
 Times the hot loops (base-map iteration, Birkhoff sums of the roof
 derivative, special-flow advance, the closest approach of one orbit to
 the endpoints) on the golden asymmetric-log flow and prints a table with
-the speedup.  Run from the repository root:
+the speedup, then the cost of one rational and one Q(sqrt 5) ExactScalar
+`<`, `+` and `*` in microseconds.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--samples N]
 """
@@ -12,12 +13,15 @@ import argparse
 import os
 import sys
 import time
+import timeit
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
 from ietflow import kernels
+from ietflow.exact import ExactScalar
 from ietflow.fixtures import asymmetric_log_roof, golden_rotation
 
 
@@ -28,6 +32,27 @@ def timed(fn, repeat=3):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def exact_ops(number=20000):
+    """Print the best-of-5 cost per op of ExactScalar <, + and *."""
+    operands = {
+        "rational": (ExactScalar(Fraction(12345, 67891)),
+                     ExactScalar(Fraction(2345, 6789))),
+        "Q(sqrt5)": (ExactScalar(Fraction(-1, 2), Fraction(1, 2), 5),
+                     ExactScalar(Fraction(3, 7), Fraction(-1, 5), 5)),
+    }
+    ops = [("<", lambda x, y: x < y), ("+", lambda x, y: x + y),
+           ("*", lambda x, y: x * y)]
+    print("\nexact scalar ops [us per op]")
+    print("%-10s" % "" + "".join("%10s" % name for name, _ in ops))
+    for label, (x, y) in operands.items():
+        row = []
+        for _, op in ops:
+            best = min(timeit.repeat(lambda: op(x, y), number=number,
+                                     repeat=5))
+            row.append(best / number * 1e6)
+        print("%-10s" % label + "".join("%10.2f" % t for t in row))
 
 
 def main():
@@ -82,6 +107,8 @@ def main():
                                   module=fallback)
         err = float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)))
         print("max relative disagreement (r=100 derivative sums): %.2e" % err)
+
+    exact_ops()
 
 
 if __name__ == "__main__":

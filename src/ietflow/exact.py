@@ -57,25 +57,57 @@ def quadratic_float(p: int, q: int, den: int, d) -> float:
     """float((p + q sqrt(d)) / den), correctly rounded, for den > 0.
 
     With r = floor(sqrt(d) 2^k), (p + q sqrt(d)) 2^k lies strictly between
-    x = p 2^k + q r and x + q, so the value times 2^k lies between the
-    floor quotients by den of the lower end and of the upper end plus one.
-    Rounding is monotone: once both bounds round to one float, that float
-    is the value times 2^k rounded.  k doubles until they do (an irrational
-    value is never a rounding tie), so the result depends on the value
-    alone, however far p and q sqrt(d) cancel and whatever denominator
-    carries them.
+    x = p 2^k + q r and x + q, so the value times 2^(k - s) lies between
+    the floor quotients by den 2^s of the lower end and of the upper end
+    plus one.  Rounding is monotone: once both bounds round to one float,
+    that float is the value times 2^(k - s) rounded.  k doubles until they
+    do (an irrational value is never a rounding tie), so the result depends
+    on the value alone, however far p and q sqrt(d) cancel and whatever
+    denominator carries them.  The shift s starts at 0 and grows only when
+    a quotient passes the float range, bringing it back to about 2^128; a
+    value whose own float is not finite raises OverflowError, as float()
+    does on a Fraction.
     """
     if not q:
         return p / den
-    k = 128
+    k, s = 128, 0
     while True:
         x = (p << k) + q * _scaled_root(d, k)
         lo, hi = (x, x + q) if q > 0 else (x + q, x)
-        f = float(lo // den)
-        if f == float(hi // den + 1):
-            return math.ldexp(f, -k)
+        if s:
+            lo, hi = lo >> s, hi >> s
+        try:
+            f = float(lo // den)
+            done = f == float(hi // den + 1)
+        except OverflowError:
+            s += (max(-lo, hi) // den).bit_length() - 128
+            continue
+        if done:
+            return math.ldexp(f, s - k)
         k *= 2
 
+
+def _sign(p: int, q: int, d) -> int:
+    """Sign of p + q sqrt(d) for integers p, q and a square-free d > 1
+    (d is not read when q == 0).
+
+    The one sign rule of the package.  With p and q of opposite signs the
+    sign follows the larger of p^2 and q^2 d; they are never equal, since
+    sqrt(d) is irrational.
+    """
+    if not q:
+        return (p > 0) - (p < 0)
+    if not p or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    lhs = p * p
+    rhs = q * q * d
+    if lhs == rhs:
+        raise ExactDomainError("inconsistent quadratic scalar")
+    return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
+
+
+#: The b of every rational scalar.
+_FZERO = Fraction(0)
 
 _RAT_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 _QUAD_RE = re.compile(
@@ -85,14 +117,30 @@ _QUAD_RE = re.compile(
 
 
 class ExactScalar:
-    """Element a + b*sqrt(d) of Q (b == 0) or of Q(sqrt(d))."""
+    """Element a + b*sqrt(d) of Q (b == 0) or of Q(sqrt(d)).
+
+    Invariant: a and b are Fractions, and d is None exactly when b == 0
+    (then b is the shared Fraction(0)); otherwise d is a square-free
+    integer > 1.  Results of arithmetic keep it without re-checking: a sum
+    or product of two rationals is one Fraction operation on a, and a
+    quadratic result whose b cancels collapses to the rational case.
+
+    Ordering is decided on integers.  Two rationals compare by
+    cross-multiplying numerators and denominators; otherwise the
+    difference of the components, scaled to integers p + q sqrt(d) by the
+    positive product of their denominators, goes to the module's one sign
+    rule `_sign`, which `sign()` uses as well.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d=None):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0:
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        if not b:
+            b = _FZERO
             d = None
         else:
             if d is None:
@@ -102,9 +150,9 @@ class ExactScalar:
                 raise ExactDomainError(
                     "radicand must be a square-free integer > 1, got %r" % (d,)
                 )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *args):
         raise AttributeError("ExactScalar is immutable")
@@ -140,7 +188,7 @@ class ExactScalar:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.d is None
 
     def _join_field(self, other: "ExactScalar"):
         if self.d is None:
@@ -153,7 +201,7 @@ class ExactScalar:
 
     @staticmethod
     def _coerce(value) -> "ExactScalar":
-        if isinstance(value, ExactScalar):
+        if type(value) is ExactScalar or isinstance(value, ExactScalar):
             return value
         if isinstance(value, (int, Fraction)):
             return ExactScalar(value)
@@ -166,21 +214,27 @@ class ExactScalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if self.d is None and other.d is None:
+            return _make(self.a + other.a)
         d = self._join_field(other)
-        return ExactScalar(self.a + other.a, self.b + other.b, d)
+        return _make(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.d)
+        if self.d is None:
+            return _make(-self.a)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if self.d is None and other.d is None:
+            return _make(self.a - other.a)
         d = self._join_field(other)
-        return ExactScalar(self.a - other.a, self.b - other.b, d)
+        return _make(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -190,23 +244,23 @@ class ExactScalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if self.d is None and other.d is None:
+            return _make(self.a * other.a)
         d = self._join_field(other)
-        if d is None:
-            return ExactScalar(self.a * other.a)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return ExactScalar(a, b, d)
+        return _make(a, b, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
         if self.is_zero():
             raise ExactDomainError("division by zero")
-        if self.b == 0:
-            return ExactScalar(1 / self.a)
+        if self.d is None:
+            return _make(1 / self.a)
         norm = self.a * self.a - self.b * self.b * self.d
         # norm == 0 would mean sqrt(d) rational, impossible for square-free d>1
-        return ExactScalar(self.a / norm, -self.b / norm, self.d)
+        return _make(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         try:
@@ -236,29 +290,27 @@ class ExactScalar:
     # -- exact sign and ordering ----------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d; sign follows dominant part
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            # a = -b sqrt(d) impossible for nonzero rationals
-            raise ExactDomainError("inconsistent quadratic scalar")
-        dominant_a = lhs > rhs
-        return (1 if a > 0 else -1) if dominant_a else (1 if b > 0 else -1)
+        return _sign(a.numerator * b.denominator, b.numerator * a.denominator,
+                     self.d)
 
     def _cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        """Sign of self - other, with no intermediate scalar."""
+        other = self._coerce(other)
+        a, c = self.a, other.a
+        if self.d is None and other.d is None:
+            x = a.numerator * c.denominator
+            y = c.numerator * a.denominator
+            return (x > y) - (x < y)
+        d = self._join_field(other)
+        b, e = self.b, other.b
+        ad, cd, bd, ed = a.denominator, c.denominator, b.denominator, \
+            e.denominator
+        return _sign((a.numerator * cd - c.numerator * ad) * bd * ed,
+                     (b.numerator * ed - e.numerator * bd) * ad * cd, d)
 
     def __eq__(self, other):
         try:
@@ -286,7 +338,7 @@ class ExactScalar:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self.b == 0:
+        if self.d is None:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
@@ -296,7 +348,7 @@ class ExactScalar:
     # -- conversions -----------------------------------------------------
 
     def __float__(self):
-        if self.b == 0:
+        if self.d is None:
             return float(self.a)
         a, b = self.a, self.b
         den = math.lcm(a.denominator, b.denominator)
@@ -306,7 +358,7 @@ class ExactScalar:
 
     def bracket(self, bits: int = 80) -> tuple[Fraction, Fraction]:
         """Rigorous rational bracket [lo, hi] containing the value."""
-        if self.b == 0:
+        if self.d is None:
             return self.a, self.a
         lo_s, hi_s = _sqrt_bracket(self.d, bits)
         if self.b > 0:
@@ -320,7 +372,7 @@ class ExactScalar:
     # -- printing ----------------------------------------------------------
 
     def to_string(self) -> str:
-        if self.b == 0:
+        if self.d is None:
             if self.a.denominator == 1:
                 return str(self.a.numerator)
             return "%d/%d" % (self.a.numerator, self.a.denominator)
@@ -334,6 +386,35 @@ class ExactScalar:
 
     def __repr__(self):
         return "ExactScalar(%s)" % self.to_string()
+
+
+_new = object.__new__
+_set_a = ExactScalar.a.__set__
+_set_b = ExactScalar.b.__set__
+_set_d = ExactScalar.d.__set__
+
+
+def _make(a: Fraction, b: Fraction = _FZERO, d=None) -> ExactScalar:
+    """The scalar a + b sqrt(d) from Fractions a, b whose field d is
+    already checked: no Fraction conversion and no radicand test; b == 0
+    gives the rational a."""
+    s = _new(ExactScalar)
+    _set_a(s, a)
+    if d is not None and b:
+        _set_b(s, b)
+        _set_d(s, d)
+    else:
+        _set_b(s, _FZERO)
+        _set_d(s, None)
+    return s
+
+
+def as_scalar(v) -> ExactScalar:
+    """An ExactScalar from an ExactScalar, int, Fraction or str (parsed by
+    ExactScalar.parse); TypeError for anything else, floats included."""
+    if isinstance(v, str):
+        return ExactScalar.parse(v)
+    return ExactScalar._coerce(v)
 
 
 ZERO = ExactScalar(0)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ExactScalar, exact_sum, quadratic_float
+from .exact import (ExactScalar, _sign, as_scalar, exact_sum,
+                    quadratic_float)
 
 #: Re-sync the float shadow of an IntegerOrbit point from its exact pair
 #: once the shadow's error bound passes this many rounding units.
@@ -30,16 +31,6 @@ class IetDomainError(ValueError):
 
 class InvalidIetError(ValueError):
     """Combinatorial or length data do not define a valid IET."""
-
-
-def _as_scalar(v) -> ExactScalar:
-    if isinstance(v, ExactScalar):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ExactScalar(v)
-    if isinstance(v, str):
-        return ExactScalar.parse(v)
-    raise TypeError("cannot interpret %r as an exact length" % (v,))
 
 
 def _common_denominator(scalars, den=1, field=None) -> tuple:
@@ -142,12 +133,12 @@ class Iet:
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
         if isinstance(lengths, dict):
-            lens = {a: _as_scalar(v) for a, v in lengths.items()}
+            lens = {a: as_scalar(v) for a, v in lengths.items()}
             if set(lens) != set(perm.alphabet):
                 raise InvalidIetError("lengths keyed by wrong labels")
             self.lengths = tuple(lens[a] for a in perm.alphabet)
         else:
-            vals = [_as_scalar(v) for v in lengths]
+            vals = [as_scalar(v) for v in lengths]
             if len(vals) != perm.d:
                 raise InvalidIetError("need one length per label")
             self.lengths = tuple(vals)
@@ -230,8 +221,10 @@ class Iet:
         """Correctly rounded floats of the right and left endpoints and the
         translations in top order, and of the right endpoints and the
         translations in bottom order (computed once); None when the total
-        length is at most 2^-1000 or at least 2^800, where these floats
-        may overflow or lose their relative precision."""
+        length is at most 2^-1000, where these floats lose their relative
+        precision, or at least 2^800, a margin below the float range
+        (2^1024) that keeps the sums of entries and the shadow's error
+        bounds finite."""
         if self._ftables is None:
             tables = None
             if ExactScalar(Fraction(1, 2 ** 1000)) < self.total and \
@@ -281,18 +274,18 @@ class Iet:
         return bottom[-1]
 
     def evaluate(self, x) -> ExactScalar:
-        x = _as_scalar(x)
+        x = as_scalar(x)
         return x + self._translation[self.interval_of(x)]
 
     def evaluate_inverse(self, x) -> ExactScalar:
-        x = _as_scalar(x)
+        x = as_scalar(x)
         return x - self._translation[self.image_interval_of(x)]
 
     def __call__(self, x):
         return self.evaluate(x)
 
     def iterate(self, x, n: int) -> ExactScalar:
-        x = _as_scalar(x)
+        x = as_scalar(x)
         step = self.evaluate if n >= 0 else self.evaluate_inverse
         for _ in range(abs(n)):
             x = step(x)
@@ -300,7 +293,7 @@ class Iet:
 
     def orbit(self, x, n: int):
         """Yield x, Tx, ..., T^(n-1)x (or inverse orbit for n < 0)."""
-        x = _as_scalar(x)
+        x = as_scalar(x)
         step = self.evaluate if n >= 0 else self.evaluate_inverse
         for _ in range(abs(n)):
             yield x
@@ -361,12 +354,12 @@ class IntegerOrbit:
     invariant: a shadow decision x < c is taken only when the difference of
     `xf` and the table entry of c exceeds `xerr` + 2 units in absolute
     value, which makes it provably the exact decision; otherwise the exact
-    sign test `_sign` decides.
+    sign test `exact._sign` decides.
 
     On Q every pair is (P, 0), so the shadow works on the numerators: the
     tables hold the P of each entry, `xf` is the P of the point and `xerr`
     = `unit` = 0; every lookup is an exact integer bisection, and only a
-    point exactly on a cut falls back to `_sign`.
+    point exactly on a cut falls back to `exact._sign`.
 
     On Q(sqrt d) the tables are the correctly rounded floats of
     `Iet.float_tables`.  Every value involved lies below 2H, with H a power
@@ -374,9 +367,10 @@ class IntegerOrbit:
     or difference of two of them is off by at most half of `unit` =
     H 2^-52.  A step adds two units to `xerr` (translation entry and sum);
     past `_SHADOW_RESYNC` units `xf` is read again from the exact pair.
-    Outside the range where these floats are finite and their roundings
-    bounded (total length at most 2^-1000 or at least 2^800) `unit` is
-    infinite and every decision is exact.
+    Outside the range where these floats, their sums and their error
+    bounds are finite and their roundings bounded (total length at most
+    2^-1000 or at least 2^800) `unit` is infinite and every decision is
+    exact.
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
@@ -384,11 +378,11 @@ class IntegerOrbit:
                  "frights_b", "ftrans_b", "xf", "xerr", "unit")
 
     def __init__(self, iet: Iet, x, extra=()):
-        x = _as_scalar(x)
+        x = as_scalar(x)
         self.iet = iet
         tables = iet.integer_tables()
         den, field = _common_denominator(
-            [x] + [_as_scalar(s) for s in extra], tables[0], tables[1])
+            [x] + [as_scalar(s) for s in extra], tables[0], tables[1])
         k = den // tables[0]
         if k > 1:
             tables = tables[:2] + tuple(tuple((p * k, q * k) for p, q in t)
@@ -398,7 +392,8 @@ class IntegerOrbit:
         _, _, self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b \
             = tables
         self.p, self.q = self._pair(x)
-        if self._sign(self.p, self.q) < 0 or not self.less_than(self.cuts[-1]):
+        if _sign(self.p, self.q, field) < 0 or \
+                not self.less_than(self.cuts[-1]):
             raise IetDomainError("point %r outside [0, %s)" %
                                  (x, iet.total.to_string()))
         self.steps = 0
@@ -430,7 +425,7 @@ class IntegerOrbit:
     def pair_of(self, s) -> tuple:
         """Integer pair of an external scalar (extends the denominator
         exactly or fails)."""
-        s = _as_scalar(s)
+        s = as_scalar(s)
         if s.d is not None and s.d != self.field:
             raise InvalidIetError("mixed quadratic fields in orbit")
         if (self.den % s.a.denominator) or (self.den % s.b.denominator):
@@ -439,36 +434,28 @@ class IntegerOrbit:
         return self._pair(s)
 
     def _sign(self, p: int, q: int) -> int:
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        return ((1 if p > 0 else -1)
-                if p * p > q * q * self.field else (1 if q > 0 else -1))
+        """Sign of the integer pair (p, q) as a value, p + q sqrt(field)."""
+        return _sign(p, q, self.field)
 
     def less_than(self, pair) -> bool:
-        return self._sign(self.p - pair[0], self.q - pair[1]) < 0
+        return _sign(self.p - pair[0], self.q - pair[1], self.field) < 0
 
     def abs_distance(self, pair) -> tuple:
         """|value - pair| as an integer pair."""
         dp = self.p - pair[0]
         dq = self.q - pair[1]
-        if self._sign(dp, dq) < 0:
+        if _sign(dp, dq, self.field) < 0:
             return (-dp, -dq)
         return (dp, dq)
 
     def pair_less(self, a, b) -> bool:
-        return self._sign(a[0] - b[0], a[1] - b[1]) < 0
+        return _sign(a[0] - b[0], a[1] - b[1], self.field) < 0
 
     def _sign_index(self, cuts) -> int:
         """Exact: the first i with x < cuts[i], the last cut excluded."""
-        p, q, sign = self.p, self.q, self._sign
+        p, q, field = self.p, self.q, self.field
         for i in range(len(cuts) - 1):
-            if sign(p - cuts[i][0], q - cuts[i][1]) < 0:
+            if _sign(p - cuts[i][0], q - cuts[i][1], field) < 0:
                 return i
         return len(cuts) - 1
 
@@ -490,19 +477,6 @@ class IntegerOrbit:
 
     def image_interval_index(self) -> int:
         return self._locate(self.frights_b, self.cuts_b)
-
-    def gaps(self) -> tuple:
-        """(i, x - l_i, r_i - x): the top-order index of the interval I_i
-        holding the current point x and its two gaps as integer pairs.
-
-        The nearest singular endpoints of x are the ends of its own
-        interval, so these two gaps carry every distance the walkers need.
-        """
-        i = self.interval_index()
-        left = self.lefts[i]
-        right = self.cuts[i]
-        return (i, (self.p - left[0], self.q - left[1]),
-                (right[0] - self.p, right[1] - self.q))
 
     def _shift(self, tf: float):
         """Move the shadow by the float translation tf (exact pair moved
@@ -591,7 +565,7 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
         raise IetDomainError("cut must lie in (0, total]")
 
     def hit(x):
-        x = _as_scalar(x)
+        x = as_scalar(x)
         if not x < cut:
             raise IetDomainError("start point outside the inducing interval")
         orbit = IntegerOrbit(iet, x, extra=[cut])

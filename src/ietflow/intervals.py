@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .exact import ExactScalar, exact_sum
+from .exact import ExactScalar, as_scalar, exact_sum
 from .iet import Iet
-
-
-def _as_scalar(v):
-    return v if isinstance(v, ExactScalar) else ExactScalar(v)
 
 
 class IntervalUnion:
@@ -24,7 +20,7 @@ class IntervalUnion:
     __slots__ = ("parts",)
 
     def __init__(self, parts=(), already_normalized=False):
-        items = [(_as_scalar(a), _as_scalar(b)) for a, b in parts]
+        items = [(as_scalar(a), as_scalar(b)) for a, b in parts]
         if already_normalized:
             self.parts = items
             return
@@ -52,7 +48,7 @@ class IntervalUnion:
         return exact_sum(b - a for a, b in self.parts)
 
     def contains(self, x) -> bool:
-        x = _as_scalar(x)
+        x = as_scalar(x)
         for a, b in self.parts:
             if not x < a and not b < x:
                 return True
@@ -60,7 +56,7 @@ class IntervalUnion:
 
     def witness(self, x):
         """The component containing x, or None."""
-        x = _as_scalar(x)
+        x = as_scalar(x)
         for a, b in self.parts:
             if not x < a and not b < x:
                 return (a, b)
@@ -70,8 +66,8 @@ class IntervalUnion:
         return IntervalUnion(self.parts + other.parts)
 
     def clip(self, lo, hi) -> "IntervalUnion":
-        lo = _as_scalar(lo)
-        hi = _as_scalar(hi)
+        lo = as_scalar(lo)
+        hi = as_scalar(hi)
         out = []
         for a, b in self.parts:
             a2 = lo if a < lo else a
@@ -104,8 +100,8 @@ class IntervalUnion:
 
 
 def neighborhood(center, radius) -> tuple:
-    center = _as_scalar(center)
-    radius = _as_scalar(radius)
+    center = as_scalar(center)
+    radius = as_scalar(radius)
     return (center - radius, center + radius)
 
 

@@ -8,6 +8,7 @@ Both expose the same functions over the same float tables.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -112,6 +113,11 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
 
 def min_orbit_distance(tables: FloatTables, x: float, n: int, points,
                        module=None):
+    """Min distance from the orbit segment {T^i x} (0 <= i < n, or
+    n <= i < 0 for n < 0) to the points; inf for the empty segment n == 0
+    on every backend."""
+    if n == 0:
+        return math.inf
     mod = module or impl
     return mod.min_orbit_distance(tables.rights, tables.trans,
                                   tables.rights_b, tables.trans_b,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactScalar, quadratic_float
+from .exact import ExactScalar, _sign, quadratic_float
 from .iet import Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
@@ -263,9 +263,8 @@ class BirkhoffCursor:
         """Exact test gap <= hard cutoff for an integer pair gap."""
         cut = self._cutoff
         orbit = self.orbit
-        return orbit._sign(gap[0] * cut.denominator -
-                           cut.numerator * orbit.den,
-                           gap[1] * cut.denominator) <= 0
+        return _sign(gap[0] * cut.denominator - cut.numerator * orbit.den,
+                     gap[1] * cut.denominator, orbit.field) <= 0
 
     def advance_to(self, n: int):
         """Walk on until n points have been visited."""

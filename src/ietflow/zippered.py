@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactScalar, exact_sum
+from .exact import ExactScalar, as_scalar, exact_sum
 from .iet import Iet, InvalidIetError, Permutation
 from .rauzy import rv_step
 
@@ -25,12 +25,6 @@ class BackwardUndefinedError(ValueError):
     """A relevant partial sum of tau vanishes; no preimage is selected."""
 
 
-def _as_scalar(v):
-    if isinstance(v, ExactScalar):
-        return v
-    return ExactScalar(v)
-
-
 class SuspensionData:
     """Signed vector tau indexed by the alphabet, inside the cone Theta_pi."""
 
@@ -38,9 +32,9 @@ class SuspensionData:
 
     def __init__(self, perm: Permutation, tau):
         if isinstance(tau, dict):
-            vals = tuple(_as_scalar(tau[a]) for a in perm.alphabet)
+            vals = tuple(as_scalar(tau[a]) for a in perm.alphabet)
         else:
-            vals = tuple(_as_scalar(v) for v in tau)
+            vals = tuple(as_scalar(v) for v in tau)
             if len(vals) != perm.d:
                 raise InvalidSuspensionError("need one coordinate per label")
         self.perm = perm
@@ -70,7 +64,7 @@ class SuspensionData:
         return exact_sum(self.tau)
 
     def scale(self, c) -> "SuspensionData":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         return SuspensionData(self.perm, [v * c for v in self.tau])
 
     def __repr__(self):

@@ -1,13 +1,16 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ietflow.exact import (
     ExactDomainError,
     ExactScalar,
     FieldMismatchError,
+    as_scalar,
     exact_max,
     exact_min,
     is_squarefree,
@@ -85,6 +88,51 @@ class TestQuadratic:
         # the float depends on the value, not on the denominator carrying it
         assert quadratic_float(3 * h1, -3 * k1, 21, d) == ref
 
+    @pytest.mark.parametrize("e", [900, 1000, 1022])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_float_correctly_rounded_near_top_of_float_range(self, e, d):
+        # values in [2^e, 2^(e+1)) dominated by p, by q sqrt(d), or by
+        # neither, against a 1200-bit reference rounded by float(Fraction)
+        rng = random.Random(e * 10 + d)
+        for _ in range(12):
+            den = rng.randrange(1, 1 << 20)
+            q = rng.choice([1, -1]) * rng.randrange(1, 1 << 64)
+            cases = [(rng.randrange(den << e, den << (e + 1)), q),
+                     (q, (den << e) // math.isqrt(d) + rng.randrange(1 << 40)),
+                     (rng.randrange(den << (e - 1), den << e),
+                      (den << (e - 2)) // math.isqrt(d) + 1)]
+            for p, qq in cases:
+                with mpmath.workprec(1200):
+                    man, exp = (mpmath.mpf(p) + qq * mpmath.sqrt(d)).man_exp
+                ref = float(Fraction(man) * Fraction(2) ** exp / den)
+                assert quadratic_float(p, qq, den, d) == ref
+                assert quadratic_float(-p, -qq, den, d) == -ref
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_float_correctly_rounded_with_parts_beyond_float_range(self, d,
+                                                                   n):
+        # (h - k sqrt(d)) 2^m / 7 with h/k a convergent of sqrt(d): a value
+        # near 1 carried by parts of 2^760 to 2^2600 that cancel, so the
+        # bracket quotients pass the float range before the bracket is
+        # narrow enough; with q > 0 only its upper end does
+        h, k = (int(v) for v in convergent_gaps(d, n)[-1])
+        m = h.bit_length()
+        with mpmath.workprec(2 * m + 200):
+            ref = float(mpmath.ldexp(h + k * mpmath.sqrt(d), m) / 7)
+        assert 0.01 < abs(ref) < 100
+        assert quadratic_float(h << m, k << m, 7, d) == ref
+        assert quadratic_float(-h << m, -k << m, 7, d) == -ref
+
+    @pytest.mark.parametrize("p,q,den,d", [
+        (1 << 1024, 1, 1, 2),
+        (-(1 << 1030), 1 << 1000, 7, 5),
+        (0, 1 << 1024, 1, 2),
+    ])
+    def test_float_overflow_beyond_float_range(self, p, q, den, d):
+        with pytest.raises(OverflowError):
+            quadratic_float(p, q, den, d)
+
     def test_mixed_field_rejected(self):
         with pytest.raises(FieldMismatchError):
             quad(1, 1, 2) + quad(1, 1, 5)
@@ -103,6 +151,24 @@ class TestQuadratic:
         z = quad(3, 1) - quad(0, 1)
         assert z.is_rational
         assert z.d is None
+
+
+def test_as_scalar_takes_exact_inputs_only():
+    from ietflow.iet import Permutation
+    from ietflow.intervals import IntervalUnion
+    from ietflow.zippered import SuspensionData
+
+    assert as_scalar(GOLDEN) is GOLDEN
+    assert as_scalar(3) == as_scalar(Fraction(6, 2)) == as_scalar("3")
+    assert as_scalar("(-1+1*sqrt(5))/2") == GOLDEN
+    for bad in (0.5, None, [1]):
+        with pytest.raises(TypeError):
+            as_scalar(bad)
+    # interval unions and suspension data no longer take floats
+    with pytest.raises(TypeError):
+        IntervalUnion([(0.25, Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        SuspensionData(Permutation("AB", "BA"), [1.0, -1])
 
 
 class TestSerialization:
@@ -165,3 +231,121 @@ def test_min_max(values):
 def test_squarefree():
     assert is_squarefree(2) and is_squarefree(5) and is_squarefree(30)
     assert not is_squarefree(4) and not is_squarefree(18) and not is_squarefree(0)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of ExactScalar against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def ref_sign(a, b, d):
+    """Sign of a + b sqrt(d) from a 200-bit rational bracket of sqrt(d)."""
+    if not b:
+        return (a > 0) - (a < 0)
+    r = math.isqrt(d << 400)
+    lo = a + b * Fraction(r, 1 << 200)
+    hi = a + b * Fraction(r + 1, 1 << 200)
+    lo, hi = min(lo, hi), max(lo, hi)
+    # a nonzero value of these sizes is never within 2^-190 of zero
+    assert lo > 0 or hi < 0
+    return 1 if lo > 0 else -1
+
+
+def convergent_gaps(d, count=8):
+    """(h - k sqrt(d)): ever smaller differences from continued-fraction
+    convergents h/k of sqrt(d)."""
+    h0, h1, k0, k1 = 1, math.isqrt(d), 0, 1
+    step = 2 * math.isqrt(d)
+    out = []
+    for _ in range(count):
+        out.append((Fraction(h1), Fraction(-k1)))
+        h0, h1 = h1, step * h1 + h0
+        k0, k1 = k1, step * k1 + k0
+    return out
+
+
+SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two (a, b, d) triples over Q, Q(sqrt2) or Q(sqrt5); b == 0 gives a
+    rational, so rational/quadratic pairs are mixed in.  The second is
+    often the first plus a tiny convergent difference, so comparisons
+    decide on cancelling components."""
+    def one(d):
+        a = draw(SMALL)
+        b = draw(st.just(Fraction(0)) | SMALL) if d else Fraction(0)
+        return (a, b, d if b else None)
+
+    d1 = draw(st.sampled_from([None, 2, 5]))
+    d2 = draw(st.sampled_from([None, 2, 5, d1]))
+    x = one(d1)
+    near = d1 and draw(st.booleans())
+    if near:
+        h, k = draw(st.sampled_from(convergent_gaps(d1)))
+        c = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+        b = x[1] + k / c
+        y = (x[0] + h / c, b, d1 if b else None)
+    else:
+        y = one(d2)
+    return x, y
+
+
+def make(t):
+    a, b, d = t
+    return ExactScalar(a, b, d) if b else ExactScalar(a)
+
+
+def assert_canonical(s):
+    assert type(s.a) is Fraction and type(s.b) is Fraction
+    assert (s.d is None) == (s.b == 0)
+
+
+@given(scalar_pairs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_scalar_ops_match_fraction_reference(pair):
+    (a1, b1, d1), (a2, b2, d2) = pair
+    x, y = make(pair[0]), make(pair[1])
+    for s in (x, y):
+        assert_canonical(s)
+        assert s.sign() == ref_sign(s.a, s.b, s.d)
+        assert hash(s) == (hash(s.a) if s.d is None
+                           else hash((s.a, s.b, s.d)))
+    assert_canonical(-x)
+    assert (-x).a == -a1 and (-x).b == -b1
+    if d1 and d2 and d1 != d2:
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: x < y, lambda: x <= y, lambda: x > y,
+                   lambda: x >= y):
+            with pytest.raises(FieldMismatchError):
+                op()
+        assert x != y and not x == y
+        return
+    d = d1 or d2
+    sums = {"+": (x + y, a1 + a2, b1 + b2),
+            "-": (x - y, a1 - a2, b1 - b2),
+            "*": (x * y, a1 * a2 + b1 * b2 * (d or 0), a1 * b2 + b1 * a2)}
+    for name, (got, a, b) in sums.items():
+        assert_canonical(got)
+        assert (got.a, got.b) == (a, b), name
+        assert got.d == (d if b else None), name
+    s = ref_sign(a1 - a2, b1 - b2, d)
+    assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == \
+        (s < 0, s <= 0, s > 0, s >= 0, s == 0, s != 0)
+    if s == 0:
+        assert hash(x) == hash(y)
+    # ints on either side coerce to rationals
+    assert (x < 3) == (ref_sign(a1 - 3, b1, d1) < 0)
+    assert (2 - x) == make((2 - a1, -b1, d1))
+
+
+def test_scalar_rejects_float_comparison():
+    for x in (ExactScalar(Fraction(1, 3)), GOLDEN):
+        for op in (lambda: x < 0.5, lambda: x >= 0.5, lambda: 0.5 < x):
+            with pytest.raises(TypeError):
+                op()
+        assert x.__add__(0.5) is NotImplemented
+        assert x.__mul__(0.5) is NotImplemented
+        assert x.__eq__(0.5) is NotImplemented
+    with pytest.raises(FieldMismatchError):
+        quad(1, 1, 2) < quad(1, 1, 5)

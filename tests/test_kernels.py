@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -97,6 +98,12 @@ class TestAgainstExactPath:
                     .advance_to(abs(n)).min_gap()
                 # the float orbit drifts by at most two roundings a step
                 assert abs(got - float(exact)) <= 2 * abs(n) * 2.0 ** -52
+
+    def test_min_distance_of_empty_segment(self, module, setup):
+        _, _, tables = setup
+        points = np.array([0.0, 0.5, 1.0])
+        assert kernels.min_orbit_distance(tables, 0.123, 0, points,
+                                          module=module) == math.inf
 
     def test_roof_values(self, module, setup):
         iet, spec, tables = setup

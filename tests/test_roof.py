@@ -41,6 +41,19 @@ def single_log_at_zero():
     return iet, RoofSpec(c0=F(1), cplus=cplus, cminus=cminus)
 
 
+def orbit_gaps(orbit):
+    """Reference for the two gaps a walker reads at the current point x of
+    an IntegerOrbit, from its public state: (i, x - l_i, r_i - x) with i
+    the top-order index of the interval holding x, found by exact
+    comparisons with the right endpoints, and the gaps as integer pairs."""
+    cuts = orbit.cuts
+    i = next((j for j in range(len(cuts) - 1) if orbit.less_than(cuts[j])),
+             len(cuts) - 1)
+    left, right = orbit.lefts[i], cuts[i]
+    return (i, (orbit.p - left[0], orbit.q - left[1]),
+            (right[0] - orbit.p, right[1] - orbit.q))
+
+
 class TestEval:
     def test_value_at_half(self):
         iet, spec = single_log_at_zero()
@@ -205,7 +218,7 @@ class TestBirkhoffSums:
 
             ref = dref = mpmath.mpf(0)
             for _ in range(r):
-                i, dl, dr = orbit.gaps()
+                i, dl, dr = orbit_gaps(orbit)
                 cp, cm = mpq(spec.cplus[top[i]]), mpq(spec.cminus[top[i]])
                 ref += mpq(spec.c0)
                 if cp:

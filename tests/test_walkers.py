@@ -184,6 +184,19 @@ def ref_first_return(iet, cut, x):
     return y, n
 
 
+def orbit_gaps(orbit):
+    """Reference for the two gaps a walker reads at the current point x of
+    an IntegerOrbit, from its public state: (i, x - l_i, r_i - x) with i
+    the top-order index of the interval holding x, found by exact
+    comparisons with the right endpoints, and the gaps as integer pairs."""
+    cuts = orbit.cuts
+    i = next((j for j in range(len(cuts) - 1) if orbit.less_than(cuts[j])),
+             len(cuts) - 1)
+    left, right = orbit.lefts[i], cuts[i]
+    return (i, (orbit.p - left[0], orbit.q - left[1]),
+            (right[0] - orbit.p, right[1] - orbit.q))
+
+
 def outcome(fn, *args):
     """Result of fn, or the type and context of the error it raised."""
     try:
@@ -386,7 +399,7 @@ def test_integer_orbit_float_rounds_like_exact_scalar(name):
         for _ in range(30):
             assert orbit.value() == ref
             assert orbit.to_float() == float(ref)
-            i, dl, dr = orbit.gaps()
+            i, dl, dr = orbit_gaps(orbit)
             a = iet.perm.top[i]
             assert orbit.value(dl) == ref - iet.left(a)
             assert orbit.value(dr) == iet.right(a) - ref
