@@ -1,10 +1,11 @@
 """Benchmark: compiled kernels vs the numpy fallback, and exact scalar ops.
 
 Times the hot loops (base-map iteration, Birkhoff sums of the roof
-derivative, special-flow advance, the closest approach of one orbit to
-the endpoints) on the golden asymmetric-log flow and prints a table with
-the speedup, then the cost of one rational and one Q(sqrt 5) ExactScalar
-`<`, `+` and `*` in microseconds.  Run from the repository root:
+derivative, roof values, the special-flow advance in both directions,
+the closest approach of one orbit to the endpoints) on the golden
+asymmetric-log flow and prints a table with the speedup, then the cost
+of one rational and one Q(sqrt 5) ExactScalar `<`, `+` and `*` in
+microseconds.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--samples N]
 """
@@ -80,8 +81,12 @@ def main():
             tables, x, 200, module=mod)),
         ("birkhoff f' r=200", lambda mod: kernels.birkhoff_sums(
             tables, x, 200, derivative=True, module=mod)),
+        ("roof values", lambda mod: kernels.roof_values(
+            tables, x, module=mod)),
         ("flow t=50", lambda mod: kernels.flow_points(
             tables, x, y, 50.0, module=mod)),
+        ("flow t=-200", lambda mod: kernels.flow_points(
+            tables, x, y, -200.0, module=mod)),
         ("min distance n=1e5", lambda mod: kernels.min_orbit_distance(
             tables, 0.123, 10 ** 5, endpoints, module=mod)),
     ]

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .birkhoff import sigma_set
 from .diophantine import DcParams, k_set_membership
-from .exact import ExactScalar, exact_min
+from .exact import ExactScalar, as_scalar, exact_min
 from .iet import Iet
 from .intervals import IntervalUnion, neighborhood, pullback_union
 from .rauzy import AccelTimes
@@ -74,8 +74,7 @@ def forbac_scan(accel: AccelTimes, x, ell: int, params: DcParams,
     when epsilon is given.
     """
     iet = accel.trace.base
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
+    x = as_scalar(x)
     if epsilon is not None:
         margin = F(epsilon).limit_denominator(10 ** 9) / 8
         if x < ExactScalar(margin) or ExactScalar(1 - margin) < x:
@@ -240,7 +239,7 @@ class GoodRegion:
         self.margin = cfg.margin
 
     def contains(self, x) -> bool:
-        x = x if isinstance(x, ExactScalar) else ExactScalar(x)
+        x = as_scalar(x)
         if x < ExactScalar(self.margin):
             return False
         if ExactScalar(1 - self.margin) < x:
@@ -248,7 +247,7 @@ class GoodRegion:
         return not self.excluded.contains(x)
 
     def why_excluded(self, x):
-        x = x if isinstance(x, ExactScalar) else ExactScalar(x)
+        x = as_scalar(x)
         if x < ExactScalar(self.margin) or ExactScalar(1 - self.margin) < x:
             return ("margins", None)
         wit = self.excluded.witness(x)
@@ -393,8 +392,8 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     """
     iet = accel.trace.base
     eps = cfg.epsilon
-    x = x if isinstance(x, ExactScalar) else ExactScalar(x)
-    y = y if isinstance(y, ExactScalar) else ExactScalar(y)
+    x = as_scalar(x)
+    y = as_scalar(y)
     if not x < y:
         raise WitnessPreconditionError("need x < y")
     gap = y - x
@@ -601,7 +600,14 @@ def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
 class BumpObservable:
     """Separable polynomial bump g(x, y) = B((x-x0)/wx) B((y-y0)/wy) with
     B(u) = (1-u^2)^3 on |u| < 1; supported under the roof when
-    y0 + wy <= c0.  Integrals are exact: int B = 32/35 per unit scale."""
+    y0 + wy <= c0.  Integrals are exact: int B = 32/35 per unit scale.
+
+    Calls evaluate the two polynomials only on the support mask, where
+    both |u| < 1, with the same operations in the same order as the full
+    product; every other point gets 0.0, which is what the product of a
+    zero factor and a factor in [0, 1] gives.  Scalars and 0-d arrays
+    give a numpy scalar.
+    """
 
     x0: float
     wx: float
@@ -612,11 +618,13 @@ class BumpObservable:
     _B2_INT = 2048.0 / 3003.0
 
     def __call__(self, x, y):
-        ux = (x - self.x0) / self.wx
-        uy = (y - self.y0) / self.wy
-        bx = np.where(np.abs(ux) < 1, (1 - ux ** 2) ** 3, 0.0)
-        by = np.where(np.abs(uy) < 1, (1 - uy ** 2) ** 3, 0.0)
-        return bx * by
+        ux, uy = np.broadcast_arrays((x - self.x0) / self.wx,
+                                     (y - self.y0) / self.wy)
+        inside = (np.abs(ux) < 1) & (np.abs(uy) < 1)
+        out = np.zeros(inside.shape)
+        ux, uy = ux[inside], uy[inside]
+        out[inside] = (1 - ux ** 2) ** 3 * (1 - uy ** 2) ** 3
+        return out[()]
 
     @property
     def integral(self) -> float:

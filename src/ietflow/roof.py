@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactScalar, _sign, quadratic_float
+from .exact import ExactScalar, _sign, as_scalar, quadratic_float
 from .iet import Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
@@ -43,6 +43,27 @@ class SingularityTooClose(ArithmeticError):
 
 class RoofDomainError(ValueError):
     """Evaluation exactly at a singular point."""
+
+
+class FlowStepBudgetError(RuntimeError):
+    """A flow advance needs more than max_steps base jumps.
+
+    Carries max_steps, the flow time t and, from the array kernels, the
+    count of samples still pending (`pending`) or, from the exact flow,
+    the jumps taken when the budget ran out (`steps`).
+    """
+
+    def __init__(self, max_steps, t, pending=None, steps=None):
+        self.max_steps = max_steps
+        self.t = t
+        self.pending = pending
+        self.steps = steps
+        msg = "flow advance exceeded %d steps (t = %r" % (max_steps, t)
+        if pending is not None:
+            msg += ", %d samples pending" % pending
+        if steps is not None:
+            msg += ", %d steps taken" % steps
+        super().__init__(msg + ")")
 
 
 @dataclass(frozen=True)
@@ -153,8 +174,7 @@ def _terms(c0: float, cp: float, cm: float, dl: float, dr: float):
 
 
 def _point_terms(iet: Iet, spec: RoofSpec, x, orbit_index=None):
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
+    x = as_scalar(x)
     a, dl, dr = _distances(iet, spec, x, orbit_index)
     return _terms(float(spec.c0), float(spec.cplus[a]),
                   float(spec.cminus[a]), float(dl), float(dr))
@@ -175,8 +195,7 @@ def eval_roof_derivative(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofV
 def eval_roof_second_derivative(iet: Iet, spec: RoofSpec, x,
                                 orbit_index=None) -> RoofValue:
     """f''(x) = Cplus_a/(x - l_a)^2 + Cminus_a/(r_a - x)^2 on I_a."""
-    if not isinstance(x, ExactScalar):
-        x = ExactScalar(x)
+    x = as_scalar(x)
     a, dl, dr = _distances(iet, spec, x, orbit_index)
     cp = float(spec.cplus[a])
     cm = float(spec.cminus[a])
@@ -379,10 +398,12 @@ class BirkhoffCursor:
             right if self.orbit.pair_less(right, left) else left)
 
 
-def _advance(iet: Iet, spec: RoofSpec, x, s: float,
+def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
              max_steps: int = 10 ** 7):
-    """Move (x, 0) by s time units: returns (T^r x, s - S_r, r) with
-    0 <= remainder < f(T^r x)."""
+    """Move (x, y) by t time units, i.e. (x, 0) by s = y + t: returns
+    (T^r x, s - S_r, r) with 0 <= remainder < f(T^r x), after at most
+    max_steps jumps (FlowStepBudgetError beyond)."""
+    s = y + t
     cur = BirkhoffCursor(iet, spec, x, forward=s >= 0)
     orbit = cur.orbit
     if s >= 0:
@@ -393,19 +414,19 @@ def _advance(iet: Iet, spec: RoofSpec, x, s: float,
                 return orbit.value(point), s, cur.steps - 1
             s -= cur.last_f
             if cur.steps > max_steps:
-                raise RuntimeError("flow advance exceeded %d steps" % max_steps)
+                raise FlowStepBudgetError(max_steps, t, steps=cur.steps)
     while s < 0:
         cur.advance_to(cur.steps + 1)
         s += cur.last_f
         if cur.steps > max_steps:
-            raise RuntimeError("flow advance exceeded %d steps" % max_steps)
+            raise FlowStepBudgetError(max_steps, t, steps=-cur.steps)
     return orbit.value(), s, -cur.steps
 
 
 def flow(iet: Iet, spec: RoofSpec, point: FlowPoint, t: float) -> FlowPoint:
     """Special flow phi_t.  For t >= 0 the point rises with unit speed and
     jumps (x, f(x)-) -> (Tx, 0); negative t is the inverse map."""
-    x, y, _ = _advance(iet, spec, point.x, point.y + t)
+    x, y, _ = _advance(iet, spec, point.x, point.y, t)
     return FlowPoint(x, y)
 
 
@@ -414,7 +435,7 @@ def discrete_iterations(iet: Iet, spec: RoofSpec, x, t: float) -> int:
 
     Equals max{r : S_r(f)(x) < t} for t > 0 (an exact tie S_r = t advances,
     keeping the image inside the flow space); negative for t < 0."""
-    _, _, steps = _advance(iet, spec, x, t)
+    _, _, steps = _advance(iet, spec, x, 0.0, t)
     return steps
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from ietflow import kernels
 from ietflow.exact import ExactScalar
-from ietflow.fixtures import asymmetric_log_roof, bounded_type_3iet, golden_rotation
-from ietflow.roof import (BirkhoffCursor, FlowPoint, birkhoff_sum, eval_roof,
-                          flow)
+from ietflow.fixtures import (asymmetric_log_roof, bounded_type_3iet,
+                              constant_roof, golden_rotation)
+from ietflow.ratner import BumpObservable
+from ietflow.roof import (BirkhoffCursor, FlowPoint, FlowStepBudgetError,
+                          RoofSpec, birkhoff_sum, eval_roof, flow)
 
 F = Fraction
 
@@ -34,6 +36,66 @@ def numpy_min_distance(tables, x, n, points):
         if n > 0:
             cur = cur + tables.trans[index(tables.rights, cur)]
     return best
+
+
+def _searchsorted_index(rights, x):
+    return np.minimum(np.searchsorted(rights, x, side="right"),
+                      len(rights) - 1)
+
+
+def numpy_roof_values(tables, x):
+    """The former numpy `_core_py.roof_values` (searchsorted index, both
+    terms always evaluated), kept as the reference of the comparison
+    index and the zero-term skip."""
+    idx = _searchsorted_index(tables.rights, x)
+    dl = np.maximum(x - tables.lefts[idx], 1e-300)
+    dr = np.maximum(tables.rights[idx] - x, 1e-300)
+    return (tables.c0 - tables.cp[idx] * np.log(dl)
+            - tables.cm[idx] * np.log(dr))
+
+
+def numpy_flow_points(tables, x, y, t):
+    """The former numpy `_core_py.flow_points` (masked full-length loop,
+    every sample located twice per forward jump), kept as the reference
+    of the compacted kernel."""
+    x = np.array(x, dtype=np.float64, copy=True)
+    s = np.array(y, dtype=np.float64, copy=True) + t
+    steps = np.zeros(x.shape, dtype=np.int64)
+    if t >= 0:
+        active = np.ones(x.shape, dtype=bool)
+        while True:
+            f = numpy_roof_values(tables, x[active])
+            jump = s[active] >= f
+            if not jump.any():
+                break
+            idx_global = np.flatnonzero(active)
+            idx = idx_global[jump]
+            s[idx] -= f[jump]
+            x[idx] = x[idx] + tables.trans[_searchsorted_index(tables.rights,
+                                                               x[idx])]
+            steps[idx] += 1
+            active[idx_global[~jump]] = False
+        return x, s, steps
+    while True:
+        pending = s < 0
+        if not pending.any():
+            break
+        xp = x[pending]
+        x[pending] = xp - tables.trans_b[_searchsorted_index(tables.rights_b,
+                                                             xp)]
+        s[pending] += numpy_roof_values(tables, x[pending])
+        steps[pending] -= 1
+    return x, s, steps
+
+
+def numpy_bump(g, x, y):
+    """The former `BumpObservable.__call__` (both factors everywhere),
+    kept as the reference of the support mask."""
+    ux = (x - g.x0) / g.wx
+    uy = (y - g.y0) / g.wy
+    bx = np.where(np.abs(ux) < 1, (1 - ux ** 2) ** 3, 0.0)
+    by = np.where(np.abs(uy) < 1, (1 - uy ** 2) ** 3, 0.0)
+    return bx * by
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +174,116 @@ class TestAgainstExactPath:
         want = [eval_roof(iet, spec, F(v).limit_denominator(10)).value
                 for v in [F(1, 10), F(1, 5), F(1, 2), F(9, 10)]]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _mixed_roof(iet):
+    """Nonzero Cplus and Cminus on several intervals: both roof terms run."""
+    labels = iet.perm.alphabet
+    cplus = {a: F(k % 3, 3) for k, a in enumerate(labels)}
+    cminus = {a: F((k + 2) % 3, 4) for k, a in enumerate(labels)}
+    return RoofSpec(c0=F(3, 2), cplus=cplus, cminus=cminus)
+
+
+def _left_roof(iet):
+    """Cplus only: the Cminus term is skipped."""
+    zero = {a: F(0) for a in iet.perm.alphabet}
+    return RoofSpec(c0=F(1), cplus={a: F(1, 2) for a in zero}, cminus=zero)
+
+
+def _kernel_samples(tables, n=3000, seed=11):
+    """Uniform samples plus every cut, every left endpoint (distance 0
+    to it, so the 1e-300 clamp runs) and the floats just below them."""
+    rng = np.random.default_rng(seed)
+    marks = np.concatenate([tables.lefts, tables.rights[:-1],
+                            tables.rights_b[:-1]])
+    below = np.nextafter(marks[marks > 0], -np.inf)
+    x = np.concatenate([marks, below, rng.uniform(0.0, tables.total, n)])
+    y = rng.uniform(0.0, 1.0, x.size) * numpy_roof_values(tables, x)
+    return x, y
+
+
+@pytest.mark.parametrize("make_iet", [golden_rotation, bounded_type_3iet])
+@pytest.mark.parametrize("make_roof", [asymmetric_log_roof, _mixed_roof,
+                                       _left_roof, constant_roof])
+class TestNumpyKernelsMatchFormer:
+    """The comparison index, the zero-term skip, the shared index and the
+    compacted active set change no output bit."""
+
+    def test_roof_values(self, make_iet, make_roof):
+        tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
+        x, _ = _kernel_samples(tables)
+        got = kernels.roof_values(tables, x, module=kernels.load_fallback())
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, numpy_roof_values(tables, x))
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, -5.0, 200.0, -200.0])
+    def test_flow_points(self, make_iet, make_roof, t):
+        tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
+        x, y = _kernel_samples(tables, n=1000 if abs(t) > 100 else 3000)
+        got = kernels.flow_points(tables, x, y, t,
+                                  module=kernels.load_fallback())
+        want = numpy_flow_points(tables, x, y, t)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_bump_matches_former_on_arrays_and_scalars():
+    bumps = [BumpObservable(x0=0.5, wx=0.3, y0=0.5, wy=0.49),
+             BumpObservable(x0=0.3, wx=0.12, y0=0.45, wy=0.3)]
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.uniform(-0.2, 1.2, 5000), [0.2, 0.8, 0.18]])
+    y = np.concatenate([rng.uniform(-0.2, 1.5, 5000), [0.5, 0.01, 0.75]])
+    for g in bumps:
+        got = g(x, y)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        np.testing.assert_array_equal(got, numpy_bump(g, x, y))
+        for px, py in [(0.5, 0.5), (0.3, 0.45), (0.2, 0.5), (5.0, 0.5),
+                       (np.float64(0.41), 0.6), (np.array(0.35),
+                                                 np.array(0.4))]:
+            got, want = g(px, py), numpy_bump(g, px, py)
+            assert type(got) is type(want)
+            assert got == want
+
+
+@pytest.mark.parametrize("module", MODULES, ids=IDS)
+@pytest.mark.parametrize("forward", [True, False])
+def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
+    """A sample that needs exactly one jump flows under max_steps=1 and
+    raises under max_steps=0, in both directions, on every backend."""
+    _, _, tables = setup
+    x = np.array([0.3])
+    fallback = kernels.load_fallback()
+    if forward:
+        nxt = kernels.iet_iterate(tables, x, 1, module=fallback)
+        t = float(kernels.roof_values(tables, x)[0]
+                  + 0.5 * kernels.roof_values(tables, nxt)[0])
+    else:
+        prev = kernels.iet_iterate(tables, x, -1, module=fallback)
+        t = float(-0.5 * kernels.roof_values(tables, prev)[0])
+    _, _, steps = kernels.flow_points(tables, x, [0.0], t, max_steps=1,
+                                      module=module)
+    assert steps[0] == (1 if forward else -1)
+    with pytest.raises(RuntimeError, match="exceeded 0 steps"):
+        kernels.flow_points(tables, x, [0.0], t, max_steps=0, module=module)
+
+
+@pytest.mark.parametrize("t", [50.0, -50.0])
+def test_numpy_flow_budget_error_carries_context(setup, t):
+    _, _, tables = setup
+    fallback = kernels.load_fallback()
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 1.0, 400)
+    y = rng.uniform(0.0, 0.5, 400)
+    _, _, steps = kernels.flow_points(tables, x, y, t, module=fallback)
+    budget = int(np.median(np.abs(steps)))
+    with pytest.raises(FlowStepBudgetError) as info:
+        kernels.flow_points(tables, x, y, t, max_steps=budget,
+                            module=fallback)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.max_steps, err.t, err.steps) == (budget, t, None)
+    assert err.pending == int((np.abs(steps) > budget).sum()) > 0
 
 
 @pytest.mark.skipif(COMPILED is None, reason="compiled kernels unavailable")

@@ -299,6 +299,31 @@ class TestReverification:
             verify_witness_high_precision(iet, spec, planted, cfg.epsilon)
 
 
+class TestExactInputs:
+    """Points entering the exact pipeline are exact: a float is a
+    TypeError at each entry point, never a silently converted Fraction."""
+
+    def test_forbac_scan(self):
+        with pytest.raises(TypeError):
+            forbac_scan(golden_accel(), 0.5, 8, golden_params())
+
+    def test_good_region(self):
+        accel, spec, cfg = witness_setup()
+        region = GoodRegion(accel, spec, cfg)
+        for query in (region.contains, region.why_excluded):
+            with pytest.raises(TypeError):
+                query(0.5)
+        assert region.contains(F(1, 2))
+        assert region.why_excluded(F(1, 2)) is None
+
+    @pytest.mark.parametrize("x, y", [(0.5, F(1, 2) + F(1, 10 ** 4)),
+                                      (F(1, 2), 0.5001)])
+    def test_sr_pair_test(self, x, y):
+        accel, spec, cfg = witness_setup()
+        with pytest.raises(TypeError):
+            sr_pair_test(accel, spec, cfg, x, y)
+
+
 class TestGoodRegion:
     def test_window0_region_is_margins_only(self):
         accel, spec, cfg = witness_setup()

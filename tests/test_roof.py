@@ -17,6 +17,7 @@ from ietflow.iet import IntegerOrbit
 from ietflow.roof import (
     BirkhoffCursor,
     FlowPoint,
+    FlowStepBudgetError,
     RoofDomainError,
     RoofSpec,
     SingularityTooClose,
@@ -28,6 +29,7 @@ from ietflow.roof import (
     flow,
     roof_area,
     roof_mean,
+    _advance,
 )
 
 F = Fraction
@@ -93,6 +95,17 @@ class TestEval:
         for _ in range(200):
             x = F(rng.randrange(1, 10 ** 6), 10 ** 6)
             assert eval_roof(iet, spec, x).value >= 1.0
+
+
+@pytest.mark.parametrize("evaluate", [eval_roof, eval_roof_derivative,
+                                      eval_roof_second_derivative])
+def test_float_points_are_refused(evaluate):
+    """Points are exact; a float is a TypeError, never a silent Fraction."""
+    iet = golden_rotation()
+    spec = asymmetric_log_roof(iet)
+    with pytest.raises(TypeError):
+        evaluate(iet, spec, 0.25)
+    assert evaluate(iet, spec, F(1, 4)) == evaluate(iet, spec, "1/4")
 
 
 class TestSecondDerivativeAsymptotics:
@@ -272,6 +285,29 @@ class TestFlow:
         two = flow(iet, spec, p, 5.8)
         assert one.x == two.x
         assert one.y == pytest.approx(two.y, abs=1e-9)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_step_budget_allows_exactly_max_steps(self, forward):
+        """A point that needs exactly one jump flows under max_steps=1;
+        under max_steps=0 the typed error carries the budget, t and the
+        (signed) jumps taken."""
+        iet = golden_rotation()
+        spec = asymmetric_log_roof(iet)
+        x = F(3, 10)
+        if forward:
+            t = (eval_roof(iet, spec, x).value
+                 + 0.5 * eval_roof(iet, spec, iet.iterate(x, 1)).value)
+        else:
+            t = -0.5 * eval_roof(iet, spec, iet.iterate(x, -1)).value
+        sign = 1 if forward else -1
+        _, _, steps = _advance(iet, spec, x, 0.0, t, max_steps=1)
+        assert steps == sign
+        with pytest.raises(FlowStepBudgetError) as info:
+            _advance(iet, spec, x, 0.0, t, max_steps=0)
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert (err.max_steps, err.t, err.steps, err.pending) == \
+            (0, t, sign, None)
 
 
 class TestDiscreteIterations:
