@@ -437,6 +437,7 @@ def cmd_ratner_witness(args):
     pairs, region = sample_good_pairs(accel, spec, cfg, args.pairs, gap)
     verified = 0
     reverified = 0
+    failures = {"straddle": 0, "deviation": 0, "tie": 0}
     rows = []
     for x, y in pairs:
         res = sr_pair_test(accel, spec, cfg, x, y, good_region=region)
@@ -445,6 +446,8 @@ def cmd_ratner_witness(args):
             verified += 1
             ok_hp = verify_witness_high_precision(iet, spec, res, cfg.epsilon)
             reverified += ok_hp
+        else:
+            failures[res.failure_kind] += 1
         rows.append({"x": x.to_string(), "direction": res.direction,
                      "verdict": res.verdict, "p": res.p, "M": res.M,
                      "L": res.L, "max_dev": res.max_deviation,
@@ -454,7 +457,7 @@ def cmd_ratner_witness(args):
         print(json.dumps(row))
     rate = verified / len(pairs) if pairs else 0.0
     payload = {"pairs": len(pairs), "verified": verified,
-               "reverified": reverified, "rate": rate}
+               "reverified": reverified, "rate": rate, "failures": failures}
     _emit(payload, args)
     _log_record(args, "ratner witness", payload, trace=trace, seed=args.seed)
     return 0 if rate >= args.rate_floor and reverified == verified else 1

@@ -4,10 +4,10 @@ The witness machinery realizes the finite part of the shearing argument:
 for a pair x < y at scale 1/((C- - C+) r log r), the Birkhoff sums of the
 roof drift apart by almost exactly one unit over the window [M, M+L] with
 M ~ r and L ~ eps^5 M, provided the pair's orbit stays clear of the
-singular endpoints in the chosen time direction.  The backward-or-forward
-scan decides that direction; every verified pair is re-checked on the exact
-orbit, where each Birkhoff sum comes with a rigorous error radius
-(`verify_witness_high_precision`).
+singular endpoints in the chosen time direction.  One exact pair walk
+(`_pair_walk`, rigorous error radii) decides every attempt, so a verified
+verdict is certified when it is made; `verify_witness_high_precision`
+re-walks the chosen direction with it.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .birkhoff import sigma_set
+from .birkhoff import locate_scale, sigma_set
 from .diophantine import DcParams, k_set_membership
-from .exact import ExactScalar, as_scalar, exact_min
-from .iet import Iet
+from .exact import ExactScalar, _sign, as_scalar, exact_min, quadratic_float
+from .iet import Iet, IntegerOrbit
 from .intervals import IntervalUnion, neighborhood, pullback_union
 from .rauzy import AccelTimes
-from .roof import BirkhoffCursor, RoofSpec, roof_area
+from .roof import (BirkhoffCursor, RoofDomainError, RoofSpec,
+                   SingularityTooClose, _terms, roof_area)
 
 F = Fraction
 
@@ -36,6 +37,17 @@ class WitnessPreconditionError(ValueError):
         self.excluding_set = excluding_set
         self.witness = witness
         super().__init__(msg)
+
+
+class PairSamplingError(RuntimeError):
+    """Sampling found fewer good pairs than asked for within max_tries."""
+
+    def __init__(self, requested: int, found: int, max_tries: int):
+        self.requested = requested
+        self.found = found
+        self.max_tries = max_tries
+        super().__init__("could not sample %d good pairs: found %d in %d "
+                         "tries" % (requested, found, max_tries))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +169,7 @@ class WitnessConfig:
     propagates to the K_T case split (None = the full L window).
     The asymptotic threshold index ell_a = max((N^2+1)/eps^4, 1/eps)
     and its delta = min(1/ell_a^2, eps^2) are computed for the record;
-    pairs are required to satisfy the structural part 0 < y - x < eps^2.
+    pairs are required to satisfy 0 < y - x < min(eps, eps^2).
     """
 
     epsilon: float
@@ -276,9 +288,8 @@ class WitnessResult:
     verdict: str
     kappa_ok: bool
     failure_reason: str = ""
-    worst_n: Optional[int] = None
+    failure_kind: str = ""          # "straddle", "tie" or "deviation"
     straddle_index: Optional[int] = None
-    deviations: list = field(default_factory=list)
     attempts: list = field(default_factory=list)   # (direction, ok, reason,
     #                                                straddle_index)
 
@@ -300,82 +311,94 @@ def _scale_from_gap(gap: float, g: float) -> int:
 
 def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                forward: bool):
-    """Lockstep float orbit walk of x and y to depth M+L.
+    """Exact lockstep walk of a close pair x < y to depth M+L.
 
-    Accumulates the difference of roof sums (term by term, which keeps the
-    cancellation benign), the derivative sums at x, the separation, and
-    the first index at which the pair straddles a discontinuity.  The
-    float orbit drifts from the exact one and its deviations carry no
-    stated error bound (they moved by up to 2.6e-7 when the float tables
-    changed by about one ulp); only `verify_witness_high_precision`, on
-    the exact orbit with rigorous radii, bounds them.
-    Returns (checkpoints, straddle) with checkpoints[n] =
-    (delta_sum, deriv_sum, separation) for n in [M, M+L].
+    One IntegerOrbit walks x and delta = y - x stays an exact integer pair:
+    while x_n and y_n share an interval I_a, y_n = x_n + delta, and they
+    straddle a cut exactly when r_a - x_n <= delta (backward, after the
+    step, which also catches a pair split by a bottom cut).  The test goes
+    by the shadow when its difference clears xerr + 3 units (xerr + 1 for a
+    gap, one for delta and the difference, one spare for the thresholds;
+    see IntegerOrbit), else by `exact._sign`; the walk stops at the first
+    straddle.  Up to it y's gaps are dl + delta and dr - delta, both roofs
+    come from `roof._terms`, and Delta_n = S_n(f)(x) - S_n(f)(y) carries a
+    rigorous radius: both evaluation radii and twice the rounding bound of
+    each difference and each summation step (which also covers a later
+    comparison).  S_n(f')(x) is summed alongside, both in BirkhoffCursor's
+    convention (S_{-n} backward) and under its exact singular-point and
+    hard-cutoff checks, on both points.
+
+    Returns (checkpoints, straddle, deriv): checkpoints[k] = (Delta_n,
+    radius, S_n(f')(x)) for n = M + k up to M+L or the straddle; straddle
+    is the index of the first straddling pair (x_n, y_n) or None; deriv is
+    S_n(f')(x) at the last n reached.
     """
-    top_order = iet.perm.top
-    d = len(top_order)
-    cuts = [float(c) for c in iet._top_cuts]
-    lefts = [float(iet.left(a)) for a in top_order]
-    trans = [float(iet.translation(a)) for a in top_order]
-    cuts_b = [float(c) for c in iet._bottom_cuts]
-    trans_b = [float(iet.translation(a)) for a in iet.perm.bottom]
+    orbit = IntegerOrbit(iet, x, extra=[y])
+    field, den, unit = orbit.field, orbit.den, orbit.unit
+    d0, d1 = orbit.pair_of(y)
+    d0, d1 = d0 - orbit.p, d1 - orbit.q
+    step = orbit.step_forward if forward else orbit.step_backward
+    lefts, rights = orbit.lefts, orbit.cuts
+    top = iet.perm.top
     c0 = float(spec.c0)
-    cp = [float(spec.cplus[a]) for a in top_order]
-    cm = [float(spec.cminus[a]) for a in top_order]
-    tiny = 1e-300
-
-    def locate(v, bounds):
-        for i in range(d - 1):
-            if v < bounds[i]:
-                return i
-        return d - 1
-
-    px = float(x)
-    py = float(y)
-    dsum = 0.0
-    deriv = 0.0
-    straddle = None
-    checkpoints = {}
-    top = M + L
-    for n in range(top + 1):
+    cps = [float(spec.cplus[a]) for a in top]
+    cms = [float(spec.cminus[a]) for a in top]
+    singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
+    # delta and the cutoff in the shadow's units (numerators on Q, exact)
+    if field is None:
+        df, cut = d0, cutoff.numerator * den // cutoff.denominator
+    else:
+        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+    sign = 1 if forward else -1
+    s = err = ds = 0.0
+    checkpoints = []
+    for n in range(M + L + 1):
         if n >= M:
-            checkpoints[n] = (dsum, deriv, abs(py - px))
-        if n == top:
+            checkpoints.append((sign * s, err, sign * ds))
+        if n == M + L:
             break
         if not forward:
-            px -= trans_b[locate(px, cuts_b)]
-            py -= trans_b[locate(py, cuts_b)]
-        ix = locate(px, cuts)
-        iy = locate(py, cuts)
-        dlx = max(px - lefts[ix], tiny)
-        drx = max(cuts[ix] - px, tiny)
-        dly = max(py - lefts[iy], tiny)
-        dry = max(cuts[iy] - py, tiny)
-        fx = c0
-        dvx = 0.0
-        if cp[ix]:
-            fx -= cp[ix] * math.log(dlx)
-            dvx -= cp[ix] / dlx
-        if cm[ix]:
-            fx -= cm[ix] * math.log(drx)
-            dvx += cm[ix] / drx
-        fy = c0
-        if cp[iy]:
-            fy -= cp[iy] * math.log(dly)
-        if cm[iy]:
-            fy -= cm[iy] * math.log(dry)
+            step()
+        i = orbit.interval_index()
+        p, q, left, right = orbit.p, orbit.q, lefts[i], rights[i]
+        tol = orbit.xerr + 3 * unit
+        yrf = orbit.frights[i] - orbit.xf - df
+        if yrf <= tol and (yrf < -tol or _sign(right[0] - p - d0,
+                                               right[1] - q - d1, field) <= 0):
+            return checkpoints, n, sign * ds
+        idx = n if forward else -n - 1
+        if singular and p == left[0] and q == left[1]:
+            # the model is undefined on {l_a}; constant roofs have no
+            # singular set and evaluate everywhere
+            raise RoofDomainError("evaluation at the singular point l_%s "
+                                  "(orbit index %d)" % (top[i], idx))
+        cp, cm = cps[i], cms[i]
+        # where the roof is constant, f(x_n) - f(y_n) and f'(x_n) are 0
+        if cp or cm:
+            dl = (p - left[0], q - left[1])
+            dr = (right[0] - p, right[1] - q)
+            yl, yr = (dl[0] + d0, dl[1] + d1), (dr[0] - d0, dr[1] - d1)
+            # y's left gap exceeds x's and x's right gap exceeds y's, so
+            # these two shadows gate the exact cutoff checks of both points
+            if (cp and orbit.xf - orbit.flefts[i] <= tol + cut) or (
+                    cm and yrf <= tol + cut):
+                for side, c, gap in (("left", cp, dl), ("right", cm, dr),
+                                     ("left", cp, yl), ("right", cm, yr)):
+                    if c and orbit.value(gap) <= cutoff:
+                        raise SingularityTooClose(top[i], side,
+                                                  orbit.value(gap), idx)
+            fx, ex, dfx, _ = _terms(
+                c0, cp, cm, quadratic_float(*dl, den, field) if cp else 0.0,
+                quadratic_float(*dr, den, field) if cm else 0.0)
+            fy, ey, _, _ = _terms(
+                c0, cp, cm, quadratic_float(*yl, den, field) if cp else 0.0,
+                quadratic_float(*yr, den, field) if cm else 0.0)
+            s += fx - fy
+            err += ex + ey + (abs(fx - fy) + abs(s)) * 2.0 ** -52
+            ds += dfx
         if forward:
-            dsum += fx - fy
-            deriv += dvx
-        else:
-            dsum -= fx - fy
-            deriv -= dvx
-        if ix != iy and straddle is None:
-            straddle = n
-        if forward:
-            px += trans[ix]
-            py += trans[iy]
-    return checkpoints, straddle
+            step(i)
+    return checkpoints, None, sign * ds
 
 
 def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
@@ -386,9 +409,11 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     1/((C- - C+) r log r); the window is M = min(r, (1-eps^4) q_{l+1})
     when l is in K_T (max otherwise), L = [eps^5 M] + 1; the direction
     comes from the backward-or-forward scan and p from the derivative-sum
-    sign.  The verdict re-evaluates the realignment clause directly:
-    orbit separation < eps and |S_n(f)(x) - S_n(f)(y) - p| < eps for every
-    n in [M, M+L].
+    sign.  Verified, by the exact pair walk, means no straddle and
+    |S_n(f)(x) - S_n(f)(y) - p| + radius < eps for every n in [M, M+L];
+    the separation is y - x < min(eps, eps^2) throughout.  `max_deviation`
+    is that certified bound and `max_separation` float(y - x); a straddle
+    or a tie (derivative sums changing sign) sets both to infinity.
     """
     iet = accel.trace.base
     eps = cfg.epsilon
@@ -397,8 +422,10 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     if not x < y:
         raise WitnessPreconditionError("need x < y")
     gap = y - x
-    if not float(gap) < eps * eps:
-        raise WitnessPreconditionError("pair gap must be below eps^2")
+    # float(gap) is correctly rounded, so float(gap) < eps gives gap < eps
+    if not float(gap) < min(eps, eps * eps):
+        raise WitnessPreconditionError("pair gap must be below "
+                                       "min(eps, eps^2)")
     if good_region is not None:
         for pt, name in ((x, "x"), (y, "y")):
             why = good_region.why_excluded(pt)
@@ -419,7 +446,7 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     else:
         r = max(cfg.N, accel.q(min(2, accel.count)))
     try:
-        ell = _locate(accel, r)
+        ell = locate_scale(accel, r)
     except ValueError as exc:
         raise WitnessPreconditionError(str(exc))
 
@@ -461,72 +488,49 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     kappa_ok = (L / M >= cfg.kappa) and M >= cfg.N and L >= cfg.N
 
     def attempt(att_direction):
-        checkpoints, straddle = _pair_walk(
+        checkpoints, straddle, deriv = _pair_walk(
             iet, spec, x, y, M, L, forward=(att_direction == "forward"))
-        signs = {v > 0 for _, v, _ in checkpoints.values() if v != 0}
-        if len(signs) > 1:
+        # the shift opposes the drift of the derivative sums; vanishing
+        # sums (no shearing) leave every shift off by one, so p = -1 is as
+        # good as any
+        out = dict(direction=att_direction, p=1 if deriv < 0 else -1,
+                   max_deviation=math.inf, max_separation=math.inf,
+                   verdict="failed", straddle_index=straddle)
+        if straddle is not None:
+            return dict(out, failure_kind="straddle",
+                        failure_reason="pair straddles a discontinuity at "
+                                       "orbit index %d" % straddle)
+        if len({d > 0 for _, _, d in checkpoints if d != 0}) > 1:
             # sign change inside the bracket: no admissible shift
-            return dict(ok=False, p=0, max_dev=math.inf, max_sep=math.inf,
-                        worst=None, straddle=straddle, devs=[],
-                        reason="derivative sum changes sign on the window "
-                               "(tie)")
-        # vanishing derivative sums (no shearing): any shift gives
-        # deviation |0 - p| = 1, so p = -1 is as good as it gets
-        p = (-1 if signs.pop() else 1) if signs else -1
-        max_dev = 0.0
-        max_sep = 0.0
-        worst = None
-        devs = []
-        for n in range(M, M + L + 1):
-            dsum, _, sep = checkpoints[n]
-            dev = abs(dsum - p)
-            devs.append((n, dev, sep))
-            if dev > max_dev:
-                max_dev, worst = dev, n
-            max_sep = max(max_sep, sep)
-        ok = max_dev < eps and max_sep < eps
-        reason = ""
-        if not ok:
-            if straddle is not None and straddle <= M + L:
-                reason = ("pair straddles a discontinuity at orbit index %d"
-                          % straddle)
-            elif max_sep >= eps:
-                reason = "orbit separation reached %.3g" % max_sep
-            else:
-                reason = "Birkhoff deviation %.3g at n=%d" % (max_dev, worst)
-        return dict(ok=ok, p=p, max_dev=max_dev, max_sep=max_sep,
-                    worst=worst, straddle=straddle, devs=devs, reason=reason)
+            return dict(out, p=0, failure_kind="tie",
+                        failure_reason="derivative sum changes sign on the "
+                                       "window (tie)")
+        # the largest certified deviation, at the first n that attains it
+        dev, n = max((abs(v - out["p"]) + e, -n)
+                     for n, (v, e, _) in enumerate(checkpoints, M))
+        out.update(max_deviation=dev, max_separation=float(gap))
+        if dev < eps:
+            return dict(out, verdict="verified")
+        return dict(out, failure_kind="deviation",
+                    failure_reason="Birkhoff deviation %.3g at n=%d"
+                                   % (dev, -n))
 
-    # the realignment clause may hold in either time direction; try the
-    # scan-suggested one first and switch if it fails
-    order = ([direction, "backward" if direction == "forward" else "forward"])
+    # the realignment clause may hold in either time direction: try the
+    # scan-suggested one first; a pair failing both reports the first
     attempts = []
-    first = attempt(order[0])
-    attempts.append((order[0], first["ok"], first["reason"],
-                     first["straddle"]))
-    if first["ok"]:
-        chosen, outcome = order[0], first
-    else:
-        second = attempt(order[1])
-        attempts.append((order[1], second["ok"], second["reason"],
-                         second["straddle"]))
-        if second["ok"]:
-            chosen, outcome = order[1], second
-        else:
-            chosen = order[0]
-            outcome = first
-    return WitnessResult(x, y, chosen, M, L, outcome["p"], in_k, ell, r,
-                         outcome["max_dev"], outcome["max_sep"],
-                         "verified" if outcome["ok"] else "failed", kappa_ok,
-                         failure_reason=outcome["reason"],
-                         worst_n=outcome["worst"],
-                         straddle_index=outcome["straddle"],
-                         deviations=outcome["devs"], attempts=attempts)
-
-
-def _locate(accel: AccelTimes, r: int) -> int:
-    from .birkhoff import locate_scale
-    return locate_scale(accel, r)
+    outcome = None
+    for att_direction in (direction, "backward" if direction == "forward"
+                          else "forward"):
+        out = attempt(att_direction)
+        ok = out["verdict"] == "verified"
+        attempts.append((att_direction, ok, out.get("failure_reason", ""),
+                         out["straddle_index"]))
+        if ok or outcome is None:
+            outcome = out
+        if ok:
+            break
+    return WitnessResult(x, y, M=M, L=L, case_in_k_set=in_k, ell=ell, r=r,
+                         kappa_ok=kappa_ok, attempts=attempts, **outcome)
 
 
 # no code path uses gmpy2; the name stays bound because the environment
@@ -540,32 +544,23 @@ except ImportError:         # pragma: no cover - gmpy2 is optional
 def verify_witness_high_precision(iet: Iet, spec: RoofSpec,
                                   result: WitnessResult,
                                   epsilon: float) -> bool:
-    """Re-check a verified pair on the exact orbit with rigorous radii.
+    """Re-check a verified pair with the pair test's exact walk.
 
-    Two BirkhoffCursors walk x and y in lockstep in the verified direction:
-    exact IntegerOrbit points, every roof term from the exact gaps with its
-    rounding-error radius, never the float orbit of the pair test.  The
-    pair passes when at every n in [M, M+L] the enclosure
-    |S_n(f)(x) - S_n(f)(y) - p| + err_x + err_y stays below epsilon and the
-    separation |x_n - y_n|, compared exactly, is below epsilon.  The radii
-    charge every summation step twice its rounding bound, which also covers
-    the few roundings of the comparison itself.  An orbit point on a
-    singular endpoint or within the hard cutoff raises the cursor's
-    RoofDomainError or SingularityTooClose, with its orbit index.
+    `_pair_walk` runs again on the result's x, y, direction, M and L.  The
+    pair passes when 0 < y - x < epsilon exactly, it straddles no cut,
+    and |S_n(f)(x) - S_n(f)(y) - p| + radius < epsilon at every n in
+    [M, M+L].  An orbit point on a singular endpoint or within the hard
+    cutoff raises RoofDomainError or SingularityTooClose, with its orbit
+    index.
     """
-    if result.verdict != "verified":
+    if result.verdict != "verified" or \
+            not 0 < result.y - result.x < ExactScalar(F(epsilon)):
         return False
-    forward = result.direction == "forward"
-    cx = BirkhoffCursor(iet, spec, result.x, forward=forward)
-    cy = BirkhoffCursor(iet, spec, result.y, forward=forward)
-    eps = ExactScalar(F(epsilon))
-    for n in range(result.M, result.M + result.L + 1):
-        sx, sy = cx.sum_at(n), cy.sum_at(n)
-        if not abs(sx.value - sy.value - result.p) + sx.err + sy.err < epsilon:
-            return False
-        if not abs(cx.orbit.value() - cy.orbit.value()) < eps:
-            return False
-    return True
+    checkpoints, straddle, _ = _pair_walk(
+        iet, spec, result.x, result.y, result.M, result.L,
+        forward=result.direction == "forward")
+    return straddle is None and all(abs(v - result.p) + e < epsilon
+                                    for v, e, _ in checkpoints)
 
 
 def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
@@ -588,7 +583,7 @@ def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
         if region.contains(x) and region.contains(y):
             pairs.append((ExactScalar(x), ExactScalar(y)))
     if len(pairs) < count:
-        raise RuntimeError("could not sample %d good pairs" % count)
+        raise PairSamplingError(count, len(pairs), max_tries)
     return pairs, region
 
 

@@ -138,6 +138,19 @@ class TestAnalysisCommands:
         assert summary["verified"] >= 3
         assert summary["reverified"] == summary["verified"]
 
+    def test_ratner_witness_log_counts_failures_by_kind(self, tmp_path):
+        # seed 4 draws one pair that fails on its Birkhoff deviation
+        log = tmp_path / "exp.jsonl"
+        proc = run_cli("ratner", "witness", "--eps", "0.2", "--pairs", "6",
+                       "--seed", "4", "--rate-floor", "0.5", "--log",
+                       str(log))
+        rows = [json.loads(l) for l in proc.stdout.splitlines()][:-1]
+        failures = json.loads(log.read_text())["results"]["failures"]
+        assert failures == {"straddle": 0, "deviation": 1, "tie": 0}
+        failed = [row for row in rows if row["verdict"] == "failed"]
+        assert len(failed) == 1
+        assert failed[0]["reason"].startswith("Birkhoff deviation")
+
     def test_bs_growth_small(self):
         proc = run_cli("bs", "growth", "--r-grid", "500,1500", "--points",
                        "4", "--steps", "40", "--seed", "2", check=False)

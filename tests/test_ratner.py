@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -15,11 +16,13 @@ from ietflow.fixtures import (
     golden_rotation,
 )
 from ietflow.iet import Iet, IntegerOrbit, Permutation
+from ietflow import ratner
 from ietflow.rauzy import InductionTrace, select_accel_times
 from ietflow.ratner import (
     BumpObservable,
     ConstantObservable,
     GoodRegion,
+    PairSamplingError,
     WitnessConfig,
     WitnessPreconditionError,
     forbac_scan,
@@ -30,7 +33,7 @@ from ietflow.ratner import (
     triple_mixing_probe,
     verify_witness_high_precision,
 )
-from ietflow.roof import BirkhoffCursor, RoofDomainError, roof_area
+from ietflow.roof import BirkhoffCursor, RoofDomainError, eval_roof, roof_area
 
 F = Fraction
 
@@ -182,6 +185,18 @@ class TestWitness:
         with pytest.raises(WitnessPreconditionError):
             sr_pair_test(accel, spec, cfg, F(1, 3), F(1, 3) + F(1, 10))
 
+    def test_too_few_good_pairs_raise_typed_error(self):
+        accel, spec, cfg = witness_setup()
+        with pytest.raises(PairSamplingError) as info:
+            sample_good_pairs(accel, spec, cfg, 5, F(1, 10 ** 5),
+                              max_tries=3)
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        # with window_len=0 the good set is the margins' complement, so
+        # each of the three draws is a good pair
+        assert (err.requested, err.found, err.max_tries) == (5, 3, 3)
+        assert "found 3 in 3 tries" in str(err)
+
     def test_margin_precondition_named(self):
         accel, spec, cfg = witness_setup()
         with pytest.raises(WitnessPreconditionError) as info:
@@ -246,6 +261,36 @@ def reference_checkpoints(iet, spec, res):
     return out
 
 
+def two_cursor_checkpoints(iet, spec, x, y, ns, forward):
+    """The former two-cursor re-verification, kept as the reference of the
+    exact pair walk: two BirkhoffCursors walk x and y in lockstep; n ->
+    (S_n(f)(x) - S_n(f)(y), err_x + err_y) for n in ns (ascending)."""
+    cx = BirkhoffCursor(iet, spec, x, forward=forward)
+    cy = BirkhoffCursor(iet, spec, y, forward=forward)
+    out = {}
+    for n in ns:
+        sx, sy = cx.sum_at(n), cy.sum_at(n)
+        out[n] = (sx.value - sy.value, sx.err + sy.err)
+    return out
+
+
+def first_split(iet, x, y, depth, forward):
+    """The first n < depth at which the exact orbit points x_n and y_n
+    (backward: T^-(n+1) x and T^-(n+1) y) lie in two intervals, or None."""
+    ox = IntegerOrbit(iet, x, extra=[y])
+    oy = IntegerOrbit(iet, y, extra=[x])
+    for n in range(depth):
+        if not forward:
+            ox.step_backward()
+            oy.step_backward()
+        if ox.interval_index() != oy.interval_index():
+            return n
+        if forward:
+            ox.step_forward()
+            oy.step_forward()
+    return None
+
+
 def bounded3_witness_setup():
     accel = bounded3_accel()
     params = validate_params(1.01, 0.995, 0.9, 0.992, nu=4, d=3,
@@ -298,6 +343,98 @@ class TestReverification:
         with pytest.raises(RoofDomainError, match="orbit index 5"):
             verify_witness_high_precision(iet, spec, planted, cfg.epsilon)
 
+
+class TestPairWalk:
+    """The exact pair walk of `sr_pair_test` and the re-verification,
+    against the two-cursor walk, the exact orbits and 120-bit mpmath."""
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("setup", [witness_setup,
+                                       bounded3_witness_setup])
+    def test_against_references(self, setup, direction):
+        accel, spec, cfg = setup()
+        iet = accel.trace.base
+        forward = direction == "forward"
+        gap = F(1, 10 ** 5)
+        pairs, region = sample_good_pairs(accel, spec, cfg, 2, gap)
+        res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
+        M, L = res.M, res.L
+        # plant a straddle inside the window: a top cut at x_k forward, a
+        # bottom cut at T^-k x backward (the pair then lands in two top
+        # intervals at T^-(k+1) x, which the walk reports as index k)
+        k = M + L // 2
+        if forward:
+            mid = iet.iterate(iet.left(iet.perm.top[1]), -k)
+        else:
+            mid = iet.iterate(iet.left_image(iet.perm.bottom[1]), k)
+        pairs.append((mid - ExactScalar(gap / 2), mid + ExactScalar(gap / 2)))
+        straddles = []
+        for x, y in pairs:
+            checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, M,
+                                                         L, forward)
+            assert straddle == first_split(iet, x, y, M + L, forward)
+            straddles.append(straddle)
+            top = M + L if straddle is None else straddle
+            assert len(checkpoints) == max(top - M + 1, 0)
+            if not checkpoints:
+                continue
+            ns = range(M, top + 1)
+            ref = two_cursor_checkpoints(iet, spec, x, y, ns, forward)
+            hp = reference_checkpoints(iet, spec, SimpleNamespace(
+                x=x, y=y, direction=direction, M=M, L=top - M))
+            for n, (value, err, _) in zip(ns, checkpoints):
+                ref_value, ref_err = ref[n]
+                assert abs(value - ref_value) <= err + ref_err, n
+                assert abs(value - hp[n][0]) <= err, n
+        assert straddles[-1] == k
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("setup", [witness_setup,
+                                       bounded3_witness_setup])
+    def test_radius_covers_both_roof_radii(self, setup, forward):
+        accel, spec, _ = setup()
+        iet = accel.trace.base
+        x = ExactScalar(F(41, 100))
+        y = x + ExactScalar(F(1, 10 ** 5))
+        checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, 0, 60,
+                                                     forward)
+        assert straddle is None
+        # at every n the radius is at least the sum of the eval_roof radii
+        # of x_k and y_k over the points walked (up to float summation),
+        # except where the roof is constant and f(x_k) - f(y_k) = 0 exactly
+        bound = 0.0
+        for n, (_, err, _) in enumerate(checkpoints):
+            assert err >= bound * (1 - 1e-12), n
+            if not forward:
+                x, y = iet.evaluate_inverse(x), iet.evaluate_inverse(y)
+            a = iet.interval_of(x)
+            if spec.cplus[a] or spec.cminus[a]:
+                bound += (eval_roof(iet, spec, x).err
+                          + eval_roof(iet, spec, y).err)
+            if forward:
+                x, y = iet(x), iet(y)
+        assert bound > 0
+
+    def test_pair_on_a_cut_straddles_by_the_exact_test(self, monkeypatch):
+        accel, spec, _ = witness_setup()
+        iet = accel.trace.base
+        # y_7 lands exactly on l_B: r_A - x_7 equals delta, a tie that
+        # only the exact sign can decide, and a straddle
+        y = iet.iterate(iet.left("B"), -7)
+        x = y - ExactScalar(F(1, 10 ** 5))
+        signs = []
+        exact_sign = ratner._sign
+
+        def spy(p, q, d):
+            signs.append(exact_sign(p, q, d))
+            return signs[-1]
+
+        monkeypatch.setattr(ratner, "_sign", spy)
+        checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, 5, 10,
+                                                     True)
+        assert straddle == 7
+        assert signs == [0]
+        assert len(checkpoints) == 3
 
 class TestExactInputs:
     """Points entering the exact pipeline are exact: a float is a
