@@ -4,8 +4,8 @@ Times the hot loops (base-map iteration, Birkhoff sums of the roof
 derivative, roof values, the special-flow advance in both directions,
 the closest approach of one orbit to the endpoints) on the golden
 asymmetric-log flow and prints a table with the speedup, then the cost
-of one rational and one Q(sqrt 5) ExactScalar `<`, `+` and `*` in
-microseconds.  Run from the repository root:
+of one rational and one Q(sqrt 5) ExactScalar `<`, `==`, `+`, `*`,
+`hash` and `inverse` in microseconds.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--samples N]
 """
@@ -36,15 +36,18 @@ def timed(fn, repeat=3):
 
 
 def exact_ops(number=20000):
-    """Print the best-of-5 cost per op of ExactScalar <, + and *."""
+    """Print the best-of-5 cost per op of ExactScalar <, ==, +, *, hash and
+    inverse."""
     operands = {
         "rational": (ExactScalar(Fraction(12345, 67891)),
                      ExactScalar(Fraction(2345, 6789))),
         "Q(sqrt5)": (ExactScalar(Fraction(-1, 2), Fraction(1, 2), 5),
                      ExactScalar(Fraction(3, 7), Fraction(-1, 5), 5)),
     }
-    ops = [("<", lambda x, y: x < y), ("+", lambda x, y: x + y),
-           ("*", lambda x, y: x * y)]
+    ops = [("<", lambda x, y: x < y), ("==", lambda x, y: x == y),
+           ("+", lambda x, y: x + y), ("*", lambda x, y: x * y),
+           ("hash", lambda x, y: hash(x)),
+           ("inverse", lambda x, y: x.inverse())]
     print("\nexact scalar ops [us per op]")
     print("%-10s" % "" + "".join("%10s" % name for name, _ in ops))
     for label, (x, y) in operands.items():

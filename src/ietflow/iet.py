@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (ExactScalar, _sign, as_scalar, exact_sum,
-                    quadratic_float)
+from .exact import (ZERO, ExactScalar, _join, _reduce, _sign, as_scalar,
+                    exact_sum, quadratic_float)
 
 #: Re-sync the float shadow of an IntegerOrbit point from its exact pair
 #: once the shadow's error bound passes this many rounding units.
@@ -33,19 +33,6 @@ class InvalidIetError(ValueError):
     """Combinatorial or length data do not define a valid IET."""
 
 
-def _common_denominator(scalars, den=1, field=None) -> tuple:
-    """(lcm of den and the denominators of the scalars, their quadratic
-    field); raises on scalars of two different fields."""
-    for s in scalars:
-        if s.d is not None:
-            if field is not None and s.d != field:
-                raise InvalidIetError("mixed quadratic fields in orbit")
-            field = s.d
-        den = den // math.gcd(den, s.a.denominator) * s.a.denominator
-        den = den // math.gcd(den, s.b.denominator) * s.b.denominator
-    return den, field
-
-
 class Permutation:
     """Pair of bijections (top, bottom) from a finite alphabet to 1..d.
 
@@ -54,8 +41,7 @@ class Permutation:
     alphabet of the IET they came from, so cocycle matrices compose.
     """
 
-    __slots__ = ("alphabet", "top", "bottom", "_top_pos", "_bottom_pos",
-                 "_irreducible")
+    __slots__ = ("alphabet", "top", "bottom", "_irreducible")
 
     def __init__(self, top: Sequence[str], bottom: Sequence[str],
                  alphabet: Optional[Sequence[str]] = None):
@@ -75,8 +61,6 @@ class Permutation:
         self.alphabet = alphabet
         self.top = top
         self.bottom = bottom
-        self._top_pos = {a: i for i, a in enumerate(top)}
-        self._bottom_pos = {a: i for i, a in enumerate(bottom)}
         self._irreducible = None
 
     @property
@@ -85,10 +69,10 @@ class Permutation:
 
     def top_position(self, label) -> int:
         """1-based position of `label` in the top row."""
-        return self._top_pos[label] + 1
+        return self.top.index(label) + 1
 
     def bottom_position(self, label) -> int:
-        return self._bottom_pos[label] + 1
+        return self.bottom.index(label) + 1
 
     @property
     def irreducible(self) -> bool:
@@ -96,7 +80,7 @@ class Permutation:
         if self._irreducible is None:
             flag = True
             for j in range(1, self.d):
-                if {self._bottom_pos[a] for a in self.top[:j]} == set(range(j)):
+                if set(self.bottom[:j]) == set(self.top[:j]):
                     flag = False
                     break
             self._irreducible = flag
@@ -119,16 +103,53 @@ class Permutation:
                                          " ".join(self.bottom))
 
 
+def _geometry(perm: Permutation, lengths) -> tuple:
+    """(rights, lefts, trans, rights_b, trans_b) of the exchange of
+    integer `lengths` (aligned with perm.alphabet): right and left
+    endpoints and translations in top order, right endpoints and
+    translations in bottom order."""
+    length = dict(zip(perm.alphabet, lengths))
+    left_top, rights, x = {}, [], 0
+    for a in perm.top:
+        left_top[a] = x
+        x += length[a]
+        rights.append(x)
+    trans, rights_b, x = {}, [], 0
+    for a in perm.bottom:
+        trans[a] = x - left_top[a]
+        x += length[a]
+        rights_b.append(x)
+    return (tuple(rights), (0, *rights[:-1]),
+            tuple(trans[a] for a in perm.top), tuple(rights_b),
+            tuple(trans[a] for a in perm.bottom))
+
+
+def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
+    """The first i with p + q sqrt(field) < scale (P + Q sqrt(field)) for
+    the integer pair (P, Q) = cuts[i], the last cut excluded: the index of
+    the interval holding the point among the right endpoints `cuts`."""
+    last = len(cuts) - 1
+    for i in range(last):
+        cp, cq = cuts[i]
+        if _sign(p - scale * cp, q - scale * cq, field) < 0:
+            return i
+    return last
+
+
 class Iet:
     """Interval exchange transformation with exact lengths.
 
     `lengths` may be a dict label -> scalar or a sequence aligned with
     `perm.alphabet`.  The transformation acts on [0, total).
+
+    An Iet keeps its permutation, lengths and total.  Its geometry (the
+    endpoints and translations) is kept once, in integer form, by
+    `integer_tables` on first use, and every endpoint or translation is
+    read from there; an Iet that is only asked for its lengths, as most
+    Rauzy-Veech steps are, never builds it.
     """
 
-    __slots__ = ("perm", "lengths", "total", "_len", "_left_top",
-                 "_left_bottom", "_translation", "_top_cuts", "_bottom_cuts",
-                 "_itables", "_ftables")
+    __slots__ = ("perm", "lengths", "total", "_itables", "_ftables")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
@@ -145,76 +166,63 @@ class Iet:
         for lam in self.lengths:
             if not lam.sign() > 0:
                 raise InvalidIetError("all lengths must be positive")
-        self._len = dict(zip(perm.alphabet, self.lengths))
         self.total = exact_sum(self.lengths)
-
-        left_top = {}
-        top_cuts = []
-        x = ExactScalar(0)
-        for a in perm.top:
-            left_top[a] = x
-            x = x + self._len[a]
-            top_cuts.append(x)
-        left_bottom = {}
-        bottom_cuts = []
-        x = ExactScalar(0)
-        for a in perm.bottom:
-            left_bottom[a] = x
-            x = x + self._len[a]
-            bottom_cuts.append(x)
-        self._left_top = left_top
-        self._left_bottom = left_bottom
-        self._top_cuts = top_cuts
-        self._bottom_cuts = bottom_cuts
-        self._translation = {a: left_bottom[a] - left_top[a]
-                             for a in perm.alphabet}
         self._itables = self._ftables = None
 
     # -- geometry ----------------------------------------------------------
 
     def length(self, label) -> ExactScalar:
-        return self._len[label]
+        return self.lengths[self.perm.alphabet.index(label)]
+
+    def _scalar(self, table: int, i: int) -> ExactScalar:
+        """Entry i of integer table `table` (see integer_tables)."""
+        tables = self.integer_tables()
+        den, field, e = tables[0], tables[1], tables[table][i]
+        if field is None:
+            return _reduce(e, 0, den, None)
+        return _reduce(e[0], e[1], den, field)
 
     def left(self, label) -> ExactScalar:
         """l_a: left endpoint of I_a (top order)."""
-        return self._left_top[label]
+        return self._scalar(3, self.perm.top.index(label))
 
     def right(self, label) -> ExactScalar:
         """r_a = l_a + lambda_a."""
-        return self._left_top[label] + self.length(label)
+        return self._scalar(2, self.perm.top.index(label))
 
     def left_image(self, label) -> ExactScalar:
         """Left endpoint of T(I_a) (bottom order)."""
-        return self._left_bottom[label]
+        j = self.perm.bottom.index(label)
+        return self._scalar(5, j - 1) if j else ZERO
 
     def right_image(self, label) -> ExactScalar:
-        return self._left_bottom[label] + self.length(label)
+        return self._scalar(5, self.perm.bottom.index(label))
 
     def translation(self, label) -> ExactScalar:
-        return self._translation[label]
+        return self._scalar(4, self.perm.top.index(label))
 
     def integer_tables(self) -> tuple:
         """(D, d, rights, lefts, trans, rights_b, trans_b): the common
-        denominator D of the endpoints and translations, their quadratic
-        field d (None on Q) and, as integer pairs (P, Q) standing for
-        (P + Q sqrt(d))/D, the right and left endpoints and the
-        translations in top order and the right endpoints and the
-        translations in bottom order (computed once)."""
+        denominator D of the lengths, their quadratic field d (None on Q)
+        and, over D, the right and left endpoints and the translations in
+        top order and the right endpoints and the translations in bottom
+        order (computed once).  On Q(sqrt d) an entry is an integer pair
+        (P, Q) standing for (P + Q sqrt(d))/D; on Q it is the integer P.
+
+        The endpoints and translations are sums and differences of the
+        lengths, so D (the lcm of the lengths' denominators) is also the
+        lcm of theirs: the tables are the lengths' (p, q, den) rescaled to
+        D and summed."""
         if self._itables is None:
-            top = [self._translation[a] for a in self.perm.top]
-            bottom = [self._translation[a] for a in self.perm.bottom]
-            den, field = _common_denominator(
-                [self.total, *self._top_cuts, *self._bottom_cuts, *top])
-
-            def pairs(scalars):
-                return tuple((s.a.numerator * (den // s.a.denominator),
-                              s.b.numerator * (den // s.b.denominator))
-                             for s in scalars)
-
-            rights = pairs(self._top_cuts)
-            self._itables = (den, field, rights, ((0, 0),) + rights[:-1],
-                             pairs(top), pairs(self._bottom_cuts),
-                             pairs(bottom))
+            den = math.lcm(*(lam.den for lam in self.lengths))
+            field = next((lam.d for lam in self.lengths if lam.d), None)
+            tables = _geometry(self.perm, [lam.p * (den // lam.den)
+                                           for lam in self.lengths])
+            if field is not None:
+                q_tables = _geometry(self.perm, [lam.q * (den // lam.den)
+                                                 for lam in self.lengths])
+                tables = [tuple(zip(p, q)) for p, q in zip(tables, q_tables)]
+            self._itables = (den, field, *tables)
         return self._itables
 
     def float_tables(self) -> Optional[tuple]:
@@ -229,12 +237,12 @@ class Iet:
             tables = None
             if ExactScalar(Fraction(1, 2 ** 1000)) < self.total and \
                     self.total < ExactScalar(2 ** 800):
-                rights = tuple(map(float, self._top_cuts))
-                trans = self._translation
-                tables = (rights, (0.0,) + rights[:-1],
-                          tuple(float(trans[a]) for a in self.perm.top),
-                          tuple(map(float, self._bottom_cuts)),
-                          tuple(float(trans[a]) for a in self.perm.bottom))
+                den, field, *itables = self.integer_tables()
+                if field is None:
+                    tables = tuple(tuple(e / den for e in t) for t in itables)
+                else:
+                    tables = tuple(tuple(quadratic_float(p, q, den, field)
+                                         for p, q in t) for t in itables)
             self._ftables = (tables,)
         return self._ftables[0]
 
@@ -244,42 +252,40 @@ class Iet:
 
     def singular_points(self) -> list[ExactScalar]:
         """All interval endpoints {l_a, r_a} = cut points plus 0 and total."""
-        pts = [ExactScalar(0)]
+        pts = [ZERO]
         pts.extend(self.left(a) for a in self.perm.top[1:])
         pts.append(self.total)
         return pts
 
     # -- the map -------------------------------------------------------------
 
-    def interval_of(self, x: ExactScalar) -> str:
+    def _index(self, x: ExactScalar, table: int) -> int:
+        """Index of the interval holding x among the right endpoints in
+        integer table `table` (2: top order, 5: bottom order)."""
         if x.sign() < 0 or not x < self.total:
             raise IetDomainError("point %r outside [0, %s)" %
                                  (x, self.total.to_string()))
-        top = self.perm.top
-        cuts = self._top_cuts
-        for i in range(len(top) - 1):
-            if x < cuts[i]:
-                return top[i]
-        return top[-1]
+        tables = self.integer_tables()
+        den, field, cuts = tables[0], tables[1], tables[table]
+        if field is None:
+            cuts = [(c, 0) for c in cuts]
+        # x < (P + Q sqrt d)/D <=> (p + q sqrt d) D < den (P + Q sqrt d)
+        return _first_above(x.p * den, x.q * den, cuts, _join(field, x.d),
+                            x.den)
+
+    def interval_of(self, x: ExactScalar) -> str:
+        return self.perm.top[self._index(x, 2)]
 
     def image_interval_of(self, x: ExactScalar) -> str:
-        if x.sign() < 0 or not x < self.total:
-            raise IetDomainError("point %r outside [0, %s)" %
-                                 (x, self.total.to_string()))
-        bottom = self.perm.bottom
-        cuts = self._bottom_cuts
-        for i in range(len(bottom) - 1):
-            if x < cuts[i]:
-                return bottom[i]
-        return bottom[-1]
+        return self.perm.bottom[self._index(x, 5)]
 
     def evaluate(self, x) -> ExactScalar:
         x = as_scalar(x)
-        return x + self._translation[self.interval_of(x)]
+        return x + self._scalar(4, self._index(x, 2))
 
     def evaluate_inverse(self, x) -> ExactScalar:
         x = as_scalar(x)
-        return x - self._translation[self.image_interval_of(x)]
+        return x - self._scalar(6, self._index(x, 5))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -314,7 +320,7 @@ class Iet:
 
     def check_bijection(self) -> bool:
         """Image intervals tile [0, total) exactly."""
-        x = ExactScalar(0)
+        x = ZERO
         for left, right, _ in self.image_partition():
             if left != x:
                 return False
@@ -341,10 +347,10 @@ class IntegerOrbit:
     common denominator D, so a scalar (a + b sqrt(d))/1 becomes an integer
     pair (P, Q) with value (P + Q sqrt(d))/D and every orbit step is two
     integer additions plus sign tests — no rational normalization.  The
-    pairs of the IET's endpoints and translations are computed once per IET
-    (`Iet.integer_tables`) and scaled to D.  This is the one carrier of
-    every exact orbit walk in the package; results convert back to
-    ExactScalar on demand.
+    pairs of the IET's endpoints and translations are read from its integer
+    tables (`Iet.integer_tables`, numerators alone on Q) and scaled to D.
+    This is the one carrier of every exact orbit walk in the package;
+    results convert back to ExactScalar on demand.
 
     Shadow: beside the exact pair the walker keeps a shadow `xf` of the
     current point with a bound |xf - x| <= `xerr` (on the scale of the
@@ -380,17 +386,28 @@ class IntegerOrbit:
     def __init__(self, iet: Iet, x, extra=()):
         x = as_scalar(x)
         self.iet = iet
-        tables = iet.integer_tables()
-        den, field = _common_denominator(
-            [x] + [as_scalar(s) for s in extra], tables[0], tables[1])
-        k = den // tables[0]
-        if k > 1:
-            tables = tables[:2] + tuple(tuple((p * k, q * k) for p, q in t)
-                                        for t in tables[2:])
+        den0, field, *tables = iet.integer_tables()
+        rational = field is None
+        points = (x, *map(as_scalar, extra))
+        den = math.lcm(den0, *(s.den for s in points))
+        for s in points:
+            if s.d is not None:
+                if field is not None and s.d != field:
+                    raise InvalidIetError("mixed quadratic fields in orbit")
+                field = s.d
+        k = den // den0
+        if rational:
+            # tables of numerators P: these are the shadow tables on Q
+            if k > 1:
+                tables = [tuple([c * k for c in t]) for t in tables]
+            shadow = tables
+            zeros = (0,) * len(tables[0])
+            tables = [tuple(zip(t, zeros)) for t in tables]
+        elif k > 1:
+            tables = [tuple([(p * k, q * k) for p, q in t]) for t in tables]
         self.den = den
         self.field = field
-        _, _, self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b \
-            = tables
+        self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b = tables
         self.p, self.q = self._pair(x)
         if _sign(self.p, self.q, field) < 0 or \
                 not self.less_than(self.cuts[-1]):
@@ -401,7 +418,7 @@ class IntegerOrbit:
             # on Q every pair is (P, 0): the numerators are the tables and
             # the shadow, with no error
             (self.frights, self.flefts, self.ftrans, self.frights_b,
-             self.ftrans_b) = ([c[0] for c in t] for t in tables[2:])
+             self.ftrans_b) = shadow
             self.unit = 0
             self.xf = self.p
         elif iet.float_tables() is not None:
@@ -419,8 +436,8 @@ class IntegerOrbit:
         self.xerr = self.unit
 
     def _pair(self, s: ExactScalar):
-        return (s.a.numerator * (self.den // s.a.denominator),
-                s.b.numerator * (self.den // s.b.denominator))
+        k = self.den // s.den
+        return s.p * k, s.q * k
 
     def pair_of(self, s) -> tuple:
         """Integer pair of an external scalar (extends the denominator
@@ -428,7 +445,7 @@ class IntegerOrbit:
         s = as_scalar(s)
         if s.d is not None and s.d != self.field:
             raise InvalidIetError("mixed quadratic fields in orbit")
-        if (self.den % s.a.denominator) or (self.den % s.b.denominator):
+        if self.den % s.den:
             raise InvalidIetError("scalar does not share the orbit "
                                   "denominator")
         return self._pair(s)
@@ -453,11 +470,7 @@ class IntegerOrbit:
 
     def _sign_index(self, cuts) -> int:
         """Exact: the first i with x < cuts[i], the last cut excluded."""
-        p, q, field = self.p, self.q, self.field
-        for i in range(len(cuts) - 1):
-            if _sign(p - cuts[i][0], q - cuts[i][1], field) < 0:
-                return i
-        return len(cuts) - 1
+        return _first_above(self.p, self.q, cuts, self.field)
 
     def _locate(self, fcuts, cuts) -> int:
         """Index of the interval holding x among the right endpoints
@@ -509,8 +522,7 @@ class IntegerOrbit:
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair
-        return ExactScalar(Fraction(p, self.den), Fraction(q, self.den),
-                           self.field)
+        return _reduce(p, q, self.den, self.field)
 
     def to_float(self, pair=None) -> float:
         """float(value), bit for bit as ExactScalar.__float__."""

@@ -79,15 +79,14 @@ class IntervalUnion:
     def preimage(self, iet: Iet) -> "IntervalUnion":
         """T^(-1) of the union: intersect with each image interval and
         translate back."""
+        images = [(iet.left_image(label), iet.right_image(label),
+                   iet.translation(label)) for label in iet.perm.alphabet]
         out = []
         for a, b in self.parts:
-            for label in iet.perm.alphabet:
-                lo = iet.left_image(label)
-                hi = iet.right_image(label)
+            for lo, hi, w in images:
                 a2 = a if lo < a else lo
                 b2 = b if b < hi else hi
                 if not b2 < a2:
-                    w = iet.translation(label)
                     out.append((a2 - w, b2 - w))
         return IntervalUnion(out)
 

@@ -11,13 +11,14 @@ every step against directly iterated return times.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactScalar, exact_max, exact_min
-from .iet import Iet, IetDomainError, Permutation
+from .exact import ExactScalar, exact_dot, exact_max, exact_min
+from .iet import Iet, IetDomainError, IntegerOrbit, Permutation
 
 
 class RVUndefinedError(ValueError):
@@ -95,43 +96,46 @@ def rv_step(iet: Iet):
     """One unnormalized Rauzy-Veech step.
 
     Returns (induced Iet on the shortened interval, step matrix B with
-    lambda = B lambda', step type).  Type 'top' means the last top interval
-    won (was longer); 'bottom' the opposite.  Equal lengths raise
-    RVUndefinedError.
+    lambda = B lambda', step type, (w, l)).  Type 'top' means the last top
+    interval won (was longer); 'bottom' the opposite.  w and l are the
+    alphabet indices of the winner and the loser, so B = I + E[w][l].
+    Equal lengths raise RVUndefinedError.
     """
     perm = iet.perm
-    top_last = perm.top[-1]
-    bottom_last = perm.bottom[-1]
-    lt = iet.length(top_last)
-    lb = iet.length(bottom_last)
+    alphabet = perm.alphabet
+    ti = alphabet.index(perm.top[-1])
+    bi = alphabet.index(perm.bottom[-1])
+    lt = iet.lengths[ti]
+    lb = iet.lengths[bi]
     if lt == lb:
         raise RVUndefinedError(
             "last top and bottom intervals both have length %s"
             % lt.to_string())
     if lt > lb:
-        step_type, winner, loser = "top", top_last, bottom_last
+        step_type, wi, li = "top", ti, bi
     else:
-        step_type, winner, loser = "bottom", bottom_last, top_last
+        step_type, wi, li = "bottom", bi, ti
+    winner, loser = alphabet[wi], alphabet[li]
+    lengths = list(iet.lengths)
+    lengths[wi] = lengths[wi] - lengths[li]
 
-    new_lengths = {a: iet.length(a) for a in perm.alphabet}
-    new_lengths[winner] = new_lengths[winner] - iet.length(loser)
-
+    # the loser leaves the end of its row and re-enters after the winner
+    row = [a for a in (perm.bottom if step_type == "top" else perm.top)
+           if a != loser]
+    row.insert(row.index(winner) + 1, loser)
     if step_type == "top":
-        # loser leaves the end of the bottom row, re-enters after the winner
-        row = [a for a in perm.bottom if a != loser]
-        row.insert(row.index(winner) + 1, loser)
-        new_perm = Permutation(perm.top, row, alphabet=perm.alphabet)
+        new_perm = Permutation(perm.top, row, alphabet=alphabet)
     else:
-        row = [a for a in perm.top if a != loser]
-        row.insert(row.index(winner) + 1, loser)
-        new_perm = Permutation(row, perm.bottom, alphabet=perm.alphabet)
+        new_perm = Permutation(row, perm.bottom, alphabet=alphabet)
+    return (Iet(new_perm, lengths), _step_matrix(perm.d, wi, li), step_type,
+            (wi, li))
 
-    d = perm.d
-    wi = perm.alphabet.index(winner)
-    li = perm.alphabet.index(loser)
-    matrix = tuple(tuple(1 if (i == j or (i == wi and j == li)) else 0
-                         for j in range(d)) for i in range(d))
-    return Iet(new_perm, new_lengths), matrix, step_type
+
+@functools.lru_cache(maxsize=None)
+def _step_matrix(d: int, wi: int, li: int):
+    """I + E[wi][li], shared by every step of that shape."""
+    return tuple(tuple(1 if (i == j or (i == wi and j == li)) else 0
+                       for j in range(d)) for i in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +171,18 @@ class InductionTrace:
     def extend(self, n: int) -> "InductionTrace":
         """Extend the trace to n steps (RVUndefinedError propagates)."""
         while self.depth < n:
-            nxt, matrix, step_type = rv_step(self._iets[-1])
+            nxt, matrix, step_type, (w, l) = rv_step(self._iets[-1])
             self._iets.append(nxt)
             self._matrices.append(matrix)
             self._types.append(step_type)
-            h = self._heights[-1]
-            d = self.base.perm.d
-            mt = mat_transpose(matrix)
-            self._heights.append(tuple(sum(mt[i][k] * h[k] for k in range(d))
-                                       for i in range(d)))
-            self._prefix[self.depth] = mat_mul(self._prefix[self.depth - 1],
-                                               matrix)
+            # B = I + E[w][l]: B^(n) B adds column w of B^(n) to column l,
+            # and B^T h adds h_w to h_l
+            h = list(self._heights[-1])
+            h[l] += h[w]
+            self._heights.append(tuple(h))
+            self._prefix[self.depth] = tuple(
+                row[:l] + (row[l] + row[w],) + row[l + 1:]
+                for row in self._prefix[self.depth - 1])
         return self
 
     def iet(self, n: int) -> Iet:
@@ -228,18 +233,9 @@ class InductionTrace:
 
     def check_cocycle(self, n: int) -> bool:
         """lambda^(0) = B^(0,n) lambda^(n), exactly."""
-        prod = self.product(0, n)
         lam_n = self.iet(n).lengths
-        lam_0 = self.base.lengths
-        d = self.base.perm.d
-        for i in range(d):
-            acc = ExactScalar(0)
-            for j in range(d):
-                if prod[i][j]:
-                    acc = acc + lam_n[j] * prod[i][j]
-            if acc != lam_0[i]:
-                return False
-        return True
+        return all(exact_dot(row, lam_n) == lam
+                   for row, lam in zip(self.product(0, n), self.base.lengths))
 
 
 def induct(trace: InductionTrace, n: int) -> InductionTrace:
@@ -289,18 +285,12 @@ class TowerSystem:
         return sum(t.height for t in self.towers)
 
 
-def _translate_interval(iet: Iet, left: ExactScalar, right: ExactScalar):
-    """Image of [left, right) under T, requiring it inside one continuity
-    interval (true for tower floors below the top)."""
-    a = iet.interval_of(left)
-    if right > iet.right(a):
-        raise IetDomainError("interval crosses a discontinuity")
-    w = iet.translation(a)
-    return left + w, right + w
-
-
 def towers(trace: InductionTrace, n: int) -> TowerSystem:
-    """Exact tower system at step n; partition invariant verified on return."""
+    """Exact tower system at step n; partition invariant verified on return.
+
+    Each tower is walked on one IntegerOrbit of its floors' left end, and
+    a floor below the top must lie inside one continuity interval.
+    """
     trace.extend(n)
     base_iet = trace.base
     ind = trace.iet(n)
@@ -310,11 +300,17 @@ def towers(trace: InductionTrace, n: int) -> TowerSystem:
         left = ind.left(a)
         right = ind.right(a)
         floors = [(left, right)]
+        orbit = IntegerOrbit(base_iet, left)
+        wp, wq = orbit.pair_of(right)
+        wp, wq = wp - orbit.p, wq - orbit.q
         for _ in range(heights[idx] - 1):
-            left, right = _translate_interval(base_iet, left, right)
-            floors.append((left, right))
-        out.append(Tower(a, heights[idx], floors[0][0], floors[0][1],
-                         tuple(floors)))
+            i = orbit.interval_index()
+            if orbit.pair_less(orbit.cuts[i], (orbit.p + wp, orbit.q + wq)):
+                raise IetDomainError("interval crosses a discontinuity")
+            orbit.step_forward(i)
+            floors.append((orbit.value(),
+                           orbit.value((orbit.p + wp, orbit.q + wq))))
+        out.append(Tower(a, heights[idx], left, right, tuple(floors)))
     system = TowerSystem(out, base_iet.total, n)
     if not system.check_partition():
         raise AssertionError("tower floors do not partition the interval")
@@ -327,8 +323,6 @@ def return_time_oracle(trace: InductionTrace, n: int, label: str) -> int:
     Contract: equals h^(n)_label = column sum of B^(0,n) for the label.
     The walk runs on integerized exact coordinates.
     """
-    from .iet import IntegerOrbit
-
     trace.extend(n)
     ind = trace.iet(n)
     x = (ind.left(label) + ind.right(label)) / 2

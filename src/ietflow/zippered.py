@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactScalar, as_scalar, exact_sum
+from .exact import ZERO, ExactScalar, as_scalar, exact_dot, exact_sum
 from .iet import Iet, InvalidIetError, Permutation
-from .rauzy import rv_step
+from .rauzy import _step_matrix, rv_step
 
 
 class InvalidSuspensionError(ValueError):
@@ -52,11 +52,14 @@ class SuspensionData:
         return exact_sum(self.value(a) for a in self.perm.bottom[:j])
 
     def validate(self):
+        top = bottom = ZERO
         for j in range(1, self.perm.d):
-            if not self.top_partial(j).sign() > 0:
+            top = top + self.value(self.perm.top[j - 1])
+            if not top.sign() > 0:
                 raise InvalidSuspensionError(
                     "top partial sum %d not positive" % j)
-            if not self.bottom_partial(j).sign() < 0:
+            bottom = bottom + self.value(self.perm.bottom[j - 1])
+            if not bottom.sign() < 0:
                 raise InvalidSuspensionError(
                     "bottom partial sum %d not negative" % j)
 
@@ -108,16 +111,12 @@ def heights_from_tau(susp: SuspensionData):
     """h_a = sum_{pi_t(b)<pi_t(a), pi_b(b)>pi_b(a)} tau_b
             - sum_{pi_t(b)>pi_t(a), pi_b(b)<pi_b(a)} tau_b, all positive."""
     perm = susp.perm
+    pos = [(perm.top_position(a), perm.bottom_position(a))
+           for a in perm.alphabet]
     out = []
-    for a in perm.alphabet:
-        ta, ba = perm.top_position(a), perm.bottom_position(a)
-        acc = ExactScalar(0)
-        for b in perm.alphabet:
-            tb, bb = perm.top_position(b), perm.bottom_position(b)
-            if tb < ta and bb > ba:
-                acc = acc + susp.value(b)
-            elif tb > ta and bb < ba:
-                acc = acc - susp.value(b)
+    for a, (ta, ba) in zip(perm.alphabet, pos):
+        acc = exact_dot([(tb < ta and bb > ba) - (tb > ta and bb < ba)
+                         for tb, bb in pos], susp.tau)
         if not acc.sign() > 0:
             raise InvalidSuspensionError("height of %r not positive" % a)
         out.append(acc)
@@ -160,14 +159,10 @@ def area_normalize(z: ZipperedRectangles) -> ZipperedRectangles:
 
 def forward_rv_step(z: ZipperedRectangles):
     """Lift of the induction step to triples: tau transforms like lambda."""
-    new_iet, matrix, step_type = rv_step(z.iet)
-    perm = z.iet.perm
-    if step_type == "top":
-        winner, loser = perm.top[-1], perm.bottom[-1]
-    else:
-        winner, loser = perm.bottom[-1], perm.top[-1]
-    tau = {a: z.suspension.value(a) for a in perm.alphabet}
-    tau[winner] = tau[winner] - tau[loser]
+    new_iet, matrix, step_type, (w, l) = rv_step(z.iet)
+    alphabet = z.iet.perm.alphabet
+    tau = {a: z.suspension.value(a) for a in alphabet}
+    tau[alphabet[w]] = tau[alphabet[w]] - tau[alphabet[l]]
     new_susp = SuspensionData(new_iet.perm, tau)
     return ZipperedRectangles(new_iet, new_susp), matrix, step_type
 
@@ -218,11 +213,8 @@ def backward_rv_step(z: ZipperedRectangles):
     tau = {a: z.suspension.value(a) for a in perm.alphabet}
     tau[winner] = tau[winner] + tau[loser]
 
-    d = perm.d
-    wi = perm.alphabet.index(winner)
-    li = perm.alphabet.index(loser)
-    matrix = tuple(tuple(1 if (i == j or (i == wi and j == li)) else 0
-                         for j in range(d)) for i in range(d))
+    matrix = _step_matrix(perm.d, perm.alphabet.index(winner),
+                          perm.alphabet.index(loser))
     prev = ZipperedRectangles(Iet(prev_perm, lengths),
                               SuspensionData(prev_perm, tau))
     return prev, matrix, step_type

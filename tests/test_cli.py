@@ -44,6 +44,15 @@ class TestBasics:
                        "10", check=False)
         assert proc.returncode == 1
 
+    def test_zero_denominator_in_iet_file_is_usage_error(self, tmp_path):
+        iet_file = tmp_path / "bad.iet"
+        iet_file.write_text("alphabet = A B\ntop = A B\nbottom = B A\n"
+                            "lengths = 1/2 1/0\n")
+        proc = run_cli("rv", "induct", "--iet", str(iet_file), "--steps",
+                       "2", check=False)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "usage"
+
     def test_unknown_flag_usage_error(self):
         proc = run_cli("rv", "induct", "--steps", "2", "--nope", check=False)
         assert proc.returncode == 2

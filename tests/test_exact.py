@@ -339,6 +339,37 @@ def test_scalar_ops_match_fraction_reference(pair):
     assert (2 - x) == make((2 - a1, -b1, d1))
 
 
+def assert_integer_form(s):
+    assert all(type(v) is int for v in (s.p, s.q, s.den))
+    assert s.den > 0
+    assert math.gcd(s.p, s.q, s.den) == 1
+    assert (s.q == 0) == (s.d is None)
+
+
+@given(scalar_pairs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_operation_results_keep_integer_form(pair):
+    x, y = make(pair[0]), make(pair[1])
+    results = [x, y, -x, abs(x), 2 - x, x * 3, 3 / (x * x + 1), x ** 3]
+    if not (x.d and y.d and x.d != y.d):
+        results += [x + y, x - y, x * y]
+        if y:
+            assert (x / y) * y == x
+            results.append(x / y)
+    if x:
+        assert x * x.inverse() == 1
+        results.append(x.inverse())
+    for s in results:
+        assert_integer_form(s)
+        assert (s.a, s.b) == (Fraction(s.p, s.den), Fraction(s.q, s.den))
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "(1+1*sqrt(5))/0"])
+def test_parse_zero_denominator_is_a_domain_error(text):
+    with pytest.raises(ExactDomainError):
+        ExactScalar.parse(text)
+
+
 def test_scalar_rejects_float_comparison():
     for x in (ExactScalar(Fraction(1, 3)), GOLDEN):
         for op in (lambda: x < 0.5, lambda: x >= 0.5, lambda: 0.5 < x):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,91 @@ def test_orbit_generator():
     assert pts == [ExactScalar(0), ExactScalar(F(1, 3)), ExactScalar(F(2, 3))]
     back = list(t.orbit(F(0), -2))
     assert back == [ExactScalar(0), ExactScalar(F(2, 3))]
+
+
+def fraction_geometry(perm, lengths):
+    """Reference geometry from Fraction lengths: left endpoints in top
+    and bottom order (label -> Fraction)."""
+    length = dict(zip(perm.alphabet, lengths))
+    lefts = []
+    for row in (perm.top, perm.bottom):
+        x, left = F(0), {}
+        for a in row:
+            left[a] = x
+            x += length[a]
+        lefts.append(left)
+    return length, lefts[0], lefts[1]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_lazy_geometry_matches_fraction_reference(seed):
+    # the IETs of a Rauzy-Veech trace are built from lengths alone and
+    # read their endpoints and translations from integer tables
+    from ietflow.rauzy import InductionTrace, RVUndefinedError
+
+    rng = random.Random(seed)
+    d = rng.choice([2, 3, 4, 5])
+    alphabet = "ABCDE"[:d]
+    while True:
+        bottom = rng.sample(alphabet, d)
+        perm = Permutation(alphabet, bottom)
+        if perm.irreducible:
+            break
+    den = rng.choice([1, 7, 360, 10 ** 6])
+    trace = InductionTrace(Iet(perm, [F(rng.randrange(1, 10 ** 6), den)
+                                      for _ in range(d)]))
+    try:
+        trace.extend(12)
+    except RVUndefinedError:
+        pass
+    for n in range(trace.depth + 1):
+        iet = trace.iet(n)
+        lengths = [lam.a for lam in iet.lengths]
+        length, left, left_b = fraction_geometry(iet.perm, lengths)
+        assert iet.total == ExactScalar(sum(lengths))
+        for a in alphabet:
+            assert iet.left(a) == ExactScalar(left[a])
+            assert iet.right(a) == ExactScalar(left[a] + length[a])
+            assert iet.left_image(a) == ExactScalar(left_b[a])
+            assert iet.right_image(a) == ExactScalar(left_b[a] + length[a])
+            assert iet.translation(a) == ExactScalar(left_b[a] - left[a])
+        # points on every cut, and random points
+        total = sum(lengths)
+        points = list(left.values()) + [total * F(rng.randrange(1000), 1000)
+                                        for _ in range(10)]
+        for x in points:
+            want = next(a for a in iet.perm.top
+                        if left[a] <= x < left[a] + length[a])
+            assert iet.interval_of(ExactScalar(x)) == want
+            want_b = next(a for a in iet.perm.bottom
+                          if left_b[a] <= x < left_b[a] + length[a])
+            assert iet.image_interval_of(ExactScalar(x)) == want_b
+            assert iet.evaluate(x) == ExactScalar(
+                x + left_b[want] - left[want])
+        with pytest.raises(IetDomainError):
+            iet.interval_of(ExactScalar(total))
+
+
+def test_lazy_geometry_on_quadratic_lengths():
+    # golden trace: endpoints as (a, b) Fraction pairs of a + b sqrt(5)
+    from ietflow.rauzy import InductionTrace
+
+    trace = InductionTrace(golden_rotation()).extend(10)
+    for n in range(11):
+        iet = trace.iet(n)
+        lengths = [(lam.a, lam.b) for lam in iet.lengths]
+        length = dict(zip(iet.perm.alphabet, lengths))
+        for row, get in ((iet.perm.top, iet.left),
+                         (iet.perm.bottom, iet.left_image)):
+            x = (F(0), F(0))
+            for a in row:
+                assert (get(a).a, get(a).b) == x
+                x = (x[0] + length[a][0], x[1] + length[a][1])
+        for a in iet.perm.alphabet:
+            assert iet.right(a) == iet.left(a) + iet.length(a)
+            assert iet.right_image(a) == iet.left_image(a) + iet.length(a)
+            assert iet.translation(a) == iet.left_image(a) - iet.left(a)
+            mid = (iet.left(a) + iet.right(a)) / 2
+            assert iet.interval_of(mid) == a
+            assert iet.interval_of(iet.left(a)) == a

@@ -26,6 +26,7 @@ from ietflow.rauzy import (
     mat_det,
     mat_identity,
     mat_mul,
+    mat_transpose,
     mat_vec,
     nu_col,
     positivity_check,
@@ -49,9 +50,10 @@ def fib(n):
 class TestRvStep:
     def test_symmetric_3iet_example(self):
         iet = symmetric_3iet()
-        new, matrix, step_type = rv_step(iet)
+        new, matrix, step_type, winner_loser = rv_step(iet)
         # bottom interval A (1/2) beats top interval C (1/6)
         assert step_type == "bottom"
+        assert winner_loser == (0, 2)
         lengths = {a: new.length(a) for a in "ABC"}
         assert lengths["A"] == ExactScalar(F(1, 3))
         assert lengths["B"] == ExactScalar(F(1, 3))
@@ -67,7 +69,7 @@ class TestRvStep:
     def test_first_return_oracle(self):
         # the induced map must equal the first-return map to the new interval
         iet = symmetric_3iet()
-        new, _, _ = rv_step(iet)
+        new, _, _, _ = rv_step(iet)
         hit = first_return_map(iet, new.total)
         for k in range(1, 40):
             x = ExactScalar(F(k, 48))
@@ -78,7 +80,7 @@ class TestRvStep:
 
     def test_first_return_oracle_golden(self):
         iet = golden_rotation()
-        new, _, _ = rv_step(iet)
+        new, _, _, _ = rv_step(iet)
         hit = first_return_map(iet, new.total)
         for k in range(1, 20):
             x = ExactScalar(F(k, 60))
@@ -148,6 +150,35 @@ class TestInduct:
             prod = trace.product(0, n)
             sums = tuple(sum(col) for col in zip(*prod))
             assert sums == trace.heights(n)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_updates_match_matrix_products(self, seed):
+        # extend updates B^(0,n) and h^(n) one column and one entry per
+        # step; the reference folds the step matrices with mat_mul and
+        # takes h^(n) = (B^(0,n))^T (1, ..., 1)
+        rng = random.Random(seed)
+        d = 3 + seed % 3
+        alphabet = "ABCDE"[:d]
+        bottom = list(alphabet)
+        while True:
+            rng.shuffle(bottom)
+            perm = Permutation(alphabet, bottom)
+            if perm.irreducible:
+                break
+        base = Iet(perm, [F(rng.randrange(1, 10 ** 6), 10 ** 6)
+                          for _ in range(d)])
+        trace = InductionTrace(base)
+        try:
+            trace.extend(30)
+        except RVUndefinedError:
+            pass
+        assert trace.depth > 5
+        prod = mat_identity(d)
+        for n in range(trace.depth + 1):
+            assert trace.product(0, n) == prod
+            assert trace.heights(n) == mat_vec(mat_transpose(prod), (1,) * d)
+            if n < trace.depth:
+                prod = mat_mul(prod, trace.step_matrix(n))
 
 
 class TestTowers:

@@ -67,7 +67,8 @@ def walks(draw):
     labels = "ABCDE"[:d]
     bottom = draw(st.permutations(labels))
     iet = Iet(Permutation(labels, bottom), lengths)
-    cuts = iet._top_cuts[:-1] + iet._bottom_cuts[:-1]
+    cuts = ([iet.right(a) for a in iet.perm.top[:-1]] +
+            [iet.right_image(a) for a in iet.perm.bottom[:-1]])
     kind = draw(st.sampled_from(["cut", "near", "anywhere"]))
     if kind == "anywhere":
         x = iet.total * F(draw(st.integers(min_value=0,
@@ -136,7 +137,7 @@ def test_shadow_off_outside_float_range(scale):
     assert orbit.exact_calls == 40
     # the exact walkers stay usable at either end
     assert iet_module.keane_check(iet, 30).satisfied_to_depth
-    cut = iet._top_cuts[0]
+    cut = iet.right(iet.perm.top[0])
     assert iet_module.first_return_map(iet, cut)(cut / 3)[1] >= 1
     walk = BirkhoffCursor(iet, None, x).advance_to(50)
     assert walk.min_gap() == min(walk.gap_minima()[0::2])

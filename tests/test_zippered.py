@@ -185,7 +185,7 @@ class TestBackwardStep:
         seed = canonical_zippered(bounded_type_3iet(), normalize=False)
         z, _, _ = forward_rv_step(seed)
         prev, matrix, step_type = backward_rv_step(z)
-        nxt, matrix_f, type_f = rv_step(prev.iet)
+        nxt, matrix_f, type_f, _ = rv_step(prev.iet)
         assert type_f == step_type
         assert matrix_f == matrix
         assert nxt == z.iet
