@@ -5,13 +5,19 @@ derivative, roof values, the special-flow advance in both directions,
 the closest approach of one orbit to the endpoints) on the golden
 asymmetric-log flow and prints a table with the speedup, then the cost
 of one rational and one Q(sqrt 5) ExactScalar `<`, `==`, `+`, `*`,
-`hash` and `inverse` in microseconds.  Run from the repository root:
+`hash` and `inverse` in microseconds, then the cost of the induction
+calls (Rohlin towers, their partition check, one `rv towers` CLI call and
+the selection of accelerated times) in milliseconds.  Run from the
+repository root:
 
     python3 benchmarks/bench_kernels.py [--samples N]
 """
 
 import argparse
+import contextlib
+import io
 import os
+import random
 import sys
 import time
 import timeit
@@ -21,9 +27,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from ietflow import kernels
+from ietflow import cli, kernels
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import asymmetric_log_roof, golden_rotation
+from ietflow.iet import Iet, Permutation
+from ietflow.rauzy import InductionTrace, select_accel_times, towers
 
 
 def timed(fn, repeat=3):
@@ -57,6 +65,52 @@ def exact_ops(number=20000):
                                      repeat=5))
             row.append(best / number * 1e6)
         print("%-10s" % label + "".join("%10.2f" % t for t in row))
+
+
+def _random_iet(seed: int, d: int) -> Iet:
+    """An irreducible d-IET with random lengths over Q, as the induction
+    benchmark workload draws them."""
+    rng = random.Random(seed)
+    alphabet = "ABCDE"[:d]
+    bottom = list(alphabet)
+    while True:
+        rng.shuffle(bottom)
+        perm = Permutation(alphabet, bottom)
+        if perm.irreducible:
+            break
+    weights = [rng.randrange(1, 10 ** 6) for _ in range(d)]
+    return Iet(perm, [Fraction(w, sum(weights)) for w in weights])
+
+
+def induction_ops(number=20):
+    """Print the best-of-5 cost per call of towers at step 12, the
+    partition check of that system, one `rv towers --at 10` CLI call and
+    select_accel_times (fresh trace, extension included)."""
+    gold = golden_rotation()
+    rand = _random_iet(5, 5)
+    gold_trace = InductionTrace(gold).extend(12)
+    rand_trace = InductionTrace(rand).extend(12)
+    system = towers(gold_trace, 12)
+
+    def cli_towers():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["rv", "towers", "--at", "10"])
+
+    rows = [
+        ("towers golden n=12", lambda: towers(gold_trace, 12)),
+        ("towers random d=5 n=12", lambda: towers(rand_trace, 12)),
+        ("check_partition golden n=12", system.check_partition),
+        ("cli rv towers --at 10", cli_towers),
+        ("select_accel_times golden 46", lambda: select_accel_times(
+            InductionTrace(gold).extend(46), 3, lbar_max=4)),
+        ("select_accel_times random d=5 25", lambda: select_accel_times(
+            InductionTrace(rand).extend(25), 3, lbar_max=4)),
+    ]
+    cli_towers()        # the CLI builds its parser on the first call
+    print("\ninduction calls [ms per call]")
+    for name, fn in rows:
+        best = min(timeit.repeat(fn, number=number, repeat=5))
+        print("%-34s %10.3f" % (name, best / number * 1e3))
 
 
 def main():
@@ -117,6 +171,7 @@ def main():
         print("max relative disagreement (r=100 derivative sums): %.2e" % err)
 
     exact_ops()
+    induction_ops()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 a requested check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -645,9 +646,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call.  Parsing leaves a
+    parser unchanged (every call fills a fresh namespace), so one serves
+    every call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParamWindowError as exc:

@@ -408,31 +408,43 @@ class IntegerOrbit:
         self.den = den
         self.field = field
         self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b = tables
-        self.p, self.q = self._pair(x)
-        if _sign(self.p, self.q, field) < 0 or \
-                not self.less_than(self.cuts[-1]):
-            raise IetDomainError("point %r outside [0, %s)" %
-                                 (x, iet.total.to_string()))
-        self.steps = 0
         if field is None:
             # on Q every pair is (P, 0): the numerators are the tables and
             # the shadow, with no error
             (self.frights, self.flefts, self.ftrans, self.frights_b,
              self.ftrans_b) = shadow
             self.unit = 0
-            self.xf = self.p
         elif iet.float_tables() is not None:
             (self.frights, self.flefts, self.ftrans, self.frights_b,
              self.ftrans_b) = iet.float_tables()
             self.unit = math.ldexp(1.0, math.frexp(self.frights[-1])[1] - 52)
-            self.xf = self.to_float()
         else:
             # no float decision: the bisect answer is never kept
             zeros = (0.0,) * len(self.cuts)
             (self.frights, self.flefts, self.ftrans, self.frights_b,
              self.ftrans_b) = (zeros,) * 5
             self.unit = math.inf
+        self.move_to(self._pair(x))
+
+    def move_to(self, pair):
+        """Move the walker to the point of integer pair `pair` (over
+        `den`) and restart its step count: a new orbit on the same
+        tables."""
+        p, q = pair
+        if _sign(p, q, self.field) < 0 or \
+                _sign(p - self.cuts[-1][0], q - self.cuts[-1][1],
+                      self.field) >= 0:
+            raise IetDomainError("point %r outside [0, %s)" %
+                                 (self.value(pair),
+                                  self.iet.total.to_string()))
+        self.p, self.q = p, q
+        self.steps = 0
+        if self.field is None:
+            self.xf = p
+        elif self.unit == math.inf:
             self.xf = 0.0
+        else:
+            self.xf = self.to_float()
         self.xerr = self.unit
 
     def _pair(self, s: ExactScalar):

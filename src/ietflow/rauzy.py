@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactScalar, exact_dot, exact_max, exact_min
+from .exact import (ZERO, ExactScalar, _reduce, _sign, exact_dot, exact_max,
+                    exact_min)
 from .iet import Iet, IetDomainError, IntegerOrbit, Permutation
 
 
@@ -158,22 +158,22 @@ class InductionTrace:
     def __init__(self, base: Iet):
         self.base = base
         self._iets = [base]
-        self._matrices = []
+        self._moves = []
         self._types = []
         self._heights = [(1,) * base.perm.d]
         self._prefix = {0: mat_identity(base.perm.d)}
-        self._window_cache = {}
+        self._windows = {}
 
     @property
     def depth(self) -> int:
-        return len(self._matrices)
+        return len(self._moves)
 
     def extend(self, n: int) -> "InductionTrace":
         """Extend the trace to n steps (RVUndefinedError propagates)."""
         while self.depth < n:
-            nxt, matrix, step_type, (w, l) = rv_step(self._iets[-1])
+            nxt, _, step_type, (w, l) = rv_step(self._iets[-1])
             self._iets.append(nxt)
-            self._matrices.append(matrix)
+            self._moves.append((w, l))
             self._types.append(step_type)
             # B = I + E[w][l]: B^(n) B adds column w of B^(n) to column l,
             # and B^T h adds h_w to h_l
@@ -191,7 +191,7 @@ class InductionTrace:
 
     def step_matrix(self, k: int):
         self.extend(k + 1)
-        return self._matrices[k]
+        return _step_matrix(self.base.perm.d, *self._moves[k])
 
     def step_type(self, k: int) -> str:
         self.extend(k + 1)
@@ -209,13 +209,18 @@ class InductionTrace:
         self.extend(n)
         if m == 0:
             return self._prefix[n]
-        key = (m, n)
-        cached = self._window_cache.get(key)
+        windows = self._windows.setdefault(m, {m: self._prefix[0]})
+        cached = windows.get(n)
         if cached is None:
-            cached = mat_identity(self.base.perm.d)
-            for k in range(m, n):
-                cached = mat_mul(cached, self._matrices[k])
-            self._window_cache[key] = cached
+            # extend the longest cached window B^(m,k), k < n: B_j = I +
+            # E[w][l] adds column w to column l, O(d) per step.  list()
+            # copies the keys at once, as other readers may add windows.
+            k = max(j for j in list(windows) if j < n)
+            rows = [list(row) for row in windows[k]]
+            for w, l in self._moves[k:n]:
+                for row in rows:
+                    row[l] += row[w]
+            cached = windows[n] = tuple(map(tuple, rows))
         return cached
 
     def heights(self, n: int):
@@ -246,23 +251,61 @@ def induct(trace: InductionTrace, n: int) -> InductionTrace:
 # Rohlin towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Tower:
-    label: str
-    height: int
-    base_left: ExactScalar
-    base_right: ExactScalar
-    floors: tuple  # tuple of (left, right) pairs, floor i = T^i(base)
+    """Rohlin tower over I^(n)_label: floor i is T^i(base), 0 <= i < height.
+
+    The floors are kept as integer pairs over the common denominator `den`
+    of the base IET, a pair (P, Q) standing for (P + Q sqrt(field))/den:
+    the left end of every floor (`lefts`, floor 0 first) and the width
+    they share.  Reading `floors`, `base_left` or `base_right` builds
+    ExactScalars.
+    """
+
+    __slots__ = ("label", "lefts", "width", "den", "field")
+
+    def __init__(self, label: str, lefts, width: tuple, den: int,
+                 field=None):
+        self.label = label
+        self.lefts = tuple(lefts)
+        self.width = width
+        self.den = den
+        self.field = field
+
+    @property
+    def height(self) -> int:
+        return len(self.lefts)
+
+    def _scalar(self, p: int, q: int) -> ExactScalar:
+        return _reduce(p, q, self.den, self.field)
+
+    @property
+    def base_left(self) -> ExactScalar:
+        return self._scalar(*self.lefts[0])
+
+    @property
+    def base_right(self) -> ExactScalar:
+        (p, q), (wp, wq) = self.lefts[0], self.width
+        return self._scalar(p + wp, q + wq)
+
+    @property
+    def floors(self) -> tuple:
+        """(left, right) of each floor, floor 0 first."""
+        wp, wq = self.width
+        return tuple((self._scalar(p, q), self._scalar(p + wp, q + wq))
+                     for p, q in self.lefts)
 
 
 class TowerSystem:
     """Rohlin towers over the step-n induced IET.
 
     Floor i of the tower over I^(n)_a is T^i I^(n)_a, 0 <= i < h_a; the
-    floors of all towers partition [0, total) exactly.
+    floors of all towers partition [0, total) exactly.  The towers share
+    one denominator and field.
     """
 
     def __init__(self, towers: list[Tower], total: ExactScalar, step: int):
+        if len({(t.den, t.field) for t in towers}) > 1:
+            raise ValueError("towers over different denominators")
         self.towers = towers
         self.total = total
         self.step = step
@@ -273,44 +316,76 @@ class TowerSystem:
                 yield floor + (tower.label,)
 
     def check_partition(self) -> bool:
-        floors = sorted(self.all_floors(), key=lambda f: f[0])
-        x = ExactScalar(0)
-        for left, right, _ in floors:
-            if left != x:
+        """Exact chain check on the floors' integer pairs: every width is
+        positive, and from 0 each floor's right end is the left end of the
+        next, so that every floor is visited once and the last right end
+        is `total`."""
+        if not self.towers:
+            return self.total.sign() == 0
+        den, field = self.towers[0].den, self.towers[0].field
+        total = self.total
+        if den % total.den or (total.d is not None and total.d != field):
+            return False
+        end = (total.p * (den // total.den), total.q * (den // total.den))
+        right_of = {}
+        for tower in self.towers:
+            wp, wq = tower.width
+            if _sign(wp, wq, field) <= 0:
                 return False
-            x = right
-        return x == self.total
+            for p, q in tower.lefts:
+                right_of[p, q] = (p + wp, q + wq)
+        if len(right_of) != self.floor_count():
+            return False        # two floors share a left end
+        x = (0, 0)
+        for _ in range(len(right_of)):
+            x = right_of.get(x)
+            if x is None:
+                return False
+        return x == end
 
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
 
 
+def _base_pairs(ind: Iet, den: int) -> dict:
+    """label -> (left end, length) of I_label of `ind`, as integer pairs
+    over `den`, a multiple of the denominators of its lengths."""
+    length = dict(zip(ind.perm.alphabet, ind.lengths))
+    out, p, q = {}, 0, 0
+    for a in ind.perm.top:
+        lam = length[a]
+        k = den // lam.den
+        out[a] = ((p, q), (lam.p * k, lam.q * k))
+        p, q = p + lam.p * k, q + lam.q * k
+    return out
+
+
 def towers(trace: InductionTrace, n: int) -> TowerSystem:
     """Exact tower system at step n; partition invariant verified on return.
 
-    Each tower is walked on one IntegerOrbit of its floors' left end, and
-    a floor below the top must lie inside one continuity interval.
+    One IntegerOrbit of the base IET walks every tower, moved to each
+    tower's base; a floor below the top must lie inside one continuity
+    interval.  The step-n lengths are integer combinations of the base
+    lengths, so every floor is an integer pair over the base's common
+    denominator.
     """
     trace.extend(n)
     base_iet = trace.base
-    ind = trace.iet(n)
     heights = trace.heights(n)
+    orbit = IntegerOrbit(base_iet, ZERO)
+    bases = _base_pairs(trace.iet(n), orbit.den)
     out = []
     for idx, a in enumerate(base_iet.perm.alphabet):
-        left = ind.left(a)
-        right = ind.right(a)
-        floors = [(left, right)]
-        orbit = IntegerOrbit(base_iet, left)
-        wp, wq = orbit.pair_of(right)
-        wp, wq = wp - orbit.p, wq - orbit.q
+        left, (wp, wq) = bases[a]
+        orbit.move_to(left)
+        lefts = [left]
         for _ in range(heights[idx] - 1):
             i = orbit.interval_index()
             if orbit.pair_less(orbit.cuts[i], (orbit.p + wp, orbit.q + wq)):
                 raise IetDomainError("interval crosses a discontinuity")
             orbit.step_forward(i)
-            floors.append((orbit.value(),
-                           orbit.value((orbit.p + wp, orbit.q + wq))))
-        out.append(Tower(a, heights[idx], left, right, tuple(floors)))
+            lefts.append((orbit.p, orbit.q))
+        out.append(Tower(a, lefts, (wp, wq), orbit.den, orbit.field))
     system = TowerSystem(out, base_iet.total, n)
     if not system.check_partition():
         raise AssertionError("tower floors do not partition the interval")

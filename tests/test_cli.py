@@ -166,3 +166,54 @@ class TestAnalysisCommands:
         assert proc.returncode == 0
         lines = [json.loads(l) for l in proc.stdout.splitlines()]
         assert all(line["lower_ok"] and line["upper_ok"] for line in lines)
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ["rv", "towers", "--at", "4", "--log", "{log}"],
+        ["rv", "induct", "--steps", "2", "--nope"],
+        ["dc", "mixing", "--depth", "5", "--tau", "2"],
+        ["iet", "eval", "--x", "1/3", "--n", "3", "--log", "{log}"],
+    )
+
+    @staticmethod
+    def _run(sequence, log, capsys):
+        from ietflow import cli
+
+        out = []
+        for argv in sequence:
+            argv = [a.format(log=log) for a in argv]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # one process-long sequence through the parser main keeps: a valid
+        # call, an argparse error, a usage error from the parameter window
+        # check, then another command; the reference builds a fresh parser
+        # for every call
+        from ietflow import cli
+
+        log = tmp_path / "exp.jsonl"
+        shared = self._run(self.SEQUENCE, log, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._run(self.SEQUENCE, log, capsys)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, ("exit", 2), 2, 0]
+        records = [json.loads(l) for l in log.read_text().splitlines()]
+        assert len(records) == 4
+        assert [r["config"] for r in records[:2]] == \
+            [r["config"] for r in records[2:]]
+        assert records[0]["config"]["at"] == 4
+        assert records[1]["config"]["x"] == "1/3"
+
+    def test_build_parser_returns_a_new_parser(self):
+        from ietflow import cli
+
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (
@@ -17,6 +18,8 @@ from ietflow.rauzy import (
     InductionTrace,
     MatrixDomainError,
     RVUndefinedError,
+    Tower,
+    TowerSystem,
     balance_check,
     col_norm,
     hilbert_distance,
@@ -38,6 +41,36 @@ from ietflow.rauzy import (
 )
 
 F = Fraction
+
+
+def _random_trace(seed, depth):
+    """Trace of a random irreducible Q-IET with d = 3 + seed % 3, lengths
+    over 10^6, extended to `depth` steps or until a step is undefined."""
+    rng = random.Random(seed)
+    d = 3 + seed % 3
+    alphabet = "ABCDE"[:d]
+    bottom = list(alphabet)
+    while True:
+        rng.shuffle(bottom)
+        perm = Permutation(alphabet, bottom)
+        if perm.irreducible:
+            break
+    base = Iet(perm, [F(rng.randrange(1, 10 ** 6), 10 ** 6)
+                      for _ in range(d)])
+    trace = InductionTrace(base)
+    try:
+        trace.extend(depth)
+    except RVUndefinedError:
+        pass
+    return trace
+
+
+def _fixture_traces(depth):
+    """Golden (Q(sqrt 5)), bounded-3 (Q(sqrt 2)) and random d = 3..5 Q
+    traces, extended to at most `depth` steps."""
+    return [InductionTrace(golden_rotation()).extend(depth),
+            InductionTrace(bounded_type_3iet()).extend(depth)] + [
+        _random_trace(seed, depth) for seed in range(6)]
 
 
 def fib(n):
@@ -156,22 +189,8 @@ class TestInduct:
         # extend updates B^(0,n) and h^(n) one column and one entry per
         # step; the reference folds the step matrices with mat_mul and
         # takes h^(n) = (B^(0,n))^T (1, ..., 1)
-        rng = random.Random(seed)
-        d = 3 + seed % 3
-        alphabet = "ABCDE"[:d]
-        bottom = list(alphabet)
-        while True:
-            rng.shuffle(bottom)
-            perm = Permutation(alphabet, bottom)
-            if perm.irreducible:
-                break
-        base = Iet(perm, [F(rng.randrange(1, 10 ** 6), 10 ** 6)
-                          for _ in range(d)])
-        trace = InductionTrace(base)
-        try:
-            trace.extend(30)
-        except RVUndefinedError:
-            pass
+        trace = _random_trace(seed, 30)
+        d = trace.base.perm.d
         assert trace.depth > 5
         prod = mat_identity(d)
         for n in range(trace.depth + 1):
@@ -179,6 +198,75 @@ class TestInduct:
             assert trace.heights(n) == mat_vec(mat_transpose(prod), (1,) * d)
             if n < trace.depth:
                 prod = mat_mul(prod, trace.step_matrix(n))
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_every_window_matches_mat_mul_fold(self, index):
+        # product(m, n) folds column additions onto the longest cached
+        # window with the same m; the reference folds full mat_muls.
+        # The windows are asked for in a shuffled order, so a window is
+        # built from scratch, from a shorter cached one, or read back.
+        trace = _fixture_traces(24)[index]
+        depth, d = trace.depth, trace.base.perm.d
+        want = {}
+        for m in range(depth + 1):
+            prod = mat_identity(d)
+            for n in range(m, depth + 1):
+                want[m, n] = prod
+                if n < depth:
+                    prod = mat_mul(prod, trace.step_matrix(n))
+        fresh = InductionTrace(trace.base).extend(depth)
+        windows = list(want)
+        random.Random(index).shuffle(windows)
+        for m, n in windows + windows:
+            assert fresh.product(m, n) == want[m, n]
+
+
+def _reference_towers(trace, n):
+    """Reference tower walk: one IntegerOrbit per tower, started at its
+    base, each floor read back as a pair of ExactScalars.  Returns
+    (label, height, floors) per tower."""
+    from ietflow.iet import IetDomainError, IntegerOrbit
+
+    trace.extend(n)
+    base_iet = trace.base
+    ind = trace.iet(n)
+    heights = trace.heights(n)
+    out = []
+    for idx, a in enumerate(base_iet.perm.alphabet):
+        left = ind.left(a)
+        right = ind.right(a)
+        floors = [(left, right)]
+        orbit = IntegerOrbit(base_iet, left)
+        wp, wq = orbit.pair_of(right)
+        wp, wq = wp - orbit.p, wq - orbit.q
+        for _ in range(heights[idx] - 1):
+            i = orbit.interval_index()
+            if orbit.pair_less(orbit.cuts[i], (orbit.p + wp, orbit.q + wq)):
+                raise IetDomainError("interval crosses a discontinuity")
+            orbit.step_forward(i)
+            floors.append((orbit.value(),
+                           orbit.value((orbit.p + wp, orbit.q + wq))))
+        out.append((a, heights[idx], tuple(floors)))
+    return out
+
+
+def _sorted_partition(floors, total):
+    """Reference partition check: the floors, sorted by their left ends,
+    must tile [0, total).  It lets a zero-width floor through, which
+    check_partition rejects."""
+    x = ExactScalar(0)
+    for left, right, *_ in sorted(floors, key=lambda f: f[0]):
+        if left != x:
+            return False
+        x = right
+    return x == total
+
+
+def _system(total, den, *towers_):
+    """Hand-built TowerSystem over Q: (label, lefts, width) numerators over
+    den per tower."""
+    return TowerSystem([Tower(a, [(p, 0) for p in lefts], (w, 0), den)
+                        for a, lefts, w in towers_], ExactScalar(total), 0)
 
 
 class TestTowers:
@@ -207,6 +295,81 @@ class TestTowers:
         trace = InductionTrace(bounded_type_3iet())
         for n in range(0, 11):
             assert towers(trace, n).check_partition()
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_floors_match_per_tower_walk(self, index):
+        trace = _fixture_traces(12)[index]
+        for n in range(trace.depth + 1):
+            system = towers(trace, n)
+            got = [(t.label, t.height, t.floors) for t in system.towers]
+            assert got == _reference_towers(trace, n)
+            for t in system.towers:
+                assert (t.base_left, t.base_right) == t.floors[0]
+            assert _sorted_partition(system.all_floors(), system.total)
+
+    def test_check_partition_faults(self):
+        # three single-floor towers tile [0, 1) in tenths
+        assert _system(1, 10, ("A", [0], 3), ("B", [3], 2),
+                       ("C", [5], 5)).check_partition()
+        # two-floor towers: [0,3) [5,8) and [3,5) [8,10)
+        assert _system(1, 10, ("A", [0, 5], 3),
+                       ("B", [3, 8], 2)).check_partition()
+        faults = {
+            "gap": [("A", [0], 3), ("B", [4], 1), ("C", [5], 5)],
+            "overlap": [("A", [0], 4), ("B", [3], 2), ("C", [5], 5)],
+            "duplicate": [("A", [0], 3), ("B", [3, 3], 2), ("C", [5], 5)],
+            "duplicate tower": [("A", [0], 3), ("B", [3], 2), ("C", [5], 5),
+                                ("D", [3], 2)],
+            "missing": [("A", [0], 3), ("C", [5], 5)],
+            "missing upper floor": [("A", [0, 5], 3), ("B", [3], 2)],
+            "past total": [("A", [0], 3), ("B", [3], 2), ("C", [5], 5),
+                           ("D", [10], 2)],
+            "zero width": [("A", [0], 3), ("B", [3], 2), ("E", [5], 0),
+                           ("C", [5], 5)],
+            "zero width at the end": [("A", [0], 3), ("B", [3], 2),
+                                      ("C", [5], 5), ("E", [10], 0)],
+        }
+        for name, spec in faults.items():
+            assert not _system(1, 10, *spec).check_partition(), name
+        with pytest.raises(ValueError):
+            TowerSystem([Tower("A", [(0, 0)], (1, 0), 2),
+                         Tower("B", [(1, 0)], (1, 0), 4)], ExactScalar(1), 0)
+        # a zero-width floor the sort-based check lets through
+        assert _sorted_partition(
+            _system(1, 10, *faults["zero width"]).all_floors(),
+            ExactScalar(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 5), n=st.integers(0, 8),
+           edits=st.lists(st.tuples(st.sampled_from(
+               ["drop", "copy", "shift", "width"]), st.integers(0, 10 ** 6),
+               st.integers(-3, 3)), max_size=3))
+    def test_chain_check_matches_sorted_check(self, seed, n, edits):
+        # perturb the integer floors of a real system (drop, duplicate or
+        # shift a floor, change a tower's width by a few units of the
+        # denominator) and compare the two checks on the result
+        trace = _random_trace(seed, n)
+        system = towers(trace, min(n, trace.depth))
+        specs = [[t.label, list(t.lefts), t.width, t.den]
+                 for t in system.towers]
+        for kind, pick, delta in edits:
+            spec = specs[pick % len(specs)]
+            lefts = spec[1]
+            if kind == "width":
+                spec[2] = (spec[2][0] + delta, 0)
+            elif lefts:
+                j = pick % len(lefts)
+                if kind == "drop":
+                    del lefts[j]
+                elif kind == "copy":
+                    lefts.insert(j, lefts[j])
+                else:
+                    lefts[j] = (lefts[j][0] + delta, 0)
+        perturbed = TowerSystem([Tower(*spec) for spec in specs],
+                                system.total, system.step)
+        want = (_sorted_partition(perturbed.all_floors(), perturbed.total)
+                and all(t.width[0] > 0 for t in perturbed.towers))
+        assert perturbed.check_partition() == want
 
 
 class TestReturnTimes:
