@@ -262,11 +262,6 @@ class PrtyReport:
     forward_bounds: list = field(default_factory=list)
     backward_bounds: list = field(default_factory=list)
 
-    def conclusion_holds(self, direction: str) -> bool:
-        rows = (self.forward_bounds if direction == "forward"
-                else self.backward_bounds)
-        return bool(rows) and all(ok for _, _, ok in rows)
-
 
 def prty_conditions(accel: AccelTimes, spec: RoofSpec, x, ell: int,
                     xi: float, eps: float, grid: int = 4,

@@ -40,9 +40,7 @@ from .ratner import (
     WitnessConfig,
     forbac_scan,
     mixing_correlation,
-    sample_good_pairs,
-    sr_pair_test,
-    verify_witness_high_precision,
+    witness_run,
 )
 from .roof import FlowPoint, birkhoff_sum, discrete_iterations, flow, roof_area
 from .serialize import (
@@ -435,29 +433,16 @@ def cmd_ratner_witness(args):
     cfg = WitnessConfig(epsilon=args.eps, N=args.n_floor, params=params,
                         seed=args.seed, window_len=args.window_len)
     gap = Fraction(args.gap) if args.gap else Fraction(1, 10 ** 5)
-    pairs, region = sample_good_pairs(accel, spec, cfg, args.pairs, gap)
-    verified = 0
-    reverified = 0
-    failures = {"straddle": 0, "deviation": 0, "tie": 0}
-    rows = []
-    for x, y in pairs:
-        res = sr_pair_test(accel, spec, cfg, x, y, good_region=region)
-        ok_hp = False
-        if res.verdict == "verified":
-            verified += 1
-            ok_hp = verify_witness_high_precision(iet, spec, res, cfg.epsilon)
-            reverified += ok_hp
-        else:
-            failures[res.failure_kind] += 1
-        rows.append({"x": x.to_string(), "direction": res.direction,
-                     "verdict": res.verdict, "p": res.p, "M": res.M,
-                     "L": res.L, "max_dev": res.max_deviation,
-                     "reverified": bool(ok_hp),
-                     "reason": res.failure_reason})
-    for row in rows:
-        print(json.dumps(row))
-    rate = verified / len(pairs) if pairs else 0.0
-    payload = {"pairs": len(pairs), "verified": verified,
+    results, ok_hp, failures = witness_run(accel, spec, cfg, args.pairs, gap)
+    for res, ok in zip(results, ok_hp):
+        print(json.dumps({"x": res.x.to_string(), "direction": res.direction,
+                          "verdict": res.verdict, "p": res.p, "M": res.M,
+                          "L": res.L, "max_dev": res.max_deviation,
+                          "reverified": ok, "reason": res.failure_reason}))
+    verified = sum(res.verdict == "verified" for res in results)
+    reverified = sum(ok_hp)
+    rate = verified / len(results) if results else 0.0
+    payload = {"pairs": len(results), "verified": verified,
                "reverified": reverified, "rate": rate, "failures": failures}
     _emit(payload, args)
     _log_record(args, "ratner witness", payload, trace=trace, seed=args.seed)

@@ -8,8 +8,6 @@ conservative direction for exclusion semantics.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .exact import ExactScalar, as_scalar, exact_sum
 from .iet import Iet
 

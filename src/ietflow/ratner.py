@@ -5,9 +5,10 @@ for a pair x < y at scale 1/((C- - C+) r log r), the Birkhoff sums of the
 roof drift apart by almost exactly one unit over the window [M, M+L] with
 M ~ r and L ~ eps^5 M, provided the pair's orbit stays clear of the
 singular endpoints in the chosen time direction.  One exact pair walk
-(`_pair_walk`, rigorous error radii) decides every attempt, so a verified
-verdict is certified when it is made; `verify_witness_high_precision`
-re-walks the chosen direction with it.
+(`_pair_walk`, rigorous error radii) decides every attempt and keeps its
+checkpoints as the certificate that `verify_witness_high_precision` checks
+with no second walk; the two-cursor walk and the 120-bit mpmath enclosure
+in the tests check the walk itself.  `witness_run` is the whole sweep.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ class GoodRegion:
 
 @dataclass
 class WitnessResult:
+    """The pair test's verdict; `checkpoints` is the chosen attempt's
+    certificate, `_pair_walk`'s (Delta_n, radius, S_n(f')(x)) list."""
+
     x: ExactScalar
     y: ExactScalar
     direction: str
@@ -292,6 +296,7 @@ class WitnessResult:
     straddle_index: Optional[int] = None
     attempts: list = field(default_factory=list)   # (direction, ok, reason,
     #                                                straddle_index)
+    checkpoints: list = field(default_factory=list)
 
 
 def _scale_from_gap(gap: float, g: float) -> int:
@@ -495,7 +500,8 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
         # good as any
         out = dict(direction=att_direction, p=1 if deriv < 0 else -1,
                    max_deviation=math.inf, max_separation=math.inf,
-                   verdict="failed", straddle_index=straddle)
+                   verdict="failed", straddle_index=straddle,
+                   checkpoints=checkpoints)
         if straddle is not None:
             return dict(out, failure_kind="straddle",
                         failure_reason="pair straddles a discontinuity at "
@@ -544,23 +550,36 @@ except ImportError:         # pragma: no cover - gmpy2 is optional
 def verify_witness_high_precision(iet: Iet, spec: RoofSpec,
                                   result: WitnessResult,
                                   epsilon: float) -> bool:
-    """Re-check a verified pair with the pair test's exact walk.
+    """Check the pair test's certificate of a verified pair, with no walk.
 
-    `_pair_walk` runs again on the result's x, y, direction, M and L.  The
-    pair passes when 0 < y - x < epsilon exactly, it straddles no cut,
-    and |S_n(f)(x) - S_n(f)(y) - p| + radius < epsilon at every n in
-    [M, M+L].  An orbit point on a singular endpoint or within the hard
-    cutoff raises RoofDomainError or SingularityTooClose, with its orbit
-    index.
+    The pair passes when its verdict is "verified", 0 < y - x < epsilon
+    exactly, it straddles no cut, it holds one checkpoint for each n in
+    [M, M+L] and |S_n(f)(x) - S_n(f)(y) - p| + radius < epsilon at every
+    one.  The walk that made the certificate raised on any orbit point at
+    a singular endpoint or within the hard cutoff.  `iet` and `spec` are
+    not read; they stay in the signature for its callers.
     """
-    if result.verdict != "verified" or \
-            not 0 < result.y - result.x < ExactScalar(F(epsilon)):
-        return False
-    checkpoints, straddle, _ = _pair_walk(
-        iet, spec, result.x, result.y, result.M, result.L,
-        forward=result.direction == "forward")
-    return straddle is None and all(abs(v - result.p) + e < epsilon
-                                    for v, e, _ in checkpoints)
+    cps = result.checkpoints
+    return (result.verdict == "verified" and result.straddle_index is None
+            and 0 < result.y - result.x < ExactScalar(F(epsilon))
+            and len(cps) == result.L + 1
+            and all(abs(v - result.p) + e < epsilon for v, e, _ in cps))
+
+
+def witness_run(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
+                count: int, gap):
+    """Sample `count` good pairs (x, x + gap), test each and check each
+    certificate.  Returns (results, reverified, failures): WitnessResults in
+    sample order, one re-verified flag per pair and failures by kind."""
+    pairs, region = sample_good_pairs(accel, spec, cfg, count, gap)
+    results = [sr_pair_test(accel, spec, cfg, x, y, good_region=region)
+               for x, y in pairs]
+    reverified = [verify_witness_high_precision(accel.trace.base, spec, res,
+                                                cfg.epsilon)
+                  for res in results]
+    failures = {kind: sum(res.failure_kind == kind for res in results)
+                for kind in ("straddle", "deviation", "tie")}
+    return results, reverified, failures
 
 
 def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,

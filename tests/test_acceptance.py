@@ -45,9 +45,8 @@ from ietflow.ratner import (
     WitnessConfig,
     induced_discontinuity_gaps,
     mixing_correlation,
-    sample_good_pairs,
-    sr_pair_test,
     verify_witness_high_precision,
+    witness_run,
 )
 from ietflow.roof import BirkhoffCursor, roof_area
 from ietflow.birkhoff import default_slack_constant
@@ -385,17 +384,16 @@ def test_criterion_10_sr_witness(golden_accel):
     params = validate_params(1.01, 0.995, 0.9, 0.992)
     cfg = WitnessConfig(epsilon=0.2, N=10, params=params, seed=42,
                         window_len=0)
-    pairs, region = sample_good_pairs(accel, spec, cfg, 100, F(1, 10 ** 5))
+    results, _, _ = witness_run(accel, spec, cfg, 100, F(1, 10 ** 5))
     verified = []
-    for x, y in pairs:
-        res = sr_pair_test(accel, spec, cfg, x, y, good_region=region)
+    for res in results:
         if res.verdict == "verified":
             assert res.p in (-1, 1)
             assert res.L / res.M >= cfg.kappa
             assert res.M >= cfg.N and res.L >= cfg.N
             assert res.direction in ("forward", "backward")
             verified.append(res)
-    rate = len(verified) / len(pairs)
+    rate = len(verified) / len(results)
     assert rate >= 0.9, "verified rate %.2f below 0.9" % rate
     for res in verified:
         assert verify_witness_high_precision(iet, spec, res, cfg.epsilon), \

@@ -141,6 +141,20 @@ class TestWitness:
             assert r.M >= cfg.N and r.L >= cfg.N
             assert r.max_deviation < cfg.epsilon
             assert r.max_separation < cfg.epsilon
+        # the library sweep gives the hand loop's verdicts on the same pairs
+        swept, reverified, failures = ratner.witness_run(accel, spec, cfg, 12,
+                                                         F(1, 10 ** 5))
+        keys = ("x", "y", "verdict", "direction", "p", "M", "L",
+                "failure_kind")
+        assert [[getattr(r, k) for k in keys] for r in swept] == \
+            [[getattr(r, k) for k in keys] for r in results]
+        hand = {"straddle": 0, "deviation": 0, "tie": 0}
+        for r in results:
+            if r.verdict != "verified":
+                hand[r.failure_kind] += 1
+        assert failures == hand
+        assert sum(failures.values()) == len(pairs) - len(verified)
+        assert sum(reverified) == len(verified)
 
     def test_high_precision_reverification(self):
         accel, spec, cfg = witness_setup()
@@ -337,11 +351,108 @@ class TestReverification:
         iet = accel.trace.base
         pairs, region = sample_good_pairs(accel, spec, cfg, 1, F(1, 10 ** 5))
         res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
+        # the pair walk, which makes the certificate, raises on the orbit
+        # point that lands on l_B; verification reads no orbit
         x = iet.iterate(iet.left("B"), -5)
-        planted = dataclasses.replace(res, x=x, y=x + F(1, 10 ** 5),
-                                      direction="forward")
+        y = x + F(1, 10 ** 5)
         with pytest.raises(RoofDomainError, match="orbit index 5"):
-            verify_witness_high_precision(iet, spec, planted, cfg.epsilon)
+            ratner._pair_walk(iet, spec, x, y, res.M, res.L, True)
+
+
+def rewalk_verify(iet, spec, res, epsilon):
+    """The former re-verification, kept as the reference of the certificate
+    check: `_pair_walk` runs again on the result's x, y, direction, M and L,
+    and the pair passes when 0 < y - x < epsilon, no straddle and
+    |Delta_n - p| + radius < epsilon on the walked window."""
+    if res.verdict != "verified" or \
+            not 0 < res.y - res.x < ExactScalar(F(epsilon)):
+        return False
+    checkpoints, straddle, _ = ratner._pair_walk(
+        iet, spec, res.x, res.y, res.M, res.L,
+        forward=res.direction == "forward")
+    return straddle is None and all(abs(v - res.p) + e < epsilon
+                                    for v, e, _ in checkpoints)
+
+
+def verified_result():
+    """A verified golden (seed 7) result and its setup."""
+    if "verified" not in _CACHE:
+        accel, spec, cfg = witness_setup()
+        results, _, _ = ratner.witness_run(accel, spec, cfg, 3, F(1, 10 ** 5))
+        res = next(r for r in results if r.verdict == "verified")
+        _CACHE["verified"] = (accel.trace.base, spec, cfg, res)
+    return _CACHE["verified"]
+
+
+def _radius_to_the_bound(res, eps):
+    # raise one radius until |Delta - p| + radius == eps exactly
+    cps = list(res.checkpoints)
+    k = len(cps) // 2
+    v, e, d = cps[k]
+    dev = abs(v - res.p)
+    r = eps - dev
+    while dev + r < eps:
+        r = math.nextafter(r, math.inf)
+    while dev + r > eps:
+        r = math.nextafter(r, -math.inf)
+    assert dev + r == eps and r > e
+    cps[k] = (v, r, d)
+    return dataclasses.replace(res, checkpoints=cps)
+
+
+TAMPERS = {
+    "radius_at_the_bound": _radius_to_the_bound,
+    "one_checkpoint_short": lambda res, eps: dataclasses.replace(
+        res, checkpoints=res.checkpoints[:-1]),
+    "straddle_index_set": lambda res, eps: dataclasses.replace(
+        res, straddle_index=res.M + res.L // 2),
+    "gap_at_epsilon": lambda res, eps: dataclasses.replace(
+        res, y=res.x + ExactScalar(F(eps))),
+    "verdict_failed": lambda res, eps: dataclasses.replace(
+        res, verdict="failed"),
+}
+
+
+class TestCertificate:
+    """`verify_witness_high_precision` checks the pair test's certificate;
+    the former re-walk is the reference."""
+
+    @pytest.mark.parametrize("setup", [witness_setup, bounded3_witness_setup])
+    def test_agrees_with_the_rewalk(self, setup):
+        accel, spec, cfg = setup()
+        iet = accel.trace.base
+        results, reverified, _ = ratner.witness_run(accel, spec, cfg, 12,
+                                                    F(1, 10 ** 5))
+        seen = set()
+        for res in results:
+            # the result, its flipped shift, and both shifts called verified
+            # (a failed result's certificate then decides alone)
+            variants = [res] + [dataclasses.replace(res, p=p,
+                                                    verdict="verified")
+                                for p in (res.p, -res.p) if p]
+            for v in variants:
+                ok = verify_witness_high_precision(iet, spec, v, cfg.epsilon)
+                assert ok == rewalk_verify(iet, spec, v, cfg.epsilon)
+                seen.add(ok)
+        assert seen == {True, False}
+        assert reverified == [r.verdict == "verified" for r in results]
+
+    def test_makes_no_walk(self, monkeypatch):
+        iet, spec, cfg, res = verified_result()
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the certificate check walked the pair")
+
+        monkeypatch.setattr(ratner, "_pair_walk", no_walk)
+        assert verify_witness_high_precision(iet, spec, res, cfg.epsilon)
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_certificate_fails(self, tamper):
+        iet, spec, cfg, res = verified_result()
+        assert len(res.checkpoints) == res.L + 1
+        assert verify_witness_high_precision(iet, spec, res, cfg.epsilon)
+        bad = TAMPERS[tamper](res, cfg.epsilon)
+        assert not verify_witness_high_precision(iet, spec, bad, cfg.epsilon)
 
 
 class TestPairWalk:
