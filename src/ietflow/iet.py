@@ -377,11 +377,18 @@ class IntegerOrbit:
     bounds are finite and their roundings bounded (total length at most
     2^-1000 or at least 2^800) `unit` is infinite and every decision is
     exact.
+
+    Backward index: T^-1 x lies in I_a exactly when x lies in T(I_a), so
+    the bottom interval j holding x gives the top interval of T^-1 x,
+    `top_of_b[j]`, the top index of the letter bottom[j].  The bottom
+    locate is itself certified, so `step_backward` returns the top index
+    of the new point with no second locate.
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
-                 "trans_b", "p", "q", "steps", "frights", "flefts", "ftrans",
-                 "frights_b", "ftrans_b", "xf", "xerr", "unit")
+                 "trans_b", "top_of_b", "p", "q", "steps", "frights",
+                 "flefts", "ftrans", "frights_b", "ftrans_b", "xf", "xerr",
+                 "unit")
 
     def __init__(self, iet: Iet, x, extra=()):
         x = as_scalar(x)
@@ -408,6 +415,7 @@ class IntegerOrbit:
         self.den = den
         self.field = field
         self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b = tables
+        self.top_of_b = tuple(map(iet.perm.top.index, iet.perm.bottom))
         if field is None:
             # on Q every pair is (P, 0): the numerators are the tables and
             # the shadow, with no error
@@ -524,13 +532,15 @@ class IntegerOrbit:
         self.steps += 1
         self._shift(self.ftrans[i])
 
-    def step_backward(self):
+    def step_backward(self) -> int:
+        """Step to T^-1 x; returns interval_index() of the new point."""
         j = self._locate(self.frights_b, self.cuts_b)
         t = self.trans_b[j]
         self.p -= t[0]
         self.q -= t[1]
         self.steps -= 1
         self._shift(-self.ftrans_b[j])
+        return self.top_of_b[j]
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair

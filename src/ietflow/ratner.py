@@ -14,6 +14,7 @@ in the tests check the walk itself.  `witness_run` is the whole sweep.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -24,13 +25,17 @@ from . import kernels
 from .birkhoff import locate_scale, sigma_set
 from .diophantine import DcParams, k_set_membership
 from .exact import ExactScalar, _sign, as_scalar, exact_min, quadratic_float
-from .iet import Iet, IntegerOrbit
+from .iet import _SHADOW_RESYNC, Iet, IntegerOrbit, _first_above
 from .intervals import IntervalUnion, neighborhood, pullback_union
 from .rauzy import AccelTimes
-from .roof import (BirkhoffCursor, RoofDomainError, RoofSpec,
-                   SingularityTooClose, _terms, roof_area)
+from .roof import (_EPS, BirkhoffCursor, RoofDomainError, RoofSpec,
+                   SingularityTooClose, roof_area)
 
 F = Fraction
+
+#: A shadow gap g with error bound e enters the pair walk's logs as it is
+#: when e <= g * _SHADOW_GAP; closer to a cut the exact gap is rounded.
+_SHADOW_GAP = 2.0 ** -20
 
 
 class WitnessPreconditionError(ValueError):
@@ -318,20 +323,37 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                forward: bool):
     """Exact lockstep walk of a close pair x < y to depth M+L.
 
-    One IntegerOrbit walks x and delta = y - x stays an exact integer pair:
+    One exact orbit walks x and delta = y - x stays an exact integer pair:
     while x_n and y_n share an interval I_a, y_n = x_n + delta, and they
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
     step, which also catches a pair split by a bottom cut).  The test goes
     by the shadow when its difference clears xerr + 3 units (xerr + 1 for a
     gap, one for delta and the difference, one spare for the thresholds;
     see IntegerOrbit), else by `exact._sign`; the walk stops at the first
-    straddle.  Up to it y's gaps are dl + delta and dr - delta, both roofs
-    come from `roof._terms`, and Delta_n = S_n(f)(x) - S_n(f)(y) carries a
-    rigorous radius: both evaluation radii and twice the rounding bound of
-    each difference and each summation step (which also covers a later
-    comparison).  S_n(f')(x) is summed alongside, both in BirkhoffCursor's
-    convention (S_{-n} backward) and under its exact singular-point and
-    hard-cutoff checks, on both points.
+    straddle.  The orbit step is IntegerOrbit's, inline: one certified
+    locate per step (in bottom order backward, where the top index of the
+    new point is `top_of_b` of the bottom one) and the same shadow re-sync.
+
+    Up to the straddle y's gaps are dl + delta and dr - delta, and both
+    roofs follow the formula and `_EPS` budget of `roof._terms`.  On Q the
+    shadow is the exact numerator, so every gap is correctly rounded and
+    the walk is `_terms` bit for bit.  On Q(sqrt d) x's gaps are read from
+    the shadow, xf - flefts[i] and frights[i] - xf, each within e = xerr +
+    unit of the exact gap (xerr, the table entry's half unit and the
+    difference's rounding); y's are those -/+ the float of delta, within
+    e + unit (delta's half ulp and the sum's rounding).  A gap g with
+    e <= g 2^-20 enters the log as it is, and the radius gains
+    C e/(g - e) for it, since |log g - log gap| <= e/(g - e) (the `_EPS`
+    budget's spare covers the rounding of that term); a closer gap (near
+    a cut) is the correctly rounded float of the exact pair and adds
+    nothing.  Delta_n = S_n(f)(x) - S_n(f)(y) thus carries a rigorous
+    radius: both evaluation radii, the gap terms and twice the rounding
+    bound of each difference and each summation step (which also covers a
+    later comparison).  The gap terms exceed what a shadow gap takes off
+    the `_EPS` budgets, so the radius still covers both points'
+    `eval_roof` radii.  S_n(f')(x) is summed alongside from the same gaps,
+    both in BirkhoffCursor's convention (S_{-n} backward) and under its
+    exact singular-point and hard-cutoff checks, on both points.
 
     Returns (checkpoints, straddle, deriv): checkpoints[k] = (Delta_n,
     radius, S_n(f')(x)) for n = M + k up to M+L or the straddle; straddle
@@ -342,15 +364,30 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     field, den, unit = orbit.field, orbit.den, orbit.unit
     d0, d1 = orbit.pair_of(y)
     d0, d1 = d0 - orbit.p, d1 - orbit.q
-    step = orbit.step_forward if forward else orbit.step_backward
-    lefts, rights = orbit.lefts, orbit.cuts
+    lefts, rights, flefts, frights = (orbit.lefts, orbit.cuts, orbit.flefts,
+                                      orbit.frights)
+    if forward:
+        cuts, fcuts, trans, ftrans = rights, frights, orbit.trans, orbit.ftrans
+    else:
+        # the walk visits T^-1 x, T^-2 x, ...: it starts one step back and
+        # locates each point in bottom order to step it on
+        i = orbit.step_backward()
+        cuts, fcuts, top_of_b = orbit.cuts_b, orbit.frights_b, orbit.top_of_b
+        trans = [(-t0, -t1) for t0, t1 in orbit.trans_b]
+        ftrans = [-t for t in orbit.ftrans_b]
+    p, q, xf, xerr = orbit.p, orbit.q, orbit.xf, orbit.xerr
+    last = len(cuts) - 1
+    resync = _SHADOW_RESYNC * unit
+    log = math.log
     top = iet.perm.top
     c0 = float(spec.c0)
+    ac0 = abs(c0)
     cps = [float(spec.cplus[a]) for a in top]
     cms = [float(spec.cminus[a]) for a in top]
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
     # delta and the cutoff in the shadow's units (numerators on Q, exact)
-    if field is None:
+    rational = field is None
+    if rational:
         df, cut = d0, cutoff.numerator * den // cutoff.denominator
     else:
         df, cut = orbit.to_float((d0, d1)), float(cutoff)
@@ -362,47 +399,107 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
             checkpoints.append((sign * s, err, sign * ds))
         if n == M + L:
             break
-        if not forward:
-            step()
-        i = orbit.interval_index()
-        p, q, left, right = orbit.p, orbit.q, lefts[i], rights[i]
-        tol = orbit.xerr + 3 * unit
-        yrf = orbit.frights[i] - orbit.xf - df
+        # locate x_n among `cuts` as IntegerOrbit._locate does
+        j = bisect_right(fcuts, xf, 0, last)
+        tol = xerr + 2 * unit
+        if not ((j == 0 or xf - fcuts[j - 1] > tol) and
+                (j == last or fcuts[j] - xf > tol)):
+            j = _first_above(p, q, cuts, field)
+        if forward:
+            i = j
+        tol += unit
+        left, right = lefts[i], rights[i]
+        grx = frights[i] - xf
+        yrf = grx - df
         if yrf <= tol and (yrf < -tol or _sign(right[0] - p - d0,
                                                right[1] - q - d1, field) <= 0):
             return checkpoints, n, sign * ds
-        idx = n if forward else -n - 1
         if singular and p == left[0] and q == left[1]:
             # the model is undefined on {l_a}; constant roofs have no
             # singular set and evaluate everywhere
             raise RoofDomainError("evaluation at the singular point l_%s "
-                                  "(orbit index %d)" % (top[i], idx))
+                                  "(orbit index %d)"
+                                  % (top[i], n if forward else -n - 1))
         cp, cm = cps[i], cms[i]
         # where the roof is constant, f(x_n) - f(y_n) and f'(x_n) are 0
         if cp or cm:
-            dl = (p - left[0], q - left[1])
-            dr = (right[0] - p, right[1] - q)
-            yl, yr = (dl[0] + d0, dl[1] + d1), (dr[0] - d0, dr[1] - d1)
+            glx = xf - flefts[i]
             # y's left gap exceeds x's and x's right gap exceeds y's, so
             # these two shadows gate the exact cutoff checks of both points
-            if (cp and orbit.xf - orbit.flefts[i] <= tol + cut) or (
-                    cm and yrf <= tol + cut):
-                for side, c, gap in (("left", cp, dl), ("right", cm, dr),
-                                     ("left", cp, yl), ("right", cm, yr)):
+            if (cp and glx <= tol + cut) or (cm and yrf <= tol + cut):
+                dl = (p - left[0], q - left[1])
+                dr = (right[0] - p, right[1] - q)
+                for side, c, gap in (
+                        ("left", cp, dl), ("right", cm, dr),
+                        ("left", cp, (dl[0] + d0, dl[1] + d1)),
+                        ("right", cm, (dr[0] - d0, dr[1] - d1))):
                     if c and orbit.value(gap) <= cutoff:
-                        raise SingularityTooClose(top[i], side,
-                                                  orbit.value(gap), idx)
-            fx, ex, dfx, _ = _terms(
-                c0, cp, cm, quadratic_float(*dl, den, field) if cp else 0.0,
-                quadratic_float(*dr, den, field) if cm else 0.0)
-            fy, ey, _, _ = _terms(
-                c0, cp, cm, quadratic_float(*yl, den, field) if cp else 0.0,
-                quadratic_float(*yr, den, field) if cm else 0.0)
+                        raise SingularityTooClose(
+                            top[i], side, orbit.value(gap),
+                            n if forward else -n - 1)
+            # the terms of x and y as roof._terms, from shadow gaps gx, gy
+            # within e, ey of the exact ones (correctly rounded on Q)
+            e, ey = xerr + unit, xerr + 2 * unit
+            fx = fy = c0
+            bx = by = ac0
+            dfx = rad = 0.0
+            if cp:
+                gx, gy = glx, glx + df
+                if rational:
+                    gx, gy = gx / den, gy / den
+                else:
+                    if e > gx * _SHADOW_GAP:
+                        gx = quadratic_float(p - left[0], q - left[1], den,
+                                             field)
+                    else:
+                        rad += cp * e / (gx - e)
+                    if ey > gy * _SHADOW_GAP:
+                        gy = quadratic_float(p - left[0] + d0,
+                                             q - left[1] + d1, den, field)
+                    else:
+                        rad += cp * ey / (gy - ey)
+                tx, ty = -cp * log(gx), -cp * log(gy)
+                fx += tx
+                fy += ty
+                bx += abs(tx) + cp
+                by += abs(ty) + cp
+                dfx += -cp / gx
+            if cm:
+                gx, gy = grx, yrf
+                if rational:
+                    gx, gy = gx / den, gy / den
+                else:
+                    if e > gx * _SHADOW_GAP:
+                        gx = quadratic_float(right[0] - p, right[1] - q, den,
+                                             field)
+                    else:
+                        rad += cm * e / (gx - e)
+                    if ey > gy * _SHADOW_GAP:
+                        gy = quadratic_float(right[0] - p - d0,
+                                             right[1] - q - d1, den, field)
+                    else:
+                        rad += cm * ey / (gy - ey)
+                tx, ty = -cm * log(gx), -cm * log(gy)
+                fx += tx
+                fy += ty
+                bx += abs(tx) + cm
+                by += abs(ty) + cm
+                dfx += cm / gx
             s += fx - fy
-            err += ex + ey + (abs(fx - fy) + abs(s)) * 2.0 ** -52
+            err += (_EPS * (bx + abs(fx)) + _EPS * (by + abs(fy)) + rad
+                    + (abs(fx - fy) + abs(s)) * 2.0 ** -52)
             ds += dfx
-        if forward:
-            step(i)
+        # step x_n on, moving the shadow as IntegerOrbit._shift does
+        t = trans[j]
+        p += t[0]
+        q += t[1]
+        xerr += 2 * unit
+        if xerr > resync:
+            xf, xerr = quadratic_float(p, q, den, field), unit
+        else:
+            xf += ftrans[j]
+        if not forward:
+            i = top_of_b[j]
     return checkpoints, None, sign * ds
 
 

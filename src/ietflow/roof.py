@@ -306,10 +306,10 @@ class BirkhoffCursor:
             while steps < n:
                 if forward:
                     idx = steps
+                    i = locate(frights, rights)
                 else:
-                    step()
+                    i = step()
                     idx = -steps - 1
-                i = locate(frights, rights)
                 p, q, xf = orbit.p, orbit.q, orbit.xf
                 left, right = lefts[i], rights[i]
                 dl = (p - left[0], q - left[1])

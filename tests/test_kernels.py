@@ -286,25 +286,28 @@ def test_numpy_flow_budget_error_carries_context(setup, t):
     assert err.pending == int((np.abs(steps) > budget).sum()) > 0
 
 
-@pytest.mark.skipif(COMPILED is None, reason="compiled kernels unavailable")
 class TestParity:
-    def test_birkhoff_parity(self, setup):
+    """The compiled kernels against numpy; `compiled_core` (conftest)
+    builds the committed _core.c when no extension is installed."""
+
+    def test_birkhoff_parity(self, setup, compiled_core):
         _, _, tables = setup
         rng = np.random.default_rng(17)
         x = rng.uniform(0.001, 0.999, size=200)
         for r in [1, 10, 100, -40]:
-            a = kernels.birkhoff_sums(tables, x, r, module=COMPILED)
+            a = kernels.birkhoff_sums(tables, x, r, module=compiled_core)
             b = kernels.birkhoff_sums(tables, x, r,
                                       module=kernels.load_fallback())
             np.testing.assert_allclose(a, b, rtol=1e-10)
 
-    def test_flow_parity(self, setup):
+    def test_flow_parity(self, setup, compiled_core):
         _, _, tables = setup
         rng = np.random.default_rng(23)
         x = rng.uniform(0.001, 0.999, size=500)
         y = rng.uniform(0.0, 0.9, size=500)
         for t in [7.3, -2.9]:
-            xa, ya, sa = kernels.flow_points(tables, x, y, t, module=COMPILED)
+            xa, ya, sa = kernels.flow_points(tables, x, y, t,
+                                             module=compiled_core)
             xb, yb, sb = kernels.flow_points(tables, x, y, t,
                                              module=kernels.load_fallback())
             # jump counts may differ only where a sample sits within float
@@ -313,24 +316,24 @@ class TestParity:
             np.testing.assert_allclose(xa, xb, atol=1e-12)
             np.testing.assert_allclose(ya, yb, atol=1e-10)
 
-    def test_min_distance_parity(self, setup):
+    def test_min_distance_parity(self, setup, compiled_core):
         iet, _, tables = setup
         points = np.array([0.0, float(iet.right("A")), 1.0])
         for x in [0.123, 0.456, 0.789]:
             for n in [50, -50]:
                 a = kernels.min_orbit_distance(tables, x, n, points,
-                                               module=COMPILED)
+                                               module=compiled_core)
                 b = kernels.min_orbit_distance(tables, x, n, points,
                                                module=kernels.load_fallback())
                 assert a == b
 
-    def test_3iet_roof_parity(self):
+    def test_3iet_roof_parity(self, compiled_core):
         iet = bounded_type_3iet()
         spec = asymmetric_log_roof(iet)
         tables = kernels.float_tables(iet, spec)
         rng = np.random.default_rng(5)
         x = rng.uniform(0.001, 0.999, size=300)
-        a = kernels.roof_values(tables, x, module=COMPILED)
+        a = kernels.roof_values(tables, x, module=compiled_core)
         b = kernels.roof_values(tables, x, module=kernels.load_fallback())
         np.testing.assert_allclose(a, b, rtol=1e-13)
 

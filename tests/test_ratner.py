@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ietflow.diophantine import validate_params
-from ietflow.exact import ExactScalar
+from ietflow.exact import ExactScalar, _sign, quadratic_float
 from ietflow.fixtures import (
     asymmetric_log_roof,
     bounded_type_3iet,
@@ -33,7 +33,15 @@ from ietflow.ratner import (
     triple_mixing_probe,
     verify_witness_high_precision,
 )
-from ietflow.roof import BirkhoffCursor, RoofDomainError, eval_roof, roof_area
+from ietflow.roof import (
+    BirkhoffCursor,
+    RoofDomainError,
+    RoofSpec,
+    SingularityTooClose,
+    _terms,
+    eval_roof,
+    roof_area,
+)
 
 F = Fraction
 
@@ -374,6 +382,80 @@ def rewalk_verify(iet, spec, res, epsilon):
                                     for v, e, _ in checkpoints)
 
 
+def exact_gap_pair_walk(iet, spec, x, y, M, L, forward):
+    """The former `_pair_walk`, kept as the reference of the shadow-gap
+    walk: IntegerOrbit's own steps, a second top-order locate after each
+    backward step, and every roof term from the correctly rounded float of
+    its exact gap through `roof._terms`.  Same arguments and return value
+    (checkpoints, straddle, deriv)."""
+    orbit = IntegerOrbit(iet, x, extra=[y])
+    field, den, unit = orbit.field, orbit.den, orbit.unit
+    d0, d1 = orbit.pair_of(y)
+    d0, d1 = d0 - orbit.p, d1 - orbit.q
+    step = orbit.step_forward if forward else orbit.step_backward
+    lefts, rights = orbit.lefts, orbit.cuts
+    top = iet.perm.top
+    c0 = float(spec.c0)
+    cps = [float(spec.cplus[a]) for a in top]
+    cms = [float(spec.cminus[a]) for a in top]
+    singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
+    # delta and the cutoff in the shadow's units (numerators on Q, exact)
+    if field is None:
+        df, cut = d0, cutoff.numerator * den // cutoff.denominator
+    else:
+        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+    sign = 1 if forward else -1
+    s = err = ds = 0.0
+    checkpoints = []
+    for n in range(M + L + 1):
+        if n >= M:
+            checkpoints.append((sign * s, err, sign * ds))
+        if n == M + L:
+            break
+        if not forward:
+            step()
+        i = orbit.interval_index()
+        p, q, left, right = orbit.p, orbit.q, lefts[i], rights[i]
+        tol = orbit.xerr + 3 * unit
+        yrf = orbit.frights[i] - orbit.xf - df
+        if yrf <= tol and (yrf < -tol or _sign(right[0] - p - d0,
+                                               right[1] - q - d1, field) <= 0):
+            return checkpoints, n, sign * ds
+        idx = n if forward else -n - 1
+        if singular and p == left[0] and q == left[1]:
+            # the model is undefined on {l_a}; constant roofs have no
+            # singular set and evaluate everywhere
+            raise RoofDomainError("evaluation at the singular point l_%s "
+                                  "(orbit index %d)" % (top[i], idx))
+        cp, cm = cps[i], cms[i]
+        # where the roof is constant, f(x_n) - f(y_n) and f'(x_n) are 0
+        if cp or cm:
+            dl = (p - left[0], q - left[1])
+            dr = (right[0] - p, right[1] - q)
+            yl, yr = (dl[0] + d0, dl[1] + d1), (dr[0] - d0, dr[1] - d1)
+            # y's left gap exceeds x's and x's right gap exceeds y's, so
+            # these two shadows gate the exact cutoff checks of both points
+            if (cp and orbit.xf - orbit.flefts[i] <= tol + cut) or (
+                    cm and yrf <= tol + cut):
+                for side, c, gap in (("left", cp, dl), ("right", cm, dr),
+                                     ("left", cp, yl), ("right", cm, yr)):
+                    if c and orbit.value(gap) <= cutoff:
+                        raise SingularityTooClose(top[i], side,
+                                                  orbit.value(gap), idx)
+            fx, ex, dfx, _ = _terms(
+                c0, cp, cm, quadratic_float(*dl, den, field) if cp else 0.0,
+                quadratic_float(*dr, den, field) if cm else 0.0)
+            fy, ey, _, _ = _terms(
+                c0, cp, cm, quadratic_float(*yl, den, field) if cp else 0.0,
+                quadratic_float(*yr, den, field) if cm else 0.0)
+            s += fx - fy
+            err += ex + ey + (abs(fx - fy) + abs(s)) * 2.0 ** -52
+            ds += dfx
+        if forward:
+            step(i)
+    return checkpoints, None, sign * ds
+
+
 def verified_result():
     """A verified golden (seed 7) result and its setup."""
     if "verified" not in _CACHE:
@@ -546,6 +628,122 @@ class TestPairWalk:
         assert straddle == 7
         assert signs == [0]
         assert len(checkpoints) == 3
+
+
+def walk_outcome(checkpoints, deriv):
+    """(p, tie) as `sr_pair_test` reads them from one walk."""
+    return (1 if deriv < 0 else -1,
+            len({d > 0 for _, _, d in checkpoints if d != 0}) > 1)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name to count its calls; returns the one-item count
+    list."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def two_sided_roof(iet):
+    """Log singularities on both sides of every cut, of unequal weights."""
+    top = iet.perm.top
+    return RoofSpec(c0=F(1), cplus={a: F(k + 1, 4) for k, a in enumerate(top)},
+                    cminus={a: F(k + 2, 3) for k, a in enumerate(top)})
+
+
+class TestShadowGapWalk:
+    """`_pair_walk` reads x's gaps from the shadow; the former walk, which
+    rounds every exact gap, and 120-bit mpmath are its references."""
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("setup", [witness_setup,
+                                       bounded3_witness_setup])
+    def test_against_the_exact_gap_walk(self, setup, forward):
+        accel, spec, cfg = setup()
+        iet = accel.trace.base
+        pairs, region = sample_good_pairs(accel, spec, cfg, 20,
+                                          F(1, 10 ** 5))
+        res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
+        for x, y in pairs:
+            checkpoints, straddle, deriv = ratner._pair_walk(
+                iet, spec, x, y, res.M, res.L, forward)
+            ref, ref_straddle, ref_deriv = exact_gap_pair_walk(
+                iet, spec, x, y, res.M, res.L, forward)
+            assert straddle == ref_straddle
+            assert len(checkpoints) == len(ref)
+            for (v, e, _), (rv, re, _) in zip(checkpoints, ref):
+                assert abs(v - rv) <= e + re
+                assert e >= re * (1 - 1e-12)
+            assert walk_outcome(checkpoints, deriv) == \
+                walk_outcome(ref, ref_deriv)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gap_near_a_cut_is_rounded_exactly(self, monkeypatch, side,
+                                                forward):
+        iet = golden_rotation()
+        spec = two_sided_roof(iet)
+        tiny = ExactScalar(F(1, 10 ** 12))
+        gap = ExactScalar(F(1, 10 ** 5))
+        # the walk's point 7 (forward x_7, backward T^-7 x, index 6) lies
+        # 1e-12 from l_B: x to its right (x's left gap), or y to its left
+        # (y's right gap); the next forward point lies 1e-12 from 0 or 1
+        # (T l_B = 0).  The 2^-20 rule rounds those two gaps exactly.
+        target = iet.left("B") + tiny if side == "left" \
+            else iet.left("B") - tiny
+        start = iet.iterate(target, -7 if forward else 7)
+        x, y = (start, start + gap) if side == "left" else (start - gap,
+                                                            start)
+        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        L = 12
+        checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, 0, L,
+                                                     forward)
+        assert straddle is None and len(checkpoints) == L + 1
+        assert calls[0] == 2
+        hp = reference_checkpoints(iet, spec, SimpleNamespace(
+            x=x, y=y, direction="forward" if forward else "backward", M=0,
+            L=L))
+        for n, (value, err, _) in enumerate(checkpoints):
+            assert abs(value - hp[n][0]) <= err, n
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("roof", [asymmetric_log_roof, two_sided_roof])
+    def test_rational_iet_is_bit_identical(self, roof, forward):
+        perm = Permutation(["A", "B", "C", "D"], ["D", "C", "B", "A"])
+        iet = Iet(perm, [F(3, 17), F(5, 19), F(2, 7), F(7, 23)])
+        spec = roof(iet)
+        x = ExactScalar(F(41, 100))
+        y = x + ExactScalar(F(1, 10 ** 7))
+        walk = ratner._pair_walk(iet, spec, x, y, 20, 300, forward)
+        assert walk == exact_gap_pair_walk(iet, spec, x, y, 20, 300, forward)
+        assert len(walk[0]) > 100
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_long_window_passes_the_shadow_resync(self, monkeypatch,
+                                                  forward):
+        accel, spec, _ = witness_setup()
+        iet = accel.trace.base
+        x = ExactScalar(F(41, 100))
+        y = x + ExactScalar(F(1, 10 ** 5))
+        M, L = 2100, 20
+        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, M, L,
+                                                     forward)
+        assert straddle is None and len(checkpoints) == L + 1
+        # 2 units a step from 1: the shadow re-syncs once past 4096 units
+        assert calls[0] == 1
+        hp = reference_checkpoints(iet, spec, SimpleNamespace(
+            x=x, y=y, direction="forward" if forward else "backward", M=M,
+            L=L))
+        for n, (value, err, _) in enumerate(checkpoints, M):
+            assert abs(value - hp[n][0]) <= err, n
+
 
 class TestExactInputs:
     """Points entering the exact pipeline are exact: a float is a

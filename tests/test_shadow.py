@@ -98,9 +98,11 @@ def test_shadow_decisions_are_exact(case):
     left_min = right_min = None
     for k in range(steps):
         if not forward:
-            orbit.step_backward()
+            # T^-1 x lies in I_a exactly when x lies in T(I_a)
+            top_index = orbit.step_backward()
         i = sign_index(orbit, orbit.cuts)
         assert orbit.interval_index() == i
+        assert forward or top_index == i
         assert orbit.image_interval_index() == sign_index(orbit,
                                                           orbit.cuts_b)
         assert_shadow_bound(orbit)
