@@ -4,7 +4,8 @@ The witness machinery realizes the finite part of the shearing argument:
 for a pair x < y at scale 1/((C- - C+) r log r), the Birkhoff sums of the
 roof drift apart by almost exactly one unit over the window [M, M+L] with
 M ~ r and L ~ eps^5 M, provided the pair's orbit stays clear of the
-singular endpoints in the chosen time direction.  One exact pair walk
+singular endpoints in one time direction (the property is switchable);
+the pair test tries forward, then backward.  One exact pair walk
 (`_pair_walk`, rigorous error radii) decides every attempt and keeps its
 checkpoints as the certificate that `verify_witness_high_precision` checks
 with no second walk; the two-cursor walk and the 120-bit mpmath enclosure
@@ -230,12 +231,22 @@ def _j_set(accel: AccelTimes, ell: int, xi: float) -> IntervalUnion:
     return IntervalUnion(parts)
 
 
+def _require_unit_interval(iet: Iet):
+    """The margins, the sampler and the good region take the IET to act on
+    [0, 1); any other total is refused, not rescaled."""
+    if iet.total != 1:
+        raise WitnessPreconditionError(
+            "the SR witness needs an IET on [0, 1), got total %s"
+            % iet.total.to_string())
+
+
 class GoodRegion:
     """X' = margins complement minus Z1 (doubled excluded sets) and Z2
     (the J_l unions), accumulated over the indices outside K_T up to the
     trace horizon."""
 
     def __init__(self, accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig):
+        _require_unit_interval(accel.trace.base)
         self.accel = accel
         self.spec = spec
         self.cfg = cfg
@@ -509,18 +520,21 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
 
     The scale r solves 1/((C- - C+)(r+1) log(r+1)) < y-x <=
     1/((C- - C+) r log r); the window is M = min(r, (1-eps^4) q_{l+1})
-    when l is in K_T (max otherwise), L = [eps^5 M] + 1; the direction
-    comes from the backward-or-forward scan and p from the derivative-sum
-    sign.  Verified, by the exact pair walk, means no straddle and
-    |S_n(f)(x) - S_n(f)(y) - p| + radius < eps for every n in [M, M+L];
-    the separation is y - x < min(eps, eps^2) throughout.  `max_deviation`
-    is that certified bound and `max_separation` float(y - x); a straddle
-    or a tie (derivative sums changing sign) sets both to infinity.
+    when l is in K_T (max otherwise), L = [eps^5 M] + 1, and p comes from
+    the derivative-sum sign.  Verified, by the exact pair walk, means no
+    straddle and |S_n(f)(x) - S_n(f)(y) - p| + radius < eps for every n in
+    [M, M+L]; the separation is y - x < min(eps, eps^2) throughout.  The
+    walk runs forward first and backward only when forward fails, so the
+    direction is forward whenever forward verifies; `attempts` lists both
+    when there were two.  `max_deviation` is that certified bound and
+    `max_separation` float(y - x); a straddle or a tie (derivative sums
+    changing sign) sets both to infinity.  The IET must act on [0, 1).
     """
     iet = accel.trace.base
     eps = cfg.epsilon
     x = as_scalar(x)
     y = as_scalar(y)
+    _require_unit_interval(iet)
     if not x < y:
         raise WitnessPreconditionError("need x < y")
     gap = y - x
@@ -551,29 +565,6 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
         ell = locate_scale(accel, r)
     except ValueError as exc:
         raise WitnessPreconditionError(str(exc))
-
-    direction = "forward"
-    if ell + 1 + cfg.params.L <= accel.count:
-        # float scan suggests the direction to try first; the verification
-        # itself decides, and the exact scan stays available via forbac_scan
-        tables = kernels.float_tables(iet, spec)
-        endpoints = np.array(sorted({float(s) for s in
-                                     iet.singular_points()} |
-                                    {float(iet.right(a))
-                                     for a in iet.perm.alphabet}))
-        horizon = accel.q(ell + 1)
-        thr = float(F(1, 6) / cfg.params.nu / accel.q(ell + 1 + cfg.params.L))
-        fwd = kernels.min_orbit_distance(tables, float(x), horizon, endpoints)
-        bwd = kernels.min_orbit_distance(tables, float(x), -horizon,
-                                         endpoints)
-        # forward preference: when the forward alternative holds the
-        # verified direction must be forward
-        if fwd > thr:
-            direction = "forward"
-        elif bwd > thr:
-            direction = "backward"
-        else:
-            direction = "forward" if fwd >= bwd else "backward"
 
     try:
         in_k = k_set_membership(accel, cfg.params, ell,
@@ -618,12 +609,12 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
                     failure_reason="Birkhoff deviation %.3g at n=%d"
                                    % (dev, -n))
 
-    # the realignment clause may hold in either time direction: try the
-    # scan-suggested one first; a pair failing both reports the first
+    # the realignment clause may hold in either time direction (the property
+    # is switchable): forward first, so a pair verified forward reports
+    # forward; a pair failing both reports the forward attempt
     attempts = []
     outcome = None
-    for att_direction in (direction, "backward" if direction == "forward"
-                          else "forward"):
+    for att_direction in ("forward", "backward"):
         out = attempt(att_direction)
         ok = out["verdict"] == "verified"
         attempts.append((att_direction, ok, out.get("failure_reason", ""),

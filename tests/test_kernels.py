@@ -15,9 +15,18 @@ from ietflow.roof import (BirkhoffCursor, FlowPoint, FlowStepBudgetError,
 
 F = Fraction
 
-COMPILED = kernels.load_compiled()
-MODULES = [kernels.load_fallback()] + ([COMPILED] if COMPILED else [])
-IDS = ["numpy"] + (["cython"] if COMPILED else [])
+
+@pytest.fixture
+def module(request):
+    """The kernel backend named by the test's parameter: numpy, or the
+    compiled build that `compiled_core` (conftest) provides or skips for."""
+    if request.param == "numpy":
+        return kernels.load_fallback()
+    return request.getfixturevalue("compiled_core")
+
+
+BACKENDS = pytest.mark.parametrize("module", ["numpy", "cython"],
+                                   indirect=True)
 
 
 def numpy_min_distance(tables, x, n, points):
@@ -106,7 +115,7 @@ def setup():
     return iet, spec, tables
 
 
-@pytest.mark.parametrize("module", MODULES, ids=IDS)
+@BACKENDS
 class TestAgainstExactPath:
     def test_iterate_matches_exact_orbit(self, module, setup):
         iet, spec, tables = setup
@@ -246,7 +255,7 @@ def test_bump_matches_former_on_arrays_and_scalars():
             assert got == want
 
 
-@pytest.mark.parametrize("module", MODULES, ids=IDS)
+@BACKENDS
 @pytest.mark.parametrize("forward", [True, False])
 def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
     """A sample that needs exactly one jump flows under max_steps=1 and

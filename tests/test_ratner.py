@@ -16,7 +16,7 @@ from ietflow.fixtures import (
     golden_rotation,
 )
 from ietflow.iet import Iet, IntegerOrbit, Permutation
-from ietflow import ratner
+from ietflow import kernels, ratner
 from ietflow.rauzy import InductionTrace, select_accel_times
 from ietflow.ratner import (
     BumpObservable,
@@ -42,6 +42,7 @@ from ietflow.roof import (
     eval_roof,
     roof_area,
 )
+from ietflow.serialize import loads_iet
 
 F = Fraction
 
@@ -201,6 +202,42 @@ class TestWitness:
         assert straddle == 7
         if res.verdict == "verified":
             assert res.direction == "backward"
+
+    def test_forward_first_with_no_float_scan(self, monkeypatch):
+        # the switchable property needs one direction: forward is tried
+        # first and backward only after forward fails, with no kernel call
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the pair test called a float kernel")
+
+        for name in ("float_tables", "min_orbit_distance"):
+            monkeypatch.setattr(kernels, name, no_kernel)
+        accel, spec, cfg = witness_setup()
+        pairs, region = sample_good_pairs(accel, spec, cfg, 12, F(1, 10 ** 5))
+        results = [sr_pair_test(accel, spec, cfg, x, y, good_region=region)
+                   for x, y in pairs]
+        for res in results:
+            assert res.attempts[0][0] == "forward"
+            if res.direction == "backward":
+                assert len(res.attempts) == 2 and not res.attempts[0][1]
+        assert {res.direction for res in results} == {"forward", "backward"}
+
+    def test_iet_off_the_unit_interval_refused(self):
+        # the golden rotation scaled to total 1/2: the margins and the
+        # sampler take [0, 1), so the witness names the total instead
+        half = loads_iet("top = A B\nbottom = B A\n"
+                         "lengths = (3-1*sqrt(5))/4 (-1+1*sqrt(5))/4\n")
+        accel = select_accel_times(InductionTrace(half).extend(46), 3,
+                                   lbar_max=4)
+        spec = asymmetric_log_roof(half)
+        _, _, cfg = witness_setup()
+        x = F(1, 4)
+        for call in (lambda: GoodRegion(accel, spec, cfg),
+                     lambda: sr_pair_test(accel, spec, cfg, x,
+                                          x + F(1, 10 ** 5)),
+                     lambda: ratner.witness_run(accel, spec, cfg, 2,
+                                                F(1, 10 ** 5))):
+            with pytest.raises(WitnessPreconditionError, match="total 1/2"):
+                call()
 
     def test_gap_precondition(self):
         accel, spec, cfg = witness_setup()
