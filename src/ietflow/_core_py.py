@@ -1,14 +1,18 @@
-"""Pure-Python (numpy) kernels for the floating-point hot loops.
+"""The numpy backend of `ietflow.kernels`, used when the compiled module
+`ietflow._core` does not import, and the reference of the parity tests.
 
-Same contract as the compiled module `ietflow._core`: interval tables are
-float64 arrays in top order (cumulative right endpoints, per-interval
-translations and roof constants) plus the bottom-order tables for the
-inverse map.  Distances to singular endpoints are floored at 1e-300 so a
-stray sample never produces an infinity; the Monte-Carlo callers treat
-those events as measure zero.  The kernels over sample arrays are numpy
-loops; `min_orbit_distance` walks a single point, where numpy calls on
-length-1 arrays cost more than the arithmetic, so it is a plain-float
-loop on Python lists with `bisect` lookups, bit for bit the numpy result.
+It defines the kernel contract that `kernels` dispatches to:
+`IMPLEMENTATION`, `roof_values`, `flow_points` and `min_orbit_distance`.
+Interval tables are float64 arrays in top order (cumulative right
+endpoints, per-interval translations and roof constants) plus the
+bottom-order tables for the inverse map.  `kernels.flow_points` has
+checked the flow-space domain before calling in.  Distances to singular
+endpoints are floored at 1e-300 so a stray sample never produces an
+infinity; the Monte-Carlo callers treat those events as measure zero.
+The kernels over sample arrays are numpy loops; `min_orbit_distance`
+walks a single point, where numpy calls on length-1 arrays cost more than
+the arithmetic, so it is a plain-float loop on Python lists with `bisect`
+lookups, bit for bit the numpy result.
 
 The array kernels do as little numpy work per jump as the same rounding
 allows; each shortcut below leaves every output bit unchanged:
@@ -55,26 +59,6 @@ def _indices(rights, x):
     return idx
 
 
-def iet_apply(rights, trans, x):
-    """One forward step of the exchange on an array of points."""
-    return x + trans[_indices(rights, x)]
-
-
-def iet_apply_inverse(rights_b, trans_b, x):
-    return x - trans_b[_indices(rights_b, x)]
-
-
-def iet_iterate(rights, trans, rights_b, trans_b, x, n):
-    x = np.array(x, dtype=np.float64, copy=True)
-    if n >= 0:
-        for _ in range(n):
-            x = iet_apply(rights, trans, x)
-    else:
-        for _ in range(-n):
-            x = iet_apply_inverse(rights_b, trans_b, x)
-    return x
-
-
 def _roof_at(rights, lefts, c0, cp, cm, x, idx):
     """f(x) on the intervals idx of x; a term whose whole constant table
     is zero is skipped (see the module docstring)."""
@@ -88,30 +72,6 @@ def _roof_at(rights, lefts, c0, cp, cm, x, idx):
 
 def roof_values(rights, lefts, c0, cp, cm, x):
     return _roof_at(rights, lefts, c0, cp, cm, x, _indices(rights, x))
-
-
-def roof_derivatives(rights, lefts, c0, cp, cm, x):
-    idx = _indices(rights, x)
-    dl = np.maximum(x - lefts[idx], _TINY)
-    dr = np.maximum(rights[idx] - x, _TINY)
-    return -cp[idx] / dl + cm[idx] / dr
-
-
-def birkhoff_sums(rights, trans, rights_b, trans_b, lefts, c0, cp, cm,
-                  x0, r, derivative=False):
-    """S_r(f) (or S_r(f')) for every sample in x0; r may be negative."""
-    x = np.array(x0, dtype=np.float64, copy=True)
-    acc = np.zeros_like(x)
-    term = roof_derivatives if derivative else roof_values
-    if r >= 0:
-        for _ in range(r):
-            acc += term(rights, lefts, c0, cp, cm, x)
-            x = iet_apply(rights, trans, x)
-        return acc
-    for _ in range(-r):
-        x = iet_apply_inverse(rights_b, trans_b, x)
-        acc += term(rights, lefts, c0, cp, cm, x)
-    return -acc
 
 
 def flow_points(rights, trans, rights_b, trans_b, lefts, c0, cp, cm,
@@ -154,7 +114,7 @@ def flow_points(rights, trans, rights_b, trans_b, lefts, c0, cp, cm,
     while pos.size:
         if k == max_steps:
             raise FlowStepBudgetError(max_steps, t, pending=pos.size)
-        xa = iet_apply_inverse(rights_b, trans_b, xa)
+        xa = xa - trans_b[_indices(rights_b, xa)]
         sa = sa + roof_values(rights, lefts, c0, cp, cm, xa)
         k += 1
         settled = sa >= 0

@@ -39,10 +39,12 @@ from .ratner import (
     BumpObservable,
     WitnessConfig,
     forbac_scan,
+    in_margins,
+    margin_width,
     mixing_correlation,
     witness_run,
 )
-from .roof import FlowPoint, birkhoff_sum, discrete_iterations, flow, roof_area
+from .roof import _advance, birkhoff_sum, roof_area
 from .serialize import (
     load_iet,
     load_roof,
@@ -253,12 +255,11 @@ def cmd_zip_backward(args):
 def cmd_flow_orbit(args):
     iet = _load_iet(args)
     spec = _load_roof(args, iet)
-    x = ExactScalar.parse(args.x)
-    point = flow(iet, spec, FlowPoint(x, args.y), args.t)
-    r = discrete_iterations(iet, spec, x, args.t + args.y)
+    end_x, end_y, r = _advance(iet, spec, ExactScalar.parse(args.x), args.y,
+                               args.t)
     payload = {"x": args.x, "y": args.y, "t": args.t,
-               "end_x": point.x.to_string(), "end_x_float": float(point.x),
-               "end_y": point.y, "discrete_iterations": r}
+               "end_x": end_x.to_string(), "end_x_float": float(end_x),
+               "end_y": end_y, "discrete_iterations": r}
     _emit(payload, args)
     _log_record(args, "flow orbit", payload)
     return 0
@@ -457,14 +458,13 @@ def cmd_ratner_forbac(args):
     lo, _, hi = args.l_range.partition("..")
     rows = []
     failures = 0
-    eps = args.eps
-    margin = Fraction(eps).limit_denominator(10 ** 9) / 8
+    margin = margin_width(args.eps)
     for ell in range(int(lo), int(hi) + 1):
         for k in range(1, args.grid + 1):
             x = Fraction(k, args.grid + 1)
-            if x <= margin or x >= 1 - margin:
+            if in_margins(x, margin):
                 continue
-            rep = forbac_scan(accel, x, ell, params)
+            rep = forbac_scan(accel, x, ell, params, epsilon=args.eps)
             ok = rep.which_holds != "neither"
             failures += not ok
             rows.append((ell, str(x), rep.which_holds,

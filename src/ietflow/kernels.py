@@ -1,49 +1,39 @@
-"""Kernel selection and float tables for the hot loops.
+"""The float kernels of the Monte-Carlo mixing probes.
 
-At import time the compiled extension `ietflow._core` is preferred; the
-numpy implementation `ietflow._core_py` is the fallback and the reference
-for parity tests.  Set IETFLOW_PURE_PYTHON=1 to force the fallback.
-Both expose the same functions over the same float tables.
+The backend is the compiled extension `ietflow._core` when it imports and
+the numpy module `ietflow._core_py` otherwise; `implementation_name()`
+says which.  Each backend defines `IMPLEMENTATION` and the three functions
+dispatched here, over the float tables of `float_tables`:
+
+* `roof_values(rights, lefts, c0, cp, cm, x)`: f on an array of points;
+* `flow_points(rights, trans, rights_b, trans_b, lefts, c0, cp, cm, x, y,
+  t, max_steps)`: the special flow phi_t on arrays of flow-space points,
+  returning (x', y', signed jump counts);
+* `min_orbit_distance(rights, trans, rights_b, trans_b, x, n, points)`:
+  the closest approach of one float orbit segment to a set of points.
+
+`flow_points` checks the flow-space domain 0 <= x < total, 0 <= y < f(x)
+here, before dispatch, so both backends refuse a stray sample alike.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .iet import Iet
-from .roof import RoofSpec
+from .roof import FlowDomainError, RoofSpec
 
-if os.environ.get("IETFLOW_PURE_PYTHON"):
+try:
+    from . import _core as impl  # type: ignore[attr-defined]
+except ImportError:
     from . import _core_py as impl
-else:
-    try:
-        from . import _core as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as impl
-
-COMPILED = impl.IMPLEMENTATION == "cython"
 
 
 def implementation_name() -> str:
     return impl.IMPLEMENTATION
-
-
-def load_fallback():
-    from . import _core_py
-    return _core_py
-
-
-def load_compiled():
-    """The compiled module, or None when the extension is not built."""
-    try:
-        from . import _core
-        return _core
-    except ImportError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,7 @@ class FloatTables:
     total: float
 
 
-def float_tables(iet: Iet, spec: RoofSpec | None = None) -> FloatTables:
+def float_tables(iet: Iet, spec: RoofSpec) -> FloatTables:
     top = iet.perm.top
     bottom = iet.perm.bottom
     rights = np.array([float(iet.right(a)) for a in top])
@@ -69,20 +59,11 @@ def float_tables(iet: Iet, spec: RoofSpec | None = None) -> FloatTables:
     trans = np.array([float(iet.translation(a)) for a in top])
     rights_b = np.array([float(iet.right_image(a)) for a in bottom])
     trans_b = np.array([float(iet.translation(a)) for a in bottom])
-    if spec is None:
-        c0, cp, cm = 1.0, np.zeros(len(top)), np.zeros(len(top))
-    else:
-        c0 = float(spec.c0)
-        cp = np.array([float(spec.cplus[a]) for a in top])
-        cm = np.array([float(spec.cminus[a]) for a in top])
+    c0 = float(spec.c0)
+    cp = np.array([float(spec.cplus[a]) for a in top])
+    cm = np.array([float(spec.cminus[a]) for a in top])
     return FloatTables(rights, lefts, trans, rights_b, trans_b, c0, cp, cm,
                        float(iet.total))
-
-
-def iet_iterate(tables: FloatTables, x, n: int, module=None):
-    mod = module or impl
-    return mod.iet_iterate(tables.rights, tables.trans, tables.rights_b,
-                           tables.trans_b, np.asarray(x, dtype=np.float64), n)
 
 
 def roof_values(tables: FloatTables, x, module=None):
@@ -92,23 +73,33 @@ def roof_values(tables: FloatTables, x, module=None):
                            np.asarray(x, dtype=np.float64))
 
 
-def birkhoff_sums(tables: FloatTables, x0, r: int, derivative: bool = False,
-                  module=None):
-    mod = module or impl
-    return mod.birkhoff_sums(tables.rights, tables.trans, tables.rights_b,
-                             tables.trans_b, tables.lefts, tables.c0,
-                             tables.cp, tables.cm,
-                             np.asarray(x0, dtype=np.float64), r, derivative)
-
-
 def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
                 module=None):
+    """Advance the flow-space points (x_i, y_i) by time t.
+
+    FlowDomainError, naming the first offender, when a sample lies outside
+    0 <= x < total, 0 <= y < f(x) (f by the same backend's roof values);
+    FlowStepBudgetError when one would need more than max_steps jumps.
+    """
     mod = module or impl
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _require_flow_space(tables, x, y, mod)
     return mod.flow_points(tables.rights, tables.trans, tables.rights_b,
                            tables.trans_b, tables.lefts, tables.c0,
-                           tables.cp, tables.cm,
-                           np.asarray(x, dtype=np.float64),
-                           np.asarray(y, dtype=np.float64), t, max_steps)
+                           tables.cp, tables.cm, x, y, t, max_steps)
+
+
+def _require_flow_space(tables: FloatTables, x, y, mod):
+    """One roof pass; its arrays are freed before the flow allocates."""
+    f = mod.roof_values(tables.rights, tables.lefts, tables.c0, tables.cp,
+                        tables.cm, x)
+    inside = (x >= 0.0) & (x < tables.total) & (y >= 0.0) & (y < f)
+    if not inside.all():
+        bad = np.flatnonzero(~inside)
+        i = int(bad[0])
+        raise FlowDomainError(i, float(x[i]), float(y[i]), float(f[i]),
+                              tables.total, bad.size)
 
 
 def min_orbit_distance(tables: FloatTables, x: float, n: int, points,

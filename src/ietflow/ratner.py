@@ -89,14 +89,14 @@ def forbac_scan(accel: AccelTimes, x, ell: int, params: DcParams,
     of x to the endpoint set {l_a, r_a}, against the threshold
     c / q_{l+L} with c = 1/(6 nu).
 
-    The margin precondition x not in [0, eps/8) u (1 - eps/8, 1) applies
-    when epsilon is given.
+    When epsilon is given, the IET must act on [0, 1) and x must lie
+    outside the margins (`in_margins`).
     """
     iet = accel.trace.base
     x = as_scalar(x)
     if epsilon is not None:
-        margin = F(epsilon).limit_denominator(10 ** 9) / 8
-        if x < ExactScalar(margin) or ExactScalar(1 - margin) < x:
+        _require_unit_interval(iet)
+        if in_margins(x, margin_width(epsilon)):
             raise WitnessPreconditionError(
                 "point inside the excluded margin of width eps/8",
                 excluding_set="margins")
@@ -201,7 +201,7 @@ class WitnessConfig:
 
     @property
     def margin(self) -> Fraction:
-        return F(self.epsilon).limit_denominator(10 ** 9) / 8
+        return margin_width(self.epsilon)
 
     @property
     def shift_set(self):
@@ -229,6 +229,19 @@ def _j_set(accel: AccelTimes, ell: int, xi: float) -> IntervalUnion:
             block = block.preimage(iet)
         parts.extend(pullback_union(iet, block, q_l - 1).parts)
     return IntervalUnion(parts)
+
+
+def margin_width(epsilon: float) -> Fraction:
+    """eps/8 for epsilon read as the nearest fraction with denominator at
+    most 10^9: the width of the margins of [0, 1)."""
+    return F(epsilon).limit_denominator(10 ** 9) / 8
+
+
+def in_margins(x, margin: Fraction) -> bool:
+    """Whether x lies in a margin [0, margin) or (1 - margin, 1), which no
+    point of the witness or of the forbac scan may occupy."""
+    x = as_scalar(x)
+    return x < ExactScalar(margin) or ExactScalar(1 - margin) < x
 
 
 def _require_unit_interval(iet: Iet):
@@ -269,15 +282,11 @@ class GoodRegion:
 
     def contains(self, x) -> bool:
         x = as_scalar(x)
-        if x < ExactScalar(self.margin):
-            return False
-        if ExactScalar(1 - self.margin) < x:
-            return False
-        return not self.excluded.contains(x)
+        return not (in_margins(x, self.margin) or self.excluded.contains(x))
 
     def why_excluded(self, x):
         x = as_scalar(x)
-        if x < ExactScalar(self.margin) or ExactScalar(1 - self.margin) < x:
+        if in_margins(x, self.margin):
             return ("margins", None)
         wit = self.excluded.witness(x)
         if wit is not None:
@@ -549,12 +558,9 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
                 raise WitnessPreconditionError(
                     "%s outside the good set: %s" % (name, why[0]),
                     excluding_set=why[0], witness=why[1])
-    else:
-        margin = cfg.margin
-        for pt in (x, y):
-            if pt < ExactScalar(margin) or ExactScalar(1 - margin) < pt:
-                raise WitnessPreconditionError(
-                    "pair inside the margin strip", excluding_set="margins")
+    elif in_margins(x, cfg.margin) or in_margins(y, cfg.margin):
+        raise WitnessPreconditionError(
+            "pair inside the margin strip", excluding_set="margins")
 
     g = abs(float(spec.asymmetry_gap))
     if g > 0:

@@ -45,6 +45,27 @@ class RoofDomainError(ValueError):
     """Evaluation exactly at a singular point."""
 
 
+class FlowDomainError(ValueError):
+    """A sample handed to the float flow lies outside the flow space
+    0 <= x < total, 0 <= y < f(x).
+
+    Carries the first offender (`index`, `x`, `y`, its roof value `f`),
+    the base length `total` and the count of offenders (`count`).
+    """
+
+    def __init__(self, index, x, y, f, total, count):
+        self.index = index
+        self.x = x
+        self.y = y
+        self.f = f
+        self.total = total
+        self.count = count
+        super().__init__(
+            "sample %d at (x, y) = (%r, %r) outside the flow space "
+            "0 <= x < %r, 0 <= y < f(x) = %r (%d samples outside)"
+            % (index, x, y, total, f, count))
+
+
 class FlowStepBudgetError(RuntimeError):
     """A flow advance needs more than max_steps base jumps.
 

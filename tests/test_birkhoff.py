@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from ietflow.fixtures import (
 )
 from ietflow.iet import Iet, Permutation
 from ietflow.rauzy import InductionTrace, select_accel_times, towers
-from ietflow.roof import RoofSpec
+from ietflow.roof import BirkhoffCursor, RoofSpec
 
 F = Fraction
 
@@ -238,15 +239,13 @@ class TestDerivativeGrowth:
                                           skip_exclusion_check=True)
             vals.append(abs(rep.ratio))
         assert vals[2] < vals[1] < vals[0]
-        # and the cancellation is visible in a 101-point median (float path)
-        import numpy as np
-        from ietflow import kernels
-        tables = kernels.float_tables(iet, spec)
-        xs = np.arange(1, 102) / 103.0
+        # and the cancellation is visible in a 101-point median
+        cursors = [BirkhoffCursor(iet, spec, F(k, 103)) for k in range(1, 102)]
         medians = []
         for r in [100, 10000]:
-            sums = kernels.birkhoff_sums(tables, xs, r, derivative=True)
-            medians.append(float(np.median(np.abs(sums / (r * math.log(r))))))
+            medians.append(statistics.median(
+                abs(cur.derivative_sum_at(r).value) / (r * math.log(r))
+                for cur in cursors))
         assert medians[1] < medians[0]
 
     def test_excluded_point_raises_with_witness(self):

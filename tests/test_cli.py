@@ -138,6 +138,21 @@ class TestAnalysisCommands:
         summary = json.loads(lines[-1])
         assert summary["failures"] == 0
 
+    def test_ratner_forbac_refuses_total_off_one(self, tmp_path):
+        # the golden rotation scaled to total 1/2: the grid and the eps/8
+        # margins are placed on [0, 1), so the scan names the total
+        iet_file = tmp_path / "half.iet"
+        iet_file.write_text("top = A B\nbottom = B A\n"
+                            "lengths = (3-1*sqrt(5))/4 (-1+1*sqrt(5))/4\n")
+        proc = run_cli("ratner", "forbac", "--iet", str(iet_file),
+                       "--l-range", "6..6", "--grid", "5", "--steps", "30",
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "usage",
+            "detail": "the SR witness needs an IET on [0, 1), got total 1/2"}
+
     def test_ratner_witness_small(self):
         proc = run_cli("ratner", "witness", "--eps", "0.2", "--pairs", "6",
                        "--seed", "3", "--rate-floor", "0.5")

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ietflow import kernels
+from ietflow import _core_py, kernels
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (asymmetric_log_roof, bounded_type_3iet,
                               constant_roof, golden_rotation)
 from ietflow.ratner import BumpObservable
-from ietflow.roof import (BirkhoffCursor, FlowPoint, FlowStepBudgetError,
-                          RoofSpec, birkhoff_sum, eval_roof, flow)
+from ietflow.roof import (BirkhoffCursor, FlowDomainError, FlowPoint,
+                          FlowStepBudgetError, RoofSpec, eval_roof, flow)
 
 F = Fraction
 
@@ -21,7 +21,7 @@ def module(request):
     """The kernel backend named by the test's parameter: numpy, or the
     compiled build that `compiled_core` (conftest) provides or skips for."""
     if request.param == "numpy":
-        return kernels.load_fallback()
+        return _core_py
     return request.getfixturevalue("compiled_core")
 
 
@@ -117,29 +117,6 @@ def setup():
 
 @BACKENDS
 class TestAgainstExactPath:
-    def test_iterate_matches_exact_orbit(self, module, setup):
-        iet, spec, tables = setup
-        xs = [F(k, 97) for k in range(1, 30)]
-        arr = np.array([float(x) for x in xs])
-        for n in [1, 5, 20, -7]:
-            got = kernels.iet_iterate(tables, arr, n, module=module)
-            want = [float(iet.iterate(x, n)) for x in xs]
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_birkhoff_matches_exact_path(self, module, setup):
-        iet, spec, tables = setup
-        xs = [F(k, 53) for k in range(1, 20)]
-        arr = np.array([float(x) for x in xs])
-        for r in [3, 25, -12]:
-            got = kernels.birkhoff_sums(tables, arr, r, module=module)
-            want = [birkhoff_sum(iet, spec, x, r).value for x in xs]
-            np.testing.assert_allclose(got, want, rtol=1e-9)
-        got = kernels.birkhoff_sums(tables, arr, 25, derivative=True,
-                                    module=module)
-        want = [birkhoff_sum(iet, spec, x, 25, derivative=True).value
-                for x in xs]
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-
     def test_flow_matches_exact_path(self, module, setup):
         iet, spec, tables = setup
         rng = random.Random(4)
@@ -221,7 +198,7 @@ class TestNumpyKernelsMatchFormer:
     def test_roof_values(self, make_iet, make_roof):
         tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
         x, _ = _kernel_samples(tables)
-        got = kernels.roof_values(tables, x, module=kernels.load_fallback())
+        got = kernels.roof_values(tables, x, module=_core_py)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, numpy_roof_values(tables, x))
 
@@ -230,7 +207,7 @@ class TestNumpyKernelsMatchFormer:
         tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
         x, y = _kernel_samples(tables, n=1000 if abs(t) > 100 else 3000)
         got = kernels.flow_points(tables, x, y, t,
-                                  module=kernels.load_fallback())
+                                  module=_core_py)
         want = numpy_flow_points(tables, x, y, t)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -260,16 +237,15 @@ def test_bump_matches_former_on_arrays_and_scalars():
 def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
     """A sample that needs exactly one jump flows under max_steps=1 and
     raises under max_steps=0, in both directions, on every backend."""
-    _, _, tables = setup
+    iet, _, tables = setup
     x = np.array([0.3])
-    fallback = kernels.load_fallback()
     if forward:
-        nxt = kernels.iet_iterate(tables, x, 1, module=fallback)
+        nxt = float(iet.evaluate(F(3, 10)))
         t = float(kernels.roof_values(tables, x)[0]
-                  + 0.5 * kernels.roof_values(tables, nxt)[0])
+                  + 0.5 * kernels.roof_values(tables, [nxt])[0])
     else:
-        prev = kernels.iet_iterate(tables, x, -1, module=fallback)
-        t = float(-0.5 * kernels.roof_values(tables, prev)[0])
+        prev = float(iet.evaluate_inverse(F(3, 10)))
+        t = float(-0.5 * kernels.roof_values(tables, [prev])[0])
     _, _, steps = kernels.flow_points(tables, x, [0.0], t, max_steps=1,
                                       module=module)
     assert steps[0] == (1 if forward else -1)
@@ -280,15 +256,14 @@ def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
 @pytest.mark.parametrize("t", [50.0, -50.0])
 def test_numpy_flow_budget_error_carries_context(setup, t):
     _, _, tables = setup
-    fallback = kernels.load_fallback()
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 1.0, 400)
     y = rng.uniform(0.0, 0.5, 400)
-    _, _, steps = kernels.flow_points(tables, x, y, t, module=fallback)
+    _, _, steps = kernels.flow_points(tables, x, y, t, module=_core_py)
     budget = int(np.median(np.abs(steps)))
     with pytest.raises(FlowStepBudgetError) as info:
         kernels.flow_points(tables, x, y, t, max_steps=budget,
-                            module=fallback)
+                            module=_core_py)
     err = info.value
     assert isinstance(err, RuntimeError)
     assert (err.max_steps, err.t, err.steps) == (budget, t, None)
@@ -299,16 +274,6 @@ class TestParity:
     """The compiled kernels against numpy; `compiled_core` (conftest)
     builds the committed _core.c when no extension is installed."""
 
-    def test_birkhoff_parity(self, setup, compiled_core):
-        _, _, tables = setup
-        rng = np.random.default_rng(17)
-        x = rng.uniform(0.001, 0.999, size=200)
-        for r in [1, 10, 100, -40]:
-            a = kernels.birkhoff_sums(tables, x, r, module=compiled_core)
-            b = kernels.birkhoff_sums(tables, x, r,
-                                      module=kernels.load_fallback())
-            np.testing.assert_allclose(a, b, rtol=1e-10)
-
     def test_flow_parity(self, setup, compiled_core):
         _, _, tables = setup
         rng = np.random.default_rng(23)
@@ -317,8 +282,7 @@ class TestParity:
         for t in [7.3, -2.9]:
             xa, ya, sa = kernels.flow_points(tables, x, y, t,
                                              module=compiled_core)
-            xb, yb, sb = kernels.flow_points(tables, x, y, t,
-                                             module=kernels.load_fallback())
+            xb, yb, sb = kernels.flow_points(tables, x, y, t, module=_core_py)
             # jump counts may differ only where a sample sits within float
             # rounding of a jump boundary; none of these random samples do
             np.testing.assert_array_equal(sa, sb)
@@ -333,7 +297,7 @@ class TestParity:
                 a = kernels.min_orbit_distance(tables, x, n, points,
                                                module=compiled_core)
                 b = kernels.min_orbit_distance(tables, x, n, points,
-                                               module=kernels.load_fallback())
+                                               module=_core_py)
                 assert a == b
 
     def test_3iet_roof_parity(self, compiled_core):
@@ -343,10 +307,42 @@ class TestParity:
         rng = np.random.default_rng(5)
         x = rng.uniform(0.001, 0.999, size=300)
         a = kernels.roof_values(tables, x, module=compiled_core)
-        b = kernels.roof_values(tables, x, module=kernels.load_fallback())
+        b = kernels.roof_values(tables, x, module=_core_py)
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
 def test_selected_implementation_reported():
     assert kernels.implementation_name() in ("numpy", "cython")
-    assert kernels.COMPILED == (kernels.implementation_name() == "cython")
+
+
+@BACKENDS
+def test_backend_defines_the_kernel_contract(module):
+    """Every function `kernels` dispatches to, plus IMPLEMENTATION."""
+    assert module.IMPLEMENTATION in ("numpy", "cython")
+    for name in ("roof_values", "flow_points", "min_orbit_distance"):
+        assert callable(getattr(module, name)), name
+
+
+@BACKENDS
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("where", ["y below 0", "y at f(x)", "y above f(x)",
+                                   "x below 0", "x at total"])
+def test_flow_domain_error_on_every_backend(module, setup, t, where):
+    """A sample outside 0 <= x < total, 0 <= y < f(x) is refused before
+    dispatch with one typed error naming it, never returned unmoved."""
+    _, _, tables = setup
+    x = np.array([0.1, 0.3, 0.7])
+    y = np.array([0.2, 0.2, 0.2])
+    f = kernels.roof_values(tables, x, module=module)
+    x[1], y[1] = {"y below 0": (0.3, -1.0),
+                  "y at f(x)": (0.3, f[1]),
+                  "y above f(x)": (0.3, f[1] + 1.0),
+                  "x below 0": (-0.25, 0.2),
+                  "x at total": (tables.total, 0.2)}[where]
+    with pytest.raises(FlowDomainError) as info:
+        kernels.flow_points(tables, x, y, t, module=module)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert (err.index, err.x, err.y, err.count) == (1, x[1], y[1], 1)
+    assert err.total == tables.total
+    assert "outside the flow space" in str(err)

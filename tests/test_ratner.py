@@ -104,6 +104,30 @@ class TestForbac:
         with pytest.raises(WitnessPreconditionError):
             forbac_scan(accel, F(1, 100), 8, golden_params(), epsilon=0.2)
 
+    def test_margin_rule_is_half_open(self):
+        # the margins are [0, eps/8) and (1 - eps/8, 1): their inner ends
+        # belong to the good side
+        margin = ratner.margin_width(0.2)
+        assert margin == F(1, 40)
+        tiny = F(1, 10 ** 12)
+        for x, inside in [(0, True), (F(1, 40) - tiny, True),
+                          (F(1, 40), False), (F(1, 2), False),
+                          (F(39, 40), False), (F(39, 40) + tiny, True)]:
+            assert ratner.in_margins(x, margin) is inside
+
+    def test_epsilon_refuses_an_iet_off_the_unit_interval(self):
+        # the golden rotation scaled to total 1/2: the eps/8 margins are
+        # margins of [0, 1), so forbac_scan names the total
+        half = loads_iet("top = A B\nbottom = B A\n"
+                         "lengths = (3-1*sqrt(5))/4 (-1+1*sqrt(5))/4\n")
+        accel = select_accel_times(InductionTrace(half).extend(46), 3,
+                                   lbar_max=4)
+        with pytest.raises(WitnessPreconditionError, match="total 1/2"):
+            forbac_scan(accel, F(1, 4), 6, golden_params(), epsilon=0.2)
+        # without epsilon there are no margins to place
+        rep = forbac_scan(accel, F(1, 4), 6, golden_params())
+        assert rep.forward_min.sign() > 0
+
     def test_exact_distances_positive(self):
         accel = golden_accel()
         rep = forbac_scan(accel, F(5, 12), 6, golden_params())
