@@ -37,6 +37,7 @@ from .iet import Iet, keane_check
 from .rauzy import InductionTrace, RVUndefinedError, select_accel_times, towers
 from .ratner import (
     BumpObservable,
+    PairSamplingError,
     WitnessConfig,
     forbac_scan,
     in_margins,
@@ -650,6 +651,12 @@ def main(argv=None) -> int:
     except IndeterminateComparison as exc:
         print(json.dumps({"error": "IndeterminateComparison",
                           "detail": str(exc)}), file=sys.stderr)
+        return 1
+    except PairSamplingError as exc:
+        print(json.dumps({"error": "PairSamplingError",
+                          "requested": exc.requested, "found": exc.found,
+                          "max_tries": exc.max_tries, "detail": str(exc)}),
+              file=sys.stderr)
         return 1
     except (FileNotFoundError, ValueError) as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iet import Iet
-from .roof import FlowDomainError, RoofSpec
+from .roof import FlowDomainError, FlowStepBudgetError, RoofSpec
 
 try:
     from . import _core as impl  # type: ignore[attr-defined]
@@ -85,9 +85,18 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _require_flow_space(tables, x, y, mod)
-    return mod.flow_points(tables.rights, tables.trans, tables.rights_b,
-                           tables.trans_b, tables.lefts, tables.c0,
-                           tables.cp, tables.cm, x, y, t, max_steps)
+    try:
+        return mod.flow_points(tables.rights, tables.trans, tables.rights_b,
+                               tables.trans_b, tables.lefts, tables.c0,
+                               tables.cp, tables.cm, x, y, t, max_steps)
+    except FlowStepBudgetError:
+        raise
+    except RuntimeError as exc:
+        # the compiled build reports an exhausted budget as a plain
+        # RuntimeError("flow advance exceeded N steps")
+        if not str(exc).startswith("flow advance exceeded"):
+            raise
+        raise FlowStepBudgetError(max_steps, t) from exc
 
 
 def _require_flow_space(tables: FloatTables, x, y, mod):

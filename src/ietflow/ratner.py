@@ -8,13 +8,17 @@ singular endpoints in one time direction (the property is switchable);
 the pair test tries forward, then backward.  One exact pair walk
 (`_pair_walk`, rigorous error radii) decides every attempt and keeps its
 checkpoints as the certificate that `verify_witness_high_precision` checks
-with no second walk; the two-cursor walk and the 120-bit mpmath enclosure
-in the tests check the walk itself.  `witness_run` is the whole sweep.
+with no second walk.  It walks segments between shadow re-syncs in two
+passes, a bare orbit loop and then array operations for the straddle test,
+exact checks, roof terms and radii, bit for bit a per-step walk; the
+per-step walk, the two-cursor walk and the 120-bit mpmath enclosure in the
+tests check it.  `witness_run` is the whole sweep.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +41,10 @@ F = Fraction
 #: A shadow gap g with error bound e enters the pair walk's logs as it is
 #: when e <= g * _SHADOW_GAP; closer to a cut the exact gap is rounded.
 _SHADOW_GAP = 2.0 ** -20
+
+#: Steps of a pair-walk segment where the shadow never re-syncs; a
+#: re-synced segment is at most as long.
+_SEGMENT = _SHADOW_RESYNC // 2
 
 
 class WitnessPreconditionError(ValueError):
@@ -244,6 +252,18 @@ def in_margins(x, margin: Fraction) -> bool:
     return x < ExactScalar(margin) or ExactScalar(1 - margin) < x
 
 
+def _require_pair_gap(gap, epsilon: float):
+    """The pair gap of the SR witness lies in (0, min(eps, eps^2)); a
+    WitnessPreconditionError naming the gap otherwise."""
+    gap = as_scalar(gap)
+    bound = min(epsilon, epsilon * epsilon)
+    # float(gap) is correctly rounded, so float(gap) < bound gives gap < bound
+    if not (gap.sign() > 0 and float(gap) < bound):
+        raise WitnessPreconditionError(
+            "pair gap %s outside (0, min(eps, eps^2)) = (0, %r)"
+            % (gap.to_string(), bound))
+
+
 def _require_unit_interval(iet: Iet):
     """The margins, the sampler and the good region take the IET to act on
     [0, 1); any other total is refused, not rescaled."""
@@ -339,6 +359,16 @@ def _scale_from_gap(gap: float, g: float) -> int:
     return lo
 
 
+def _orbit_pass(js: array, start: int, xf, fcuts, ftrans, last: int):
+    """Pass 1 of `_pair_walk`: fill js[start:] with the interval indices of
+    the steps of the shadow xf, by bisection alone; returns the shadow
+    after them."""
+    for n in range(start, len(js)):
+        js[n] = j = bisect_right(fcuts, xf, 0, last)
+        xf += ftrans[j]
+    return xf
+
+
 def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                forward: bool):
     """Exact lockstep walk of a close pair x < y to depth M+L.
@@ -350,9 +380,9 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     by the shadow when its difference clears xerr + 3 units (xerr + 1 for a
     gap, one for delta and the difference, one spare for the thresholds;
     see IntegerOrbit), else by `exact._sign`; the walk stops at the first
-    straddle.  The orbit step is IntegerOrbit's, inline: one certified
-    locate per step (in bottom order backward, where the top index of the
-    new point is `top_of_b` of the bottom one) and the same shadow re-sync.
+    straddle.  The orbit is IntegerOrbit's: one certified locate per step
+    (in bottom order backward, where the top index of the new point is
+    `top_of_b` of the bottom one) and the same shadow re-sync.
 
     Up to the straddle y's gaps are dl + delta and dr - delta, and both
     roofs follow the formula and `_EPS` budget of `roof._terms`.  On Q the
@@ -375,6 +405,41 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     both in BirkhoffCursor's convention (S_{-n} backward) and under its
     exact singular-point and hard-cutoff checks, on both points.
 
+    The walk goes in segments, one from each shadow re-sync to the next
+    (at most 2048 steps, and 2048 where the shadow never re-syncs), in two
+    passes.  Pass 1 is the only per-step Python: bisect the shadow among
+    the cuts and add the float translation.  The re-sync cadence does not
+    depend on the data:
+    xerr starts at one unit after a re-sync (three after the first
+    backward step) and grows by 2 units a step, every value an exact
+    multiple of the power of two `unit`, so one array holds every bound of
+    the segment, which ends where xerr would pass `_SHADOW_RESYNC` units.
+    `np.cumsum` adds in order with one rounding per add, so the cumsum of
+    the segment's first shadow and the translations stepped is the shadow
+    of every step bit for bit.  Each locate is then certified as
+    `IntegerOrbit._locate` does it; at a step it cannot certify
+    `_first_above` decides, and when that changes the index pass 1 runs
+    again from the next step.  (With no float tables, a total the unit
+    interval of the witness excludes, the shadow decides nothing and
+    these re-runs make a segment's cost quadratic.)  The exact pairs are
+    the segment's first pair plus cumsums of the translation numerators,
+    int64 while segment length times the largest numerator stays below
+    2^63, Python ints beyond.
+
+    Pass 2 is array operations on the segment: top indices, shadow gaps,
+    and gates (yrf <= tol for a straddle; a gap within tol + cutoff for the
+    singular point or the cutoff) that pick the few steps needing exact
+    work.  Those are visited in step order with the exact tests, errors
+    and orbit indices of a per-step walk.  Then the roof terms, gap
+    radii, s, err and ds are arrays, the sums cumsums carried from one
+    segment to the next, each value made by the per-step operations in
+    their order: a term that is absent at a step adds 0.0 there, which
+    changes no value (none is -0.0).  The logs are libm's, `math.log`
+    over `.tolist()` (numpy's log differs in the last bit at some points),
+    so the checkpoints are those of a per-step walk bit for bit.  The
+    straddle is decided before the next segment starts, and the arrays
+    hold one segment.
+
     Returns (checkpoints, straddle, deriv): checkpoints[k] = (Delta_n,
     radius, S_n(f')(x)) for n = M + k up to M+L or the straddle; straddle
     is the index of the first straddling pair (x_n, y_n) or None; deriv is
@@ -384,142 +449,202 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     field, den, unit = orbit.field, orbit.den, orbit.unit
     d0, d1 = orbit.pair_of(y)
     d0, d1 = d0 - orbit.p, d1 - orbit.q
-    lefts, rights, flefts, frights = (orbit.lefts, orbit.cuts, orbit.flefts,
-                                      orbit.frights)
+    lefts, rights = orbit.lefts, orbit.cuts
     if forward:
-        cuts, fcuts, trans, ftrans = rights, frights, orbit.trans, orbit.ftrans
+        cuts, fcuts, trans, ftrans = (rights, orbit.frights, orbit.trans,
+                                      orbit.ftrans)
     else:
         # the walk visits T^-1 x, T^-2 x, ...: it starts one step back and
         # locates each point in bottom order to step it on
-        i = orbit.step_backward()
-        cuts, fcuts, top_of_b = orbit.cuts_b, orbit.frights_b, orbit.top_of_b
+        i0 = orbit.step_backward()
+        cuts, fcuts = orbit.cuts_b, orbit.frights_b
         trans = [(-t0, -t1) for t0, t1 in orbit.trans_b]
         ftrans = [-t for t in orbit.ftrans_b]
-    p, q, xf, xerr = orbit.p, orbit.q, orbit.xf, orbit.xerr
+    p, q, xf = orbit.p, orbit.q, orbit.xf
     last = len(cuts) - 1
-    resync = _SHADOW_RESYNC * unit
     log = math.log
     top = iet.perm.top
     c0 = float(spec.c0)
     ac0 = abs(c0)
-    cps = [float(spec.cplus[a]) for a in top]
-    cms = [float(spec.cminus[a]) for a in top]
+    cps = np.array([float(spec.cplus[a]) for a in top])
+    cms = np.array([float(spec.cminus[a]) for a in top])
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
-    # delta and the cutoff in the shadow's units (numerators on Q, exact)
     rational = field is None
     if rational:
+        # delta and the cutoff as numerators, exact; below 2^53 the
+        # numerators and their quotients by den are exact in int64 and
+        # float64, above they stay Python ints
         df, cut = d0, cutoff.numerator * den // cutoff.denominator
+        sdt = np.int64 if max(rights[-1][0], den) < 2 ** 53 else object
     else:
         df, cut = orbit.to_float((d0, d1)), float(cutoff)
+        sdt = np.float64
+    # a segment's exact offsets stay below _SEGMENT times the largest
+    # translation numerator
+    big = max(abs(v) for t in trans for v in t)
+    odt = np.int64 if _SEGMENT * big < 2 ** 63 else object
+    fc, ft, fr, fl = (np.array(t, sdt) for t in
+                      (fcuts, ftrans, orbit.frights, orbit.flefts))
+    fc_below = np.concatenate((fc[:1], fc[:-1]))    # fcuts[j - 1], j > 0
+    tp = np.array([t[0] for t in trans], odt)
+    tq = np.array([t[1] for t in trans], odt)
+    tob = np.array(orbit.top_of_b)
+    resyncs = 0 < unit < math.inf
+    # xerr = a units at the segment's first step
+    a = round(orbit.xerr / unit) if resyncs else 1
+
+    def exact_gap(n, right, dy):
+        """The correctly rounded gap of x_n (dy = 0) or y_n (dy = +1 left,
+        -1 right) to the left or right end of its interval."""
+        pn, qn = p + op.item(n), q + oq.item(n)
+        if right:
+            e0, e1 = rights[i.item(n)]
+            g0, g1 = e0 - pn, e1 - qn
+        else:
+            e0, e1 = lefts[i.item(n)]
+            g0, g1 = pn - e0, qn - e1
+        return quadratic_float(g0 + dy * d0, g1 + dy * d1, den, field)
+
+    def shadow_gaps(on, c, g, e, right, dy):
+        """Gaps g of the steps `on` as the logs read them, and their radius
+        terms c e/(g - e); a gap with e > g 2^-20 is the exact one, with no
+        term."""
+        near = e > g * _SHADOW_GAP
+        if not near.any():
+            return g, c * e / (g - e)
+        far = ~near
+        rad = np.zeros(g.size)
+        rad[far] = c[far] * e[far] / (g[far] - e[far])
+        g = g.copy()
+        for m in np.flatnonzero(near).tolist():
+            g[m] = exact_gap(on.item(m), right, dy)
+        return g, rad
+
     sign = 1 if forward else -1
     s = err = ds = 0.0
     checkpoints = []
-    for n in range(M + L + 1):
-        if n >= M:
-            checkpoints.append((sign * s, err, sign * ds))
-        if n == M + L:
-            break
-        # locate x_n among `cuts` as IntegerOrbit._locate does
-        j = bisect_right(fcuts, xf, 0, last)
+    n0, end = 0, M + L
+    while n0 < end:
+        full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else _SEGMENT
+        k = min(full, end - n0)
+        xerr = unit * np.arange(a, a + 2 * k, 2)
         tol = xerr + 2 * unit
-        if not ((j == 0 or xf - fcuts[j - 1] > tol) and
-                (j == last or fcuts[j] - xf > tol)):
-            j = _first_above(p, q, cuts, field)
-        if forward:
-            i = j
-        tol += unit
-        left, right = lefts[i], rights[i]
-        grx = frights[i] - xf
+        # pass 1, then certify every locate as IntegerOrbit._locate does
+        js, start = array("q", (0,)) * k, 0
+        xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
+        while True:
+            J = np.frombuffer(js, np.int64)
+            X = np.empty(k, sdt)
+            X[0] = xf
+            X[1:] = ft[J[:-1]]
+            X = np.cumsum(X)
+            op, oq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
+            np.cumsum(tp[J], out=op[1:])
+            np.cumsum(tq[J], out=oq[1:])
+            ok = (((J == 0) | (X - fc_below[J] > tol))
+                  & ((J == last) | (fc[J] - X > tol)))
+            for b in (np.flatnonzero(~ok[start:]) + start).tolist():
+                jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
+                                  field)
+                if jb != js[b]:
+                    break
+            else:
+                break
+            # the shadow's index was wrong: step on from the exact one
+            js[b], start = jb, b + 1
+            xf_next = _orbit_pass(js, start, X.item(b) + ftrans[jb], fcuts,
+                                  ftrans, last)
+        # pass 2: the straddle and the exact checks, on the gated steps
+        i = J if forward else np.concatenate(((i0,), tob[J[:-1]]))
+        tol = tol + unit
+        glx = X - fl[i]
+        grx = fr[i] - X
         yrf = grx - df
-        if yrf <= tol and (yrf < -tol or _sign(right[0] - p - d0,
-                                               right[1] - q - d1, field) <= 0):
-            return checkpoints, n, sign * ds
-        if singular and p == left[0] and q == left[1]:
-            # the model is undefined on {l_a}; constant roofs have no
-            # singular set and evaluate everywhere
-            raise RoofDomainError("evaluation at the singular point l_%s "
-                                  "(orbit index %d)"
-                                  % (top[i], n if forward else -n - 1))
-        cp, cm = cps[i], cms[i]
-        # where the roof is constant, f(x_n) - f(y_n) and f'(x_n) are 0
-        if cp or cm:
-            glx = xf - flefts[i]
+        if singular:
+            gate = tol + cut
+            flag = (yrf <= gate) | (glx <= gate)
+        else:
+            flag = yrf <= tol
+        stop = k
+        for n in np.flatnonzero(flag).tolist():
+            t, r, ia = tol.item(n), yrf.item(n), i.item(n)
+            pn, qn = p + op.item(n), q + oq.item(n)
+            left, right = lefts[ia], rights[ia]
+            if r <= t and (r < -t or _sign(right[0] - pn - d0,
+                                           right[1] - qn - d1, field) <= 0):
+                stop = n
+                break
+            index = n0 + n if forward else -n0 - n - 1
+            if singular and pn == left[0] and qn == left[1]:
+                # the model is undefined on {l_a}; constant roofs have no
+                # singular set and evaluate everywhere
+                raise RoofDomainError("evaluation at the singular point l_%s "
+                                      "(orbit index %d)" % (top[ia], index))
+            cp, cm = cps.item(ia), cms.item(ia)
             # y's left gap exceeds x's and x's right gap exceeds y's, so
             # these two shadows gate the exact cutoff checks of both points
-            if (cp and glx <= tol + cut) or (cm and yrf <= tol + cut):
-                dl = (p - left[0], q - left[1])
-                dr = (right[0] - p, right[1] - q)
+            if (cp and glx.item(n) <= t + cut) or (cm and r <= t + cut):
+                dl = (pn - left[0], qn - left[1])
+                dr = (right[0] - pn, right[1] - qn)
                 for side, c, gap in (
                         ("left", cp, dl), ("right", cm, dr),
                         ("left", cp, (dl[0] + d0, dl[1] + d1)),
                         ("right", cm, (dr[0] - d0, dr[1] - d1))):
                     if c and orbit.value(gap) <= cutoff:
-                        raise SingularityTooClose(
-                            top[i], side, orbit.value(gap),
-                            n if forward else -n - 1)
-            # the terms of x and y as roof._terms, from shadow gaps gx, gy
-            # within e, ey of the exact ones (correctly rounded on Q)
-            e, ey = xerr + unit, xerr + 2 * unit
-            fx = fy = c0
-            bx = by = ac0
-            dfx = rad = 0.0
-            if cp:
-                gx, gy = glx, glx + df
-                if rational:
-                    gx, gy = gx / den, gy / den
-                else:
-                    if e > gx * _SHADOW_GAP:
-                        gx = quadratic_float(p - left[0], q - left[1], den,
-                                             field)
-                    else:
-                        rad += cp * e / (gx - e)
-                    if ey > gy * _SHADOW_GAP:
-                        gy = quadratic_float(p - left[0] + d0,
-                                             q - left[1] + d1, den, field)
-                    else:
-                        rad += cp * ey / (gy - ey)
-                tx, ty = -cp * log(gx), -cp * log(gy)
-                fx += tx
-                fy += ty
-                bx += abs(tx) + cp
-                by += abs(ty) + cp
-                dfx += -cp / gx
-            if cm:
-                gx, gy = grx, yrf
-                if rational:
-                    gx, gy = gx / den, gy / den
-                else:
-                    if e > gx * _SHADOW_GAP:
-                        gx = quadratic_float(right[0] - p, right[1] - q, den,
-                                             field)
-                    else:
-                        rad += cm * e / (gx - e)
-                    if ey > gy * _SHADOW_GAP:
-                        gy = quadratic_float(right[0] - p - d0,
-                                             right[1] - q - d1, den, field)
-                    else:
-                        rad += cm * ey / (gy - ey)
-                tx, ty = -cm * log(gx), -cm * log(gy)
-                fx += tx
-                fy += ty
-                bx += abs(tx) + cm
-                by += abs(ty) + cm
-                dfx += cm / gx
-            s += fx - fy
-            err += (_EPS * (bx + abs(fx)) + _EPS * (by + abs(fy)) + rad
-                    + (abs(fx - fy) + abs(s)) * 2.0 ** -52)
-            ds += dfx
-        # step x_n on, moving the shadow as IntegerOrbit._shift does
-        t = trans[j]
-        p += t[0]
-        q += t[1]
-        xerr += 2 * unit
-        if xerr > resync:
-            xf, xerr = quadratic_float(p, q, den, field), unit
-        else:
-            xf += ftrans[j]
+                        raise SingularityTooClose(top[ia], side,
+                                                  orbit.value(gap), index)
+        # the terms of x and y as roof._terms, on the steps before the stop
+        cp_n, cm_n = cps[i[:stop]], cms[i[:stop]]
+        fx, fy = np.full(stop, c0), np.full(stop, c0)
+        bx, by = np.full(stop, ac0), np.full(stop, ac0)
+        dfx, rad = np.zeros(stop), np.zeros(stop)
+        for c, gx, gy, right in ((cp_n, glx[:stop], glx[:stop] + df, False),
+                                 (cm_n, grx[:stop], yrf[:stop], True)):
+            on = np.flatnonzero(c)
+            if not on.size:
+                continue
+            con, gx, gy = c[on], gx[on], gy[on]
+            if rational:
+                gx = (gx / den).astype(float)
+                gy = (gy / den).astype(float)
+            else:
+                e = xerr[on] + unit
+                gx, rx = shadow_gaps(on, con, gx, e, right, 0)
+                gy, ry = shadow_gaps(on, con, gy, e + unit, right,
+                                     -1 if right else 1)
+                rad[on] = rad[on] + rx + ry
+            tx, ty, d = np.zeros(stop), np.zeros(stop), np.zeros(stop)
+            tx[on] = -con * np.fromiter(map(log, gx.tolist()), float, on.size)
+            ty[on] = -con * np.fromiter(map(log, gy.tolist()), float, on.size)
+            d[on] = (con if right else -con) / gx
+            fx, fy = fx + tx, fy + ty
+            bx, by = bx + (np.abs(tx) + c), by + (np.abs(ty) + c)
+            dfx = dfx + d
+        dsum = fx - fy
+        S = np.cumsum(np.concatenate(((s,), dsum)))
+        term = (_EPS * (bx + np.abs(fx)) + _EPS * (by + np.abs(fy)) + rad
+                + (np.abs(dsum) + np.abs(S[1:])) * 2.0 ** -52)
+        E = np.cumsum(np.concatenate(((err,), np.where(
+            (cp_n != 0) | (cm_n != 0), term, 0.0))))
+        D = np.cumsum(np.concatenate(((ds,), dfx)))
+        lo, hi = max(M - n0, 0), stop + 1 if stop < k else k
+        if lo < hi:
+            checkpoints += zip((sign * S[lo:hi]).tolist(), E[lo:hi].tolist(),
+                               (sign * D[lo:hi]).tolist())
+        if stop < k:
+            return checkpoints, n0 + stop, sign * D.item(-1)
+        s, err, ds = S.item(-1), E.item(-1), D.item(-1)
+        # step on to the next segment, re-syncing the shadow as
+        # IntegerOrbit._shift does
+        p, q = p + op.item(k), q + oq.item(k)
         if not forward:
-            i = top_of_b[j]
+            i0 = orbit.top_of_b[js[-1]]
+        n0 += k
+        if resyncs and k == full:
+            xf, a = quadratic_float(p, q, den, field), 1
+        else:
+            xf, a = xf_next, a + 2 * k
+    checkpoints.append((sign * s, err, sign * ds))
     return checkpoints, None, sign * ds
 
 
@@ -547,10 +672,7 @@ def sr_pair_test(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
     if not x < y:
         raise WitnessPreconditionError("need x < y")
     gap = y - x
-    # float(gap) is correctly rounded, so float(gap) < eps gives gap < eps
-    if not float(gap) < min(eps, eps * eps):
-        raise WitnessPreconditionError("pair gap must be below "
-                                       "min(eps, eps^2)")
+    _require_pair_gap(gap, eps)
     if good_region is not None:
         for pt, name in ((x, "x"), (y, "y")):
             why = good_region.why_excluded(pt)
@@ -679,19 +801,28 @@ def witness_run(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
 def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
                       count: int, gap, max_tries: int = 100000,
                       good_region: Optional[GoodRegion] = None):
-    """Deterministic sample of good pairs (x, x + gap) inside the good set."""
+    """Deterministic sample of good pairs (x, x + gap) inside the good set.
+
+    The gap must lie in (0, min(eps, eps^2)) and leave room for x between
+    the margins; both are checked before any sampling.
+    """
     import random as _random
     rng = _random.Random(cfg.seed)
     gap = F(gap) if not isinstance(gap, F) else gap
-    region = good_region or GoodRegion(accel, spec, cfg)
-    lo = cfg.margin
-    hi = 1 - cfg.margin - gap
-    pairs = []
+    _require_pair_gap(gap, cfg.epsilon)
     denom = 10 ** 9
+    lo = int(cfg.margin * denom) + 1
+    hi = int((1 - cfg.margin - gap) * denom)
+    if hi <= lo:
+        raise WitnessPreconditionError(
+            "pair gap %s leaves no room for x between the margins of width "
+            "%s" % (gap, cfg.margin), excluding_set="margins")
+    region = good_region or GoodRegion(accel, spec, cfg)
+    pairs = []
     for _ in range(max_tries):
         if len(pairs) >= count:
             break
-        x = F(rng.randrange(int(lo * denom) + 1, int(hi * denom)), denom)
+        x = F(rng.randrange(lo, hi), denom)
         y = x + gap
         if region.contains(x) and region.contains(y):
             pairs.append((ExactScalar(x), ExactScalar(y)))

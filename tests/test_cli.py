@@ -175,6 +175,35 @@ class TestAnalysisCommands:
         assert len(failed) == 1
         assert failed[0]["reason"].startswith("Birkhoff deviation")
 
+    def test_ratner_witness_impossible_gap_is_usage_error(self):
+        # 19/20 is far above min(eps, eps^2) = 0.04: named before sampling
+        proc = run_cli("ratner", "witness", "--eps", "0.2", "--pairs", "3",
+                       "--gap", "19/20", check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == "usage"
+        assert err["detail"].startswith("pair gap 19/20 outside (0, ")
+
+    def test_ratner_witness_too_few_pairs_is_one_json_line(self, capsys,
+                                                           monkeypatch):
+        from ietflow import cli
+        from ietflow.ratner import PairSamplingError
+
+        def short_sample(*args, **kwargs):
+            raise PairSamplingError(100, 7, 50)
+
+        monkeypatch.setattr(cli, "witness_run", short_sample)
+        code = cli.main(["ratner", "witness", "--eps", "0.2", "--pairs",
+                         "100", "--steps", "30"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "PairSamplingError", "requested": 100, "found": 7,
+            "max_tries": 50,
+            "detail": "could not sample 100 good pairs: found 7 in 50 tries"}
+
     def test_bs_growth_small(self):
         proc = run_cli("bs", "growth", "--r-grid", "500,1500", "--points",
                        "4", "--steps", "40", "--seed", "2", check=False)

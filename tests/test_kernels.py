@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,8 +250,33 @@ def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
     _, _, steps = kernels.flow_points(tables, x, [0.0], t, max_steps=1,
                                       module=module)
     assert steps[0] == (1 if forward else -1)
-    with pytest.raises(RuntimeError, match="exceeded 0 steps"):
+    with pytest.raises(FlowStepBudgetError, match="exceeded 0 steps") as info:
         kernels.flow_points(tables, x, [0.0], t, max_steps=0, module=module)
+    assert (info.value.max_steps, info.value.t) == (0, t)
+
+
+def test_plain_budget_error_is_typed_and_chained(setup):
+    # a backend that reports the budget as the compiled build does, with a
+    # plain RuntimeError; any other RuntimeError passes through
+    _, _, tables = setup
+
+    def backend(message):
+        def flow_points(*args):
+            raise RuntimeError(message)
+        return SimpleNamespace(roof_values=_core_py.roof_values,
+                               flow_points=flow_points)
+
+    x, y = np.array([0.3]), np.array([0.0])
+    with pytest.raises(FlowStepBudgetError) as info:
+        kernels.flow_points(tables, x, y, 7.5, max_steps=4,
+                            module=backend("flow advance exceeded 4 steps"))
+    err = info.value
+    assert (err.max_steps, err.t, err.pending, err.steps) == (4, 7.5, None,
+                                                              None)
+    assert str(err.__cause__) == "flow advance exceeded 4 steps"
+    with pytest.raises(RuntimeError, match="^other$") as info:
+        kernels.flow_points(tables, x, y, 7.5, module=backend("other"))
+    assert type(info.value) is RuntimeError
 
 
 @pytest.mark.parametrize("t", [50.0, -50.0])

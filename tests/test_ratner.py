@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from ietflow.fixtures import (
     constant_roof,
     golden_rotation,
 )
-from ietflow.iet import Iet, IntegerOrbit, Permutation
+from ietflow.iet import (_SHADOW_RESYNC, Iet, IntegerOrbit, Permutation,
+                         _first_above)
 from ietflow import kernels, ratner
 from ietflow.rauzy import InductionTrace, select_accel_times
 from ietflow.ratner import (
@@ -25,6 +27,7 @@ from ietflow.ratner import (
     PairSamplingError,
     WitnessConfig,
     WitnessPreconditionError,
+    _SHADOW_GAP,
     forbac_scan,
     induced_discontinuity_gaps,
     mixing_correlation,
@@ -38,6 +41,7 @@ from ietflow.roof import (
     RoofDomainError,
     RoofSpec,
     SingularityTooClose,
+    _EPS,
     _terms,
     eval_roof,
     roof_area,
@@ -267,6 +271,35 @@ class TestWitness:
         accel, spec, cfg = witness_setup()
         with pytest.raises(WitnessPreconditionError):
             sr_pair_test(accel, spec, cfg, F(1, 3), F(1, 3) + F(1, 10))
+
+    @pytest.mark.parametrize("gap", [F(19, 20), F(1, 2), F(1, 10), F(0),
+                                     F(-1, 10 ** 5)])
+    def test_impossible_gap_is_named_before_sampling(self, monkeypatch,
+                                                     gap):
+        # at eps = 0.2 a pair gap must lie in (0, min(eps, eps^2) = 0.04)
+        accel, spec, cfg = witness_setup()
+
+        def no_region(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(ratner, "GoodRegion", no_region)
+        name = "pair gap %s outside" % ExactScalar(gap).to_string()
+        for call in (lambda: sample_good_pairs(accel, spec, cfg, 3, gap),
+                     lambda: ratner.witness_run(accel, spec, cfg, 3, gap)):
+            with pytest.raises(WitnessPreconditionError, match=name):
+                call()
+        if gap > 0:
+            with pytest.raises(WitnessPreconditionError, match=name):
+                sr_pair_test(accel, spec, cfg, F(1, 4), F(1, 4) + gap)
+
+    def test_gap_with_no_room_between_the_margins(self):
+        # eps = 0.95 admits gaps below 0.9025, but its margins are 0.11875
+        # wide: a gap of 0.8 leaves no x with x and x + gap between them
+        accel, spec, cfg = witness_setup()
+        cfg = dataclasses.replace(cfg, epsilon=0.95)
+        with pytest.raises(WitnessPreconditionError, match="no room") as info:
+            sample_good_pairs(accel, spec, cfg, 3, F(4, 5))
+        assert info.value.excluding_set == "margins"
 
     def test_too_few_good_pairs_raise_typed_error(self):
         accel, spec, cfg = witness_setup()
@@ -514,6 +547,155 @@ def exact_gap_pair_walk(iet, spec, x, y, M, L, forward):
             ds += dfx
         if forward:
             step(i)
+    return checkpoints, None, sign * ds
+
+
+def scalar_pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
+                     forward: bool):
+    """The former per-step `_pair_walk`, kept as the reference of the
+    two-pass walk: the same orbit, straddle test, exact checks, roof terms
+    and radius, one step at a time.  Same arguments and return value
+    (checkpoints, straddle, deriv)."""
+    orbit = IntegerOrbit(iet, x, extra=[y])
+    field, den, unit = orbit.field, orbit.den, orbit.unit
+    d0, d1 = orbit.pair_of(y)
+    d0, d1 = d0 - orbit.p, d1 - orbit.q
+    lefts, rights, flefts, frights = (orbit.lefts, orbit.cuts, orbit.flefts,
+                                      orbit.frights)
+    if forward:
+        cuts, fcuts, trans, ftrans = rights, frights, orbit.trans, orbit.ftrans
+    else:
+        # the walk visits T^-1 x, T^-2 x, ...: it starts one step back and
+        # locates each point in bottom order to step it on
+        i = orbit.step_backward()
+        cuts, fcuts, top_of_b = orbit.cuts_b, orbit.frights_b, orbit.top_of_b
+        trans = [(-t0, -t1) for t0, t1 in orbit.trans_b]
+        ftrans = [-t for t in orbit.ftrans_b]
+    p, q, xf, xerr = orbit.p, orbit.q, orbit.xf, orbit.xerr
+    last = len(cuts) - 1
+    resync = _SHADOW_RESYNC * unit
+    log = math.log
+    top = iet.perm.top
+    c0 = float(spec.c0)
+    ac0 = abs(c0)
+    cps = [float(spec.cplus[a]) for a in top]
+    cms = [float(spec.cminus[a]) for a in top]
+    singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
+    # delta and the cutoff in the shadow's units (numerators on Q, exact)
+    rational = field is None
+    if rational:
+        df, cut = d0, cutoff.numerator * den // cutoff.denominator
+    else:
+        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+    sign = 1 if forward else -1
+    s = err = ds = 0.0
+    checkpoints = []
+    for n in range(M + L + 1):
+        if n >= M:
+            checkpoints.append((sign * s, err, sign * ds))
+        if n == M + L:
+            break
+        # locate x_n among `cuts` as IntegerOrbit._locate does
+        j = bisect_right(fcuts, xf, 0, last)
+        tol = xerr + 2 * unit
+        if not ((j == 0 or xf - fcuts[j - 1] > tol) and
+                (j == last or fcuts[j] - xf > tol)):
+            j = _first_above(p, q, cuts, field)
+        if forward:
+            i = j
+        tol += unit
+        left, right = lefts[i], rights[i]
+        grx = frights[i] - xf
+        yrf = grx - df
+        if yrf <= tol and (yrf < -tol or _sign(right[0] - p - d0,
+                                               right[1] - q - d1, field) <= 0):
+            return checkpoints, n, sign * ds
+        if singular and p == left[0] and q == left[1]:
+            # the model is undefined on {l_a}; constant roofs have no
+            # singular set and evaluate everywhere
+            raise RoofDomainError("evaluation at the singular point l_%s "
+                                  "(orbit index %d)"
+                                  % (top[i], n if forward else -n - 1))
+        cp, cm = cps[i], cms[i]
+        # where the roof is constant, f(x_n) - f(y_n) and f'(x_n) are 0
+        if cp or cm:
+            glx = xf - flefts[i]
+            # y's left gap exceeds x's and x's right gap exceeds y's, so
+            # these two shadows gate the exact cutoff checks of both points
+            if (cp and glx <= tol + cut) or (cm and yrf <= tol + cut):
+                dl = (p - left[0], q - left[1])
+                dr = (right[0] - p, right[1] - q)
+                for side, c, gap in (
+                        ("left", cp, dl), ("right", cm, dr),
+                        ("left", cp, (dl[0] + d0, dl[1] + d1)),
+                        ("right", cm, (dr[0] - d0, dr[1] - d1))):
+                    if c and orbit.value(gap) <= cutoff:
+                        raise SingularityTooClose(
+                            top[i], side, orbit.value(gap),
+                            n if forward else -n - 1)
+            # the terms of x and y as roof._terms, from shadow gaps gx, gy
+            # within e, ey of the exact ones (correctly rounded on Q)
+            e, ey = xerr + unit, xerr + 2 * unit
+            fx = fy = c0
+            bx = by = ac0
+            dfx = rad = 0.0
+            if cp:
+                gx, gy = glx, glx + df
+                if rational:
+                    gx, gy = gx / den, gy / den
+                else:
+                    if e > gx * _SHADOW_GAP:
+                        gx = quadratic_float(p - left[0], q - left[1], den,
+                                             field)
+                    else:
+                        rad += cp * e / (gx - e)
+                    if ey > gy * _SHADOW_GAP:
+                        gy = quadratic_float(p - left[0] + d0,
+                                             q - left[1] + d1, den, field)
+                    else:
+                        rad += cp * ey / (gy - ey)
+                tx, ty = -cp * log(gx), -cp * log(gy)
+                fx += tx
+                fy += ty
+                bx += abs(tx) + cp
+                by += abs(ty) + cp
+                dfx += -cp / gx
+            if cm:
+                gx, gy = grx, yrf
+                if rational:
+                    gx, gy = gx / den, gy / den
+                else:
+                    if e > gx * _SHADOW_GAP:
+                        gx = quadratic_float(right[0] - p, right[1] - q, den,
+                                             field)
+                    else:
+                        rad += cm * e / (gx - e)
+                    if ey > gy * _SHADOW_GAP:
+                        gy = quadratic_float(right[0] - p - d0,
+                                             right[1] - q - d1, den, field)
+                    else:
+                        rad += cm * ey / (gy - ey)
+                tx, ty = -cm * log(gx), -cm * log(gy)
+                fx += tx
+                fy += ty
+                bx += abs(tx) + cm
+                by += abs(ty) + cm
+                dfx += cm / gx
+            s += fx - fy
+            err += (_EPS * (bx + abs(fx)) + _EPS * (by + abs(fy)) + rad
+                    + (abs(fx - fy) + abs(s)) * 2.0 ** -52)
+            ds += dfx
+        # step x_n on, moving the shadow as IntegerOrbit._shift does
+        t = trans[j]
+        p += t[0]
+        q += t[1]
+        xerr += 2 * unit
+        if xerr > resync:
+            xf, xerr = quadratic_float(p, q, den, field), unit
+        else:
+            xf += ftrans[j]
+        if not forward:
+            i = top_of_b[j]
     return checkpoints, None, sign * ds
 
 
@@ -804,6 +986,210 @@ class TestShadowGapWalk:
             L=L))
         for n, (value, err, _) in enumerate(checkpoints, M):
             assert abs(value - hp[n][0]) <= err, n
+
+
+def walk_or_error(walk, *args):
+    """A pair walk's (checkpoints, straddle, deriv), or its error: the
+    type, the message (which names the orbit index) and, for
+    SingularityTooClose, the label, side, distance and orbit index."""
+    try:
+        return walk(*args)
+    except RoofDomainError as exc:
+        return type(exc), str(exc)
+    except SingularityTooClose as exc:
+        return (type(exc), str(exc), exc.label, exc.side, exc.distance,
+                exc.orbit_index)
+
+
+def assert_walks_agree(iet, spec, x, y, M, L, forward):
+    """`_pair_walk` equals `scalar_pair_walk` exactly; returns its walk."""
+    args = (iet, spec, x, y, M, L, forward)
+    walk = walk_or_error(ratner._pair_walk, *args)
+    assert walk == walk_or_error(scalar_pair_walk, *args)
+    return walk
+
+
+def rational_4iet():
+    perm = Permutation(["A", "B", "C", "D"], ["D", "C", "B", "A"])
+    return Iet(perm, [F(3, 17), F(5, 19), F(2, 7), F(7, 23)])
+
+
+class TestTwoPassWalk:
+    """`_pair_walk` walks segments in two passes (a bare orbit loop, then
+    array operations); the former per-step walk, `scalar_pair_walk`, is
+    its reference bit for bit: the checkpoints, straddle and deriv, or the
+    error type and orbit index."""
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("setup", [witness_setup,
+                                       bounded3_witness_setup])
+    def test_sampled_pairs(self, setup, forward):
+        accel, spec, cfg = setup()
+        iet = accel.trace.base
+        pairs, region = sample_good_pairs(accel, spec, cfg, 6, F(1, 10 ** 5))
+        res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
+        # the witness windows span more than two segments
+        assert res.M + res.L > 2 * ratner._SEGMENT
+        for x, y in pairs:
+            assert_walks_agree(iet, spec, x, y, res.M, res.L, forward)
+
+    def test_exact_gap_branch(self, monkeypatch):
+        # the forward walk of the 44th bounded-3 seed-3 pair comes within
+        # 2^-20 of a cut once, where its gap is rounded exactly
+        accel, spec, _ = bounded3_witness_setup()
+        iet = accel.trace.base
+        x = ExactScalar(F(43560461, 125000000))
+        y = x + ExactScalar(F(1, 10 ** 5))
+        M, L = 10770, 18
+        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        _, straddle, _ = assert_walks_agree(iet, spec, x, y, M, L, True)
+        assert straddle is None
+        # one call per shadow re-sync, one for the exact gap
+        assert calls[0] == (M + L) // ratner._SEGMENT + 1
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("k", [100, 5000])
+    def test_straddle_in_a_segment(self, k, forward):
+        # a straddle planted as in TestPairWalk, in the first segment or a
+        # later one
+        accel, spec, _ = witness_setup()
+        iet = accel.trace.base
+        half = ExactScalar(F(1, 2 * 10 ** 9))
+        if forward:
+            mid = iet.iterate(iet.left(iet.perm.top[1]), -k)
+        else:
+            mid = iet.iterate(iet.left_image(iet.perm.bottom[1]), k)
+        M = 50
+        checkpoints, straddle, _ = assert_walks_agree(
+            iet, spec, mid - half, mid + half, M, 6000, forward)
+        assert straddle == k and len(checkpoints) == k - M + 1
+
+    @pytest.mark.parametrize("field,roof,forward", [
+        ("sqrt5", asymmetric_log_roof, True),
+        ("sqrt5", asymmetric_log_roof, False),
+        ("Q", two_sided_roof, True), ("Q", constant_roof, True)])
+    @pytest.mark.parametrize("n", [7, 3000])
+    def test_straddle_by_the_exact_sign(self, monkeypatch, n, field, roof,
+                                        forward):
+        # y_n lands exactly on a cut, a tie only `_sign` decides: forward
+        # on l_B = r_A; backward on r_B = 1, past T^-(n+1) y = l_B since
+        # T l_B = 0.  On Q the shadow difference is exactly 0 there, at
+        # the edge of the gate of a log roof and of a constant one.
+        iet = rational_4iet() if field == "Q" else golden_rotation()
+        spec = roof(iet)
+        y = iet.iterate(iet.left("B"), -n if forward else n + 2)
+        x = y - ExactScalar(F(1, 10 ** 5))
+        signs = []
+        exact_sign = ratner._sign
+
+        def spy(p, q, d):
+            signs.append(exact_sign(p, q, d))
+            return signs[-1]
+
+        monkeypatch.setattr(ratner, "_sign", spy)
+        _, straddle, _ = assert_walks_agree(iet, spec, x, y, 5, n + 10,
+                                            forward)
+        assert straddle == n and signs == [0]
+
+    @pytest.mark.parametrize("setup,label,forward", [
+        (bounded3_witness_setup, "C", True),
+        (witness_setup, "B", False)])
+    def test_shadow_index_corrected(self, monkeypatch, setup, label,
+                                    forward):
+        # x_5 lands exactly on l_C (bounded-3, forward) or x_10 on l_B
+        # (golden, backward), where the bisection of the shadow is wrong:
+        # the exact index replaces it and pass 1 runs again from the next
+        # step; the roof is constant, so the walk goes on past the hit
+        accel, _, _ = setup()
+        iet = accel.trace.base
+        spec = constant_roof(iet)
+        n = 5 if forward else 10
+        x = iet.iterate(iet.left(label), -n if forward else n + 1)
+        y = x + ExactScalar(F(1, 10 ** 9))
+        starts = []
+        inner = ratner._orbit_pass
+
+        def spy(js, start, *args):
+            starts.append(start)
+            return inner(js, start, *args)
+
+        monkeypatch.setattr(ratner, "_orbit_pass", spy)
+        _, straddle, _ = assert_walks_agree(iet, spec, x, y, 0, n + 20,
+                                            forward)
+        assert straddle is None and any(starts)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("setup", [witness_setup,
+                                       bounded3_witness_setup])
+    @pytest.mark.parametrize("L", [60, 3000])
+    def test_window_from_zero(self, setup, L, forward):
+        accel, spec, _ = setup()
+        iet = accel.trace.base
+        x = ExactScalar(F(41, 100))
+        y = x + ExactScalar(F(1, 10 ** 5))
+        checkpoints, _, _ = assert_walks_agree(iet, spec, x, y, 0, L,
+                                               forward)
+        assert checkpoints[0] == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("den", [10 ** 7, 10 ** 12])
+    def test_rational_iet(self, den, forward):
+        # numerators below 2^53 walk as int64, above (den 10^12) as
+        # Python ints
+        iet = rational_4iet()
+        spec = two_sided_roof(iet)
+        x = ExactScalar(F(41, 100))
+        y = x + ExactScalar(F(1, den))
+        checkpoints, _, _ = assert_walks_agree(iet, spec, x, y, 20, 5000,
+                                               forward)
+        assert len(checkpoints) > 100
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_offsets_past_int64(self, forward):
+        # over a denominator of 10^30 the translation numerators times a
+        # segment pass 2^63: the exact offsets are Python ints
+        accel, spec, _ = witness_setup()
+        iet = accel.trace.base
+        x = ExactScalar(F(41, 100) + F(1, 10 ** 30))
+        y = x + ExactScalar(F(1, 10 ** 5))
+        assert_walks_agree(iet, spec, x, y, 100, 3000, forward)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("n", [5, 3000])
+    def test_singular_point(self, n, forward):
+        # x_n lands on l_B forward; backward on l_A = 0 (T l_B = 0, so the
+        # backward orbit of a point past l_B meets 0 first)
+        accel, spec, _ = witness_setup()
+        iet = accel.trace.base
+        x = iet.iterate(iet.left("B"), -n) if forward else \
+            iet.iterate(iet.left("A"), n + 1)
+        y = x + ExactScalar(F(1, 10 ** 5))
+        walk = assert_walks_agree(iet, spec, x, y, 0, n + 10, forward)
+        assert walk[0] is RoofDomainError
+        assert walk[1].endswith("(orbit index %d)" % (n if forward
+                                                     else -n - 1))
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n", [5, 3000])
+    def test_within_the_cutoff(self, n, side, forward):
+        # x_n just right of a cut (x's left gap), or y_n just left of it
+        # (y's right gap), closer than the cutoff 10^-30: of l_B forward;
+        # backward, where T maps points near l_B near 0 or 1, of 0 or 1
+        iet = golden_rotation()
+        spec = two_sided_roof(iet)
+        tiny = ExactScalar(F(1, 10 ** 31))
+        gap = ExactScalar(F(1, 10 ** 5))
+        if forward:
+            target = iet.left("B") + (tiny if side == "left" else -tiny)
+        else:
+            target = tiny if side == "left" else iet.total - tiny
+        start = iet.iterate(target, -n if forward else n + 1)
+        x, y = (start, start + gap) if side == "left" else (start - gap,
+                                                            start)
+        walk = assert_walks_agree(iet, spec, x, y, 0, n + 10, forward)
+        assert walk[0] is SingularityTooClose
+        assert walk[3:] == (side, tiny, n if forward else -n - 1)
 
 
 class TestExactInputs:
