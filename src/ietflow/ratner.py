@@ -471,11 +471,10 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
     rational = field is None
     if rational:
-        # delta and the cutoff as numerators, exact; below 2^53 the
-        # numerators and their quotients by den are exact in int64 and
-        # float64, above they stay Python ints
+        # delta and the cutoff as numerators, exact: the shadow, xerr and
+        # every gate are Python ints, of any size
         df, cut = d0, cutoff.numerator * den // cutoff.denominator
-        sdt = np.int64 if max(rights[-1][0], den) < 2 ** 53 else object
+        sdt = object
     else:
         df, cut = orbit.to_float((d0, d1)), float(cutoff)
         sdt = np.float64
@@ -527,7 +526,7 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     while n0 < end:
         full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else _SEGMENT
         k = min(full, end - n0)
-        xerr = unit * np.arange(a, a + 2 * k, 2)
+        xerr = np.arange(a, a + 2 * k, 2).astype(sdt) * unit
         tol = xerr + 2 * unit
         # pass 1, then certify every locate as IntegerOrbit._locate does
         js, start = array("q", (0,)) * k, 0

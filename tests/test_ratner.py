@@ -1132,10 +1132,10 @@ class TestTwoPassWalk:
         assert checkpoints[0] == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("forward", [True, False])
-    @pytest.mark.parametrize("den", [10 ** 7, 10 ** 12])
+    @pytest.mark.parametrize("den", [10 ** 7, 10 ** 12, 10 ** 50])
     def test_rational_iet(self, den, forward):
-        # numerators below 2^53 walk as int64, above (den 10^12) as
-        # Python ints
+        # the shadow on Q is Python ints; at den 10^50 the hard cutoff's
+        # numerator of the log roof is past int64
         iet = rational_4iet()
         spec = two_sided_roof(iet)
         x = ExactScalar(F(41, 100))
