@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exact import (ZERO, ExactScalar, _join, _reduce, _sign, as_scalar,
                     exact_sum, quadratic_float)
@@ -23,6 +26,10 @@ from .exact import (ZERO, ExactScalar, _join, _reduce, _sign, as_scalar,
 #: Re-sync the float shadow of an IntegerOrbit point from its exact pair
 #: once the shadow's error bound passes this many rounding units.
 _SHADOW_RESYNC = 1 << 12
+
+#: Steps between two re-syncs of a shadow that starts at one unit: the
+#: length of the segments the segment walkers ask for.
+_SEGMENT = _SHADOW_RESYNC // 2
 
 
 class IetDomainError(ValueError):
@@ -134,6 +141,15 @@ def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
         if _sign(p - scale * cp, q - scale * cq, field) < 0:
             return i
     return last
+
+
+def _orbit_pass(js: array, start: int, xf, fcuts, ftrans, last: int):
+    """Pass 1 of `IntegerOrbit.segment`: js[start:] = the indices of the
+    shadow xf's steps, by bisection alone; returns the shadow after them."""
+    for n in range(start, len(js)):
+        js[n] = j = bisect_right(fcuts, xf, 0, last)
+        xf += ftrans[j]
+    return xf
 
 
 class Iet:
@@ -383,6 +399,20 @@ class IntegerOrbit:
     `top_of_b[j]`, the top index of the letter bottom[j].  The bottom
     locate is itself certified, so `step_backward` returns the top index
     of the new point with no second locate.
+
+    Segments: `segment(k)` takes k steps at once, each point bit for bit
+    what the one-step methods leave; `ratner._pair_walk` and
+    `roof.BirkhoffCursor` walk so.  From a re-sync xerr grows by 2 units a
+    step, exact multiples of the power of two `unit`, so one array holds
+    the bounds of a run of up to `_SEGMENT` steps to the next re-sync.
+    Pass 1 (`_orbit_pass`), the only per-step Python, bisects the shadow
+    and adds the float translation; `np.cumsum` adds in order with one
+    rounding per add, so the cumsum of the run's first shadow and the
+    translations is every shadow bit for bit.  Each locate is certified as
+    in `_locate`; where it cannot be, `_first_above` decides, and when that
+    changes the index pass 1 runs again from the next step (quadratic with
+    no float tables).  The exact pairs are cumsums of the translation
+    numerators, int64 while k times the largest stays below 2^63.
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
@@ -541,6 +571,78 @@ class IntegerOrbit:
         self.steps -= 1
         self._shift(-self.ftrans_b[j])
         return self.top_of_b[j]
+
+    def segment(self, k: int, forward: bool = True) -> tuple:
+        """Take k >= 1 steps, backward when not forward, and return arrays
+        (i, xf, xerr, dp, dq) over the points visited: top-order interval
+        indices, shadows, their error bounds and exact pairs less the pair
+        before the first step.  Forward visits x .. T^(k-1) x before each
+        step, backward T^-1 x .. T^-k x after each step."""
+        unit, field = self.unit, self.field
+        sign = 1 if forward else -1
+        cuts, fcuts, trans, ftrans = (
+            (self.cuts, self.frights, self.trans, self.ftrans) if forward
+            else (self.cuts_b, self.frights_b, self.trans_b, self.ftrans_b))
+        ftrans = [sign * t for t in ftrans]
+        sdt = object if field is None else np.float64
+        fc, ft = np.array(fcuts, sdt), np.array(ftrans, sdt)
+        fc_below = np.concatenate((fc[:1], fc[:-1]))    # fcuts[j - 1], j > 0
+        last = len(cuts) - 1
+        big = max(abs(v) for t in trans for v in t)
+        odt = np.int64 if k * big < 2 ** 63 else object
+        tp, tq = (np.array([sign * t[c] for t in trans], odt) for c in (0, 1))
+        resyncs = 0 < unit < math.inf
+        p, q, xf = self.p, self.q, self.xf
+        # xerr = a units at the first point of a run
+        a = round(self.xerr / unit) if resyncs else 1
+        J, n0 = np.empty(k, np.int64), 0
+        X, E = np.empty(k + 1, sdt), np.empty(k + 1, sdt)
+        dp, dq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
+        while n0 < k:
+            full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else k
+            m = min(full, k - n0)
+            xerr, Xm = E[n0:n0 + m], X[n0:n0 + m]
+            np.multiply(np.arange(a, a + 2 * m, 2, dtype=sdt), unit, out=xerr)
+            tol = xerr + 2 * unit
+            js, start = array("q", (0,)) * m, 0
+            xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
+            op, oq = dp[n0:n0 + m + 1], dq[n0:n0 + m + 1]
+            while True:
+                Jm = np.frombuffer(js, np.int64)
+                np.cumsum(np.concatenate((np.array([xf], sdt), ft[Jm[:-1]])),
+                          out=Xm)
+                for o, t in ((op, tp), (oq, tq)):   # less the first pair
+                    np.cumsum(t[Jm], out=o[1:])
+                    if n0:
+                        o[1:] += o[0]
+                ok = (((Jm == 0) | (Xm - fc_below[Jm] > tol))
+                      & ((Jm == last) | (fc[Jm] - Xm > tol)))
+                for b in (np.flatnonzero(~ok[start:]) + start).tolist():
+                    jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
+                                      field)
+                    if jb != js[b]:
+                        break
+                else:
+                    break
+                # the shadow's index was wrong: step on from the exact one
+                js[b], start = jb, b + 1
+                xf_next = _orbit_pass(js, start, Xm.item(b) + ftrans[jb],
+                                      fcuts, ftrans, last)
+            J[n0:n0 + m] = Jm
+            n0 += m
+            # the next run starts at a re-sync, as `_shift` makes it
+            if resyncs and m == full:
+                xf, a = quadratic_float(p + dp.item(n0), q + dq.item(n0),
+                                        self.den, field), 1
+            else:
+                xf, a = xf_next, a + 2 * m
+        X[k] = self.xf = xf
+        E[k] = self.xerr = a * unit
+        self.p, self.q = p + dp.item(k), q + dq.item(k)
+        self.steps += k if forward else -k
+        if forward:
+            return J, X[:k], E[:k], dp[:k], dq[:k]
+        return np.array(self.top_of_b)[J], X[1:], E[1:], dp[1:], dq[1:]
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair

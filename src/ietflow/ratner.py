@@ -8,18 +8,15 @@ singular endpoints in one time direction (the property is switchable);
 the pair test tries forward, then backward.  One exact pair walk
 (`_pair_walk`, rigorous error radii) decides every attempt and keeps its
 checkpoints as the certificate that `verify_witness_high_precision` checks
-with no second walk.  It walks segments between shadow re-syncs in two
-passes, a bare orbit loop and then array operations for the straddle test,
-exact checks, roof terms and radii, bit for bit a per-step walk; the
-per-step walk, the two-cursor walk and the 120-bit mpmath enclosure in the
-tests check it.  `witness_run` is the whole sweep.
+with no second walk.  It walks segments of `IntegerOrbit.segment` with
+array operations, bit for bit a per-step walk; the per-step walk, the
+two-cursor walk and the 120-bit mpmath enclosure in the tests check it.
+`witness_run` is the whole sweep.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -29,22 +26,14 @@ import numpy as np
 from . import kernels
 from .birkhoff import locate_scale, sigma_set
 from .diophantine import DcParams, k_set_membership
-from .exact import ExactScalar, _sign, as_scalar, exact_min, quadratic_float
-from .iet import _SHADOW_RESYNC, Iet, IntegerOrbit, _first_above
+from .exact import ExactScalar, _sign, as_scalar, exact_min
+from .iet import _SEGMENT, Iet, IntegerOrbit
 from .intervals import IntervalUnion, neighborhood, pullback_union
 from .rauzy import AccelTimes
-from .roof import (_EPS, BirkhoffCursor, RoofDomainError, RoofSpec,
-                   SingularityTooClose, roof_area)
+from .roof import (BirkhoffCursor, RoofSpec, _gaps_of, _orbit_error,
+                   roof_area, roof_terms)
 
 F = Fraction
-
-#: A shadow gap g with error bound e enters the pair walk's logs as it is
-#: when e <= g * _SHADOW_GAP; closer to a cut the exact gap is rounded.
-_SHADOW_GAP = 2.0 ** -20
-
-#: Steps of a pair-walk segment where the shadow never re-syncs; a
-#: re-synced segment is at most as long.
-_SEGMENT = _SHADOW_RESYNC // 2
 
 
 class WitnessPreconditionError(ValueError):
@@ -239,10 +228,16 @@ def _j_set(accel: AccelTimes, ell: int, xi: float) -> IntervalUnion:
     return IntervalUnion(parts)
 
 
+def eps_fraction(epsilon: float) -> Fraction:
+    """epsilon read as the nearest fraction with denominator at most 10^9:
+    the one exact reading of eps behind the margins, the pair gap rule and
+    the certificate check."""
+    return F(epsilon).limit_denominator(10 ** 9)
+
+
 def margin_width(epsilon: float) -> Fraction:
-    """eps/8 for epsilon read as the nearest fraction with denominator at
-    most 10^9: the width of the margins of [0, 1)."""
-    return F(epsilon).limit_denominator(10 ** 9) / 8
+    """eps/8, the width of the margins of [0, 1)."""
+    return eps_fraction(epsilon) / 8
 
 
 def in_margins(x, margin: Fraction) -> bool:
@@ -253,14 +248,14 @@ def in_margins(x, margin: Fraction) -> bool:
 
 
 def _require_pair_gap(gap, epsilon: float):
-    """The pair gap of the SR witness lies in (0, min(eps, eps^2)); a
-    WitnessPreconditionError naming the gap otherwise."""
+    """The pair gap of the SR witness lies in (0, min(eps, eps^2)), exactly;
+    a WitnessPreconditionError naming the gap otherwise."""
     gap = as_scalar(gap)
-    bound = min(epsilon, epsilon * epsilon)
-    # float(gap) is correctly rounded, so float(gap) < bound gives gap < bound
-    if not (gap.sign() > 0 and float(gap) < bound):
+    eps = eps_fraction(epsilon)
+    bound = min(eps, eps * eps)
+    if not (gap.sign() > 0 and gap < ExactScalar(bound)):
         raise WitnessPreconditionError(
-            "pair gap %s outside (0, min(eps, eps^2)) = (0, %r)"
+            "pair gap %s outside (0, min(eps, eps^2)) = (0, %s)"
             % (gap.to_string(), bound))
 
 
@@ -359,16 +354,6 @@ def _scale_from_gap(gap: float, g: float) -> int:
     return lo
 
 
-def _orbit_pass(js: array, start: int, xf, fcuts, ftrans, last: int):
-    """Pass 1 of `_pair_walk`: fill js[start:] with the interval indices of
-    the steps of the shadow xf, by bisection alone; returns the shadow
-    after them."""
-    for n in range(start, len(js)):
-        js[n] = j = bisect_right(fcuts, xf, 0, last)
-        xf += ftrans[j]
-    return xf
-
-
 def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                forward: bool):
     """Exact lockstep walk of a close pair x < y to depth M+L.
@@ -376,69 +361,26 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     One exact orbit walks x and delta = y - x stays an exact integer pair:
     while x_n and y_n share an interval I_a, y_n = x_n + delta, and they
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
-    step, which also catches a pair split by a bottom cut).  The test goes
-    by the shadow when its difference clears xerr + 3 units (xerr + 1 for a
-    gap, one for delta and the difference, one spare for the thresholds;
-    see IntegerOrbit), else by `exact._sign`; the walk stops at the first
-    straddle.  The orbit is IntegerOrbit's: one certified locate per step
-    (in bottom order backward, where the top index of the new point is
-    `top_of_b` of the bottom one) and the same shadow re-sync.
+    step, which also catches a pair split by a bottom cut).  The orbit goes
+    by `IntegerOrbit.segment`, whose docstring says how it is certified.
+    The straddle test goes by the shadow when its difference clears xerr +
+    3 units (xerr + 1 for a gap, one for delta and the difference, one
+    spare), else by `exact._sign`; the walk stops at the first straddle.
+    Shadow gates pick the steps needing exact work (a straddle, the
+    singular point, the cutoff, on both points), visited in step order.
 
     Up to the straddle y's gaps are dl + delta and dr - delta, and both
-    roofs follow the formula and `_EPS` budget of `roof._terms`.  On Q the
-    shadow is the exact numerator, so every gap is correctly rounded and
-    the walk is `_terms` bit for bit.  On Q(sqrt d) x's gaps are read from
-    the shadow, xf - flefts[i] and frights[i] - xf, each within e = xerr +
-    unit of the exact gap (xerr, the table entry's half unit and the
-    difference's rounding); y's are those -/+ the float of delta, within
-    e + unit (delta's half ulp and the sum's rounding).  A gap g with
-    e <= g 2^-20 enters the log as it is, and the radius gains
-    C e/(g - e) for it, since |log g - log gap| <= e/(g - e) (the `_EPS`
-    budget's spare covers the rounding of that term); a closer gap (near
-    a cut) is the correctly rounded float of the exact pair and adds
-    nothing.  Delta_n = S_n(f)(x) - S_n(f)(y) thus carries a rigorous
-    radius: both evaluation radii, the gap terms and twice the rounding
-    bound of each difference and each summation step (which also covers a
-    later comparison).  The gap terms exceed what a shadow gap takes off
-    the `_EPS` budgets, so the radius still covers both points'
-    `eval_roof` radii.  S_n(f')(x) is summed alongside from the same gaps,
-    both in BirkhoffCursor's convention (S_{-n} backward) and under its
-    exact singular-point and hard-cutoff checks, on both points.
-
-    The walk goes in segments, one from each shadow re-sync to the next
-    (at most 2048 steps, and 2048 where the shadow never re-syncs), in two
-    passes.  Pass 1 is the only per-step Python: bisect the shadow among
-    the cuts and add the float translation.  The re-sync cadence does not
-    depend on the data:
-    xerr starts at one unit after a re-sync (three after the first
-    backward step) and grows by 2 units a step, every value an exact
-    multiple of the power of two `unit`, so one array holds every bound of
-    the segment, which ends where xerr would pass `_SHADOW_RESYNC` units.
-    `np.cumsum` adds in order with one rounding per add, so the cumsum of
-    the segment's first shadow and the translations stepped is the shadow
-    of every step bit for bit.  Each locate is then certified as
-    `IntegerOrbit._locate` does it; at a step it cannot certify
-    `_first_above` decides, and when that changes the index pass 1 runs
-    again from the next step.  (With no float tables, a total the unit
-    interval of the witness excludes, the shadow decides nothing and
-    these re-runs make a segment's cost quadratic.)  The exact pairs are
-    the segment's first pair plus cumsums of the translation numerators,
-    int64 while segment length times the largest numerator stays below
-    2^63, Python ints beyond.
-
-    Pass 2 is array operations on the segment: top indices, shadow gaps,
-    and gates (yrf <= tol for a straddle; a gap within tol + cutoff for the
-    singular point or the cutoff) that pick the few steps needing exact
-    work.  Those are visited in step order with the exact tests, errors
-    and orbit indices of a per-step walk.  Then the roof terms, gap
-    radii, s, err and ds are arrays, the sums cumsums carried from one
-    segment to the next, each value made by the per-step operations in
-    their order: a term that is absent at a step adds 0.0 there, which
-    changes no value (none is -0.0).  The logs are libm's, `math.log`
-    over `.tolist()` (numpy's log differs in the last bit at some points),
-    so the checkpoints are those of a per-step walk bit for bit.  The
-    straddle is decided before the next segment starts, and the arrays
-    hold one segment.
+    roofs are `roof_terms` of the two points: on Q from exact numerators;
+    on Q(sqrt d) x's gaps are the shadow's, within e = xerr + unit of the
+    exact ones (xerr, the table entry's half unit and the difference's
+    rounding), and y's those -/+ the float of delta, within e + unit.
+    Delta_n = S_n(f)(x) - S_n(f)(y) carries a rigorous radius: both
+    evaluation radii, the gap radius `rad` and twice the rounding bound of
+    each difference and each summation step (which also covers a later
+    comparison); it covers both points' `eval_roof` radii.  S_n(f')(x) is
+    summed alongside (S_{-n} backward, as BirkhoffCursor).  The sums are
+    cumsums in step order, so the checkpoints are those of a per-step walk
+    bit for bit.
 
     Returns (checkpoints, straddle, deriv): checkpoints[k] = (Delta_n,
     radius, S_n(f')(x)) for n = M + k up to M+L or the straddle; straddle
@@ -448,24 +390,8 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     orbit = IntegerOrbit(iet, x, extra=[y])
     field, den, unit = orbit.field, orbit.den, orbit.unit
     d0, d1 = orbit.pair_of(y)
-    d0, d1 = d0 - orbit.p, d1 - orbit.q
-    lefts, rights = orbit.lefts, orbit.cuts
-    if forward:
-        cuts, fcuts, trans, ftrans = (rights, orbit.frights, orbit.trans,
-                                      orbit.ftrans)
-    else:
-        # the walk visits T^-1 x, T^-2 x, ...: it starts one step back and
-        # locates each point in bottom order to step it on
-        i0 = orbit.step_backward()
-        cuts, fcuts = orbit.cuts_b, orbit.frights_b
-        trans = [(-t0, -t1) for t0, t1 in orbit.trans_b]
-        ftrans = [-t for t in orbit.ftrans_b]
-    p, q, xf = orbit.p, orbit.q, orbit.xf
-    last = len(cuts) - 1
-    log = math.log
+    delta = d0 - orbit.p, d1 - orbit.q
     top = iet.perm.top
-    c0 = float(spec.c0)
-    ac0 = abs(c0)
     cps = np.array([float(spec.cplus[a]) for a in top])
     cms = np.array([float(spec.cminus[a]) for a in top])
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
@@ -473,176 +399,63 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     if rational:
         # delta and the cutoff as numerators, exact: the shadow, xerr and
         # every gate are Python ints, of any size
-        df, cut = d0, cutoff.numerator * den // cutoff.denominator
+        df, cut = delta[0], cutoff.numerator * den // cutoff.denominator
         sdt = object
     else:
-        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+        df, cut = orbit.to_float(delta), float(cutoff)
         sdt = np.float64
-    # a segment's exact offsets stay below _SEGMENT times the largest
-    # translation numerator
-    big = max(abs(v) for t in trans for v in t)
-    odt = np.int64 if _SEGMENT * big < 2 ** 63 else object
-    fc, ft, fr, fl = (np.array(t, sdt) for t in
-                      (fcuts, ftrans, orbit.frights, orbit.flefts))
-    fc_below = np.concatenate((fc[:1], fc[:-1]))    # fcuts[j - 1], j > 0
-    tp = np.array([t[0] for t in trans], odt)
-    tq = np.array([t[1] for t in trans], odt)
-    tob = np.array(orbit.top_of_b)
-    resyncs = 0 < unit < math.inf
-    # xerr = a units at the segment's first step
-    a = round(orbit.xerr / unit) if resyncs else 1
-
-    def exact_gap(n, right, dy):
-        """The correctly rounded gap of x_n (dy = 0) or y_n (dy = +1 left,
-        -1 right) to the left or right end of its interval."""
-        pn, qn = p + op.item(n), q + oq.item(n)
-        if right:
-            e0, e1 = rights[i.item(n)]
-            g0, g1 = e0 - pn, e1 - qn
-        else:
-            e0, e1 = lefts[i.item(n)]
-            g0, g1 = pn - e0, qn - e1
-        return quadratic_float(g0 + dy * d0, g1 + dy * d1, den, field)
-
-    def shadow_gaps(on, c, g, e, right, dy):
-        """Gaps g of the steps `on` as the logs read them, and their radius
-        terms c e/(g - e); a gap with e > g 2^-20 is the exact one, with no
-        term."""
-        near = e > g * _SHADOW_GAP
-        if not near.any():
-            return g, c * e / (g - e)
-        far = ~near
-        rad = np.zeros(g.size)
-        rad[far] = c[far] * e[far] / (g[far] - e[far])
-        g = g.copy()
-        for m in np.flatnonzero(near).tolist():
-            g[m] = exact_gap(on.item(m), right, dy)
-        return g, rad
-
+    fr, fl = np.array(orbit.frights, sdt), np.array(orbit.flefts, sdt)
     sign = 1 if forward else -1
     s = err = ds = 0.0
-    checkpoints = []
-    n0, end = 0, M + L
+    checkpoints, n0, end = [], 0, M + L
     while n0 < end:
-        full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else _SEGMENT
-        k = min(full, end - n0)
-        xerr = np.arange(a, a + 2 * k, 2).astype(sdt) * unit
-        tol = xerr + 2 * unit
-        # pass 1, then certify every locate as IntegerOrbit._locate does
-        js, start = array("q", (0,)) * k, 0
-        xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
-        while True:
-            J = np.frombuffer(js, np.int64)
-            X = np.empty(k, sdt)
-            X[0] = xf
-            X[1:] = ft[J[:-1]]
-            X = np.cumsum(X)
-            op, oq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
-            np.cumsum(tp[J], out=op[1:])
-            np.cumsum(tq[J], out=oq[1:])
-            ok = (((J == 0) | (X - fc_below[J] > tol))
-                  & ((J == last) | (fc[J] - X > tol)))
-            for b in (np.flatnonzero(~ok[start:]) + start).tolist():
-                jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
-                                  field)
-                if jb != js[b]:
-                    break
-            else:
-                break
-            # the shadow's index was wrong: step on from the exact one
-            js[b], start = jb, b + 1
-            xf_next = _orbit_pass(js, start, X.item(b) + ftrans[jb], fcuts,
-                                  ftrans, last)
-        # pass 2: the straddle and the exact checks, on the gated steps
-        i = J if forward else np.concatenate(((i0,), tob[J[:-1]]))
-        tol = tol + unit
+        k = min(_SEGMENT, end - n0)
+        p, q = orbit.p, orbit.q
+        i, X, xerr, dp, dq = orbit.segment(k, forward)
+        gap, exact = _gaps_of(orbit, i, p, q, dp, dq)
+        ygap, yexact = _gaps_of(orbit, i, p, q, dp, dq, delta)
+        # the straddle and the exact checks, on the gated steps
+        tol = xerr + 3 * unit
         glx = X - fl[i]
         grx = fr[i] - X
         yrf = grx - df
-        if singular:
-            gate = tol + cut
-            flag = (yrf <= gate) | (glx <= gate)
-        else:
-            flag = yrf <= tol
+        flag = ((yrf <= tol + cut) | (glx <= tol + cut) if singular
+                else yrf <= tol)
         stop = k
         for n in np.flatnonzero(flag).tolist():
             t, r, ia = tol.item(n), yrf.item(n), i.item(n)
-            pn, qn = p + op.item(n), q + oq.item(n)
-            left, right = lefts[ia], rights[ia]
-            if r <= t and (r < -t or _sign(right[0] - pn - d0,
-                                           right[1] - qn - d1, field) <= 0):
+            yr = ygap(n, True)
+            if r <= t and (r < -t or _sign(*yr, field) <= 0):
                 stop = n
                 break
-            index = n0 + n if forward else -n0 - n - 1
-            if singular and pn == left[0] and qn == left[1]:
-                # the model is undefined on {l_a}; constant roofs have no
-                # singular set and evaluate everywhere
-                raise RoofDomainError("evaluation at the singular point l_%s "
-                                      "(orbit index %d)" % (top[ia], index))
-            cp, cm = cps.item(ia), cms.item(ia)
-            # y's left gap exceeds x's and x's right gap exceeds y's, so
-            # these two shadows gate the exact cutoff checks of both points
-            if (cp and glx.item(n) <= t + cut) or (cm and r <= t + cut):
-                dl = (pn - left[0], qn - left[1])
-                dr = (right[0] - pn, right[1] - qn)
-                for side, c, gap in (
-                        ("left", cp, dl), ("right", cm, dr),
-                        ("left", cp, (dl[0] + d0, dl[1] + d1)),
-                        ("right", cm, (dr[0] - d0, dr[1] - d1))):
-                    if c and orbit.value(gap) <= cutoff:
-                        raise SingularityTooClose(top[ia], side,
-                                                  orbit.value(gap), index)
-        # the terms of x and y as roof._terms, on the steps before the stop
+            error = singular and _orbit_error(
+                orbit, spec, top[ia], n0 + n if forward else -n0 - n - 1,
+                cps.item(ia), cms.item(ia),
+                (gap(n, False), gap(n, True), ygap(n, False), yr))
+            if error:
+                raise error
+        # the terms of x and y, on the steps before the stop
         cp_n, cm_n = cps[i[:stop]], cms[i[:stop]]
-        fx, fy = np.full(stop, c0), np.full(stop, c0)
-        bx, by = np.full(stop, ac0), np.full(stop, ac0)
-        dfx, rad = np.zeros(stop), np.zeros(stop)
-        for c, gx, gy, right in ((cp_n, glx[:stop], glx[:stop] + df, False),
-                                 (cm_n, grx[:stop], yrf[:stop], True)):
-            on = np.flatnonzero(c)
-            if not on.size:
-                continue
-            con, gx, gy = c[on], gx[on], gy[on]
-            if rational:
-                gx = (gx / den).astype(float)
-                gy = (gy / den).astype(float)
-            else:
-                e = xerr[on] + unit
-                gx, rx = shadow_gaps(on, con, gx, e, right, 0)
-                gy, ry = shadow_gaps(on, con, gy, e + unit, right,
-                                     -1 if right else 1)
-                rad[on] = rad[on] + rx + ry
-            tx, ty, d = np.zeros(stop), np.zeros(stop), np.zeros(stop)
-            tx[on] = -con * np.fromiter(map(log, gx.tolist()), float, on.size)
-            ty[on] = -con * np.fromiter(map(log, gy.tolist()), float, on.size)
-            d[on] = (con if right else -con) / gx
-            fx, fy = fx + tx, fy + ty
-            bx, by = bx + (np.abs(tx) + c), by + (np.abs(ty) + c)
-            dfx = dfx + d
+        if rational:
+            points = [(None, None, None, exact), (None, None, None, yexact)]
+        else:
+            e = xerr[:stop] + unit
+            points = [(glx, grx, e, exact), (glx + df, yrf, e + unit, yexact)]
+        ((fx, ex), (fy, ey)), dfx, _, rad = roof_terms(
+            float(spec.c0), cp_n, cm_n, points)
         dsum = fx - fy
         S = np.cumsum(np.concatenate(((s,), dsum)))
-        term = (_EPS * (bx + np.abs(fx)) + _EPS * (by + np.abs(fy)) + rad
-                + (np.abs(dsum) + np.abs(S[1:])) * 2.0 ** -52)
+        term = ex + ey + rad + (np.abs(dsum) + np.abs(S[1:])) * 2.0 ** -52
         E = np.cumsum(np.concatenate(((err,), np.where(
             (cp_n != 0) | (cm_n != 0), term, 0.0))))
         D = np.cumsum(np.concatenate(((ds,), dfx)))
         lo, hi = max(M - n0, 0), stop + 1 if stop < k else k
-        if lo < hi:
-            checkpoints += zip((sign * S[lo:hi]).tolist(), E[lo:hi].tolist(),
-                               (sign * D[lo:hi]).tolist())
+        checkpoints += zip((sign * S[lo:hi]).tolist(), E[lo:hi].tolist(),
+                           (sign * D[lo:hi]).tolist())
         if stop < k:
             return checkpoints, n0 + stop, sign * D.item(-1)
         s, err, ds = S.item(-1), E.item(-1), D.item(-1)
-        # step on to the next segment, re-syncing the shadow as
-        # IntegerOrbit._shift does
-        p, q = p + op.item(k), q + oq.item(k)
-        if not forward:
-            i0 = orbit.top_of_b[js[-1]]
         n0 += k
-        if resyncs and k == full:
-            xf, a = quadratic_float(p, q, den, field), 1
-        else:
-            xf, a = xf_next, a + 2 * k
     checkpoints.append((sign * s, err, sign * ds))
     return checkpoints, None, sign * ds
 
@@ -767,16 +580,16 @@ def verify_witness_high_precision(iet: Iet, spec: RoofSpec,
                                   epsilon: float) -> bool:
     """Check the pair test's certificate of a verified pair, with no walk.
 
-    The pair passes when its verdict is "verified", 0 < y - x < epsilon
-    exactly, it straddles no cut, it holds one checkpoint for each n in
-    [M, M+L] and |S_n(f)(x) - S_n(f)(y) - p| + radius < epsilon at every
-    one.  The walk that made the certificate raised on any orbit point at
+    The pair passes when its verdict is "verified", 0 < y - x <
+    `eps_fraction(epsilon)` exactly, it straddles no cut, it holds one
+    checkpoint for each n in [M, M+L] and |S_n(f)(x) - S_n(f)(y) - p| +
+    radius < epsilon at every one.  The walk that made the certificate raised on any orbit point at
     a singular endpoint or within the hard cutoff.  `iet` and `spec` are
     not read; they stay in the signature for its callers.
     """
     cps = result.checkpoints
     return (result.verdict == "verified" and result.straddle_index is None
-            and 0 < result.y - result.x < ExactScalar(F(epsilon))
+            and 0 < result.y - result.x < ExactScalar(eps_fraction(epsilon))
             and len(cps) == result.L + 1
             and all(abs(v - result.p) + e < epsilon for v, e, _ in cps))
 

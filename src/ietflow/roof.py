@@ -18,11 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .exact import ExactScalar, _sign, as_scalar, quadratic_float
-from .iet import Iet, IntegerOrbit
+from .iet import _SEGMENT, Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
 _EPS = 2.0 ** -50
+
+#: A shadow gap g with error bound e enters the logs as it is when
+#: e <= g * _SHADOW_GAP; closer to a cut the exact gap is rounded.
+_SHADOW_GAP = 2.0 ** -20
 
 DEFAULT_HARD_CUTOFF = Fraction(1, 10 ** 30)
 
@@ -166,51 +172,117 @@ def _distances(iet: Iet, spec: RoofSpec, x: ExactScalar, orbit_index=None):
     return a, dl, dr
 
 
-def _terms(c0: float, cp: float, cm: float, dl: float, dr: float):
-    """(f, err, f', err') at a point of I_a from its float gaps dl = x - l_a
-    and dr = r_a - x, with cp = Cplus_a, cm = Cminus_a; each value carries
-    a conservative rounding-error radius.  The gaps must be correctly
-    rounded (as float(ExactScalar) and IntegerOrbit.to_float are); a gap
-    is read only when its constant is nonzero."""
-    val = c0
-    budget = abs(val)
-    dval = 0.0
-    dbudget = 0.0
-    if cp:
-        term = -cp * math.log(dl)
-        val += term
-        budget += abs(term) + cp
-        term = -cp / dl
-        dval += term
-        dbudget += abs(term)
-    if cm:
-        term = -cm * math.log(dr)
-        val += term
-        budget += abs(term) + cm
-        term = cm / dr
-        dval += term
-        dbudget += abs(term)
-    return (val, _EPS * (budget + abs(val)),
-            dval, _EPS * (dbudget + abs(dval)) + 1e-300)
+def roof_terms(c0: float, cp, cm, points) -> tuple:
+    """The one float roof-term evaluator: f and its rounding-error radius
+    at n points with constants cp = Cplus_a, cm = Cminus_a (float arrays),
+    for one orbit or several in lockstep, and f' with its radius for the
+    first.
+
+    `points` holds per orbit (gl, gr, e, exact): float arrays of the gaps
+    x - l_a and r_a - x (gl = None: all from exact), their error bounds e
+    (None: correctly rounded) and exact(steps, right), the correctly
+    rounded left or right gaps at the index array `steps`.  A gap is read
+    only where its constant is nonzero.  A shadow gap g within e of the
+    exact one enters the log as it is when e <= g 2^-20, adding C e/(g - e)
+    >= C |log g - log gap| to `rad` (the `_EPS` budget's spare covers its
+    rounding); a closer one is exact's.  Returns ([(f, err)] per orbit,
+    f', err' of the first orbit, rad), each value made by the same float
+    operations in the same order at every point, with libm's logs (numpy's
+    differ in the last bit at some points); rad adds the terms left side
+    first, per side in the order of `points`.
+    """
+    n = cp.size
+    acc = [[np.full(n, c0), np.full(n, abs(c0))] for _ in points]
+    df, db, rad = np.zeros(n), np.zeros(n), np.zeros(n)
+    for c, right in ((cp, False), (cm, True)):
+        on = np.flatnonzero(c)
+        if not on.size:
+            continue
+        con = c[on]
+        for k, ((gl, gr, e, exact), sums) in enumerate(zip(points, acc)):
+            if gl is None:
+                g = np.asarray(exact(on, right), float)
+            else:
+                g = (gr if right else gl)[on]
+                if e is not None:
+                    e = e[on]
+                    near = e > g * _SHADOW_GAP
+                    if near.any():
+                        far = ~near
+                        r = np.zeros(on.size)
+                        r[far] = con[far] * e[far] / (g[far] - e[far])
+                        g = g.copy()
+                        g[near] = exact(on[near], right)
+                    else:
+                        r = con * e / (g - e)
+                    rad[on] = rad[on] + r
+            t = np.zeros(n)
+            t[on] = -con * np.fromiter(map(math.log, g.tolist()), float,
+                                       on.size)
+            sums[:] = sums[0] + t, sums[1] + (np.abs(t) + c)
+            if not k:
+                d = np.zeros(n)
+                d[on] = (con if right else -con) / g
+                df, db = df + d, db + np.abs(d)
+    return ([(f, _EPS * (b + np.abs(f))) for f, b in acc], df,
+            _EPS * (db + np.abs(df)) + 1e-300, rad)
+
+
+def _gaps_of(orbit: IntegerOrbit, i, p, q, dp, dq, shift=(0, 0)):
+    """gap(m, right), the exact left or right gap of the point (p + dp[m],
+    q + dq[m]) + shift in interval i[m], and `roof_terms`'s exact."""
+    den, field, lefts, rights = orbit.den, orbit.field, orbit.lefts, orbit.cuts
+    p, q = p + shift[0], q + shift[1]
+
+    def gap(m, right):
+        pn, qn = p + dp.item(m), q + dq.item(m)
+        e0, e1 = (rights if right else lefts)[i.item(m)]
+        return (e0 - pn, e1 - qn) if right else (pn - e0, qn - e1)
+
+    def exact(on, right):
+        return [quadratic_float(*gap(m, right), den, field)
+                for m in on.tolist()]
+    return gap, exact
+
+
+def _orbit_error(orbit: IntegerOrbit, spec: RoofSpec, a, index, cp, cm,
+                 gaps):
+    """The error of points of I_a at orbit index `index` with exact gaps
+    (dl, dr, ...), first point first: l_a itself (for a log roof), else the
+    first gap within the hard cutoff whose constant (cp left, cm right) is
+    nonzero; None when all pass."""
+    if spec.has_log_singularity and gaps[0] == (0, 0):
+        # the model is undefined on {l_a}; constant roofs have no
+        # singular set and evaluate everywhere
+        return RoofDomainError("evaluation at the singular point l_%s "
+                               "(orbit index %d)" % (a, index))
+    cut = spec.hard_cutoff
+    for k, gap in enumerate(gaps):
+        if (cm if k % 2 else cp) and _sign(
+                gap[0] * cut.denominator - cut.numerator * orbit.den,
+                gap[1] * cut.denominator, orbit.field) <= 0:
+            return SingularityTooClose(a, "right" if k % 2 else "left",
+                                       orbit.value(gap), index)
+    return None
 
 
 def _point_terms(iet: Iet, spec: RoofSpec, x, orbit_index=None):
-    x = as_scalar(x)
-    a, dl, dr = _distances(iet, spec, x, orbit_index)
-    return _terms(float(spec.c0), float(spec.cplus[a]),
-                  float(spec.cminus[a]), float(dl), float(dr))
+    a, dl, dr = _distances(iet, spec, as_scalar(x), orbit_index)
+    ((f, err),), df, derr, _ = roof_terms(
+        float(spec.c0), np.array([float(spec.cplus[a])]),
+        np.array([float(spec.cminus[a])]),
+        [(np.array([float(dl)]), np.array([float(dr)]), None, None)])
+    return [v.item() for v in (f, err, df, derr)]
 
 
 def eval_roof(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofValue:
     """f(x) with a conservative rounding-error radius."""
-    val, err, _, _ = _point_terms(iet, spec, x, orbit_index)
-    return RoofValue(val, err)
+    return RoofValue(*_point_terms(iet, spec, x, orbit_index)[:2])
 
 
 def eval_roof_derivative(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofValue:
     """f'(x) = -Cplus_a/(x - l_a) + Cminus_a/(r_a - x) on I_a."""
-    _, _, val, err = _point_terms(iet, spec, x, orbit_index)
-    return RoofValue(val, err)
+    return RoofValue(*_point_terms(iet, spec, x, orbit_index)[2:])
 
 
 def eval_roof_second_derivative(iet: Iet, spec: RoofSpec, x,
@@ -238,7 +310,7 @@ def birkhoff_sum(iet: Iet, spec: RoofSpec, x, r: int,
 
 class BirkhoffCursor:
     """Incremental S_n(f), S_n(f') and closest approaches along one exact
-    orbit, walked on IntegerOrbit.
+    orbit, walked in segments of IntegerOrbit.
 
     Forward direction walks x, Tx, ...; backward walks T^-1 x, T^-2 x, ...
     accumulating the negative-branch sums, so `sum_at(n)` returns S_n for
@@ -250,18 +322,18 @@ class BirkhoffCursor:
     (orbit index, point), and `last_f` holds f at the point visited last.
     With `spec=None` the cursor walks distances only; otherwise the
     singular-point and hard-cutoff checks of `eval_roof` hold exactly on
-    every point, with its orbit index (a gap above the running minimum is
-    above the cutoff whenever that minimum is, so the cutoff test runs only
-    at new minima and after the minimum falls within the cutoff).
+    every point, with its orbit index; a point failing them counts for the
+    minima and `hit` but not for the sums or `steps`.
 
-    Every decision is exact.  The interval index and the running minima are
-    read through the orbit's shadow (see IntegerOrbit; on Q it is the
-    exact numerator) only when the shadow comparison is provably the exact
-    one: a shadow gap is within xerr + 2 units of the exact gap, so a gap
-    and a minimum whose shadow difference exceeds both their bounds plus
-    one unit compare as their shadows do; closer ones are compared
-    exactly.  The roof terms always take the correctly rounded gaps of the
-    exact pairs.
+    Every decision is exact and every value the one a walk point by point
+    makes, on the segments of `IntegerOrbit.segment`.  A shadow gap is
+    within xerr + 2 units of the exact gap, so two gaps whose shadows differ
+    by more than both bounds plus one unit compare as their shadows do: a
+    segment's smallest gap is found exactly among those few, first index
+    first, and merged into the running minimum by the same rule.  The
+    checks run exactly where a shadow gap is within its bound (plus a
+    spare unit) of the cutoff, and the roof terms are `roof_terms` of the
+    correctly rounded exact gaps, summed by cumsums.
     """
 
     def __init__(self, iet: Iet, spec: Optional[RoofSpec], x,
@@ -270,120 +342,118 @@ class BirkhoffCursor:
         self.spec = spec
         self.forward = forward
         orbit = self.orbit = IntegerOrbit(iet, x)
-        # what advance_to binds on every call, packed once
-        self._walk = (orbit.step_forward if forward else orbit.step_backward,
-                      orbit._locate, orbit.pair_less, orbit.lefts, orbit.cuts,
-                      orbit.flefts, orbit.frights, orbit.den, orbit.field,
-                      orbit.unit)
-        self._roof = None
+        sdt = object if orbit.field is None else np.float64
+        self._fl = np.array(orbit.flefts, sdt)
+        self._fr = np.array(orbit.frights, sdt)
         if spec is not None:
-            top = self._top = iet.perm.top
-            self._roof = (float(spec.c0),
-                          [float(spec.cplus[a]) for a in top],
-                          [float(spec.cminus[a]) for a in top],
-                          spec.has_log_singularity)
-            self._cutoff = spec.hard_cutoff
+            top = iet.perm.top
+            self._cp = np.array([float(spec.cplus[a]) for a in top])
+            self._cm = np.array([float(spec.cminus[a]) for a in top])
         self.steps = 0
-        self.sum = 0.0
-        self.err = 0.0
-        self.dsum = 0.0
-        self.derr = 0.0
+        self.sum = self.err = self.dsum = self.derr = 0.0
         self.last_f = None
         self.left_min = None        # smallest dl as an integer pair
         self.left_index = None
         self.right_min = None       # smallest dr as an integer pair
         self.right_index = None
         self.hit = None
-        # per gap minimum: its shadow, the shadow's error bound and whether
-        # it lies within the hard cutoff (a gap that sets no new minimum is
-        # within it only if the minimum already is); left, then right
-        self._shadow = (None, 0.0, False, None, 0.0, False)
+        # the shadow and error bound of each minimum, left then right
+        self._bounds = [None, None]
 
-    def _within_cutoff(self, gap) -> bool:
-        """Exact test gap <= hard cutoff for an integer pair gap."""
-        cut = self._cutoff
-        orbit = self.orbit
-        return _sign(gap[0] * cut.denominator - cut.numerator * orbit.den,
-                     gap[1] * cut.denominator, orbit.field) <= 0
+    def _segment(self, k: int) -> tuple:
+        """Visit the next k points up to the first failing the checks, and
+        stand in front of it.  Returns (f, error, pair): the roof values
+        summed, its error (or None) and pair(m), the exact pair of point m."""
+        orbit, forward, spec = self.orbit, self.forward, self.spec
+        p, q, unit = orbit.p, orbit.q, orbit.unit
+        i, xf, xerr, dp, dq = orbit.segment(k, forward)
+        first = self.steps
+
+        def index(m):
+            return first + m if forward else -first - m - 1
+
+        def pair(m):
+            return p + dp.item(m), q + dq.item(m)
+
+        gap, exact = _gaps_of(orbit, i, p, q, dp, dq)
+        gerr = xerr + 2 * unit
+        gaps = (xf - self._fl[i], self._fr[i] - xf)
+        stop, error = k, None
+        if spec is not None and spec.has_log_singularity:
+            cut = spec.hard_cutoff
+            # on Q the gaps are exact numerators
+            gate = gerr + unit + float(cut) if orbit.field else \
+                cut.numerator * orbit.den // cut.denominator
+            for m in np.flatnonzero((gaps[0] <= gate)
+                                    | (gaps[1] <= gate)).tolist():
+                ia = i.item(m)
+                error = _orbit_error(orbit, spec, self.iet.perm.top[ia],
+                                     index(m), self._cp.item(ia),
+                                     self._cm.item(ia),
+                                     (gap(m, False), gap(m, True)))
+                if error is not None:
+                    stop = m
+                    break
+        # the failing point counts for the minima
+        n = stop + (error is not None)
+        for right, g in enumerate(gaps):
+            self._merge(right, g[:n], gerr[:n], gap, index, pair)
+        f = np.zeros(0)
+        if spec is not None:
+            ((f, ferr),), df, dferr, _ = roof_terms(
+                float(spec.c0), self._cp[i[:stop]], self._cm[i[:stop]],
+                [(None, None, None, exact)])
+            S = np.cumsum(np.concatenate(((self.sum,), f)))
+            D = np.cumsum(np.concatenate(((self.dsum,), df)))
+            self.err = np.cumsum(np.concatenate((
+                (self.err,), ferr + np.abs(S[1:]) * 2.0 ** -52))).item(-1)
+            self.derr = np.cumsum(np.concatenate((
+                (self.derr,), dferr + np.abs(D[1:]) * 2.0 ** -52))).item(-1)
+            self.sum, self.dsum = S.item(-1), D.item(-1)
+            if stop:
+                self.last_f = f.item(-1)
+        self.steps += stop
+        if error is not None:
+            m = stop if forward else stop - 1
+            orbit.move_to(pair(m) if m >= 0 else (p, q))
+        return f, error, pair
+
+    def _merge(self, right, g, gerr, gap, index, pair):
+        """Merge the smallest of the exact left (or right) gaps with shadows
+        g and error bounds gerr into the running minimum."""
+        if not g.size:
+            return
+        unit, pair_less = self.orbit.unit, self.orbit.pair_less
+        best = int(np.argmin(g))
+        low = gap(best, right)
+        for m in np.flatnonzero(g - g[best] <= gerr + gerr[best]
+                                + unit).tolist():
+            cand = gap(m, right)
+            if pair_less(cand, low) or (m < best and cand == low):
+                best, low = m, cand
+        gf, ge = g.item(best), gerr.item(best)
+        old = self.right_min if right else self.left_min
+        if old is not None:
+            shadow, bound = self._bounds[right]
+            diff, tol = gf - shadow, ge + bound + unit
+            if diff > tol or (diff >= -tol and not pair_less(low, old)):
+                return
+        self._bounds[right] = gf, ge
+        if right:
+            self.right_min, self.right_index = low, index(best)
+        else:
+            self.left_min, self.left_index = low, index(best)
+            if low == (0, 0):
+                self.hit = (index(best), self.orbit.value(pair(best)))
 
     def advance_to(self, n: int):
         """Walk on until n points have been visited."""
         if n < self.steps:
             raise ValueError("cursor cannot move backwards")
-        orbit = self.orbit
-        forward = self.forward
-        (step, locate, pair_less, lefts, rights, flefts, frights, den, field,
-         unit) = self._walk
-        roof = self._roof
-        if roof is not None:
-            c0, cps, cms, singular = roof
-        steps = self.steps
-        s, err, ds, derr, val = (self.sum, self.err, self.dsum, self.derr,
-                                 self.last_f)
-        lmin, lidx, rmin, ridx = (self.left_min, self.left_index,
-                                  self.right_min, self.right_index)
-        lf, lerr, lnear, rf, rerr, rnear = self._shadow
-        try:
-            while steps < n:
-                if forward:
-                    idx = steps
-                    i = locate(frights, rights)
-                else:
-                    i = step()
-                    idx = -steps - 1
-                p, q, xf = orbit.p, orbit.q, orbit.xf
-                left, right = lefts[i], rights[i]
-                dl = (p - left[0], q - left[1])
-                dr = (right[0] - p, right[1] - q)
-                gerr = orbit.xerr + 2 * unit
-                dlf = xf - flefts[i]
-                drf = frights[i] - xf
-                tol = gerr + lerr + unit
-                if lmin is None or (diff := dlf - lf) < -tol or (
-                        diff <= tol and pair_less(dl, lmin)):
-                    lmin, lidx, lf, lerr = dl, idx, dlf, gerr
-                    if dl == (0, 0):
-                        self.hit = (idx, orbit.value())
-                    lnear = roof is not None and self._within_cutoff(dl)
-                tol = gerr + rerr + unit
-                if rmin is None or (diff := drf - rf) < -tol or (
-                        diff <= tol and pair_less(dr, rmin)):
-                    rmin, ridx, rf, rerr = dr, idx, drf, gerr
-                    rnear = roof is not None and self._within_cutoff(dr)
-                if roof is not None:
-                    if singular and dl == (0, 0):
-                        # the model is undefined on {l_a}; constant roofs
-                        # have no singular set and evaluate everywhere
-                        raise RoofDomainError(
-                            "evaluation at the singular point l_%s (orbit "
-                            "index %d)" % (self._top[i], idx))
-                    cp, cm = cps[i], cms[i]
-                    if cp and lnear and self._within_cutoff(dl):
-                        raise SingularityTooClose(self._top[i], "left",
-                                                  orbit.value(dl), idx)
-                    if cm and rnear and self._within_cutoff(dr):
-                        raise SingularityTooClose(self._top[i], "right",
-                                                  orbit.value(dr), idx)
-                    val, verr, dval, dverr = _terms(
-                        c0, cp, cm,
-                        quadratic_float(dl[0], dl[1], den, field)
-                        if cp else 0.0,
-                        quadratic_float(dr[0], dr[1], den, field)
-                        if cm else 0.0)
-                    s += val
-                    err += verr + abs(s) * 2.0 ** -52
-                    ds += dval
-                    derr += dverr + abs(ds) * 2.0 ** -52
-                if forward:
-                    step(i)
-                steps += 1
-        finally:
-            self.steps = steps
-            self.sum, self.err, self.dsum, self.derr, self.last_f = (
-                s, err, ds, derr, val)
-            self.left_min, self.left_index, self.right_min, self.right_index \
-                = lmin, lidx, rmin, ridx
-            self._shadow = lf, lerr, lnear, rf, rerr, rnear
+        while self.steps < n:
+            error = self._segment(min(n - self.steps, _SEGMENT))[1]
+            if error is not None:
+                raise error
         return self
 
     def sum_at(self, n: int) -> RoofValue:
@@ -423,25 +493,39 @@ def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
              max_steps: int = 10 ** 7):
     """Move (x, y) by t time units, i.e. (x, 0) by s = y + t: returns
     (T^r x, s - S_r, r) with 0 <= remainder < f(T^r x), after at most
-    max_steps jumps (FlowStepBudgetError beyond)."""
+    max_steps jumps (FlowStepBudgetError beyond).  The cursor walks
+    segments, each after the first as long as the mean of the roof values
+    walked so far predicts; r is the first step where the running
+    remainder (a cumsum in step order) falls below f, or reaches 0
+    backward.  Points past it never raise."""
     s = y + t
-    cur = BirkhoffCursor(iet, spec, x, forward=s >= 0)
-    orbit = cur.orbit
-    if s >= 0:
-        while True:
-            point = orbit.p, orbit.q
-            cur.advance_to(cur.steps + 1)
-            if s < cur.last_f:
-                return orbit.value(point), s, cur.steps - 1
-            s -= cur.last_f
-            if cur.steps > max_steps:
-                raise FlowStepBudgetError(max_steps, t, steps=cur.steps)
-    while s < 0:
-        cur.advance_to(cur.steps + 1)
-        s += cur.last_f
+    forward = s >= 0
+    cur = BirkhoffCursor(iet, spec, x, forward=forward)
+    k = 16
+    while True:
+        first = cur.steps
+        f, error, pair = cur._segment(min(k, max_steps + 1 - first))
+        if forward:
+            rest = np.cumsum(np.concatenate(((s,), -f)))
+            over = np.flatnonzero(rest[:-1] < f)
+        else:
+            rest = np.cumsum(np.concatenate(((s,), f)))[1:]
+            over = np.flatnonzero(rest >= 0)
+        if over.size:
+            m = over.item(0)
+            n = first + m
+            if forward or n < max_steps:
+                return (cur.orbit.value(pair(m)), rest.item(m),
+                        n if forward else -n - 1)
+            raise FlowStepBudgetError(max_steps, t, steps=-n - 1)
+        if error is not None:
+            raise error
+        s = rest.item(-1)
         if cur.steps > max_steps:
-            raise FlowStepBudgetError(max_steps, t, steps=-cur.steps)
-    return orbit.value(), s, -cur.steps
+            raise FlowStepBudgetError(
+                max_steps, t, steps=cur.steps if forward else -cur.steps)
+        mean = f.mean()
+        k = 4 + int(min(abs(s) / mean, _SEGMENT)) if mean > 0 else _SEGMENT
 
 
 def flow(iet: Iet, spec: RoofSpec, point: FlowPoint, t: float) -> FlowPoint:

@@ -18,7 +18,7 @@ from ietflow.fixtures import (
 )
 from ietflow.iet import (_SHADOW_RESYNC, Iet, IntegerOrbit, Permutation,
                          _first_above)
-from ietflow import kernels, ratner
+from ietflow import iet as iet_module, kernels, ratner, roof as roof_module
 from ietflow.rauzy import InductionTrace, select_accel_times
 from ietflow.ratner import (
     BumpObservable,
@@ -27,7 +27,6 @@ from ietflow.ratner import (
     PairSamplingError,
     WitnessConfig,
     WitnessPreconditionError,
-    _SHADOW_GAP,
     forbac_scan,
     induced_discontinuity_gaps,
     mixing_correlation,
@@ -42,7 +41,7 @@ from ietflow.roof import (
     RoofSpec,
     SingularityTooClose,
     _EPS,
-    _terms,
+    _SHADOW_GAP,
     eval_roof,
     roof_area,
 )
@@ -292,6 +291,42 @@ class TestWitness:
             with pytest.raises(WitnessPreconditionError, match=name):
                 sr_pair_test(accel, spec, cfg, F(1, 4), F(1, 4) + gap)
 
+    def test_gap_of_eps_squared_is_refused(self, monkeypatch):
+        # eps = 0.2 is read once, as the fraction 1/5, by every rule: a gap
+        # of exactly eps^2 = 1/25 is refused (the float 0.2 * 0.2 rounds up
+        # past it), one of 1/25 - 10^-18 is accepted
+        accel, spec, cfg = witness_setup()
+
+        def no_region(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(ratner, "GoodRegion", no_region)
+        gap = F(1, 25)
+        name = r"pair gap 1/25 outside \(0, min\(eps, eps\^2\)\) = \(0, 1/25\)"
+        for call in (lambda: ratner._require_pair_gap(gap, cfg.epsilon),
+                     lambda: sample_good_pairs(accel, spec, cfg, 3, gap),
+                     lambda: sr_pair_test(accel, spec, cfg, F(1, 4),
+                                          F(1, 4) + gap)):
+            with pytest.raises(WitnessPreconditionError, match=name):
+                call()
+        below = gap - F(1, 10 ** 18)
+        ratner._require_pair_gap(below, cfg.epsilon)
+        with pytest.raises(AssertionError, match="sampling started"):
+            sample_good_pairs(accel, spec, cfg, 3, below)
+
+    def test_certificate_reads_eps_as_the_margins_do(self):
+        # y - x = 1/5 = eps is refused although 1/5 < F(0.2), the float's
+        # exact binary value
+        iet, spec, cfg, res = verified_result()
+        assert ratner.eps_fraction(cfg.epsilon) == F(1, 5) == \
+            8 * ratner.margin_width(cfg.epsilon)
+        wide = dataclasses.replace(res, y=res.x + F(1, 5))
+        assert F(1, 5) < F(cfg.epsilon)
+        assert not verify_witness_high_precision(iet, spec, wide, cfg.epsilon)
+        assert verify_witness_high_precision(
+            iet, spec, dataclasses.replace(res, y=res.x + F(1, 5) - F(
+                1, 10 ** 18)), cfg.epsilon)
+
     def test_gap_with_no_room_between_the_margins(self):
         # eps = 0.95 admits gaps below 0.9025, but its margins are 0.11875
         # wide: a gap of 0.8 leaves no x with x and x + gap between them
@@ -476,11 +511,39 @@ def rewalk_verify(iet, spec, res, epsilon):
                                     for v, e, _ in checkpoints)
 
 
+def _terms(c0: float, cp: float, cm: float, dl: float, dr: float):
+    """The former per-point `roof._terms`, kept as the reference of the
+    pair walks below: (f, err, f', err') at a point of I_a from its
+    correctly rounded float gaps dl = x - l_a and dr = r_a - x, with
+    cp = Cplus_a, cm = Cminus_a; a gap is read only when its constant is
+    nonzero."""
+    val = c0
+    budget = abs(val)
+    dval = 0.0
+    dbudget = 0.0
+    if cp:
+        term = -cp * math.log(dl)
+        val += term
+        budget += abs(term) + cp
+        term = -cp / dl
+        dval += term
+        dbudget += abs(term)
+    if cm:
+        term = -cm * math.log(dr)
+        val += term
+        budget += abs(term) + cm
+        term = cm / dr
+        dval += term
+        dbudget += abs(term)
+    return (val, _EPS * (budget + abs(val)),
+            dval, _EPS * (dbudget + abs(dval)) + 1e-300)
+
+
 def exact_gap_pair_walk(iet, spec, x, y, M, L, forward):
     """The former `_pair_walk`, kept as the reference of the shadow-gap
     walk: IntegerOrbit's own steps, a second top-order locate after each
     backward step, and every roof term from the correctly rounded float of
-    its exact gap through `roof._terms`.  Same arguments and return value
+    its exact gap through `_terms`.  Same arguments and return value
     (checkpoints, straddle, deriv)."""
     orbit = IntegerOrbit(iet, x, extra=[y])
     field, den, unit = orbit.field, orbit.den, orbit.unit
@@ -633,7 +696,7 @@ def scalar_pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                         raise SingularityTooClose(
                             top[i], side, orbit.value(gap),
                             n if forward else -n - 1)
-            # the terms of x and y as roof._terms, from shadow gaps gx, gy
+            # the terms of x and y as `_terms`, from shadow gaps gx, gy
             # within e, ey of the exact ones (correctly rounded on Q)
             e, ey = xerr + unit, xerr + 2 * unit
             fx = fy = c0
@@ -893,6 +956,31 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_walk_floats(monkeypatch):
+    """Count the floats a pair walk rounds from exact pairs once its orbit
+    is built: the exact gaps (`quadratic_float` in `roof`) and the shadow
+    re-syncs (`quadratic_float` in `iet`, inside `IntegerOrbit.segment`);
+    returns the one-item count list."""
+    calls = count_calls(monkeypatch, roof_module, "quadratic_float")
+    inside = [False]
+    inner, segment = iet_module.quadratic_float, IntegerOrbit.segment
+
+    def counted(*args):
+        calls[0] += inside[0]
+        return inner(*args)
+
+    def walked(self, *args):
+        inside[0] = True
+        try:
+            return segment(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(iet_module, "quadratic_float", counted)
+    monkeypatch.setattr(IntegerOrbit, "segment", walked)
+    return calls
+
+
 def two_sided_roof(iet):
     """Log singularities on both sides of every cut, of unequal weights."""
     top = iet.perm.top
@@ -943,7 +1031,7 @@ class TestShadowGapWalk:
         start = iet.iterate(target, -7 if forward else 7)
         x, y = (start, start + gap) if side == "left" else (start - gap,
                                                             start)
-        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        calls = count_walk_floats(monkeypatch)
         L = 12
         checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, 0, L,
                                                      forward)
@@ -975,7 +1063,7 @@ class TestShadowGapWalk:
         x = ExactScalar(F(41, 100))
         y = x + ExactScalar(F(1, 10 ** 5))
         M, L = 2100, 20
-        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        calls = count_walk_floats(monkeypatch)
         checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, M, L,
                                                      forward)
         assert straddle is None and len(checkpoints) == L + 1
@@ -1041,7 +1129,7 @@ class TestTwoPassWalk:
         x = ExactScalar(F(43560461, 125000000))
         y = x + ExactScalar(F(1, 10 ** 5))
         M, L = 10770, 18
-        calls = count_calls(monkeypatch, ratner, "quadratic_float")
+        calls = count_walk_floats(monkeypatch)
         _, straddle, _ = assert_walks_agree(iet, spec, x, y, M, L, True)
         assert straddle is None
         # one call per shadow re-sync, one for the exact gap
@@ -1107,13 +1195,13 @@ class TestTwoPassWalk:
         x = iet.iterate(iet.left(label), -n if forward else n + 1)
         y = x + ExactScalar(F(1, 10 ** 9))
         starts = []
-        inner = ratner._orbit_pass
+        inner = iet_module._orbit_pass
 
         def spy(js, start, *args):
             starts.append(start)
             return inner(js, start, *args)
 
-        monkeypatch.setattr(ratner, "_orbit_pass", spy)
+        monkeypatch.setattr(iet_module, "_orbit_pass", spy)
         _, straddle, _ = assert_walks_agree(iet, spec, x, y, 0, n + 20,
                                             forward)
         assert straddle is None and any(starts)
