@@ -16,7 +16,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -152,6 +152,21 @@ def _orbit_pass(js: array, start: int, xf, fcuts, ftrans, last: int):
     return xf
 
 
+class _Walk(NamedTuple):
+    """The tables of one direction of `IntegerOrbit.segment`."""
+    cuts: tuple             # right ends, top (bottom) order, integer pairs
+    fcuts: tuple            # their shadows
+    ftrans: list            # shadow translations, negated backward
+    fc: np.ndarray          # fcuts and ftrans as arrays
+    ft: np.ndarray
+    fc_below: np.ndarray    # fcuts[j - 1], j > 0
+    big: int                # the largest translation numerator
+    tt: list                # translation numerators, negated backward
+    t64: Optional[list]     # as int64 arrays, where they fit
+    table: object           # the IET's itinerary table, or None
+    top_of_b: np.ndarray
+
+
 class Iet:
     """Interval exchange transformation with exact lengths.
 
@@ -162,10 +177,12 @@ class Iet:
     endpoints and translations) is kept once, in integer form, by
     `integer_tables` on first use, and every endpoint or translation is
     read from there; an Iet that is only asked for its lengths, as most
-    Rauzy-Veech steps are, never builds it.
+    Rauzy-Veech steps are, never builds it.  Over Q(sqrt d) it also keeps
+    its orbits' itinerary table (`itinerary_table`), built on first use.
     """
 
-    __slots__ = ("perm", "lengths", "total", "_itables", "_ftables")
+    __slots__ = ("perm", "lengths", "total", "_itables", "_ftables",
+                 "_towers")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
@@ -183,7 +200,7 @@ class Iet:
             if not lam.sign() > 0:
                 raise InvalidIetError("all lengths must be positive")
         self.total = exact_sum(self.lengths)
-        self._itables = self._ftables = None
+        self._itables = self._ftables = self._towers = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -261,6 +278,17 @@ class Iet:
                                          for p, q in t) for t in itables)
             self._ftables = (tables,)
         return self._ftables[0]
+
+    def itinerary_table(self):
+        """The `rauzy.ItineraryTable` of this IET (computed once), or None
+        where it has none: on Q, without float tables, or where the
+        induction stops before every tower is `_SEGMENT` floors tall.  Its
+        build walks orbits of this IET, which find no table meanwhile."""
+        if self._towers is None:
+            from .rauzy import build_itinerary_table
+            self._towers = (None,)
+            self._towers = (build_itinerary_table(self),)
+        return self._towers[0]
 
     def discontinuities(self) -> list[ExactScalar]:
         """Orbits of these points decide the Keane condition: l_a, pi_t(a) != 1."""
@@ -402,23 +430,38 @@ class IntegerOrbit:
 
     Segments: `segment(k)` takes k steps at once, each point bit for bit
     what the one-step methods leave; `ratner._pair_walk` and
-    `roof.BirkhoffCursor` walk so.  From a re-sync xerr grows by 2 units a
-    step, exact multiples of the power of two `unit`, so one array holds
-    the bounds of a run of up to `_SEGMENT` steps to the next re-sync.
-    Pass 1 (`_orbit_pass`), the only per-step Python, bisects the shadow
-    and adds the float translation; `np.cumsum` adds in order with one
-    rounding per add, so the cumsum of the run's first shadow and the
-    translations is every shadow bit for bit.  Each locate is certified as
-    in `_locate`; where it cannot be, `_first_above` decides, and when that
-    changes the index pass 1 runs again from the next step (quadratic with
-    no float tables).  The exact pairs are cumsums of the translation
-    numerators, int64 while k times the largest stays below 2^63.
+    `roof.BirkhoffCursor` walk so.  Their interval indices J come first,
+    then every other output from J by array operations.
+
+    Where the shadow re-syncs (on Q(sqrt d) with float tables) and the IET
+    has an itinerary table (`Iet.itinerary_table`: its Rohlin towers at the
+    first induction step where each is `_SEGMENT` floors tall), J is read
+    off the towers (`_itinerary`).  An exact locate gives the point's
+    tower and floor, and the next points follow that tower's word up to
+    its top, where the point is located again; backward, the reversed word
+    below the floor in bottom order, then at floor 0 one `_first_above` on
+    the bottom cuts.  This J is the exact itinerary, so no locate needs
+    certifying.  Elsewhere (on Q, with no float tables, or an IET whose
+    induction stops before its towers are that tall) pass 1 gives J: the
+    per-step Python of `_orbit_pass` bisects the shadow and adds the float
+    translation, each locate is certified as in `_locate`, and where it
+    cannot be `_first_above` decides; when that changes the index, pass 1
+    runs again from the next step.
+
+    From a re-sync xerr grows by 2 units a step, exact multiples of the
+    power of two `unit`, so one array holds the bounds of a run of up to
+    `_SEGMENT` steps to the next re-sync.  `np.cumsum` adds in order with
+    one rounding per add, so the cumsum of the run's first shadow and the
+    translations of J is every shadow bit for bit.  The exact pairs are
+    cumsums of the translation numerators, int64 while k times the largest
+    stays below 2^63.  The tables of each direction are built once per
+    orbit (`_walk`).
     """
 
     __slots__ = ("iet", "den", "field", "cuts", "lefts", "trans", "cuts_b",
                  "trans_b", "top_of_b", "p", "q", "steps", "frights",
                  "flefts", "ftrans", "frights_b", "ftrans_b", "xf", "xerr",
-                 "unit")
+                 "unit", "_walks")
 
     def __init__(self, iet: Iet, x, extra=()):
         x = as_scalar(x)
@@ -462,6 +505,7 @@ class IntegerOrbit:
             (self.frights, self.flefts, self.ftrans, self.frights_b,
              self.ftrans_b) = (zeros,) * 5
             self.unit = math.inf
+        self._walks = {True: None, False: None}
         self.move_to(self._pair(x))
 
     def move_to(self, pair):
@@ -572,6 +616,74 @@ class IntegerOrbit:
         self._shift(-self.ftrans_b[j])
         return self.top_of_b[j]
 
+    def _walk(self, forward: bool) -> "_Walk":
+        """The tables `segment` walks one direction on, built once per
+        orbit."""
+        walk = self._walks[forward]
+        if walk is None:
+            sign = 1 if forward else -1
+            cuts, fcuts, trans, ftrans = (
+                (self.cuts, self.frights, self.trans, self.ftrans) if forward
+                else (self.cuts_b, self.frights_b, self.trans_b,
+                      self.ftrans_b))
+            ftrans = [sign * t for t in ftrans]
+            sdt = object if self.field is None else np.float64
+            fc, ft = np.array(fcuts, sdt), np.array(ftrans, sdt)
+            big = max(abs(v) for t in trans for v in t)
+            tt = [[sign * t[c] for t in trans] for c in (0, 1)]
+            table = None
+            if 0 < self.unit < math.inf and \
+                    self.iet.integer_tables()[1] is not None:
+                table = self.iet.itinerary_table()
+            walk = self._walks[forward] = _Walk(
+                cuts, fcuts, ftrans, fc, ft,
+                np.concatenate((fc[:1], fc[:-1])), big, tt,
+                [np.array(t, np.int64) for t in tt] if big < 2 ** 63
+                else None, table, np.array(self.top_of_b))
+        return walk
+
+    def _itinerary(self, table, k: int, forward: bool):
+        """The indices of the next k steps of `segment` (bottom order
+        backward) read off the itinerary table: slices of a tower's word
+        (backward, reversed, in bottom order) from the floor of the point
+        on, an exact locate after each tower's top, and backward from a
+        floor 0 one `_first_above` on the bottom cuts.  The shadow guesses
+        for the locates are moved along with the exact point, so that no
+        float is rounded from an exact pair."""
+        scale = self.den // table.den
+        p, q, guess = self.p, self.q, self.xf
+        lp, lq, fl = table.lp, table.lq, table.fl
+        J, n = np.empty(k, np.int64), 0
+        while True:
+            a, g = table.locate(p, q, scale, guess)
+            if forward:
+                m = min(table.ends[a] - g, k - n)
+                J[n:n + m] = table.word[g:g + m]
+                n += m
+                if n == k:
+                    return J
+                # past the top: x - (left end of g) + the tower's exit
+                ep, eq = table.exits[a]
+                p += scale * (ep - lp.item(g))
+                q += scale * (eq - lq.item(g))
+                guess += table.fexits[a] - fl.item(g)
+            else:
+                g0 = table.starts[a]
+                m = min(g - g0, k - n)
+                J[n:n + m] = table.bword[g - m:g][::-1]
+                n += m
+                if n == k:
+                    return J
+                # down to floor 0, then one step below the base
+                p -= scale * (lp.item(g) - lp.item(g0))
+                q -= scale * (lq.item(g) - lq.item(g0))
+                J[n] = j = _first_above(p, q, self.cuts_b, self.field)
+                n += 1
+                if n == k:
+                    return J
+                p, q = p - self.trans_b[j][0], q - self.trans_b[j][1]
+                guess -= fl.item(g) - fl.item(g0) + self.ftrans_b[j]
+
     def segment(self, k: int, forward: bool = True) -> tuple:
         """Take k >= 1 steps, backward when not forward, and return arrays
         (i, xf, xerr, dp, dq) over the points visited: top-order interval
@@ -579,56 +691,40 @@ class IntegerOrbit:
         before the first step.  Forward visits x .. T^(k-1) x before each
         step, backward T^-1 x .. T^-k x after each step."""
         unit, field = self.unit, self.field
-        sign = 1 if forward else -1
-        cuts, fcuts, trans, ftrans = (
-            (self.cuts, self.frights, self.trans, self.ftrans) if forward
-            else (self.cuts_b, self.frights_b, self.trans_b, self.ftrans_b))
-        ftrans = [sign * t for t in ftrans]
+        walk = self._walk(forward)
+        table = walk.table
         sdt = object if field is None else np.float64
-        fc, ft = np.array(fcuts, sdt), np.array(ftrans, sdt)
-        fc_below = np.concatenate((fc[:1], fc[:-1]))    # fcuts[j - 1], j > 0
-        last = len(cuts) - 1
-        big = max(abs(v) for t in trans for v in t)
-        odt = np.int64 if k * big < 2 ** 63 else object
-        tp, tq = (np.array([sign * t[c] for t in trans], odt) for c in (0, 1))
+        if k * walk.big < 2 ** 63:
+            odt, (tp, tq) = np.int64, walk.t64
+        else:
+            odt, (tp, tq) = object, (np.array(t, object) for t in walk.tt)
         resyncs = 0 < unit < math.inf
         p, q, xf = self.p, self.q, self.xf
         # xerr = a units at the first point of a run
         a = round(self.xerr / unit) if resyncs else 1
-        J, n0 = np.empty(k, np.int64), 0
         X, E = np.empty(k + 1, sdt), np.empty(k + 1, sdt)
         dp, dq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
+        if table is None:
+            J = np.empty(k, np.int64)
+        else:
+            J = self._itinerary(table, k, forward)
+            for o, t in ((dp, tp), (dq, tq)):
+                np.cumsum(t[J], out=o[1:])
+        n0 = 0
         while n0 < k:
             full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else k
             m = min(full, k - n0)
             xerr, Xm = E[n0:n0 + m], X[n0:n0 + m]
             np.multiply(np.arange(a, a + 2 * m, 2, dtype=sdt), unit, out=xerr)
-            tol = xerr + 2 * unit
-            js, start = array("q", (0,)) * m, 0
-            xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
-            op, oq = dp[n0:n0 + m + 1], dq[n0:n0 + m + 1]
-            while True:
-                Jm = np.frombuffer(js, np.int64)
-                np.cumsum(np.concatenate((np.array([xf], sdt), ft[Jm[:-1]])),
-                          out=Xm)
-                for o, t in ((op, tp), (oq, tq)):   # less the first pair
-                    np.cumsum(t[Jm], out=o[1:])
-                    if n0:
-                        o[1:] += o[0]
-                ok = (((Jm == 0) | (Xm - fc_below[Jm] > tol))
-                      & ((Jm == last) | (fc[Jm] - Xm > tol)))
-                for b in (np.flatnonzero(~ok[start:]) + start).tolist():
-                    jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
-                                      field)
-                    if jb != js[b]:
-                        break
-                else:
-                    break
-                # the shadow's index was wrong: step on from the exact one
-                js[b], start = jb, b + 1
-                xf_next = _orbit_pass(js, start, Xm.item(b) + ftrans[jb],
-                                      fcuts, ftrans, last)
-            J[n0:n0 + m] = Jm
+            if table is None:
+                xf_next = self._pass_one(
+                    walk, J[n0:n0 + m], Xm, xerr + 2 * unit,
+                    dp[n0:n0 + m + 1], dq[n0:n0 + m + 1], n0, xf, tp, tq)
+            else:
+                Jm = J[n0:n0 + m]
+                np.cumsum(np.concatenate((np.array([xf], sdt),
+                                          walk.ft[Jm[:-1]])), out=Xm)
+                xf_next = Xm.item(-1) + walk.ftrans[Jm.item(-1)]
             n0 += m
             # the next run starts at a re-sync, as `_shift` makes it
             if resyncs and m == full:
@@ -642,7 +738,37 @@ class IntegerOrbit:
         self.steps += k if forward else -k
         if forward:
             return J, X[:k], E[:k], dp[:k], dq[:k]
-        return np.array(self.top_of_b)[J], X[1:], E[1:], dp[1:], dq[1:]
+        return walk.top_of_b[J], X[1:], E[1:], dp[1:], dq[1:]
+
+    def _pass_one(self, walk, Jm, Xm, tol, op, oq, n0, xf, tp, tq):
+        """One run of `segment` without an itinerary table: Jm, Xm and the
+        offsets op, oq (from op[0], oq[0]) by pass 1 and its certified
+        locates; returns the shadow after the run."""
+        cuts, fcuts, ftrans, fc, ft, fc_below = walk[:6]
+        p, q, field, last = self.p, self.q, self.field, len(cuts) - 1
+        js, start = array("q", (0,)) * len(Jm), 0
+        xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
+        while True:
+            Jm[:] = np.frombuffer(js, np.int64)
+            np.cumsum(np.concatenate((np.array([xf], Xm.dtype),
+                                      ft[Jm[:-1]])), out=Xm)
+            for o, t in ((op, tp), (oq, tq)):   # less the first pair
+                np.cumsum(t[Jm], out=o[1:])
+                if n0:
+                    o[1:] += o[0]
+            ok = (((Jm == 0) | (Xm - fc_below[Jm] > tol))
+                  & ((Jm == last) | (fc[Jm] - Xm > tol)))
+            for b in (np.flatnonzero(~ok[start:]) + start).tolist():
+                jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
+                                  field)
+                if jb != js[b]:
+                    break
+            else:
+                return xf_next
+            # the shadow's index was wrong: step on from the exact one
+            js[b], start = jb, b + 1
+            xf_next = _orbit_pass(js, start, Xm.item(b) + ftrans[jb],
+                                  fcuts, ftrans, last)
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair

@@ -74,17 +74,19 @@ def roof_values(tables: FloatTables, x, module=None):
 
 
 def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
-                module=None):
+                module=None, f=None):
     """Advance the flow-space points (x_i, y_i) by time t.
 
     FlowDomainError, naming the first offender, when a sample lies outside
-    0 <= x < total, 0 <= y < f(x) (f by the same backend's roof values);
-    FlowStepBudgetError when one would need more than max_steps jumps.
+    0 <= x < total, 0 <= y < f(x) (f by the same backend's roof values, or
+    the given array `f` of them, which a caller that has just computed
+    them passes); FlowStepBudgetError when one would need more than
+    max_steps jumps.
     """
     mod = module or impl
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _require_flow_space(tables, x, y, mod)
+    _require_flow_space(tables, x, y, mod, f)
     try:
         return mod.flow_points(tables.rights, tables.trans, tables.rights_b,
                                tables.trans_b, tables.lefts, tables.c0,
@@ -99,10 +101,12 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
         raise FlowStepBudgetError(max_steps, t) from exc
 
 
-def _require_flow_space(tables: FloatTables, x, y, mod):
-    """One roof pass; its arrays are freed before the flow allocates."""
-    f = mod.roof_values(tables.rights, tables.lefts, tables.c0, tables.cp,
-                        tables.cm, x)
+def _require_flow_space(tables: FloatTables, x, y, mod, f=None):
+    """One roof pass unless f is given; its arrays are freed before the
+    flow allocates."""
+    if f is None:
+        f = mod.roof_values(tables.rights, tables.lefts, tables.c0,
+                            tables.cp, tables.cm, x)
     inside = (x >= 0.0) & (x < tables.total) & (y >= 0.0) & (y < f)
     if not inside.all():
         bad = np.flatnonzero(~inside)

@@ -362,7 +362,9 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     while x_n and y_n share an interval I_a, y_n = x_n + delta, and they
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
     step, which also catches a pair split by a bottom cut).  The orbit goes
-    by `IntegerOrbit.segment`, whose docstring says how it is certified.
+    by `IntegerOrbit.segment`, whose docstring says where its itinerary
+    comes from (the IET's Rohlin towers on Q(sqrt d), else a certified
+    per-step pass).
     The straddle test goes by the shadow when its difference clears xerr +
     3 units (xerr + 1 for a gap, one for delta and the difference, one
     spare), else by `exact._sign`; the walk stops at the first straddle.
@@ -709,7 +711,9 @@ class ConstantObservable:
 
 
 def sample_flow_space(iet: Iet, spec: RoofSpec, n: int, rng) -> tuple:
-    """n exact-law samples of the normalized area measure on the flow space.
+    """n exact-law samples of the normalized area measure on the flow space,
+    as (x, y, tables, f): the samples, the IET's `kernels.float_tables`
+    and the roof values f(x) of the default kernel.
 
     The x-marginal has density f/area: a mixture of the uniform part and,
     per singular side, a product-of-two-uniforms log component plus the
@@ -753,7 +757,7 @@ def sample_flow_space(iet: Iet, spec: RoofSpec, n: int, rng) -> tuple:
     tables = kernels.float_tables(iet, spec)
     fx = kernels.roof_values(tables, x)
     y = rng.uniform(0.0, 1.0, n) * fx
-    return x, y, tables
+    return x, y, tables, fx
 
 
 @dataclass(frozen=True)
@@ -770,12 +774,12 @@ def mixing_correlation(iet: Iet, spec: RoofSpec, g: BumpObservable,
     """Monte-Carlo estimate of int g(phi_t p) h(p) dmu - int g int h."""
     rng = np.random.default_rng(seed)
     area = roof_area(iet, spec)
-    x, y, tables = sample_flow_space(iet, spec, n_samples, rng)
+    x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)
     hx = h(x, y)
     if t == 0.0:
         gx = g(x, y)
     else:
-        xt, yt, _ = kernels.flow_points(tables, x, y, t)
+        xt, yt, _ = kernels.flow_points(tables, x, y, t, f=fx)
         gx = g(xt, yt)
     z = gx * hx
     value = float(z.mean()) - g.mean(area) * h.mean(area)
@@ -791,17 +795,18 @@ def triple_mixing_probe(iet: Iet, spec: RoofSpec, g1: BumpObservable,
     minus the product of the means."""
     rng = np.random.default_rng(seed)
     area = roof_area(iet, spec)
-    x, y, tables = sample_flow_space(iet, spec, n_samples, rng)
+    x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)
     v1 = g1(x, y)
     if t2 == 0.0:
         x2, y2 = x, y
     else:
-        x2, y2, _ = kernels.flow_points(tables, x, y, t2)
+        x2, y2, _ = kernels.flow_points(tables, x, y, t2, f=fx)
     v2 = g2(x2, y2)
     if t3 == 0.0:
         x3, y3 = x2, y2
     else:
-        x3, y3, _ = kernels.flow_points(tables, x2, y2, t3)
+        x3, y3, _ = kernels.flow_points(tables, x2, y2, t3,
+                                        f=fx if t2 == 0.0 else None)
     v3 = g3(x3, y3)
     z = v1 * v2 * v3
     value = float(z.mean()) - (g1.mean(area) * g2.mean(area) * g3.mean(area))

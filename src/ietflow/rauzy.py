@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .exact import (ZERO, ExactScalar, _reduce, _sign, exact_dot, exact_max,
                     exact_min)
-from .iet import Iet, IetDomainError, IntegerOrbit, Permutation
+from .iet import _SEGMENT, Iet, IetDomainError, IntegerOrbit, Permutation
 
 
 class RVUndefinedError(ValueError):
@@ -151,8 +154,8 @@ class InductionTrace:
     B^(0,n) and the vector of measured first-return times.
 
     Construction (extend) is sequential; once extended, a trace may be
-    shared by concurrent readers — the product cache only ever fills in
-    values that every reader would compute identically.
+    shared by concurrent readers — the product and return-time caches only
+    ever fill in values that every reader would compute identically.
     """
 
     def __init__(self, base: Iet):
@@ -163,6 +166,7 @@ class InductionTrace:
         self._heights = [(1,) * base.perm.d]
         self._prefix = {0: mat_identity(base.perm.d)}
         self._windows = {}
+        self._returns = {}
 
     @property
     def depth(self) -> int:
@@ -392,21 +396,164 @@ def towers(trace: InductionTrace, n: int) -> TowerSystem:
     return system
 
 
+#: Induction steps and floors past which an IET gets no itinerary table.
+_TABLE_STEPS = 1024
+_TABLE_FLOORS = 1 << 16
+
+
+class ItineraryTable:
+    """The Rohlin towers of an IET over Q(sqrt d) as arrays: the orbit
+    itineraries that `IntegerOrbit.segment` reads.
+
+    Floors are numbered tower by tower in alphabet order, floor 0 first:
+    tower a holds floors starts[a] .. ends[a] - 1.  Per floor g: `word[g]`,
+    the top-order index of the interval of T holding it, `bword[g]`, the
+    bottom-order index of the interval holding T(floor g), and its exact
+    left end (lp[g], lq[g]) over `den`, the IET's common denominator.  Per
+    tower: its floors' width and `exits[a]`, the left end of T^h_a of its
+    base (h_a = its height), in I^(n).  A point x of floor g = starts[a] +
+    f stays on floors g + 1, .. of its tower for h_a - f - 1 steps and then
+    lands on exits[a] + (x - left end of g).
+
+    `fsorted` holds the floors' shadows in increasing order and `order`
+    the floor of each.  Each shadow came with an error bound, and
+    consecutive ones differ by more than both bounds, so this is the exact
+    order of the left ends; `fl` and `fexits` are the shadows by floor and
+    of the exits.
+    """
+
+    __slots__ = ("den", "field", "step", "heights", "starts", "ends", "word",
+                 "bword", "lp", "lq", "fl", "widths", "exits", "fexits",
+                 "fsorted", "order")
+
+    def locate(self, p: int, q: int, scale: int, guess: float) -> tuple:
+        """(a, g): the tower and floor holding the point (p + q
+        sqrt(field))/(den scale), from the floor whose shadow is the last
+        at or below `guess`, stepped to the exact one by `_sign` at its two
+        ends."""
+        fsorted, order, lp, lq = self.fsorted, self.order, self.lp, self.lq
+        field = self.field
+        s = min(max(int(fsorted.searchsorted(guess, "right")) - 1, 0),
+                fsorted.size - 1)
+        while True:
+            g = order.item(s)
+            dp, dq = p - scale * lp.item(g), q - scale * lq.item(g)
+            if _sign(dp, dq, field) < 0:
+                s -= 1
+                continue
+            a = bisect_right(self.starts, g) - 1
+            wp, wq = self.widths[a]
+            if _sign(dp - scale * wp, dq - scale * wq, field) >= 0:
+                s += 1
+                continue
+            return a, g
+
+
+def _offset(base: int, off):
+    """base + off as an array, int64 unless that could wrap."""
+    if off.dtype != object and \
+            abs(base) + int(np.abs(off).max()) < 2 ** 62:
+        return off + base
+    return off.astype(object) + base
+
+
+def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
+    """The towers of `iet` at the first induction step n where each is at
+    least `_SEGMENT` floors tall, as an `ItineraryTable`; None on Q,
+    without float tables, when a step is undefined, or past
+    `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
+
+    Each tower base is walked by one `IntegerOrbit.segment` of its height
+    (pass 1, as the IET has no table yet): its indices are the word, the
+    base plus its exact offsets the floors' left ends and its shadows and
+    bounds certify their order.  The floors' chain is checked exactly as
+    `TowerSystem.check_partition` does.  `Iet.itinerary_table` calls this
+    once per IET."""
+    den, field, cuts = iet.integer_tables()[:3]
+    if field is None or iet.float_tables() is None:
+        return None
+    ind, heights, n = iet, [1] * iet.perm.d, 0
+    while min(heights) < _SEGMENT:
+        if n == _TABLE_STEPS or sum(heights) > _TABLE_FLOORS:
+            return None
+        try:
+            ind, _, _, (w, l) = rv_step(ind)
+        except RVUndefinedError:
+            return None
+        heights[l] += heights[w]
+        n += 1
+    if sum(heights) > _TABLE_FLOORS:
+        return None
+    orbit = IntegerOrbit(iet, ZERO)
+    bases = _base_pairs(ind, den)
+    t = ItineraryTable()
+    t.den, t.field, t.step, t.heights = den, field, n, tuple(heights)
+    t.ends = tuple(np.cumsum(heights).tolist())
+    t.starts = (0,) + t.ends[:-1]
+    t.widths, t.exits, t.fexits = [], [], []
+    words, lps, lqs, fls, fes = [], [], [], [], []
+    for a, h in zip(iet.perm.alphabet, heights):
+        (bp, bq), width = bases[a]
+        orbit.move_to((bp, bq))
+        word, xf, xerr, dp, dq = orbit.segment(h)
+        words.append(word)
+        lps.append(_offset(bp, dp))
+        lqs.append(_offset(bq, dq))
+        fls.append(xf)
+        fes.append(xerr)
+        t.widths.append(width)
+        t.exits.append((orbit.p, orbit.q))
+        t.fexits.append(orbit.xf)
+    perm = iet.perm
+    idt = np.int8 if perm.d < 128 else np.int64
+    t.word = np.concatenate(words).astype(idt)
+    t.bword = np.array([perm.bottom.index(a) for a in perm.top],
+                       idt)[t.word]
+    t.lp, t.lq = np.concatenate(lps), np.concatenate(lqs)
+    t.fl = np.concatenate(fls)
+    order = np.argsort(t.fl, kind="stable")
+    fs, fe = t.fl[order], np.concatenate(fes)[order]
+    if not (np.diff(fs) > fe[1:] + fe[:-1] + orbit.unit).all():
+        return None
+    t.fsorted, t.order = fs, order.astype(np.int32)
+    # from 0 each floor's right end is the next floor's left end, up to
+    # the total length
+    for left, c in ((t.lp, 0), (t.lq, 1)):
+        width = [w[c] for w in t.widths]
+        left = left[order]
+        if left.dtype == object or max(map(abs, width)) >= 2 ** 62:
+            left, width = left.astype(object), np.array(width, object)
+        right = left + np.repeat(width, heights)[order]
+        if left[0] or right[-1] != cuts[-1][c] or \
+                (left[1:] != right[:-1]).any():
+            raise AssertionError("tower floors do not partition the interval")
+    return t
+
+
 def return_time_oracle(trace: InductionTrace, n: int, label: str) -> int:
     """First-return time of the midpoint of I^(n)_label, by direct iteration.
 
     Contract: equals h^(n)_label = column sum of B^(0,n) for the label.
-    The walk runs on integerized exact coordinates.
+    The walk runs on integerized exact coordinates: one IntegerOrbit of
+    the base IET holds every label's midpoint and is moved to each in
+    turn; the times of all labels are kept on the trace, once per n.
     """
-    trace.extend(n)
-    ind = trace.iet(n)
-    x = (ind.left(label) + ind.right(label)) / 2
-    orbit = IntegerOrbit(trace.base, x)
-    cut = orbit.pair_of(ind.total)
-    orbit.step_forward()
-    while not orbit.less_than(cut):
-        orbit.step_forward()
-    return orbit.steps
+    times = trace._returns.get(n)
+    if times is None:
+        trace.extend(n)
+        ind = trace.iet(n)
+        mids = [(ind.left(a) + ind.right(a)) / 2 for a in ind.perm.alphabet]
+        orbit = IntegerOrbit(trace.base, mids[0], extra=mids[1:])
+        cut = orbit.pair_of(ind.total)
+        times = []
+        for x in mids:
+            orbit.move_to(orbit.pair_of(x))
+            orbit.step_forward()
+            while not orbit.less_than(cut):
+                orbit.step_forward()
+            times.append(orbit.steps)
+        times = trace._returns[n] = tuple(times)
+    return times[trace.base.perm.alphabet.index(label)]
 
 
 # ---------------------------------------------------------------------------

@@ -372,3 +372,26 @@ def test_flow_domain_error_on_every_backend(module, setup, t, where):
     assert (err.index, err.x, err.y, err.count) == (1, x[1], y[1], 1)
     assert err.total == tables.total
     assert "outside the flow space" in str(err)
+
+
+@BACKENDS
+@pytest.mark.parametrize("where", ["y at f(x)", "y above f(x)", "x at total"])
+def test_flow_domain_error_with_given_roof_values(module, setup, where):
+    """Roof values handed to `flow_points` replace its roof pass, not its
+    check: a sample outside the flow space raises the same error."""
+    _, _, tables = setup
+    x = np.array([0.1, 0.3, 0.7])
+    y = np.array([0.2, 0.2, 0.2])
+    f = kernels.roof_values(tables, x, module=module)
+    x[1], y[1] = {"y at f(x)": (0.3, f[1]),
+                  "y above f(x)": (0.3, f[1] + 1.0),
+                  "x at total": (tables.total, 0.2)}[where]
+    f = kernels.roof_values(tables, x, module=module)
+    errors = []
+    for given in (None, f):
+        with pytest.raises(FlowDomainError) as info:
+            kernels.flow_points(tables, x, y, 0.5, module=module, f=given)
+        err = info.value
+        errors.append((err.index, err.x, err.y, err.f, err.total, err.count))
+    assert errors[0] == errors[1]
+    assert errors[0][:3] == (1, x[1], y[1])

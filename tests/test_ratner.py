@@ -30,6 +30,7 @@ from ietflow.ratner import (
     forbac_scan,
     induced_discontinuity_gaps,
     mixing_correlation,
+    sample_flow_space,
     sample_good_pairs,
     sr_pair_test,
     triple_mixing_probe,
@@ -956,11 +957,14 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def count_walk_floats(monkeypatch):
-    """Count the floats a pair walk rounds from exact pairs once its orbit
-    is built: the exact gaps (`quadratic_float` in `roof`) and the shadow
-    re-syncs (`quadratic_float` in `iet`, inside `IntegerOrbit.segment`);
-    returns the one-item count list."""
+def count_walk_floats(monkeypatch, iet):
+    """Count the floats a pair walk on `iet` rounds from exact pairs once
+    its orbit is built: the exact gaps (`quadratic_float` in `roof`) and the
+    shadow re-syncs (`quadratic_float` in `iet`, inside
+    `IntegerOrbit.segment`); returns the one-item count list.  The IET's
+    itinerary table, whose build walks its own orbits once per IET, is
+    built before counting."""
+    iet.itinerary_table()
     calls = count_calls(monkeypatch, roof_module, "quadratic_float")
     inside = [False]
     inner, segment = iet_module.quadratic_float, IntegerOrbit.segment
@@ -1031,7 +1035,7 @@ class TestShadowGapWalk:
         start = iet.iterate(target, -7 if forward else 7)
         x, y = (start, start + gap) if side == "left" else (start - gap,
                                                             start)
-        calls = count_walk_floats(monkeypatch)
+        calls = count_walk_floats(monkeypatch, iet)
         L = 12
         checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, 0, L,
                                                      forward)
@@ -1063,7 +1067,7 @@ class TestShadowGapWalk:
         x = ExactScalar(F(41, 100))
         y = x + ExactScalar(F(1, 10 ** 5))
         M, L = 2100, 20
-        calls = count_walk_floats(monkeypatch)
+        calls = count_walk_floats(monkeypatch, iet)
         checkpoints, straddle, _ = ratner._pair_walk(iet, spec, x, y, M, L,
                                                      forward)
         assert straddle is None and len(checkpoints) == L + 1
@@ -1129,7 +1133,7 @@ class TestTwoPassWalk:
         x = ExactScalar(F(43560461, 125000000))
         y = x + ExactScalar(F(1, 10 ** 5))
         M, L = 10770, 18
-        calls = count_walk_floats(monkeypatch)
+        calls = count_walk_floats(monkeypatch, iet)
         _, straddle, _ = assert_walks_agree(iet, spec, x, y, M, L, True)
         assert straddle is None
         # one call per shadow re-sync, one for the exact gap
@@ -1187,9 +1191,11 @@ class TestTwoPassWalk:
         # x_5 lands exactly on l_C (bounded-3, forward) or x_10 on l_B
         # (golden, backward), where the bisection of the shadow is wrong:
         # the exact index replaces it and pass 1 runs again from the next
-        # step; the roof is constant, so the walk goes on past the hit
+        # step; the roof is constant, so the walk goes on past the hit.
+        # Pass 1 walks these IETs only without their itinerary tables.
         accel, _, _ = setup()
         iet = accel.trace.base
+        monkeypatch.setattr(Iet, "itinerary_table", lambda self: None)
         spec = constant_roof(iet)
         n = 5 if forward else 10
         x = iet.iterate(iet.left(label), -n if forward else n + 1)
@@ -1360,6 +1366,28 @@ class TestMixingProbes:
         large = mixing_correlation(self.iet, self.spec, self.g, self.g,
                                    200.0, 300000, seed=5)
         assert abs(large.value) < abs(small.value)
+
+    def test_flows_reuse_the_sampled_roof_values(self, monkeypatch):
+        # the flow-space check reads f(x) from `sample_flow_space`, with no
+        # second roof pass; a flow from flowed points makes its own
+        seen, inner = [], kernels._require_flow_space
+
+        def spy(tables, x, y, mod, f=None):
+            seen.append(f)
+            return inner(tables, x, y, mod, f)
+
+        monkeypatch.setattr(kernels, "_require_flow_space", spy)
+        mixing_correlation(self.iet, self.spec, self.g, self.h, 7.0, 20000,
+                           seed=11)
+        triple_mixing_probe(self.iet, self.spec, self.h, self.g, self.g,
+                            3.5, 2.0, 20000, seed=11)
+        triple_mixing_probe(self.iet, self.spec, self.h, self.g, self.g,
+                            0.0, 2.0, 20000, seed=11)
+        assert [f is None for f in seen] == [False, False, True, False]
+        x, y, tables, fx = sample_flow_space(self.iet, self.spec, 20000,
+                                             np.random.default_rng(11))
+        assert np.array_equal(fx, kernels.roof_values(tables, x))
+        assert np.array_equal(seen[0], fx)
 
     def test_triple_marginalization(self):
         one = ConstantObservable(1.0)

@@ -12,7 +12,7 @@ from ietflow.fixtures import (
     rotation_third,
     symmetric_3iet,
 )
-from ietflow.iet import Iet, Permutation, first_return_map
+from ietflow.iet import Iet, IntegerOrbit, Permutation, first_return_map
 from ietflow.rauzy import (
     AccelTimes,
     InductionTrace,
@@ -384,6 +384,29 @@ class TestReturnTimes:
         for idx, a in enumerate("AB"):
             measured = return_time_oracle(trace, 10, a)
             assert measured == sum(row[idx] for row in prod)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: InductionTrace(bounded_type_3iet()).extend(8),
+        lambda: InductionTrace(golden_rotation()).extend(8),
+        lambda: _random_trace(2, 8)], ids=["sqrt2", "sqrt5", "Q-d5"])
+    def test_one_orbit_per_step(self, monkeypatch, make):
+        # every label's midpoint on one orbit, moved to each in turn
+        built, inner = [], IntegerOrbit.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntegerOrbit, "__init__", spy)
+        trace = make()
+        assert trace.depth == 8
+        for n in (4, 8):
+            prod = trace.product(0, n)
+            for idx, a in enumerate(trace.base.perm.alphabet):
+                measured = return_time_oracle(trace, n, a)
+                assert measured == sum(row[idx] for row in prod)
+        assert len(built) == 2
 
 
 class TestBalance:

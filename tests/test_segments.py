@@ -10,9 +10,11 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from ietflow import iet as iet_module
+from ietflow import rauzy
 from ietflow.exact import ExactScalar, _sign, quadratic_float
 from ietflow.fixtures import (
     asymmetric_log_roof,
@@ -20,7 +22,9 @@ from ietflow.fixtures import (
     constant_roof,
     golden_rotation,
 )
-from ietflow.iet import Iet, IntegerOrbit, Permutation
+from ietflow.iet import _SEGMENT, Iet, IntegerOrbit, Permutation
+from ietflow.ratner import _pair_walk
+from ietflow.rauzy import InductionTrace, towers
 from ietflow.roof import (
     _EPS,
     BirkhoffCursor,
@@ -286,25 +290,173 @@ def test_segment_matches_one_steps(make, x, forward):
         assert IntegerOrbit(iet, x).segment(3000, forward)[3].dtype == object
 
 
+def connected_4iet():
+    """A 4-IET over Q(sqrt 2) with lambda_A = lambda_D: its first
+    Rauzy-Veech step is undefined, so it has no itinerary table and its
+    segments run pass 1."""
+    a = ExactScalar(F(-1, 2), F(1, 2), 2)
+    return Iet(Permutation("ABCD", "DCBA"),
+               [a, ExactScalar(F(1, 5)), ExactScalar(F(9, 5), -1, 2), a])
+
+
+def spy_on(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name."""
+    calls, inner = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("make,label,n,forward", [
-    (bounded_type_3iet, "C", 5, True), (golden_rotation, "B", 11, False)])
+    (connected_4iet, "B", 2, True), (connected_4iet, "B", 7, False)])
 def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
                                           forward):
-    # T^5 x = l_C (bounded-3), or T^-11 x = l_B (golden, located among the
-    # bottom cuts): the shadow's bisection there is wrong, the exact locate
-    # changes the index and pass 1 runs again from the next step
+    # T^2 x = l_B, or T^-7 x = l_B (located among the bottom cuts): the
+    # shadow's bisection there is wrong, the exact locate changes the index
+    # and pass 1 runs again from the next step
     iet = make()
+    assert iet.itinerary_table() is None
     x = iet.iterate(iet.left(label), -n if forward else n)
-    starts = []
-    inner = iet_module._orbit_pass
-
-    def spy(js, start, *args):
-        starts.append(start)
-        return inner(js, start, *args)
-
-    monkeypatch.setattr(iet_module, "_orbit_pass", spy)
+    calls = spy_on(monkeypatch, iet_module, "_orbit_pass")
     assert_segments_match_steps(iet, x, (40,), forward)
-    assert any(starts)
+    assert any(args[1] for args in calls)
+
+
+# ---------------------------------------------------------------------------
+# Segments read off the itinerary table
+# ---------------------------------------------------------------------------
+
+def test_rational_iet_walks_pass_one(monkeypatch):
+    iet = rational_4iet()
+    assert iet.itinerary_table() is None
+    calls = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    IntegerOrbit(iet, F(41, 100)).segment(100)
+    assert calls
+
+
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_table_matches_the_towers(make):
+    iet = make()
+    table = iet.itinerary_table()
+    trace = InductionTrace(iet)
+    n = table.step
+    # the first step where every tower is a segment tall
+    assert min(trace.heights(n)) >= _SEGMENT > min(trace.heights(n - 1))
+    system = towers(trace, n)
+    orbit = IntegerOrbit(iet, 0)
+    bpos = [iet.perm.bottom.index(a) for a in iet.perm.top]
+    for a, tower in enumerate(system.towers):
+        g0, g1 = table.starts[a], table.ends[a]
+        assert tower.label == iet.perm.alphabet[a]
+        assert g1 - g0 == tower.height == table.heights[a]
+        assert table.widths[a] == tower.width
+        assert list(zip(table.lp[g0:g1].tolist(),
+                        table.lq[g0:g1].tolist())) == list(tower.lefts)
+        words = []
+        for left in tower.lefts:
+            orbit.move_to(left)
+            words.append(orbit._sign_index(orbit.cuts))
+        assert table.word[g0:g1].tolist() == words
+        assert table.bword[g0:g1].tolist() == [bpos[i] for i in words]
+        top, t = tower.lefts[-1], orbit.trans[words[-1]]
+        assert table.exits[a] == (top[0] + t[0], top[1] + t[1])
+    # the sorted shadows are the exact order of the floors
+    assert (np.diff(table.fsorted) > 0).all()
+    lefts = [(table.lp.item(g), table.lq.item(g)) for g in table.order]
+    assert all(orbit.pair_less(u, v) for u, v in zip(lefts, lefts[1:]))
+
+
+def thin_3iet():
+    """A 3-IET over Q(sqrt 2) whose first bottom interval, (sqrt 2 - 1)/
+    (2 10^6) long, is shorter than the base of its towers, so a backward
+    step from a floor 0 can leave by the second bottom interval."""
+    c = ExactScalar(F(-1, 2 * 10 ** 6), F(1, 2 * 10 ** 6), 2)
+    a = ExactScalar(F(1, 3), F(1, 100), 2)
+    return Iet(Permutation("ABC", "CBA"), [a, ExactScalar(1) - a - c, c])
+
+
+def tower_starts(iet):
+    """A floor's left end (floor 1000 of the second tower), a point 10^-30
+    below it, a cut and DEN50."""
+    table = iet.itinerary_table()
+    g = table.starts[1] + 1000
+    floor = ExactScalar(F(table.lp.item(g), table.den),
+                        F(table.lq.item(g), table.den), table.field)
+    return [floor, floor - ExactScalar(F(1, 10 ** 30)),
+            iet.left(iet.perm.top[1]), DEN50]
+
+
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_locate_is_exact_at_floor_ends(make):
+    # points on, just below and just above floor left ends, from guesses a
+    # few ulps off their floors' shadows either way
+    iet = make()
+    table = iet.itinerary_table()
+    scale = 10 ** 30
+    tiny = ExactScalar(F(1, table.den * scale))
+    pos = {g: s for s, g in enumerate(table.order.tolist())}
+    for g in range(0, table.ends[-1], 97):
+        left = ExactScalar(F(table.lp.item(g), table.den),
+                           F(table.lq.item(g), table.den), table.field)
+        below = table.order.item(pos[g] - 1) if pos[g] else None
+        for x, want in ((left - tiny, below), (left, g), (left + tiny, g)):
+            if want is None:
+                continue
+            p, q = x.p * (table.den * scale // x.den), \
+                x.q * (table.den * scale // x.den)
+            shadow = table.fsorted.item(pos[g])
+            for ulps in (-2, 0, 2):
+                guess = shadow + ulps * math.ulp(shadow)
+                a, h = table.locate(p, q, scale, guess)
+                assert h == want and table.starts[a] <= h < table.ends[a]
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
+                                  thin_3iet])
+def test_tower_segments_match_one_steps(monkeypatch, make, forward):
+    iet = make()
+    table = iet.itinerary_table()
+    passes = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    locates = spy_on(monkeypatch, type(table), "locate")
+    signs = spy_on(monkeypatch, rauzy, "_sign")
+    ks = (1, 2047, 2048, 2049, 1, 7000, 7000)
+    for x in tower_starts(iet):
+        del locates[:]
+        assert_segments_match_steps(iet, x, ks, forward)
+        # one locate per call and one past each tower top crossed
+        assert len(locates) - len(ks) >= 3
+        # each from a good guess: the shadow's floor or the next one
+        assert len(signs) <= 3 * len(locates)
+        del signs[:]
+    assert not passes
+
+
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
+    iet = make()
+    spec = asymmetric_log_roof(iet)
+    builds = spy_on(monkeypatch, rauzy, "build_itinerary_table")
+    passes = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    reads = spy_on(monkeypatch, IntegerOrbit, "_itinerary")
+    x = ExactScalar(F(41, 100))
+    y = x + ExactScalar(F(1, 10 ** 5))
+    built, segments = None, 0
+    for forward in (True, False):
+        straddle = _pair_walk(iet, spec, x, y, 10770, 18, forward)[1]
+        table = iet.itinerary_table()
+        assert table is not None and len(builds) == 1
+        # the build walks each tower with pass 1; the witness walk reads
+        # every one of its 2048-step segments off the table
+        built = len(passes) if built is None else built
+        assert len(passes) == built
+        end = 10788 if straddle is None else straddle + 1
+        segments += -(-end // _SEGMENT)
+        assert len(reads) == segments
 
 
 # ---------------------------------------------------------------------------
