@@ -52,7 +52,7 @@ def sigma_rational(accel: AccelTimes, ell: int, tau_prime: float,
     return Fraction(val + slack).limit_denominator(10 ** 15) + Fraction(1, 10 ** 12)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigmaSet:
     """Excluded set Sigma_l^+: pullbacks T^-i, 0 <= i <= [sigma_l q_{l+1}],
     of the 2 sigma_l |I^(n_l)| - neighborhoods of the singular endpoints."""
@@ -81,7 +81,20 @@ def sigma_set(accel: AccelTimes, ell: int, tau_prime: float,
 
     `dilate` > 1 builds the enlarged set (2 Sigma_l in the good-set
     construction): every neighborhood radius is scaled by that factor.
+    The set depends on the scale alone, not on any point, so it is built
+    once per AccelTimes and key (ell, tau_prime, dilate) and shared: the
+    same read-only object is returned for a repeated key.
     """
+    key = (ell, tau_prime, dilate)
+    sset = accel._sigma_sets.get(key)
+    if sset is None:
+        sset = accel._sigma_sets[key] = _build_sigma_set(accel, ell,
+                                                         tau_prime, dilate)
+    return sset
+
+
+def _build_sigma_set(accel: AccelTimes, ell: int, tau_prime: float,
+                     dilate) -> SigmaSet:
     trace = accel.trace
     base_iet = trace.base
     srat = sigma_rational(accel, ell, tau_prime) * Fraction(dilate)
@@ -203,24 +216,23 @@ class GrowthReport:
 def derivative_growth_check(accel: AccelTimes, spec: RoofSpec, x, r: int,
                             eps: float, tau_prime: float = 0.995,
                             M: Optional[float] = None,
-                            sigma_cache: Optional[dict] = None,
                             skip_exclusion_check: bool = False) -> GrowthReport:
     """Two-sided (C- - C+) r log r bound on S_r(f')(x) for good points.
 
-    Precondition: q_l <= r < q_{l+1} and x outside Sigma_l^+ (checked
-    exactly unless skip_exclusion_check).  The orientation follows the sign
-    of C- - C+; for symmetric roofs the oriented ratio is the raw ratio.
+    The scale l is the one with q_l <= r < q_{l+1} (locate_scale; a
+    ValueError when r lies outside the scale window).  Unless
+    skip_exclusion_check, x must lie outside Sigma_l^+ =
+    sigma_set(accel, l, tau_prime), tested exactly against the set built
+    once per accel and key; a point inside raises ExcludedPointError with
+    the component holding it.  The lower bound is the clean one; the upper
+    bound carries the M (U + V) slack, and used_UV_slack says whether it
+    needed it.  The orientation follows the sign of C- - C+; for symmetric
+    roofs the oriented ratio is the raw ratio.
     """
     iet = accel.trace.base
     ell = locate_scale(accel, r)
     if not skip_exclusion_check:
-        if sigma_cache is not None and ell in sigma_cache:
-            sset = sigma_cache[ell]
-        else:
-            sset = sigma_set(accel, ell, tau_prime)
-            if sigma_cache is not None:
-                sigma_cache[ell] = sset
-        wit = sset.witness(x)
+        wit = sigma_set(accel, ell, tau_prime).witness(x)
         if wit is not None:
             raise ExcludedPointError(
                 "x lies in Sigma_%d^+ within [%s, %s]"

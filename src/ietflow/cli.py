@@ -288,15 +288,13 @@ def cmd_bs_growth(args):
     import random as _random
     rng = _random.Random(args.seed)
     rows = []
-    cache = {}
     sampled = 0
     while sampled < args.points:
         x = Fraction(rng.randrange(10 ** 6 // 20, 10 ** 6 * 19 // 20), 10 ** 6)
         try:
             reports = [derivative_growth_check(accel, spec, x, r,
                                                eps=args.eps,
-                                               tau_prime=float(args.tau_prime),
-                                               sigma_cache=cache)
+                                               tau_prime=float(args.tau_prime))
                        for r in grid]
         except ExcludedPointError:
             continue

@@ -8,30 +8,36 @@ conservative direction for exclusion semantics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .exact import ExactScalar, as_scalar, exact_sum
 from .iet import Iet
 
 
 class IntervalUnion:
-    """Disjoint sorted closed intervals [a_i, b_i], exact endpoints."""
+    """Disjoint sorted closed intervals [a_i, b_i], exact endpoints.
 
-    __slots__ = ("parts",)
+    The parts are a tuple and never change after construction, so a union
+    may be shared; `lefts` holds the a_i for bisection.
+    """
+
+    __slots__ = ("parts", "lefts")
 
     def __init__(self, parts=(), already_normalized=False):
         items = [(as_scalar(a), as_scalar(b)) for a, b in parts]
-        if already_normalized:
-            self.parts = items
-            return
-        items = [(a, b) for a, b in items if not b < a]
-        items.sort(key=lambda p: p[0])
-        merged: list = []
-        for a, b in items:
-            if merged and not merged[-1][1] < a:
-                if merged[-1][1] < b:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        self.parts = merged
+        if not already_normalized:
+            items = [(a, b) for a, b in items if not b < a]
+            items.sort(key=lambda p: p[0])
+            merged: list = []
+            for a, b in items:
+                if merged and not merged[-1][1] < a:
+                    if merged[-1][1] < b:
+                        merged[-1] = (merged[-1][0], b)
+                else:
+                    merged.append((a, b))
+            items = merged
+        self.parts = tuple(items)
+        self.lefts = tuple(a for a, _ in items)
 
     @classmethod
     def empty(cls):
@@ -46,18 +52,15 @@ class IntervalUnion:
         return exact_sum(b - a for a, b in self.parts)
 
     def contains(self, x) -> bool:
-        x = as_scalar(x)
-        for a, b in self.parts:
-            if not x < a and not b < x:
-                return True
-        return False
+        return self.witness(x) is not None
 
     def witness(self, x):
-        """The component containing x, or None."""
+        """The component containing x, or None: the last part with a <= x,
+        found by bisection, holds x iff x <= b."""
         x = as_scalar(x)
-        for a, b in self.parts:
-            if not x < a and not b < x:
-                return (a, b)
+        i = bisect_right(self.lefts, x) - 1
+        if i >= 0 and not self.parts[i][1] < x:
+            return self.parts[i]
         return None
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":

@@ -606,6 +606,8 @@ class AccelTimes:
         self.nu = nu
         self.lbar = lbar
         self.diagnostic = diagnostic
+        # birkhoff.sigma_set's sets, keyed by (ell, tau_prime, dilate)
+        self._sigma_sets: dict = {}
 
     @property
     def count(self) -> int:

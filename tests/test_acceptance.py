@@ -297,17 +297,13 @@ def test_criterion_07_derivative_growth(golden_accel):
     M_const = default_slack_constant(spec)
     r_grid = [1000, 3000, 10000, 30000]
     from ietflow.birkhoff import locate_scale
-    sigma_sets = {}
-    for r in r_grid:
-        ell = locate_scale(accel, r)
-        if ell not in sigma_sets:
-            sigma_sets[ell] = sigma_set(accel, ell, 0.995)
+    ells = {locate_scale(accel, r) for r in r_grid}
 
     rng = random.Random(77)
     points = []
     while len(points) < 50:
         x = F(rng.randrange(3 * 10 ** 5, 7 * 10 ** 5), 10 ** 6)
-        if any(s.contains(x) for s in sigma_sets.values()):
+        if any(sigma_set(accel, ell, 0.995).contains(x) for ell in ells):
             continue
         points.append(x)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import statistics
 from fractions import Fraction
 
 import pytest
 
+from ietflow import birkhoff
 from ietflow.birkhoff import (
     ExactHitError,
     ExcludedPointError,
@@ -125,6 +127,59 @@ class TestSigmaSet:
                     break
                 assert sigma_set(accel, ell, 0.995).bound_holds
 
+    def test_built_once_per_accel_and_key(self):
+        accel = golden_accel()
+        sset = sigma_set(accel, 6, 0.995)
+        assert sigma_set(accel, 6, 0.995) is sset
+        fresh = select_accel_times(InductionTrace(golden_rotation()).extend(
+            32), 3, lbar_max=4)
+        others = [sigma_set(accel, 7, 0.995), sigma_set(accel, 6, 0.99),
+                  sigma_set(accel, 6, 0.995, dilate=2),
+                  sigma_set(fresh, 6, 0.995)]
+        assert len({id(s) for s in others + [sset]}) == 5
+        assert sigma_set(fresh, 6, 0.995).union.parts == sset.union.parts
+
+    def test_shared_sets_are_read_only(self):
+        sset = sigma_set(golden_accel(), 6, 0.995)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sset.union = None
+        assert isinstance(sset.union.parts, tuple)
+
+    def test_growth_sweep_builds_its_set_once(self, monkeypatch):
+        accel = select_accel_times(InductionTrace(golden_rotation()).extend(
+            32), 3, lbar_max=4)
+        spec = asymmetric_log_roof(accel.trace.base)
+        real = birkhoff.pullback_union
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(birkhoff, "pullback_union", counting)
+        swept = excluded = 0
+        for k in range(1, 21):
+            try:
+                derivative_growth_check(accel, spec, F(k, 23), 200, eps=0.39)
+                swept += 1
+            except ExcludedPointError:
+                excluded += 1
+        assert swept + excluded == 20 and swept >= 10
+        assert len(calls) == 1
+
+    def test_each_tau_prime_checks_against_its_own_set(self):
+        # a set cached by the scale alone would answer for the wrong tau'
+        accel = golden_accel()
+        spec = asymmetric_log_roof(accel.trace.base)
+        ell = locate_scale(accel, 200)
+        wide, narrow = sigma_set(accel, ell, 0.5), sigma_set(accel, ell, 0.995)
+        x = next(p for a, b in wide.union.parts for p in (a, b)
+                 if not narrow.contains(p))
+        derivative_growth_check(accel, spec, x, 200, eps=0.39)
+        with pytest.raises(ExcludedPointError):
+            derivative_growth_check(accel, spec, x, 200, eps=0.39,
+                                    tau_prime=0.5)
+        derivative_growth_check(accel, spec, x, 200, eps=0.39)
+
 
 class TestApproachStats:
     def test_spec_single_step_example(self):
@@ -205,14 +260,12 @@ class TestDerivativeGrowth:
         # holds with the proposition's M(U+V) slack term
         accel = golden_accel()
         spec = asymmetric_log_roof(accel.trace.base)
-        cache = {}
         hits = 0
         in_clean_band = 0
         for k in [13, 29, 47, 61, 83]:
             x = F(k, 97)
             try:
-                rep = derivative_growth_check(accel, spec, x, 1500, eps=0.39,
-                                              sigma_cache=cache)
+                rep = derivative_growth_check(accel, spec, x, 1500, eps=0.39)
             except ExcludedPointError:
                 continue
             hits += 1
