@@ -429,9 +429,11 @@ class IntegerOrbit:
     of the new point with no second locate.
 
     Segments: `segment(k)` takes k steps at once, each point bit for bit
-    what the one-step methods leave; `ratner._pair_walk` and
-    `roof.BirkhoffCursor` walk so.  Their interval indices J come first,
-    then every other output from J by array operations.
+    what the one-step methods leave; `ratner._pair_walk`,
+    `roof.BirkhoffCursor`, the exact flow, `keane_check`,
+    `first_return_map` and `rauzy.build_itinerary_table` walk so.  Their
+    interval indices J come first, then every other output from J by array
+    operations.
 
     Where the shadow re-syncs (on Q(sqrt d) with float tables) and the IET
     has an itinerary table (`Iet.itinerary_table`: its Rohlin towers at the
@@ -780,6 +782,21 @@ class IntegerOrbit:
         return quadratic_float(p, q, self.den, self.field)
 
 
+#: Points in the first segment of a first-return walk.
+_FIRST_SEGMENT = 256
+
+
+def _segments(orbit: IntegerOrbit, last: int, m: int = _SEGMENT):
+    """Walk `orbit` forward by segments until it has passed its point at
+    step count `last`: a first of m points, then each twice as long up to
+    `_SEGMENT`, none past that point.  Yields (steps, p, q, segment) per
+    segment, with the step count and pair before it."""
+    while orbit.steps <= last:
+        s0, p, q = orbit.steps, orbit.p, orbit.q
+        yield s0, p, q, orbit.segment(min(m, last + 1 - s0))
+        m = min(2 * m, _SEGMENT)
+
+
 @dataclass(frozen=True)
 class KeaneReport:
     satisfied_to_depth: bool
@@ -794,49 +811,91 @@ def keane_check(iet: Iet, depth: int) -> KeaneReport:
     another discontinuity (or an earlier point of its own orbit), or an
     orbit point landing exactly on a discontinuity.  A finite verification
     horizon only; Keane itself is undecidable.
+
+    The first collision is always a point on a discontinuity: T is one to
+    one, so T^k x_j = T^k' x_j' with k > k' gives T^(k - k') x_j = x_j', a
+    point of the walk no later than T^k x_j, and k' > k gives T^(k' - k)
+    x_j' = x_j, walked with orbit j' < j.  So the points are tested against
+    the discontinuities alone, in the order x_1 .. T^depth x_1, x_2 ..,
+    and the first hit is reported.  One IntegerOrbit walks each orbit by
+    `_segments` of `_SEGMENT` points, each tested by array comparisons of
+    its exact offsets before the next is walked.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     discs = iet.discontinuities()
     # discontinuities are cut points, so every orbit has the denominator of
     # the IET itself and points compare as integer pairs
-    orbits = [IntegerOrbit(iet, x0) for x0 in discs]
-    disc_set = {orbits[0].pair_of(x0) for x0 in discs}
-    seen: dict[tuple, tuple[int, int]] = {}
-    for j, orbit in enumerate(orbits):
-        for k in range(depth + 1):
-            x = (orbit.p, orbit.q)
-            if k > 0 and x in disc_set:
-                return KeaneReport(False, depth, ((j, k), ("disc",
-                                   orbit.value().to_string())))
-            if x in seen and seen[x] != (j, k):
-                return KeaneReport(False, depth, ((j, k), seen[x]))
-            seen[x] = (j, k)
-            if k < depth:
-                orbit.step_forward()
+    orbit = IntegerOrbit(iet, discs[0])
+    pairs = [orbit.pair_of(x0) for x0 in discs]
+    for j, x0 in enumerate(pairs):
+        orbit.move_to(x0)
+        for k, p, q, (_, _, _, dp, dq) in _segments(orbit, depth):
+            hit = np.zeros(dp.size, bool)
+            for cp, cq in pairs:
+                # an offset past int64 is no entry of an int64 array
+                if dp.dtype == object or max(abs(cp - p), abs(cq - q)) < \
+                        2 ** 63:
+                    hit |= (dp == cp - p) & (dq == cq - q)
+            hit[0] &= k > 0
+            if hit.any():
+                n = int(hit.argmax())
+                return KeaneReport(False, depth, ((j, k + n), (
+                    "disc", orbit.value((p + dp.item(n),
+                                         q + dq.item(n))).to_string())))
     return KeaneReport(True, depth)
+
+
+class ReturnBudgetError(RuntimeError):
+    """No return to [0, cut) within `max_steps` steps of `start`."""
+
+    def __init__(self, start: ExactScalar, cut: ExactScalar, max_steps: int):
+        super().__init__("no return within %d steps" % max_steps)
+        self.start, self.cut, self.max_steps = start, cut, max_steps
 
 
 def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     """First-return data of `iet` to [0, cut), by direct orbit iteration.
 
-    Returns a function x -> (return point, return time).  This is the
-    convention-free oracle against which the Rauzy-Veech step is validated.
+    Returns a function x -> (return point, return time): the first m >= 1
+    with T^m x < cut.  A return at m <= max(max_steps, 1) is returned;
+    past that the function raises ReturnBudgetError.
+
+    This is the convention-free oracle against which the Rauzy-Veech step
+    is validated.  The orbit is walked by `_segments`, the first
+    `_FIRST_SEGMENT` points long, as most returns are.  A point's shadow
+    decides its side of the cut where it is more than its error bound plus
+    two units away from the cut's float (on Q: the numerators, exactly);
+    elsewhere `exact._sign` decides.  Over Q(sqrt d) the segments read the
+    IET's itinerary table, which `rauzy.build_itinerary_table` builds by
+    Rauzy-Veech steps but checks floor by floor against the intervals of
+    T, so the oracle still rests on T alone.
     """
     if not (ExactScalar(0) < cut and cut <= iet.total):
         raise IetDomainError("cut must lie in (0, total]")
+    last = max(max_steps, 1)
 
     def hit(x):
         x = as_scalar(x)
         if not x < cut:
             raise IetDomainError("start point outside the inducing interval")
         orbit = IntegerOrbit(iet, x, extra=[cut])
-        bound = orbit.pair_of(cut)
-        orbit.step_forward()
-        while not orbit.less_than(bound):
-            orbit.step_forward()
-            if orbit.steps > max_steps:
-                raise RuntimeError("no return within %d steps" % max_steps)
-        return orbit.value(), orbit.steps
+        cp, cq = bound = orbit.pair_of(cut)
+        unit, field = orbit.unit, orbit.field
+        # the cut on the shadow's scale; with no shadow (unit infinite)
+        # every point is left to the exact test
+        fcut = (cp if field is None else
+                orbit.to_float(bound) if unit < math.inf else 0.0)
+        for s0, p, q, (_, X, E, dp, dq) in _segments(orbit, last, _FIRST_SEGMENT):
+            tol = E + 2 * unit
+            # the points not provably at or above the cut, in orbit order
+            for n in np.flatnonzero(X - fcut <= tol).tolist():
+                if s0 + n == 0:
+                    continue
+                pair = (p + dp.item(n), q + dq.item(n))
+                if fcut - X[n] > tol[n] or \
+                        _sign(pair[0] - cp, pair[1] - cq, field) < 0:
+                    return orbit.value(pair), s0 + n
+        raise ReturnBudgetError(x, cut, max_steps)
 
     return hit

@@ -6,7 +6,11 @@ intervals; the longer one (the winner) absorbs the length of the shorter
 interval.  Each step emits the SL(d,Z) matrix B with lambda = B lambda',
 so products of step matrices transport lengths and (transposed) heights.
 The executable ground truth is `first_return_map` in `iet.py`: tests check
-every step against directly iterated return times.
+every step against directly iterated return times.  Over Q(sqrt d) its
+orbits are read off the IET's itinerary table, which is built here by
+Rauzy-Veech steps; `build_itinerary_table` checks every floor of it
+against the intervals of T itself, so the oracle does not rest on
+`rv_step`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import (ZERO, ExactScalar, _reduce, _sign, exact_dot, exact_max,
-                    exact_min)
+                    exact_min, quadratic_float)
 from .iet import _SEGMENT, Iet, IetDomainError, IntegerOrbit, Permutation
 
 
@@ -457,6 +461,27 @@ def _offset(base: int, off):
     return off.astype(object) + base
 
 
+def _check_floors(t: ItineraryTable, iet: Iet, tol) -> None:
+    """Raise unless every floor g of `t`, the top floors included, lies
+    inside the interval of T it is walked by: l_j <= L_g and L_g + w <= r_j
+    for j = word[g], L_g its left end and w its width.  The floor's shadow
+    decides an end where it is more than tol[g] (its error bound plus two
+    units) from the float of l_j or r_j, `_sign` decides the rest."""
+    den, field, rights, lefts = iet.integer_tables()[:4]
+    frights, flefts = (np.array(f) for f in iet.float_tables()[:2])
+    fw = np.repeat([quadratic_float(wp, wq, den, field)
+                    for wp, wq in t.widths], t.heights)
+    j, fl = t.word, t.fl
+    near = (fl - flefts[j] <= tol) | (frights[j] - (fl + fw) <= tol)
+    for g in np.flatnonzero(near).tolist():
+        lp, lq, i = t.lp.item(g), t.lq.item(g), j.item(g)
+        wp, wq = t.widths[bisect_right(t.starts, g) - 1]
+        if _sign(lp - lefts[i][0], lq - lefts[i][1], field) < 0 or \
+                _sign(rights[i][0] - lp - wp, rights[i][1] - lq - wq,
+                      field) < 0:
+            raise AssertionError("tower floor crosses a discontinuity")
+
+
 def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     """The towers of `iet` at the first induction step n where each is at
     least `_SEGMENT` floors tall, as an `ItineraryTable`; None on Q,
@@ -466,9 +491,12 @@ def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     Each tower base is walked by one `IntegerOrbit.segment` of its height
     (pass 1, as the IET has no table yet): its indices are the word, the
     base plus its exact offsets the floors' left ends and its shadows and
-    bounds certify their order.  The floors' chain is checked exactly as
-    `TowerSystem.check_partition` does.  `Iet.itinerary_table` calls this
-    once per IET."""
+    bounds certify their order.  Every floor is checked to lie inside the
+    interval of T its word names (`_check_floors`), as `towers` checks
+    floor by floor, and the floors' chain exactly as
+    `TowerSystem.check_partition` does: a wrong base or width refuses the
+    table with AssertionError.  `Iet.itinerary_table` calls this once per
+    IET."""
     den, field, cuts = iet.integer_tables()[:3]
     if field is None or iet.float_tables() is None:
         return None
@@ -516,6 +544,7 @@ def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     if not (np.diff(fs) > fe[1:] + fe[:-1] + orbit.unit).all():
         return None
     t.fsorted, t.order = fs, order.astype(np.int32)
+    _check_floors(t, iet, np.concatenate(fes) + 2 * orbit.unit)
     # from 0 each floor's right end is the next floor's left end, up to
     # the total length
     for left, c in ((t.lp, 0), (t.lq, 1)):

@@ -44,6 +44,27 @@ class TestBasics:
                        "10", check=False)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("iet_text,stdout,code", [
+        (None, '{"colliding_pair": null, "depth": 1500, '
+               '"satisfied_to_depth": true}\n', 0),
+        ("bounded3", '{"colliding_pair": null, "depth": 1500, '
+                     '"satisfied_to_depth": true}\n', 0),
+        ("top = A B\nbottom = B A\nlengths = 2/3 1/3\n",
+         '{"colliding_pair": "((0, 3), (\'disc\', \'2/3\'))", '
+         '"depth": 1500, "satisfied_to_depth": false}\n', 1)],
+        ids=["golden", "bounded3", "rotation_third"])
+    def test_keane_report_at_depth_1500(self, tmp_path, iet_text, stdout,
+                                        code):
+        args = []
+        if iet_text == "bounded3":
+            args = ["--iet", str(Path(SRC) / "ietflow" / "data" /
+                                 "bounded3.iet")]
+        elif iet_text:
+            (tmp_path / "rot.iet").write_text(iet_text)
+            args = ["--iet", str(tmp_path / "rot.iet")]
+        proc = run_cli("iet", "keane", "--depth", "1500", *args, check=False)
+        assert (proc.stdout, proc.returncode) == (stdout, code)
+
     def test_zero_denominator_in_iet_file_is_usage_error(self, tmp_path):
         iet_file = tmp_path / "bad.iet"
         iet_file.write_text("alphabet = A B\ntop = A B\nbottom = B A\n"

@@ -370,6 +370,50 @@ def test_table_matches_the_towers(make):
     assert all(orbit.pair_less(u, v) for u, v in zip(lefts, lefts[1:]))
 
 
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_table_floors_are_checked_against_the_cuts(make):
+    # every floor, the top floors included, must lie inside the interval
+    # of T its word names, at the floor's full width
+    iet = make()
+    table = rauzy.build_itinerary_table(iet)
+    unit = IntegerOrbit(iet, 0).unit
+    tol = np.full(table.ends[-1], (iet_module._SHADOW_RESYNC + 3) * unit)
+    rauzy._check_floors(table, iet, tol)
+    d = iet.perm.d
+    for a in range(d):
+        for g in (table.starts[a], table.ends[a] - 1):
+            j = table.word[g]
+            table.word[g] = (j + 1) % d
+            with pytest.raises(AssertionError, match="discontinuity"):
+                rauzy._check_floors(table, iet, tol)
+            table.word[g] = j
+        wp, wq = width = table.widths[a]
+        table.widths[a] = (wp + 1, wq)
+        with pytest.raises(AssertionError, match="discontinuity"):
+            rauzy._check_floors(table, iet, tol)
+        table.widths[a] = width
+
+
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_table_from_a_wrong_induction_is_refused(monkeypatch, make):
+    # Rauzy-Veech steps that move a small length of the integer lattice
+    # of T from the first interval to the second give the towers wrong
+    # bases and widths: a floor crosses a cut of T
+    iet = make()
+    eps = min(InductionTrace(iet).iet(40).lengths)
+    step = rauzy.rv_step
+
+    def wrong_step(ind):
+        new, matrix, kind, wl = step(ind)
+        lengths = list(new.lengths)
+        lengths[0], lengths[1] = lengths[0] + eps, lengths[1] - eps
+        return Iet(new.perm, lengths), matrix, kind, wl
+
+    monkeypatch.setattr(rauzy, "rv_step", wrong_step)
+    with pytest.raises(AssertionError, match="discontinuity"):
+        rauzy.build_itinerary_table(iet)
+
+
 def thin_3iet():
     """A 3-IET over Q(sqrt 2) whose first bottom interval, (sqrt 2 - 1)/
     (2 10^6) long, is shorter than the base of its towers, so a backward

@@ -8,6 +8,7 @@ brute force over the whole endpoint set.  Floats must agree bit for bit
 and exact values must be equal, errors included (type, orbit index).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from ietflow.iet import (
     IntegerOrbit,
     InvalidIetError,
     Permutation,
+    ReturnBudgetError,
     first_return_map,
     keane_check,
 )
@@ -288,8 +290,10 @@ def test_flow_matches_reference(name, roof):
 
 @pytest.mark.parametrize("name", sorted(IETS))
 def test_keane_matches_reference(name):
+    # the longer depths walk several segments and cross tower tops of the
+    # itinerary table on Q(sqrt d)
     iet = IETS[name]()
-    for depth in (1, 5, 40):
+    for depth in (1, 5, 40, 600, 1500, 3000):
         rep = keane_check(iet, depth)
         assert (rep.satisfied_to_depth, rep.colliding_pair) == \
             ref_keane(iet, depth)
@@ -304,6 +308,99 @@ def test_first_return_matches_reference(name):
         for k in (1, 7, 500, 999):
             x = cut * F(k, 1000)
             assert hit(x) == ref_first_return(iet, cut, x)
+
+
+def far_iets():
+    """The IETs of test_shadow.py at lengths 2^-1100 and 2^1100: over
+    Q(sqrt 2), where the shadow is off (unit infinite), and over Q."""
+    r2 = ExactScalar(0, 1, 2)
+    out = []
+    for scale in (F(1, 2 ** 1100), F(2 ** 1100)):
+        out.append(Iet(Permutation("ABC", "CBA"),
+                       [(1 + r2) * scale, 2 * r2 * scale, (4 - r2) * scale]))
+        out.append(Iet(Permutation("ABC", "CBA"),
+                       [F(1) * scale, F(2) * scale, F(4) * scale]))
+    return out
+
+
+def test_walkers_match_reference_outside_float_range():
+    for iet in far_iets():
+        assert IntegerOrbit(iet, 0).unit in (0, math.inf)
+        for depth in (30, 600):
+            rep = keane_check(iet, depth)
+            assert (rep.satisfied_to_depth, rep.colliding_pair) == \
+                ref_keane(iet, depth)
+        for cut in (iet.right(iet.perm.top[0]), iet.total * F(1, 9)):
+            hit = first_return_map(iet, cut)
+            for k in (1, 500, 999):
+                x = cut * F(k, 1000)
+                assert hit(x) == ref_first_return(iet, cut, x)
+
+
+def connection_3iet():
+    """The rotation by alpha = sqrt 2 - 1 as the 3-IET (ABC / CAB) with
+    lambda_A = 1036 - 2501 alpha: T^2500 l_B = l_C, a collision on a
+    discontinuity past the first segment."""
+    alpha = ExactScalar(-1, 1, 2)
+    lam_a = 1036 - 2501 * alpha
+    return Iet(Permutation("ABC", "CAB"), [lam_a, 1 - alpha - lam_a, alpha])
+
+
+def rotation_4099():
+    """The rotation by 1234/4099: every orbit closes after 4099 steps."""
+    return Iet(Permutation("AB", "BA"), [F(4099 - 1234, 4099),
+                                         F(1234, 4099)])
+
+
+@pytest.mark.parametrize("make", [connection_3iet, rotation_4099])
+def test_keane_collision_past_the_first_segment(make):
+    iet = make()
+    rep = keane_check(iet, 5000)
+    assert (rep.satisfied_to_depth, rep.colliding_pair) == \
+        ref_keane(iet, 5000)
+    # a collision is first met on a discontinuity: l_C, or l_B itself
+    disc = iet.left(iet.perm.top[-1]).to_string()
+    k = 2500 if make is connection_3iet else 4099
+    assert rep.colliding_pair == ((0, k), ("disc", disc))
+
+
+@pytest.mark.parametrize("n", [10, 16, 20])
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+def test_first_return_to_induced_interval_matches_reference(make, n):
+    # returns to I^(n) are the tower heights: at n = 20 on the golden
+    # rotation 10946 and 17711 steps, many segments
+    iet = make()
+    trace = InductionTrace(iet).extend(n)
+    ind, heights = trace.iet(n), trace.heights(n)
+    cut = ind.total
+    hit = first_return_map(iet, cut)
+    for k in (1, 389, 750, 999):
+        x = cut * F(k, 1000)
+        got = hit(x)
+        assert got == (ind.evaluate(x), heights[
+            iet.perm.alphabet.index(ind.interval_of(x))])
+        if k in (1, 999):
+            assert got == ref_first_return(iet, cut, x)
+
+
+@pytest.mark.parametrize("make,n", [(golden_rotation, 20),
+                                    (bounded_type_3iet, 10)])
+def test_first_return_step_budget(make, n):
+    # a return at step max_steps is returned, one step later raises
+    iet = make()
+    trace = InductionTrace(iet).extend(n)
+    cut = trace.interval_length(n)
+    x = cut * F(1, 3)
+    y, m = first_return_map(iet, cut)(x)
+    assert first_return_map(iet, cut, max_steps=m)(x) == (y, m)
+    with pytest.raises(ReturnBudgetError) as exc:
+        first_return_map(iet, cut, max_steps=m - 1)(x)
+    assert isinstance(exc.value, RuntimeError)
+    assert (exc.value.start, exc.value.cut, exc.value.max_steps) == \
+        (x, cut, m - 1)
+    # a first step back below the cut is always a return
+    one = first_return_map(iet, iet.total, max_steps=0)(x)
+    assert one == (iet.evaluate(x), 1)
 
 
 def golden_accel():
