@@ -25,12 +25,24 @@ allows; each shortcut below leaves every output bit unchanged:
 * Compacted active sets: `flow_points` carries only the samples that
   still move (their original positions, x and height; every one of them
   has made the same number of jumps, so the step count is one integer)
-  and writes each sample back once, when it settles.  The per-sample
+  and writes each sample back once, when it settles.  It compacts by
+  index, `np.flatnonzero` of the round's test and `take`, not by boolean
+  mask: on a mask that is neither all true nor all false, `a[mask]` costs
+  several times `flatnonzero` plus `take` per element.  The per-sample
   arithmetic is the same subtraction or addition and the same
   translation as in the masked full-length loop.
+* Blocks: `flow_points` runs the samples in equal consecutive blocks of
+  at most `_BLOCK`, each to the end.  Every operation is elementwise, so
+  the blocks change no bit; they bound the index and scratch arrays of a
+  round, and so the peak memory of a long array.  An exhausted budget
+  raises after every block has run, with the pending count of the whole
+  array.
 * Shared index: a forward jump locates x once and uses that index for
   both the roof value and the translation; both lookups are the same
   function of the same x.
+* Roof in place: each log term is made in one scratch array and f is
+  c0 minus the first term, minus the second; the same IEEE operations as
+  filling c0 and subtracting the terms.
 * Zero-term skip: `roof_values` drops the Cplus (Cminus) term when its
   whole constant table is zero.  The skipped term is 0 * log(d) with d
   clamped to at least 1e-300, a finite log, so it is +-0.0, and
@@ -48,6 +60,7 @@ from .roof import FlowStepBudgetError
 IMPLEMENTATION = "numpy"
 
 _TINY = 1e-300
+_BLOCK = 1 << 16
 
 
 def _indices(rights, x):
@@ -59,14 +72,27 @@ def _indices(rights, x):
     return idx
 
 
+def _log_term(consts, idx, dist):
+    """consts[idx] * log(max(dist, 1e-300)), computed in dist's buffer."""
+    np.maximum(dist, _TINY, out=dist)
+    np.log(dist, out=dist)
+    dist *= consts.take(idx)
+    return dist
+
+
 def _roof_at(rights, lefts, c0, cp, cm, x, idx):
     """f(x) on the intervals idx of x; a term whose whole constant table
     is zero is skipped (see the module docstring)."""
-    out = np.full(np.shape(x), c0, dtype=np.float64)
+    terms = []
     if cp.any():
-        out -= cp[idx] * np.log(np.maximum(x - lefts[idx], _TINY))
+        terms.append(_log_term(cp, idx, np.subtract(x, lefts.take(idx))))
     if cm.any():
-        out -= cm[idx] * np.log(np.maximum(rights[idx] - x, _TINY))
+        terms.append(_log_term(cm, idx, np.subtract(rights.take(idx), x)))
+    if not terms:
+        return np.full(x.shape, c0, dtype=np.float64)
+    out = np.subtract(c0, terms[0], out=terms[0])
+    for term in terms[1:]:
+        out -= term
     return out
 
 
@@ -78,54 +104,88 @@ def flow_points(rights, trans, rights_b, trans_b, lefts, c0, cp, cm,
                 x, y, t, max_steps=10 ** 6):
     """Advance flow points (x_i, y_i) by time t; returns (x', y', steps).
 
-    Each sample makes at most max_steps jumps; FlowStepBudgetError when
-    one would need more.
+    Each sample makes at most max_steps jumps; FlowStepBudgetError, with
+    the count of samples still pending over the whole array, when one
+    would need more.  The samples run in equal blocks of at most `_BLOCK`.
     """
     x = np.array(x, dtype=np.float64, copy=True)
     s = np.array(y, dtype=np.float64, copy=True) + t
     steps = np.zeros(x.shape, dtype=np.int64)
-    if t >= 0:
-        pos = np.arange(x.size)
-        xa, sa = x, s
-        k = 0
-        while pos.size:
-            idx = _indices(rights, xa)
-            f = _roof_at(rights, lefts, c0, cp, cm, xa, idx)
-            jump = sa >= f
-            if not jump.all():
-                stay = ~jump
-                done = pos[stay]
-                x[done] = xa[stay]
-                s[done] = sa[stay]
+    n = x.size
+    blocks = -(-n // _BLOCK)
+    pending = 0
+    for b in range(blocks):
+        part = slice(b * n // blocks, (b + 1) * n // blocks)
+        if t >= 0:
+            pending += _forward(rights, trans, lefts, c0, cp, cm, x[part],
+                                s[part], steps[part], max_steps)
+        else:
+            pending += _backward(rights, rights_b, trans_b, lefts, c0, cp,
+                                 cm, x[part], s[part], steps[part],
+                                 max_steps)
+    if pending:
+        raise FlowStepBudgetError(max_steps, t, pending=pending)
+    return x, s, steps
+
+
+def _forward(rights, trans, lefts, c0, cp, cm, x, s, steps, max_steps):
+    """Jump the samples (x, s) forward in place; the count left pending
+    when the budget runs out.  Round k settles the samples below the roof
+    after k jumps (round 0's are still where they started); the jump is
+    computed for every active sample and kept for those that jump."""
+    pos = np.arange(x.size)
+    xa, sa = x, s
+    k = 0
+    while True:
+        idx = _indices(rights, xa)
+        f = _roof_at(rights, lefts, c0, cp, cm, xa, idx)
+        jump = sa >= f
+        go = None
+        if not jump.all():
+            if k:
+                stay = np.flatnonzero(~jump)
+                done = pos.take(stay)
+                x[done] = xa.take(stay)
+                s[done] = sa.take(stay)
                 steps[done] = k
-                pos = pos[jump]
-                if not pos.size:
-                    break
-                xa, sa, f, idx = xa[jump], sa[jump], f[jump], idx[jump]
-            if k == max_steps:
-                raise FlowStepBudgetError(max_steps, t, pending=pos.size)
-            sa = sa - f
-            xa = xa + trans[idx]
-            k += 1
-        return x, s, steps
+            go = np.flatnonzero(jump)
+            pos = pos.take(go)
+        if not pos.size:
+            return 0
+        if k == max_steps:
+            return pos.size
+        # f and the gathered translations are this round's scratch arrays
+        sa = np.subtract(sa, f, out=f)
+        shift = trans.take(idx)
+        xa = np.add(xa, shift, out=shift)
+        if go is not None:
+            sa, xa = sa.take(go), xa.take(go)
+        k += 1
+
+
+def _backward(rights, rights_b, trans_b, lefts, c0, cp, cm, x, s, steps,
+              max_steps):
+    """Jump the samples (x, s) with s < 0 backward in place; the count
+    left pending when the budget runs out."""
     pos = np.flatnonzero(s < 0)
-    xa, sa = x[pos], s[pos]
+    xa, sa = x.take(pos), s.take(pos)
     k = 0
     while pos.size:
         if k == max_steps:
-            raise FlowStepBudgetError(max_steps, t, pending=pos.size)
-        xa = xa - trans_b[_indices(rights_b, xa)]
-        sa = sa + roof_values(rights, lefts, c0, cp, cm, xa)
+            return pos.size
+        xa -= trans_b.take(_indices(rights_b, xa))
+        sa += roof_values(rights, lefts, c0, cp, cm, xa)
         k += 1
         settled = sa >= 0
         if settled.any():
-            done = pos[settled]
-            x[done] = xa[settled]
-            s[done] = sa[settled]
+            sel = np.flatnonzero(settled)
+            done = pos.take(sel)
+            x[done] = xa.take(sel)
+            s[done] = sa.take(sel)
             steps[done] = -k
-            keep = ~settled
-            pos, xa, sa = pos[keep], xa[keep], sa[keep]
-    return x, s, steps
+            keep = np.flatnonzero(~settled)
+            pos, xa, sa = pos.take(keep), xa.take(keep), sa.take(keep)
+    return 0
 
 
 def min_orbit_distance(rights, trans, rights_b, trans_b, x, n, points):

@@ -81,11 +81,14 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
     0 <= x < total, 0 <= y < f(x) (f by the same backend's roof values, or
     the given array `f` of them, which a caller that has just computed
     them passes); FlowStepBudgetError when one would need more than
-    max_steps jumps.
+    max_steps jumps; ValueError unless x and y are 1-d and of one length.
     """
     mod = module or impl
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("flow_points takes 1-d x and y of one length, not "
+                         "shapes %s and %s" % (x.shape, y.shape))
     _require_flow_space(tables, x, y, mod, f)
     try:
         return mod.flow_points(tables.rights, tables.trans, tables.rights_b,

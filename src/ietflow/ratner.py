@@ -655,11 +655,12 @@ class BumpObservable:
     B(u) = (1-u^2)^3 on |u| < 1; supported under the roof when
     y0 + wy <= c0.  Integrals are exact: int B = 32/35 per unit scale.
 
-    Calls evaluate the two polynomials only on the support mask, where
-    both |u| < 1, with the same operations in the same order as the full
-    product; every other point gets 0.0, which is what the product of a
-    zero factor and a factor in [0, 1] gives.  Scalars and 0-d arrays
-    give a numpy scalar.
+    Calls evaluate the two polynomials only on the support, the points
+    where both |u| < 1, which are indexed (`np.flatnonzero`, then `take`
+    and `put`) rather than masked, with the same operations in the same
+    order as the full product; every other point gets 0.0, which is what
+    the product of a zero factor and a factor in [0, 1] gives.  Scalars
+    and 0-d arrays give a numpy scalar.
     """
 
     x0: float
@@ -673,10 +674,10 @@ class BumpObservable:
     def __call__(self, x, y):
         ux, uy = np.broadcast_arrays((x - self.x0) / self.wx,
                                      (y - self.y0) / self.wy)
-        inside = (np.abs(ux) < 1) & (np.abs(uy) < 1)
-        out = np.zeros(inside.shape)
-        ux, uy = ux[inside], uy[inside]
-        out[inside] = (1 - ux ** 2) ** 3 * (1 - uy ** 2) ** 3
+        inside = np.flatnonzero((np.abs(ux) < 1) & (np.abs(uy) < 1))
+        out = np.zeros(ux.shape)
+        ux, uy = ux.take(inside), uy.take(inside)
+        out.put(inside, (1 - ux ** 2) ** 3 * (1 - uy ** 2) ** 3)
         return out[()]
 
     @property
@@ -717,7 +718,9 @@ def sample_flow_space(iet: Iet, spec: RoofSpec, n: int, rng) -> tuple:
 
     The x-marginal has density f/area: a mixture of the uniform part and,
     per singular side, a product-of-two-uniforms log component plus the
-    -log(lambda) uniform remainder; then y is uniform under f(x).
+    -log(lambda) uniform remainder; then y is uniform under f(x).  Each
+    mixture component's samples are drawn together, in component order,
+    and written to the positions that chose it.
     """
     weights = []
     actions = []
@@ -742,18 +745,18 @@ def sample_flow_space(iet: Iet, spec: RoofSpec, n: int, rng) -> tuple:
     choice = rng.choice(len(actions), size=n, p=probs)
     x = np.empty(n)
     for idx, action in enumerate(actions):
-        mask = choice == idx
-        m = int(mask.sum())
+        sel = np.flatnonzero(choice == idx)
+        m = sel.size
         if not m:
             continue
         kind, left, right, lam, from_left = action
         if kind == "uniform":
-            x[mask] = rng.uniform(0.0, lam, m)
+            x[sel] = rng.uniform(0.0, lam, m)
         elif kind == "flat":
-            x[mask] = left + lam * rng.uniform(0.0, 1.0, m)
+            x[sel] = left + lam * rng.uniform(0.0, 1.0, m)
         else:
             u = rng.uniform(0.0, 1.0, m) * rng.uniform(0.0, 1.0, m)
-            x[mask] = left + lam * u if from_left else right - lam * u
+            x[sel] = left + lam * u if from_left else right - lam * u
     tables = kernels.float_tables(iet, spec)
     fx = kernels.roof_values(tables, x)
     y = rng.uniform(0.0, 1.0, n) * fx
@@ -768,10 +771,19 @@ class MixingEstimate:
     t: float
 
 
+def _require_samples(n_samples: int):
+    """A mean and a sample standard error need at least two samples."""
+    if n_samples < 2:
+        raise ValueError("n_samples = %r: a mixing probe needs at least 2 "
+                         "samples" % (n_samples,))
+
+
 def mixing_correlation(iet: Iet, spec: RoofSpec, g: BumpObservable,
                        h: BumpObservable, t: float, n_samples: int,
                        seed: int = 0) -> MixingEstimate:
-    """Monte-Carlo estimate of int g(phi_t p) h(p) dmu - int g int h."""
+    """Monte-Carlo estimate of int g(phi_t p) h(p) dmu - int g int h;
+    ValueError for n_samples < 2."""
+    _require_samples(n_samples)
     rng = np.random.default_rng(seed)
     area = roof_area(iet, spec)
     x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)
@@ -792,7 +804,8 @@ def triple_mixing_probe(iet: Iet, spec: RoofSpec, g1: BumpObservable,
                         t3: float, n_samples: int,
                         seed: int = 0) -> MixingEstimate:
     """Three-fold analogue: int g1(p) g2(phi_t2 p) g3(phi_{t2+t3} p) dmu
-    minus the product of the means."""
+    minus the product of the means; ValueError for n_samples < 2."""
+    _require_samples(n_samples)
     rng = np.random.default_rng(seed)
     area = roof_area(iet, spec)
     x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)

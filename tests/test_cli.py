@@ -206,6 +206,17 @@ class TestAnalysisCommands:
         assert err["error"] == "usage"
         assert err["detail"].startswith("pair gap 19/20 outside (0, ")
 
+    def test_mix_correlate_one_sample_is_usage_error(self):
+        # no NaN stderr on stdout, which JSON cannot carry
+        proc = run_cli("mix", "correlate", "--t", "1", "--samples", "1",
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "usage",
+            "detail": "n_samples = 1: a mixing probe needs at least 2 "
+                      "samples"}
+
     def test_ratner_witness_too_few_pairs_is_one_json_line(self, capsys,
                                                            monkeypatch):
         from ietflow import cli

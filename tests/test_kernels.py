@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ietflow import _core_py, kernels
+from ietflow import _core_py, kernels, ratner
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (asymmetric_log_roof, bounded_type_3iet,
                               constant_roof, golden_rotation)
@@ -106,6 +106,59 @@ def numpy_bump(g, x, y):
     bx = np.where(np.abs(ux) < 1, (1 - ux ** 2) ** 3, 0.0)
     by = np.where(np.abs(uy) < 1, (1 - uy ** 2) ** 3, 0.0)
     return bx * by
+
+
+def masked_bump(g, x, y):
+    """The former `BumpObservable.__call__` (the support as a boolean
+    mask), kept as the reference of the indexed support."""
+    ux, uy = np.broadcast_arrays((x - g.x0) / g.wx, (y - g.y0) / g.wy)
+    inside = (np.abs(ux) < 1) & (np.abs(uy) < 1)
+    out = np.zeros(inside.shape)
+    ux, uy = ux[inside], uy[inside]
+    out[inside] = (1 - ux ** 2) ** 3 * (1 - uy ** 2) ** 3
+    return out[()]
+
+
+def masked_sample_flow_space(iet, spec, n, rng):
+    """The former `ratner.sample_flow_space` (each component's positions
+    as a boolean mask), kept as the reference of the indexed draw."""
+    weights = []
+    actions = []
+    for a in iet.perm.alphabet:
+        lam = float(iet.length(a))
+        left = float(iet.left(a))
+        right = float(iet.right(a))
+        for c, from_left in ((float(spec.cplus[a]), True),
+                             (float(spec.cminus[a]), False)):
+            if c == 0:
+                continue
+            weights.append(c * lam)
+            actions.append(("log", left, right, lam, from_left))
+            w2 = -c * lam * math.log(lam)
+            if w2 > 0:
+                weights.append(w2)
+                actions.append(("flat", left, right, lam, from_left))
+    weights.append(float(spec.c0) * float(iet.total))
+    actions.append(("uniform", 0.0, float(iet.total), float(iet.total), True))
+    weights = np.array(weights)
+    probs = weights / weights.sum()
+    choice = rng.choice(len(actions), size=n, p=probs)
+    x = np.empty(n)
+    for idx, action in enumerate(actions):
+        mask = choice == idx
+        m = int(mask.sum())
+        if not m:
+            continue
+        kind, left, right, lam, from_left = action
+        if kind == "uniform":
+            x[mask] = rng.uniform(0.0, lam, m)
+        elif kind == "flat":
+            x[mask] = left + lam * rng.uniform(0.0, 1.0, m)
+        else:
+            u = rng.uniform(0.0, 1.0, m) * rng.uniform(0.0, 1.0, m)
+            x[mask] = left + lam * u if from_left else right - lam * u
+    fx = kernels.roof_values(kernels.float_tables(iet, spec), x)
+    return x, rng.uniform(0.0, 1.0, n) * fx, fx
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +267,17 @@ class TestNumpyKernelsMatchFormer:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("t", [5.0, -5.0])
+    def test_flow_points_across_blocks(self, make_iet, make_roof, t):
+        # three blocks: the samples' order and every bit survive the cuts
+        tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
+        x, y = _kernel_samples(tables, n=2 * _core_py._BLOCK + 1001)
+        got = kernels.flow_points(tables, x, y, t, module=_core_py)
+        want = numpy_flow_points(tables, x, y, t)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
 
 def test_bump_matches_former_on_arrays_and_scalars():
     bumps = [BumpObservable(x0=0.5, wx=0.3, y0=0.5, wy=0.49),
@@ -225,12 +289,36 @@ def test_bump_matches_former_on_arrays_and_scalars():
         got = g(x, y)
         assert got.dtype == np.float64 and got.shape == x.shape
         np.testing.assert_array_equal(got, numpy_bump(g, x, y))
+        np.testing.assert_array_equal(got, masked_bump(g, x, y))
+        # a broadcast 2-d grid: indexed in C order like the mask
+        gx, gy = x[:60, None], y[None, :70]
+        got = g(gx, gy)
+        assert got.shape == (60, 70)
+        np.testing.assert_array_equal(got, masked_bump(g, gx, gy))
         for px, py in [(0.5, 0.5), (0.3, 0.45), (0.2, 0.5), (5.0, 0.5),
                        (np.float64(0.41), 0.6), (np.array(0.35),
                                                  np.array(0.4))]:
-            got, want = g(px, py), numpy_bump(g, px, py)
-            assert type(got) is type(want)
-            assert got == want
+            got = g(px, py)
+            for want in (numpy_bump(g, px, py), masked_bump(g, px, py)):
+                assert type(got) is type(want)
+                assert got == want
+
+
+@pytest.mark.parametrize("make_iet", [golden_rotation, bounded_type_3iet])
+@pytest.mark.parametrize("make_roof", [asymmetric_log_roof, _mixed_roof,
+                                       constant_roof])
+def test_sample_flow_space_matches_masked_draw(make_iet, make_roof):
+    # the same RNG calls in the same order: x, y and f(x) bit for bit
+    iet = make_iet()
+    spec = make_roof(iet)
+    for n in [0, 1, 5, 70001]:
+        x, y, _, fx = ratner.sample_flow_space(iet, spec, n,
+                                               np.random.default_rng(n))
+        want = masked_sample_flow_space(iet, spec, n,
+                                        np.random.default_rng(n))
+        for a, b in zip((x, y, fx), want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 @BACKENDS
@@ -281,19 +369,42 @@ def test_plain_budget_error_is_typed_and_chained(setup):
 
 @pytest.mark.parametrize("t", [50.0, -50.0])
 def test_numpy_flow_budget_error_carries_context(setup, t):
+    # past one block, `pending` still counts the whole array
     _, _, tables = setup
     rng = np.random.default_rng(9)
-    x = rng.uniform(0.0, 1.0, 400)
-    y = rng.uniform(0.0, 0.5, 400)
-    _, _, steps = kernels.flow_points(tables, x, y, t, module=_core_py)
-    budget = int(np.median(np.abs(steps)))
-    with pytest.raises(FlowStepBudgetError) as info:
-        kernels.flow_points(tables, x, y, t, max_steps=budget,
-                            module=_core_py)
-    err = info.value
-    assert isinstance(err, RuntimeError)
-    assert (err.max_steps, err.t, err.steps) == (budget, t, None)
-    assert err.pending == int((np.abs(steps) > budget).sum()) > 0
+    for n in [400, 2 * _core_py._BLOCK + 7]:
+        x = rng.uniform(0.0, 1.0, n)
+        y = rng.uniform(0.0, 0.5, n)
+        _, _, steps = kernels.flow_points(tables, x, y, t, module=_core_py)
+        budget = int(np.median(np.abs(steps)))
+        with pytest.raises(FlowStepBudgetError) as info:
+            kernels.flow_points(tables, x, y, t, max_steps=budget,
+                                module=_core_py)
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert (err.max_steps, err.t, err.steps) == (budget, t, None)
+        assert err.pending == int((np.abs(steps) > budget).sum()) > 0
+
+
+@pytest.mark.parametrize("t", [5.0, -5.0])
+def test_numpy_flow_runs_in_equal_blocks(setup, monkeypatch, t):
+    # consecutive blocks of at most _BLOCK samples, sizes within one
+    _, _, tables = setup
+    sizes = []
+    for name in ("_forward", "_backward"):
+        def spy(*args, inner=getattr(_core_py, name)):
+            sizes.append(args[-4].size)  # the block of x
+            return inner(*args)
+        monkeypatch.setattr(_core_py, name, spy)
+    rng = np.random.default_rng(4)
+    for n in [0, 1, _core_py._BLOCK, _core_py._BLOCK + 1,
+              3 * _core_py._BLOCK + 2]:
+        del sizes[:]
+        x = rng.uniform(0.0, 1.0, n)
+        kernels.flow_points(tables, x, 0.5 * x, t, module=_core_py)
+        assert sum(sizes) == n
+        assert len(sizes) == -(-n // _core_py._BLOCK)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 class TestParity:
@@ -314,6 +425,22 @@ class TestParity:
             np.testing.assert_array_equal(sa, sb)
             np.testing.assert_allclose(xa, xb, atol=1e-12)
             np.testing.assert_allclose(ya, yb, atol=1e-10)
+
+    @pytest.mark.parametrize("t", [5.0, -5.0])
+    def test_flow_parity_across_blocks(self, setup, compiled_core, t):
+        # the numpy kernel runs these in three blocks, the compiled one in
+        # a single loop
+        _, _, tables = setup
+        rng = np.random.default_rng(29)
+        n = 2 * _core_py._BLOCK + 1001
+        x = rng.uniform(0.001, 0.999, size=n)
+        y = rng.uniform(0.0, 0.9, size=n)
+        xa, ya, sa = kernels.flow_points(tables, x, y, t,
+                                         module=compiled_core)
+        xb, yb, sb = kernels.flow_points(tables, x, y, t, module=_core_py)
+        np.testing.assert_array_equal(sa, sb)
+        np.testing.assert_allclose(xa, xb, atol=1e-12)
+        np.testing.assert_allclose(ya, yb, atol=1e-10)
 
     def test_min_distance_parity(self, setup, compiled_core):
         iet, _, tables = setup
@@ -347,6 +474,19 @@ def test_backend_defines_the_kernel_contract(module):
     assert module.IMPLEMENTATION in ("numpy", "cython")
     for name in ("roof_values", "flow_points", "min_orbit_distance"):
         assert callable(getattr(module, name)), name
+
+
+@BACKENDS
+@pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((), ()),
+                                    ((1, 1), (1, 1)), ((5,), (4,)),
+                                    ((5,), ())])
+def test_flow_points_take_1d_arrays_of_one_length(module, setup, shapes):
+    # samples are written back by flat position, which a 2-d array would
+    # take for a row
+    _, _, tables = setup
+    x, y = np.full(shapes[0], 0.3), np.full(shapes[1], 0.1)
+    with pytest.raises(ValueError, match="takes 1-d x and y of one length"):
+        kernels.flow_points(tables, x, y, 5.0, module=module)
 
 
 @BACKENDS

@@ -1420,9 +1420,56 @@ class TestMixingProbes:
                     * g3.mean(self.area))
         assert abs(est.value - analytic) <= 3 * est.stderr
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_too_few_samples_is_refused(self, n):
+        # one sample has no standard error and none has no mean
+        with pytest.raises(ValueError, match=r"n_samples = %d: .* at least "
+                           r"2 samples" % n):
+            mixing_correlation(self.iet, self.spec, self.g, self.h, 5.0, n)
+        with pytest.raises(ValueError, match=r"n_samples = %d" % n):
+            triple_mixing_probe(self.iet, self.spec, self.g, self.h, self.g,
+                                1.0, 2.0, n)
+        est = mixing_correlation(self.iet, self.spec, self.g, self.g, 5.0, 2)
+        assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
     def test_triple_decay_trend(self):
         small = triple_mixing_probe(self.iet, self.spec, self.g, self.g,
                                     self.g, 3.0, 2.0, 200000, seed=6)
         large = triple_mixing_probe(self.iet, self.spec, self.g, self.g,
                                     self.g, 120.0, 90.0, 200000, seed=6)
         assert abs(large.value) < abs(small.value)
+
+
+# value and stderr as float.hex, recorded with the numpy kernel before the
+# flow compacted by index and ran in blocks; n = 140000 is three blocks
+PINNED_PROBES = {
+    3: [(0.0, "0x1.e31cffb49a2e6p-10", "0x1.c50b48e4bf78bp-15"),
+        (5.0, "0x1.9ebb024ebc0aep-10", "0x1.71dfd94eb1f62p-14"),
+        (-200.0, "0x1.d59d37ebf3700p-18", "0x1.a88059e1ff6b0p-15"),
+        ("triple", "-0x1.63b645354d1c6p-14", "0x1.acfe60e52f5eep-28")],
+    8: [(0.0, "0x1.de29aac3bc3a8p-10", "0x1.c2566dd608560p-15"),
+        (5.0, "0x1.9b366f0e4fe4cp-10", "0x1.74639c84bb4cep-14"),
+        (-200.0, "-0x1.8596371d256a0p-15", "0x1.9a10a99fcb4b7p-15"),
+        ("triple", "-0x1.63b2621c0edf4p-14", "0x1.ea68c31ca6812p-28")],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PROBES))
+def test_probe_outputs_are_pinned(seed, monkeypatch):
+    """Every bit of the mix_probe estimates on the numpy kernel: the
+    benchmark's fingerprint holds only the item and the sample count."""
+    from ietflow import _core_py
+
+    monkeypatch.setattr(kernels, "impl", _core_py)
+    iet = golden_rotation()
+    spec = asymmetric_log_roof(iet)
+    g = BumpObservable(x0=0.5, wx=0.3, y0=0.5, wy=0.49)
+    h = BumpObservable(x0=0.3, wx=0.12, y0=0.45, wy=0.3)
+    n = 140000
+    for t, value, stderr in PINNED_PROBES[seed]:
+        if t == "triple":
+            est = triple_mixing_probe(iet, spec, g, h, g, 5.0, 20.0, n,
+                                      seed=seed)
+        else:
+            est = mixing_correlation(iet, spec, g, h, t, n, seed=seed)
+        assert (est.value.hex(), est.stderr.hex()) == (value, stderr), t
