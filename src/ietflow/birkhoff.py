@@ -44,12 +44,12 @@ def sigma(accel: AccelTimes, ell: int, tau_prime: float) -> float:
     return (math.log(norm) / math.log(q)) ** tau_prime
 
 
-def sigma_rational(accel: AccelTimes, ell: int, tau_prime: float,
-                   slack: float = 1e-12) -> Fraction:
+def sigma_rational(accel: AccelTimes, ell: int, tau_prime: float) -> Fraction:
     """sigma_l rounded UP to a rational; the conservative direction both
     for building the excluded set and for its measure bound."""
     val = sigma(accel, ell, tau_prime)
-    return Fraction(val + slack).limit_denominator(10 ** 15) + Fraction(1, 10 ** 12)
+    return (Fraction(val + 1e-12).limit_denominator(10 ** 15)
+            + Fraction(1, 10 ** 12))
 
 
 @dataclass(frozen=True)

@@ -143,13 +143,15 @@ def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
     return last
 
 
-def _orbit_pass(js: array, start: int, xf, fcuts, ftrans, last: int):
-    """Pass 1 of `IntegerOrbit.segment`: js[start:] = the indices of the
-    shadow xf's steps, by bisection alone; returns the shadow after them."""
-    for n in range(start, len(js)):
+def _orbit_pass(k: int, xf: int, fcuts, ftrans, last: int) -> np.ndarray:
+    """The indices of k steps on Q from the point of numerator xf, by
+    bisection of the integer cuts `fcuts`: the shadow is the exact
+    numerator there, so this is the exact locate."""
+    js = array("q", bytes(8 * k))
+    for n in range(k):
         js[n] = j = bisect_right(fcuts, xf, 0, last)
         xf += ftrans[j]
-    return xf
+    return np.frombuffer(js, np.int64)
 
 
 class _Walk(NamedTuple):
@@ -157,9 +159,7 @@ class _Walk(NamedTuple):
     cuts: tuple             # right ends, top (bottom) order, integer pairs
     fcuts: tuple            # their shadows
     ftrans: list            # shadow translations, negated backward
-    fc: np.ndarray          # fcuts and ftrans as arrays
-    ft: np.ndarray
-    fc_below: np.ndarray    # fcuts[j - 1], j > 0
+    ft: np.ndarray          # ftrans as an array
     big: int                # the largest translation numerator
     tt: list                # translation numerators, negated backward
     t64: Optional[list]     # as int64 arrays, where they fit
@@ -435,20 +435,21 @@ class IntegerOrbit:
     interval indices J come first, then every other output from J by array
     operations.
 
-    Where the shadow re-syncs (on Q(sqrt d) with float tables) and the IET
-    has an itinerary table (`Iet.itinerary_table`: its Rohlin towers at the
-    first induction step where each is `_SEGMENT` floors tall), J is read
-    off the towers (`_itinerary`).  An exact locate gives the point's
-    tower and floor, and the next points follow that tower's word up to
-    its top, where the point is located again; backward, the reversed word
-    below the floor in bottom order, then at floor 0 one `_first_above` on
-    the bottom cuts.  This J is the exact itinerary, so no locate needs
-    certifying.  Elsewhere (on Q, with no float tables, or an IET whose
-    induction stops before its towers are that tall) pass 1 gives J: the
-    per-step Python of `_orbit_pass` bisects the shadow and adds the float
-    translation, each locate is certified as in `_locate`, and where it
-    cannot be `_first_above` decides; when that changes the index, pass 1
-    runs again from the next step.
+    J comes from one of three sources.  Where the shadow re-syncs (on
+    Q(sqrt d) with float tables) and the IET has an itinerary table
+    (`Iet.itinerary_table`: its Rohlin towers at the first induction step
+    where each is `_SEGMENT` floors tall), J is read off the towers
+    (`_itinerary`).  An exact locate gives the point's tower and floor,
+    and the next points follow that tower's word up to its top, where the
+    point is located again; backward, the reversed word below the floor in
+    bottom order, then at floor 0 one `_first_above` on the bottom cuts.
+    This J is the exact itinerary, so no locate needs certifying.  On Q
+    the shadow is the exact numerator, so bisection on the integer
+    cuts is the exact locate: `_orbit_pass` gives J with no certificate.
+    Elsewhere on Q(sqrt d) (no float tables, or an IET whose induction
+    stops before its towers are that tall, and the table's own build)
+    `_stepped` locates one step at a time by `_locate`, the certified
+    locate of the one-step methods.
 
     From a re-sync xerr grows by 2 units a step, exact multiples of the
     power of two `unit`, so one array holds the bounds of a run of up to
@@ -630,7 +631,6 @@ class IntegerOrbit:
                       self.ftrans_b))
             ftrans = [sign * t for t in ftrans]
             sdt = object if self.field is None else np.float64
-            fc, ft = np.array(fcuts, sdt), np.array(ftrans, sdt)
             big = max(abs(v) for t in trans for v in t)
             tt = [[sign * t[c] for t in trans] for c in (0, 1)]
             table = None
@@ -638,8 +638,7 @@ class IntegerOrbit:
                     self.iet.integer_tables()[1] is not None:
                 table = self.iet.itinerary_table()
             walk = self._walks[forward] = _Walk(
-                cuts, fcuts, ftrans, fc, ft,
-                np.concatenate((fc[:1], fc[:-1])), big, tt,
+                cuts, fcuts, ftrans, np.array(ftrans, sdt), big, tt,
                 [np.array(t, np.int64) for t in tt] if big < 2 ** 63
                 else None, table, np.array(self.top_of_b))
         return walk
@@ -686,6 +685,21 @@ class IntegerOrbit:
                 p, q = p - self.trans_b[j][0], q - self.trans_b[j][1]
                 guess -= fl.item(g) - fl.item(g0) + self.ftrans_b[j]
 
+    def _stepped(self, walk, k: int) -> np.ndarray:
+        """The indices of the next k steps of `segment` (bottom order
+        backward) by the certified one-step locate `_locate`, the orbit
+        moved along each step as the one-step methods move it, its step
+        count aside."""
+        cuts, fcuts, ftrans, tp, tq = (walk.cuts, walk.fcuts, walk.ftrans,
+                                       *walk.tt)
+        js = array("q", bytes(8 * k))
+        for n in range(k):
+            js[n] = j = self._locate(fcuts, cuts)
+            self.p += tp[j]
+            self.q += tq[j]
+            self._shift(ftrans[j])
+        return np.frombuffer(js, np.int64)
+
     def segment(self, k: int, forward: bool = True) -> tuple:
         """Take k >= 1 steps, backward when not forward, and return arrays
         (i, xf, xerr, dp, dq) over the points visited: top-order interval
@@ -694,7 +708,6 @@ class IntegerOrbit:
         step, backward T^-1 x .. T^-k x after each step."""
         unit, field = self.unit, self.field
         walk = self._walk(forward)
-        table = walk.table
         sdt = object if field is None else np.float64
         if k * walk.big < 2 ** 63:
             odt, (tp, tq) = np.int64, walk.t64
@@ -704,29 +717,26 @@ class IntegerOrbit:
         p, q, xf = self.p, self.q, self.xf
         # xerr = a units at the first point of a run
         a = round(self.xerr / unit) if resyncs else 1
+        if walk.table is not None:
+            J = self._itinerary(walk.table, k, forward)
+        elif field is None:
+            J = _orbit_pass(k, xf, walk.fcuts, walk.ftrans, len(walk.cuts) - 1)
+        else:
+            J = self._stepped(walk, k)
         X, E = np.empty(k + 1, sdt), np.empty(k + 1, sdt)
         dp, dq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
-        if table is None:
-            J = np.empty(k, np.int64)
-        else:
-            J = self._itinerary(table, k, forward)
-            for o, t in ((dp, tp), (dq, tq)):
-                np.cumsum(t[J], out=o[1:])
+        for o, t in ((dp, tp), (dq, tq)):
+            np.cumsum(t[J], out=o[1:])
         n0 = 0
         while n0 < k:
             full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else k
             m = min(full, k - n0)
-            xerr, Xm = E[n0:n0 + m], X[n0:n0 + m]
-            np.multiply(np.arange(a, a + 2 * m, 2, dtype=sdt), unit, out=xerr)
-            if table is None:
-                xf_next = self._pass_one(
-                    walk, J[n0:n0 + m], Xm, xerr + 2 * unit,
-                    dp[n0:n0 + m + 1], dq[n0:n0 + m + 1], n0, xf, tp, tq)
-            else:
-                Jm = J[n0:n0 + m]
-                np.cumsum(np.concatenate((np.array([xf], sdt),
-                                          walk.ft[Jm[:-1]])), out=Xm)
-                xf_next = Xm.item(-1) + walk.ftrans[Jm.item(-1)]
+            np.multiply(np.arange(a, a + 2 * m, 2, dtype=sdt), unit,
+                        out=E[n0:n0 + m])
+            Jm = J[n0:n0 + m]
+            np.cumsum(np.concatenate((np.array([xf], sdt), walk.ft[Jm[:-1]])),
+                      out=X[n0:n0 + m])
+            xf_next = X.item(n0 + m - 1) + walk.ftrans[Jm.item(-1)]
             n0 += m
             # the next run starts at a re-sync, as `_shift` makes it
             if resyncs and m == full:
@@ -741,36 +751,6 @@ class IntegerOrbit:
         if forward:
             return J, X[:k], E[:k], dp[:k], dq[:k]
         return walk.top_of_b[J], X[1:], E[1:], dp[1:], dq[1:]
-
-    def _pass_one(self, walk, Jm, Xm, tol, op, oq, n0, xf, tp, tq):
-        """One run of `segment` without an itinerary table: Jm, Xm and the
-        offsets op, oq (from op[0], oq[0]) by pass 1 and its certified
-        locates; returns the shadow after the run."""
-        cuts, fcuts, ftrans, fc, ft, fc_below = walk[:6]
-        p, q, field, last = self.p, self.q, self.field, len(cuts) - 1
-        js, start = array("q", (0,)) * len(Jm), 0
-        xf_next = _orbit_pass(js, 0, xf, fcuts, ftrans, last)
-        while True:
-            Jm[:] = np.frombuffer(js, np.int64)
-            np.cumsum(np.concatenate((np.array([xf], Xm.dtype),
-                                      ft[Jm[:-1]])), out=Xm)
-            for o, t in ((op, tp), (oq, tq)):   # less the first pair
-                np.cumsum(t[Jm], out=o[1:])
-                if n0:
-                    o[1:] += o[0]
-            ok = (((Jm == 0) | (Xm - fc_below[Jm] > tol))
-                  & ((Jm == last) | (fc[Jm] - Xm > tol)))
-            for b in (np.flatnonzero(~ok[start:]) + start).tolist():
-                jb = _first_above(p + op.item(b), q + oq.item(b), cuts,
-                                  field)
-                if jb != js[b]:
-                    break
-            else:
-                return xf_next
-            # the shadow's index was wrong: step on from the exact one
-            js[b], start = jb, b + 1
-            xf_next = _orbit_pass(js, start, Xm.item(b) + ftrans[jb],
-                                  fcuts, ftrans, last)
 
     def value(self, pair=None) -> ExactScalar:
         p, q = (self.p, self.q) if pair is None else pair

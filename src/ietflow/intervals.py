@@ -105,14 +105,12 @@ def neighborhood(center, radius) -> tuple:
     return (center - radius, center + radius)
 
 
-def pullback_union(iet: Iet, base: IntervalUnion, count: int,
-                   clip_lo=0, clip_hi=None) -> IntervalUnion:
+def pullback_union(iet: Iet, base: IntervalUnion,
+                   count: int) -> IntervalUnion:
     """Union of T^(-i)(base) for 0 <= i <= count, clipped to the interval."""
-    if clip_hi is None:
-        clip_hi = iet.total
-    acc = list(base.clip(clip_lo, clip_hi).parts)
+    acc = list(base.clip(0, iet.total).parts)
     cur = base
     for _ in range(count):
         cur = cur.preimage(iet)
-        acc.extend(cur.clip(clip_lo, clip_hi).parts)
+        acc.extend(cur.clip(0, iet.total).parts)
     return IntervalUnion(acc)

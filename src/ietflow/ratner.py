@@ -363,8 +363,8 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
     step, which also catches a pair split by a bottom cut).  The orbit goes
     by `IntegerOrbit.segment`, whose docstring says where its itinerary
-    comes from (the IET's Rohlin towers on Q(sqrt d), else a certified
-    per-step pass).
+    comes from (the IET's Rohlin towers on Q(sqrt d), exact bisection on
+    Q, else certified one-step locates).
     The straddle test goes by the shadow when its difference clears xerr +
     3 units (xerr + 1 for a gap, one for delta and the difference, one
     spare), else by `exact._sign`; the walk stops at the first straddle.
@@ -778,25 +778,33 @@ def _require_samples(n_samples: int):
                          "samples" % (n_samples,))
 
 
+def _probe(iet: Iet, spec: RoofSpec, gs: tuple, ts: tuple,
+           n_samples: int, seed: int) -> tuple:
+    """(value, stderr): the Monte-Carlo estimate of int prod_i g_i(p_i) dmu
+    minus the product of the means of the g_i, with p_0 a sample and p_i =
+    phi_{t_i} p_{i-1}; ValueError for n_samples < 2."""
+    _require_samples(n_samples)
+    rng = np.random.default_rng(seed)
+    area = roof_area(iet, spec)
+    x, y, tables, f = sample_flow_space(iet, spec, n_samples, rng)
+    z = gs[0](x, y)
+    for g, t in zip(gs[1:], ts):
+        if t != 0.0:
+            # the samples' roof values serve only a flow from the samples
+            x, y, _ = kernels.flow_points(tables, x, y, t, f=f)
+            f = None
+        z = z * g(x, y)
+    value = float(z.mean()) - math.prod(g.mean(area) for g in gs)
+    return value, float(z.std(ddof=1)) / math.sqrt(n_samples)
+
+
 def mixing_correlation(iet: Iet, spec: RoofSpec, g: BumpObservable,
                        h: BumpObservable, t: float, n_samples: int,
                        seed: int = 0) -> MixingEstimate:
     """Monte-Carlo estimate of int g(phi_t p) h(p) dmu - int g int h;
     ValueError for n_samples < 2."""
-    _require_samples(n_samples)
-    rng = np.random.default_rng(seed)
-    area = roof_area(iet, spec)
-    x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)
-    hx = h(x, y)
-    if t == 0.0:
-        gx = g(x, y)
-    else:
-        xt, yt, _ = kernels.flow_points(tables, x, y, t, f=fx)
-        gx = g(xt, yt)
-    z = gx * hx
-    value = float(z.mean()) - g.mean(area) * h.mean(area)
-    stderr = float(z.std(ddof=1)) / math.sqrt(n_samples)
-    return MixingEstimate(value, stderr, n_samples, t)
+    return MixingEstimate(*_probe(iet, spec, (h, g), (t,), n_samples, seed),
+                          n_samples, t)
 
 
 def triple_mixing_probe(iet: Iet, spec: RoofSpec, g1: BumpObservable,
@@ -805,23 +813,5 @@ def triple_mixing_probe(iet: Iet, spec: RoofSpec, g1: BumpObservable,
                         seed: int = 0) -> MixingEstimate:
     """Three-fold analogue: int g1(p) g2(phi_t2 p) g3(phi_{t2+t3} p) dmu
     minus the product of the means; ValueError for n_samples < 2."""
-    _require_samples(n_samples)
-    rng = np.random.default_rng(seed)
-    area = roof_area(iet, spec)
-    x, y, tables, fx = sample_flow_space(iet, spec, n_samples, rng)
-    v1 = g1(x, y)
-    if t2 == 0.0:
-        x2, y2 = x, y
-    else:
-        x2, y2, _ = kernels.flow_points(tables, x, y, t2, f=fx)
-    v2 = g2(x2, y2)
-    if t3 == 0.0:
-        x3, y3 = x2, y2
-    else:
-        x3, y3, _ = kernels.flow_points(tables, x2, y2, t3,
-                                        f=fx if t2 == 0.0 else None)
-    v3 = g3(x3, y3)
-    z = v1 * v2 * v3
-    value = float(z.mean()) - (g1.mean(area) * g2.mean(area) * g3.mean(area))
-    stderr = float(z.std(ddof=1)) / math.sqrt(n_samples)
-    return MixingEstimate(value, stderr, n_samples, t2 + t3)
+    return MixingEstimate(*_probe(iet, spec, (g1, g2, g3), (t2, t3),
+                                  n_samples, seed), n_samples, t2 + t3)

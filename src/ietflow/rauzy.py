@@ -489,14 +489,14 @@ def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
 
     Each tower base is walked by one `IntegerOrbit.segment` of its height
-    (pass 1, as the IET has no table yet): its indices are the word, the
-    base plus its exact offsets the floors' left ends and its shadows and
-    bounds certify their order.  Every floor is checked to lie inside the
-    interval of T its word names (`_check_floors`), as `towers` checks
-    floor by floor, and the floors' chain exactly as
-    `TowerSystem.check_partition` does: a wrong base or width refuses the
-    table with AssertionError.  `Iet.itinerary_table` calls this once per
-    IET."""
+    (by certified one-step locates, as the IET has no table yet): its
+    indices are the word, the base plus its exact offsets the floors' left
+    ends and its shadows and bounds certify their order.  Every floor is
+    checked to lie inside the interval of T its word names
+    (`_check_floors`), as `towers` checks floor by floor, and the floors'
+    chain exactly as `TowerSystem.check_partition` does: a wrong base or
+    width refuses the table with AssertionError.  `Iet.itinerary_table`
+    calls this once per IET."""
     den, field, cuts = iet.integer_tables()[:3]
     if field is None or iet.float_tables() is None:
         return None

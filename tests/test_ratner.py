@@ -1107,10 +1107,10 @@ def rational_4iet():
 
 
 class TestTwoPassWalk:
-    """`_pair_walk` walks segments in two passes (a bare orbit loop, then
-    array operations); the former per-step walk, `scalar_pair_walk`, is
-    its reference bit for bit: the checkpoints, straddle and deriv, or the
-    error type and orbit index."""
+    """`_pair_walk` walks segments in two passes (the interval indices,
+    then array operations); the former per-step walk, `scalar_pair_walk`,
+    is its reference bit for bit: the checkpoints, straddle and deriv, or
+    the error type and orbit index."""
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("setup", [witness_setup,
@@ -1188,11 +1188,13 @@ class TestTwoPassWalk:
         (witness_setup, "B", False)])
     def test_shadow_index_corrected(self, monkeypatch, setup, label,
                                     forward):
-        # x_5 lands exactly on l_C (bounded-3, forward) or x_10 on l_B
-        # (golden, backward), where the bisection of the shadow is wrong:
-        # the exact index replaces it and pass 1 runs again from the next
-        # step; the roof is constant, so the walk goes on past the hit.
-        # Pass 1 walks these IETs only without their itinerary tables.
+        # T^5 x lands exactly on l_C (bounded-3, forward), or T^-9 x =
+        # T^2 l_B on the right end of T(I_B), the first bottom cut
+        # (golden, backward), where the bisection of the shadow cannot
+        # decide: the segment's certified locate falls back to the exact
+        # `_sign_index` there; the roof is constant, so the walk goes on
+        # past the hit.  The segments use this locate only without the
+        # IETs' itinerary tables.
         accel, _, _ = setup()
         iet = accel.trace.base
         monkeypatch.setattr(Iet, "itinerary_table", lambda self: None)
@@ -1200,17 +1202,22 @@ class TestTwoPassWalk:
         n = 5 if forward else 10
         x = iet.iterate(iet.left(label), -n if forward else n + 1)
         y = x + ExactScalar(F(1, 10 ** 9))
-        starts = []
-        inner = iet_module._orbit_pass
+        on_cut = iet.left(label) if forward else \
+            iet.right_image(iet.perm.bottom[0])
+        assert iet.iterate(x, n if forward else 1 - n) == on_cut
+        points, inner = [], IntegerOrbit._sign_index
 
-        def spy(js, start, *args):
-            starts.append(start)
-            return inner(js, start, *args)
+        def spy(orbit, cuts):
+            points.append(orbit.value())
+            return inner(orbit, cuts)
 
-        monkeypatch.setattr(iet_module, "_orbit_pass", spy)
+        monkeypatch.setattr(IntegerOrbit, "_sign_index", spy)
+        ratner._pair_walk(iet, spec, x, y, 0, n + 20, forward)
+        assert on_cut in points
+        monkeypatch.setattr(IntegerOrbit, "_sign_index", inner)
         _, straddle, _ = assert_walks_agree(iet, spec, x, y, 0, n + 20,
                                             forward)
-        assert straddle is None and any(starts)
+        assert straddle is None
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("setup", [witness_setup,

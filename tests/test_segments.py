@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietflow import iet as iet_module
 from ietflow import rauzy
@@ -274,12 +275,34 @@ def assert_segments_match_steps(iet, x, ks, forward):
 DEN50 = F(41, 100) + F(1, 10 ** 50)
 
 
+def connected_4iet():
+    """A 4-IET over Q(sqrt 2) with lambda_A = lambda_D: its first
+    Rauzy-Veech step is undefined, so it has no itinerary table and its
+    segments over Q(sqrt 2) step by the certified one-step locate."""
+    a = ExactScalar(F(-1, 2), F(1, 2), 2)
+    return Iet(Permutation("ABCD", "DCBA"),
+               [a, ExactScalar(F(1, 5)), ExactScalar(F(9, 5), -1, 2), a])
+
+
+R2 = ExactScalar(0, 1, 2)
+HUGE = ExactScalar(2 ** 1100)
+
+
+def huge_3iet():
+    """A 3-IET over Q(sqrt 2) of total length above 2^800: it has no float
+    tables, so its shadow is off (unit infinite) and every locate exact."""
+    return Iet(Permutation("ABC", "CBA"),
+               [(1 + R2) * HUGE, 2 * R2 * HUGE, (4 - R2) * HUGE])
+
+
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("make,x", [
     (rational_4iet, F(41, 100)), (rational_4iet, DEN50),
     (golden_rotation, F(41, 100)), (golden_rotation, DEN50),
-    (bounded_type_3iet, F(41, 100))],
-    ids=["Q", "Q-den50", "sqrt5", "sqrt5-den50", "sqrt2"])
+    (bounded_type_3iet, F(41, 100)), (connected_4iet, F(41, 100)),
+    (huge_3iet, (3 + R2) * HUGE)],
+    ids=["Q", "Q-den50", "sqrt5", "sqrt5-den50", "sqrt2", "sqrt2-no-table",
+         "sqrt2-no-float"])
 def test_segment_matches_one_steps(make, x, forward):
     # uneven segments across several shadow re-syncs (one per 2048 steps
     # from a re-sync), each resumed where the last one stopped
@@ -290,13 +313,31 @@ def test_segment_matches_one_steps(make, x, forward):
         assert IntegerOrbit(iet, x).segment(3000, forward)[3].dtype == object
 
 
-def connected_4iet():
-    """A 4-IET over Q(sqrt 2) with lambda_A = lambda_D: its first
-    Rauzy-Veech step is undefined, so it has no itinerary table and its
-    segments run pass 1."""
-    a = ExactScalar(F(-1, 2), F(1, 2), 2)
-    return Iet(Permutation("ABCD", "DCBA"),
-               [a, ExactScalar(F(1, 5)), ExactScalar(F(9, 5), -1, 2), a])
+def test_the_fixtures_without_tables():
+    assert connected_4iet().itinerary_table() is None
+    iet = huge_3iet()
+    assert iet.itinerary_table() is None
+    assert IntegerOrbit(iet, 0).unit == math.inf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cut=st.integers(min_value=0, max_value=5),
+       side=st.sampled_from([-1, 0, 1]),
+       n=st.integers(min_value=0, max_value=40),
+       forward=st.booleans(),
+       ks=st.lists(st.integers(min_value=1, max_value=2500), min_size=1,
+                   max_size=4))
+def test_segments_near_a_cut_match_one_steps(cut, side, n, forward, ks):
+    # an orbit reaching a top or bottom cut of connected_4iet, or a point
+    # 10^-30 from one, after n steps either way: a locate only
+    # `_sign_index` decides
+    iet = connected_4iet()
+    top, bottom = iet.perm.top, iet.perm.bottom
+    cuts = ([iet.left(a) for a in top[1:]] +
+            [iet.left_image(a) for a in bottom[1:]])
+    y = cuts[cut] + ExactScalar(F(side, 10 ** 30))
+    x = iet.iterate(y, -n if forward else n)
+    assert_segments_match_steps(iet, x, ks, forward)
 
 
 def spy_on(monkeypatch, owner, name):
@@ -311,19 +352,34 @@ def spy_on(monkeypatch, owner, name):
     return calls
 
 
+def exact_locates(monkeypatch, iet, x, k, forward):
+    """The points of a k-step segment from x at which `_sign_index`
+    decided the locate."""
+    points, inner = [], IntegerOrbit._sign_index
+
+    def spy(orbit, cuts):
+        points.append(orbit.value())
+        return inner(orbit, cuts)
+
+    monkeypatch.setattr(IntegerOrbit, "_sign_index", spy)
+    IntegerOrbit(iet, x).segment(k, forward)
+    monkeypatch.setattr(IntegerOrbit, "_sign_index", inner)
+    return points
+
+
 @pytest.mark.parametrize("make,label,n,forward", [
     (connected_4iet, "B", 2, True), (connected_4iet, "B", 7, False)])
 def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
                                           forward):
-    # T^2 x = l_B, or T^-7 x = l_B (located among the bottom cuts): the
-    # shadow's bisection there is wrong, the exact locate changes the index
-    # and pass 1 runs again from the next step
+    # T^2 x = l_B, or T^-7 x = l_B (located among the bottom cuts, where
+    # it is r_D): the shadow's bisection there cannot decide, so the
+    # segment's locate falls back to the exact `_sign_index` at that point
     iet = make()
     assert iet.itinerary_table() is None
     x = iet.iterate(iet.left(label), -n if forward else n)
-    calls = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    assert iet.left(label) in exact_locates(monkeypatch, iet, x, 40,
+                                            forward)
     assert_segments_match_steps(iet, x, (40,), forward)
-    assert any(args[1] for args in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +390,9 @@ def test_rational_iet_walks_pass_one(monkeypatch):
     iet = rational_4iet()
     assert iet.itinerary_table() is None
     calls = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
     IntegerOrbit(iet, F(41, 100)).segment(100)
-    assert calls
+    assert calls and not steps
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
@@ -465,7 +522,7 @@ def test_locate_is_exact_at_floor_ends(make):
 def test_tower_segments_match_one_steps(monkeypatch, make, forward):
     iet = make()
     table = iet.itinerary_table()
-    passes = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
     locates = spy_on(monkeypatch, type(table), "locate")
     signs = spy_on(monkeypatch, rauzy, "_sign")
     ks = (1, 2047, 2048, 2049, 1, 7000, 7000)
@@ -477,7 +534,7 @@ def test_tower_segments_match_one_steps(monkeypatch, make, forward):
         # each from a good guess: the shadow's floor or the next one
         assert len(signs) <= 3 * len(locates)
         del signs[:]
-    assert not passes
+    assert not steps
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
@@ -485,7 +542,7 @@ def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
     iet = make()
     spec = asymmetric_log_roof(iet)
     builds = spy_on(monkeypatch, rauzy, "build_itinerary_table")
-    passes = spy_on(monkeypatch, iet_module, "_orbit_pass")
+    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
     reads = spy_on(monkeypatch, IntegerOrbit, "_itinerary")
     x = ExactScalar(F(41, 100))
     y = x + ExactScalar(F(1, 10 ** 5))
@@ -494,10 +551,10 @@ def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
         straddle = _pair_walk(iet, spec, x, y, 10770, 18, forward)[1]
         table = iet.itinerary_table()
         assert table is not None and len(builds) == 1
-        # the build walks each tower with pass 1; the witness walk reads
+        # the build walks each tower by one-steps; the witness walk reads
         # every one of its 2048-step segments off the table
-        built = len(passes) if built is None else built
-        assert len(passes) == built
+        built = len(steps) if built is None else built
+        assert built and len(steps) == built
         end = 10788 if straddle is None else straddle + 1
         segments += -(-end // _SEGMENT)
         assert len(reads) == segments
