@@ -275,9 +275,14 @@ class PrtyReport:
     backward_bounds: list = field(default_factory=list)
 
 
+#: Count of the r in [q_l, q_(l+1)) at which `prty_conditions` checks the
+#: derivative-sum ratio, and the desk tolerance of that check.
+_PRTY_GRID = 4
+_PRTY_TOLERANCE = 0.15
+
+
 def prty_conditions(accel: AccelTimes, spec: RoofSpec, x, ell: int,
-                    xi: float, eps: float, grid: int = 4,
-                    tolerance: float = 0.15) -> PrtyReport:
+                    xi: float) -> PrtyReport:
     """Test U(q_{l+1}, x), V(q_{l+1}, x) <= 2 q_l (log q_l)^xi forward, the
     shifted variant backward, and on success check the derivative-sum ratio
     against |C- - C+| on a grid of r in [q_l, q_{l+1}) at desk tolerance."""
@@ -288,8 +293,8 @@ def prty_conditions(accel: AccelTimes, spec: RoofSpec, x, ell: int,
     gap = abs(float(spec.asymmetry_gap))
     orient = -1.0 if float(spec.asymmetry_gap) < 0 else 1.0
     rs = sorted({min(q_next - 1, max(q_l, round(q_l * (q_next / q_l) **
-                                                (i / max(grid - 1, 1)))))
-                 for i in range(grid)})
+                                                (i / (_PRTY_GRID - 1)))))
+                 for i in range(_PRTY_GRID)})
 
     def walk(forward):
         # one walk per direction: the derivative sums at the grid times on
@@ -310,14 +315,14 @@ def prty_conditions(accel: AccelTimes, spec: RoofSpec, x, ell: int,
         for r, value in fwd_sums:
             ratio = orient * value / (r * math.log(r))
             report.forward_bounds.append(
-                (r, ratio, abs(ratio - gap) <= tolerance))
+                (r, ratio, abs(ratio - gap) <= _PRTY_TOLERANCE))
     if backward_ok:
         for r, value in bwd_sums:
             # conclusion reads through -S_(-r)(f'); the backward cursor
             # already returns S_(-r)
             ratio = -orient * value / (r * math.log(r))
             report.backward_bounds.append(
-                (r, ratio, abs(ratio - gap) <= tolerance))
+                (r, ratio, abs(ratio - gap) <= _PRTY_TOLERANCE))
     return report
 
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommand groups: iet, rv, zip, flow, bs, dc, ratner, mix.  Results are
-line-delimited JSON on stdout (CSV series via --csv), and every invocation
-can append an experiment record carrying the full configuration echo, the
-seed, and a fingerprint of the induction type word, so that a record
-replays bit-for-bit for exact outputs.
+line-delimited JSON on stdout; the commands with a series print it as CSV
+under --csv.  Each subcommand registers only the flags it reads.  A command
+returns its exit code, its record payload and its induction trace, and
+`main` appends the run's one experiment record under --log, carrying the
+full configuration echo, the seed, and a fingerprint of the induction type
+word, so that a record replays bit-for-bit for exact outputs.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 usage error.
 """
@@ -15,15 +17,13 @@ import argparse
 import functools
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
 
 from . import kernels
-from .birkhoff import sigma, sigma_set
+from .birkhoff import sigma_set
 from .diophantine import (
     IndeterminateComparison,
     ParamWindowError,
@@ -57,8 +57,6 @@ from .serialize import (
 )
 from .zippered import ZipperedRectangles, backward_rv_step, generic_tau
 
-DEFAULT_PRECISION = int(os.environ.get("IETFLOW_PRECISION", "17"))
-
 
 def _bundled(name: str) -> str:
     return resources.files("ietflow").joinpath("data", name).read_text()
@@ -71,37 +69,42 @@ def _load_iet(args) -> Iet:
 
 
 def _load_roof(args, iet: Iet):
-    if getattr(args, "roof", None):
+    if args.roof:
         return load_roof(args.roof, iet)
     name = ("asymmetric_roof.roof" if iet.perm.d == 2
             else "asymmetric_roof3.roof")
     return loads_roof(_bundled(name), iet)
 
 
-def _emit(payload, args):
-    line = json.dumps(payload, sort_keys=True)
-    print(line)
-    return payload
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True))
+
+
+def _rows(header, rows, csv=False):
+    """Print a series: CSV, or one JSON object per row with its keys in
+    header order."""
+    if csv:
+        sys.stdout.write(series_to_csv(rows, header))
+    else:
+        for row in rows:
+            print(json.dumps(dict(zip(header, row))))
 
 
 def _fingerprint(trace: InductionTrace) -> str:
     return hashlib.sha256(trace.type_word().encode()).hexdigest()[:16]
 
 
-def _log_record(args, command: str, payload, trace=None, seed=None):
-    path = getattr(args, "log", None)
-    if not path:
-        return
+def _log_record(args, payload, trace):
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "command": command,
+        "command": "%s %s" % (args.group, args.cmd),
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func",) and v is not None},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "fingerprint": _fingerprint(trace) if trace is not None else None,
         "results": payload,
     }
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(args.log, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
 
 
@@ -111,35 +114,58 @@ def _params_from(args):
                            window=args.window)
 
 
-def _accel_from(args, trace):
-    return select_accel_times(trace, Fraction(args.nu), lbar_max=args.lbar_max,
-                              depth=trace.depth)
+def _induct(args, iet: Iet, partial=False):
+    """The induction trace of `iet` to --steps (under `partial`, as far as
+    it is defined) and its accelerated times."""
+    trace = InductionTrace(iet)
+    try:
+        trace.extend(args.steps)
+    except RVUndefinedError:
+        if not partial:
+            raise
+    return trace, select_accel_times(trace, Fraction(args.nu),
+                                     lbar_max=args.lbar_max,
+                                     depth=trace.depth)
 
 
-def _add_common(parser, roof=False, params=False):
+#: (flag, options, in the parameter window): the flags of the commands
+#: that induct, the window ones only where `_params_from` reads them
+_INDUCTION_FLAGS = (
+    ("--tau", dict(default="1.01"), True),
+    ("--tau-prime", dict(dest="tau_prime", default="0.995"), False),
+    ("--eta", dict(default="0.9"), True),
+    ("--xi", dict(default="0.992"), True),
+    ("--nu", dict(default="3"), False),
+    ("--lbar", dict(type=int, default=2), True),
+    ("--d", dict(type=int, default=2), True),
+    ("--window", dict(default="para", choices=["para", "asucons"]), True),
+    ("--lbar-max", dict(dest="lbar_max", type=int, default=6), False),
+    ("--steps", dict(type=int, default=46,
+                     help="induction depth to compute"), False),
+)
+
+
+def _add_common(parser, csv=False, roof=False, induction=False,
+                window=False):
+    """--iet and --log; --csv, --roof and the induction flags (with the
+    parameter-window ones under `window`) on the commands that read them.
+    Flags are matched whole, so one a command does not take is refused
+    rather than read as a longer one (--tau as --tau-prime on bs)."""
+    parser.allow_abbrev = False
     parser.add_argument("--iet", help="IET file (default: bundled golden "
                                       "rotation)")
     parser.add_argument("--log", help="append an experiment record to this "
                                       "JSONL file")
-    parser.add_argument("--csv", action="store_true",
-                        help="emit CSV series instead of JSON lines")
+    if csv:
+        parser.add_argument("--csv", action="store_true",
+                            help="emit CSV series instead of JSON lines")
     if roof:
         parser.add_argument("--roof", help="roof file (default: bundled "
                                            "asymmetric single-log roof)")
-    if params:
-        parser.add_argument("--tau", default="1.01")
-        parser.add_argument("--tau-prime", dest="tau_prime", default="0.995")
-        parser.add_argument("--eta", default="0.9")
-        parser.add_argument("--xi", default="0.992")
-        parser.add_argument("--nu", default="3")
-        parser.add_argument("--lbar", type=int, default=2)
-        parser.add_argument("--d", type=int, default=2)
-        parser.add_argument("--window", default="para",
-                            choices=["para", "asucons"])
-        parser.add_argument("--lbar-max", dest="lbar_max", type=int,
-                            default=6)
-        parser.add_argument("--steps", type=int, default=46,
-                            help="induction depth to compute")
+    if induction or window:
+        for flag, options, windowed in _INDUCTION_FLAGS:
+            if window or not windowed:
+                parser.add_argument(flag, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +178,8 @@ def cmd_iet_eval(args):
     value = iet.iterate(x, args.n)
     payload = {"x": args.x, "n": args.n, "result": value.to_string(),
                "float": float(value)}
-    _emit(payload, args)
-    _log_record(args, "iet eval", payload)
-    return 0
+    _emit(payload)
+    return 0, payload, None
 
 
 def cmd_iet_keane(args):
@@ -164,9 +189,8 @@ def cmd_iet_keane(args):
                "satisfied_to_depth": report.satisfied_to_depth,
                "colliding_pair": repr(report.colliding_pair)
                if report.colliding_pair else None}
-    _emit(payload, args)
-    _log_record(args, "iet keane", payload)
-    return 0 if report.satisfied_to_depth else 1
+    _emit(payload)
+    return (0 if report.satisfied_to_depth else 1), payload, None
 
 
 def cmd_rv_induct(args):
@@ -177,14 +201,11 @@ def cmd_rv_induct(args):
     except RVUndefinedError as exc:
         print(json.dumps({"error": "RVUndefined", "detail": str(exc),
                           "depth_reached": trace.depth}))
-        return 1
+        return 1, None, None
     out = records_to_jsonl(records)
     sys.stdout.write(out)
-    _log_record(args, "rv induct", {"steps": args.steps,
-                                    "sha256": hashlib.sha256(
-                                        out.encode()).hexdigest()},
-                trace=trace)
-    return 0
+    return 0, {"steps": args.steps,
+               "sha256": hashlib.sha256(out.encode()).hexdigest()}, trace
 
 
 def cmd_rv_towers(args):
@@ -200,26 +221,17 @@ def cmd_rv_towers(args):
                             t.base_right.to_string()]
                   for t in system.towers},
     }
-    _emit(payload, args)
-    _log_record(args, "rv towers", payload, trace=trace)
-    return 0 if payload["partition_exact"] else 1
+    _emit(payload)
+    return (0 if payload["partition_exact"] else 1), payload, trace
 
 
 def cmd_rv_accel(args):
-    iet = _load_iet(args)
-    trace = InductionTrace(iet)
-    try:
-        trace.extend(args.steps)
-    except RVUndefinedError:
-        pass
-    accel = select_accel_times(trace, Fraction(args.nu),
-                               lbar_max=args.lbar_max, depth=trace.depth)
+    trace, accel = _induct(args, _load_iet(args), partial=True)
     payload = {"nu": str(args.nu), "lbar": accel.lbar,
                "times": accel.times, "count": accel.count,
                "diagnostic": accel.diagnostic}
-    _emit(payload, args)
-    _log_record(args, "rv accel", payload, trace=trace)
-    return 0 if accel.count else 1
+    _emit(payload)
+    return (0 if accel.count else 1), payload, trace
 
 
 def cmd_zip_backward(args):
@@ -248,9 +260,8 @@ def cmd_zip_backward(args):
     sys.stdout.write(records_to_jsonl(steps))
     if stopped:
         print(json.dumps(stopped))
-    _log_record(args, "zip backward", {"steps": args.steps,
-                                       "completed": len(steps)})
-    return 0 if stopped is None else 1
+    return ((0 if stopped is None else 1),
+            {"steps": args.steps, "completed": len(steps)}, None)
 
 
 def cmd_flow_orbit(args):
@@ -261,9 +272,8 @@ def cmd_flow_orbit(args):
     payload = {"x": args.x, "y": args.y, "t": args.t,
                "end_x": end_x.to_string(), "end_x_float": float(end_x),
                "end_y": end_y, "discrete_iterations": r}
-    _emit(payload, args)
-    _log_record(args, "flow orbit", payload)
-    return 0
+    _emit(payload)
+    return 0, payload, None
 
 
 def cmd_flow_birkhoff(args):
@@ -273,16 +283,14 @@ def cmd_flow_birkhoff(args):
     value = birkhoff_sum(iet, spec, x, args.r, derivative=args.derivative)
     payload = {"x": args.x, "r": args.r, "derivative": args.derivative,
                "sum": value.value, "error_radius": value.err}
-    _emit(payload, args)
-    _log_record(args, "flow birkhoff", payload)
-    return 0
+    _emit(payload)
+    return 0, payload, None
 
 
 def cmd_bs_growth(args):
     iet = _load_iet(args)
     spec = _load_roof(args, iet)
-    trace = InductionTrace(iet).extend(args.steps)
-    accel = _accel_from(args, trace)
+    trace, accel = _induct(args, iet)
     from .birkhoff import ExcludedPointError, derivative_growth_check
     grid = [int(tok) for tok in args.r_grid.split(",")]
     import random as _random
@@ -302,89 +310,63 @@ def cmd_bs_growth(args):
         for rep in reports:
             rows.append((str(x), rep.r, rep.ell, rep.oriented_ratio,
                          rep.lower_ok, rep.upper_ok, rep.used_UV_slack))
-    header = ["x", "r", "ell", "oriented_ratio", "lower_ok", "upper_ok",
-              "used_UV_slack"]
-    if args.csv:
-        sys.stdout.write(series_to_csv(rows, header, DEFAULT_PRECISION))
-    else:
-        for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+    _rows(["x", "r", "ell", "oriented_ratio", "lower_ok", "upper_ok",
+           "used_UV_slack"], rows, args.csv)
     ok = all(row[4] and row[5] for row in rows)
-    _log_record(args, "bs growth", {"rows": len(rows), "all_bounds": ok},
-                trace=trace, seed=args.seed)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"rows": len(rows), "all_bounds": ok}, trace
 
 
 def cmd_bs_sigma_sets(args):
     iet = _load_iet(args)
-    trace = InductionTrace(iet).extend(args.steps)
-    accel = _accel_from(args, trace)
+    trace, accel = _induct(args, iet)
     rows = []
     for ell in range(1, args.l_max + 1):
         sset = sigma_set(accel, ell, float(args.tau_prime))
         rows.append((ell, sset.sigma, float(sset.measure), float(sset.bound),
                      accel.q(ell), accel.A_norm(ell)))
-    header = ["ell", "sigma", "measure", "bound", "q", "normA"]
-    if args.csv:
-        sys.stdout.write(series_to_csv(rows, header, DEFAULT_PRECISION))
-    else:
-        for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+    _rows(["ell", "sigma", "measure", "bound", "q", "normA"], rows,
+          args.csv)
     ok = all(row[2] <= row[3] for row in rows)
-    _log_record(args, "bs sigma-sets", {"l_max": args.l_max,
-                                        "bounds_hold": ok}, trace=trace)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"l_max": args.l_max, "bounds_hold": ok}, trace
 
 
 def _dc_setup(args):
     iet = _load_iet(args)
     params = _params_from(args)
-    trace = InductionTrace(iet)
-    try:
-        trace.extend(args.steps)
-    except RVUndefinedError:
-        pass
-    accel = _accel_from(args, trace)
-    return iet, params, trace, accel
+    return (params, *_induct(args, iet, partial=True))
 
 
 def cmd_dc_mixing(args):
-    _, params, trace, accel = _dc_setup(args)
+    params, trace, accel = _dc_setup(args)
     report = mixing_dc_report(accel, params, args.depth)
+    full = not report.insufficient_depth
     payload = {
         "depth": args.depth, "insufficient_depth": report.insufficient_depth,
-        "all_balanced": report.all_balanced if not report.insufficient_depth
-        else None,
-        "all_windows_positive": report.all_windows_positive
-        if not report.insufficient_depth else None,
-        "max_diameter": report.max_diameter
-        if not report.insufficient_depth else None,
+        "all_balanced": report.all_balanced if full else None,
+        "all_windows_positive": report.all_windows_positive if full else None,
+        "max_diameter": report.max_diameter if full else None,
         "integrability": report.integrability,
     }
-    if args.csv and not report.insufficient_depth:
+    if args.csv and full:
         rows = [(ell + 1, report.balanced[ell], report.windows_positive[ell],
                  report.diameters[ell], report.integrability[ell])
                 for ell in range(args.depth)]
-        sys.stdout.write(series_to_csv(
-            rows, ["ell", "balanced", "window_positive", "diameter",
-                   "normA_over_ell_tau"], DEFAULT_PRECISION))
+        _rows(["ell", "balanced", "window_positive", "diameter",
+               "normA_over_ell_tau"], rows, csv=True)
     else:
-        _emit(payload, args)
-    _log_record(args, "dc mixing", payload, trace=trace)
-    if report.insufficient_depth:
-        return 1
-    return 0 if (report.all_balanced and report.all_windows_positive) else 1
+        _emit(payload)
+    ok = full and report.all_balanced and report.all_windows_positive
+    return (0 if ok else 1), payload, trace
 
 
 def cmd_dc_ratner(args):
-    _, params, trace, accel = _dc_setup(args)
+    params, trace, accel = _dc_setup(args)
     if args.depth == 0:
         payload = {"depth": 0, "bad_indices": [], "partial_sum": 0.0,
                    "window": args.window_len if args.window_len is not None
                    else params.L}
-        _emit(payload, args)
-        _log_record(args, "dc ratner", payload, trace=trace)
-        return 0
+        _emit(payload)
+        return 0, payload, trace
     out = ratner_dc_partial(accel, params, args.depth,
                             window_len=args.window_len)
     payload = {"depth": out.depth, "window": out.window_len,
@@ -393,67 +375,61 @@ def cmd_dc_ratner(args):
     if args.csv:
         rows = [(ell, out.products[ell - 1], ell in out.bad_indices)
                 for ell in range(1, out.depth + 1)]
-        sys.stdout.write(series_to_csv(
-            rows, ["ell", "window_norm_product", "bad"], DEFAULT_PRECISION))
+        _rows(["ell", "window_norm_product", "bad"], rows, csv=True)
     else:
-        _emit(payload, args)
-    _log_record(args, "dc ratner", payload, trace=trace)
-    return 0
+        _emit(payload)
+    return 0, payload, trace
 
 
 def cmd_dc_summability(args):
-    _, params, trace, accel = _dc_setup(args)
+    params, trace, accel = _dc_setup(args)
     try:
         out = summability_partial(accel, params, args.depth,
                                   window_len=args.window_len)
     except IndeterminateComparison as exc:
         print(json.dumps({"error": "IndeterminateComparison",
                           "detail": str(exc)}))
-        return 1
+        return 1, None, None
     payload = {"depth": out.depth, "window": out.window_len,
                "members": out.members, "non_members": out.non_members,
                "sum_sigma_eta": out.sum_sigma_eta,
                "sum_measures": out.sum_measures}
     if args.csv:
         rows = [(ell, ell in out.members) for ell in range(1, out.depth + 1)]
-        sys.stdout.write(series_to_csv(rows, ["ell", "in_K_T"],
-                                       DEFAULT_PRECISION))
+        _rows(["ell", "in_K_T"], rows, csv=True)
     else:
-        _emit(payload, args)
-    _log_record(args, "dc summability", payload, trace=trace)
-    return 0
+        _emit(payload)
+    return 0, payload, trace
 
 
 def cmd_ratner_witness(args):
     iet = _load_iet(args)
     spec = _load_roof(args, iet)
     params = _params_from(args)
-    trace = InductionTrace(iet).extend(args.steps)
-    accel = _accel_from(args, trace)
+    trace, accel = _induct(args, iet)
     cfg = WitnessConfig(epsilon=args.eps, N=args.n_floor, params=params,
                         seed=args.seed, window_len=args.window_len)
     gap = Fraction(args.gap) if args.gap else Fraction(1, 10 ** 5)
     results, ok_hp, failures = witness_run(accel, spec, cfg, args.pairs, gap)
-    for res, ok in zip(results, ok_hp):
-        print(json.dumps({"x": res.x.to_string(), "direction": res.direction,
-                          "verdict": res.verdict, "p": res.p, "M": res.M,
-                          "L": res.L, "max_dev": res.max_deviation,
-                          "reverified": ok, "reason": res.failure_reason}))
+    _rows(["x", "direction", "verdict", "p", "M", "L", "max_dev",
+           "reverified", "reason"],
+          [(res.x.to_string(), res.direction, res.verdict, res.p, res.M,
+            res.L, res.max_deviation, ok, res.failure_reason)
+           for res, ok in zip(results, ok_hp)])
     verified = sum(res.verdict == "verified" for res in results)
     reverified = sum(ok_hp)
     rate = verified / len(results) if results else 0.0
     payload = {"pairs": len(results), "verified": verified,
                "reverified": reverified, "rate": rate, "failures": failures}
-    _emit(payload, args)
-    _log_record(args, "ratner witness", payload, trace=trace, seed=args.seed)
-    return 0 if rate >= args.rate_floor and reverified == verified else 1
+    _emit(payload)
+    ok = rate >= args.rate_floor and reverified == verified
+    return (0 if ok else 1), payload, trace
 
 
 def cmd_ratner_forbac(args):
     iet = _load_iet(args)
     params = _params_from(args)
-    trace = InductionTrace(iet).extend(args.steps)
-    accel = _accel_from(args, trace)
+    trace, accel = _induct(args, iet)
     lo, _, hi = args.l_range.partition("..")
     rows = []
     failures = 0
@@ -469,17 +445,11 @@ def cmd_ratner_forbac(args):
             rows.append((ell, str(x), rep.which_holds,
                          float(rep.forward_min), float(rep.backward_min),
                          float(rep.threshold)))
-    header = ["ell", "x", "which_holds", "forward_min", "backward_min",
-              "threshold"]
-    if args.csv:
-        sys.stdout.write(series_to_csv(rows, header, DEFAULT_PRECISION))
-    else:
-        for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+    _rows(["ell", "x", "which_holds", "forward_min", "backward_min",
+           "threshold"], rows, args.csv)
     payload = {"points": len(rows), "failures": failures}
-    _emit(payload, args)
-    _log_record(args, "ratner forbac", payload, trace=trace)
-    return 0 if failures == 0 else 1
+    _emit(payload)
+    return (0 if failures == 0 else 1), payload, trace
 
 
 def cmd_mix_correlate(args):
@@ -493,9 +463,8 @@ def cmd_mix_correlate(args):
                "estimate": est.value, "stderr": est.stderr,
                "area": roof_area(iet, spec),
                "kernel": kernels.implementation_name()}
-    _emit(payload, args)
-    _log_record(args, "mix correlate", payload, seed=args.seed)
-    return 0
+    _emit(payload)
+    return 0, payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
     g_bs = sub.add_parser("bs", help="Birkhoff-sum diagnostics")
     s = g_bs.add_subparsers(dest="cmd", required=True)
     p = s.add_parser("growth")
-    _add_common(p, roof=True, params=True)
+    _add_common(p, csv=True, roof=True, induction=True)
     p.add_argument("--r-grid", dest="r_grid", default="1000,3000,10000")
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--eps", type=float, default=0.39)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bs_growth)
     p = s.add_parser("sigma-sets")
-    _add_common(p, params=True)
+    _add_common(p, csv=True, induction=True)
     p.add_argument("--l-max", dest="l_max", type=int, required=True)
     p.set_defaults(func=cmd_bs_sigma_sets)
 
@@ -581,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("mixing", cmd_dc_mixing), ("ratner", cmd_dc_ratner),
                        ("summability", cmd_dc_summability)):
         p = s.add_parser(name)
-        _add_common(p, params=True)
+        _add_common(p, csv=True, window=True)
         p.add_argument("--depth", type=int, required=True)
         if name != "mixing":
             p.add_argument("--window-len", dest="window_len", type=int,
@@ -593,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_rat = sub.add_parser("ratner", help="switchable-Ratner witness")
     s = g_rat.add_subparsers(dest="cmd", required=True)
     p = s.add_parser("witness")
-    _add_common(p, roof=True, params=True)
+    _add_common(p, roof=True, window=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -603,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-len", dest="window_len", type=int, default=0)
     p.set_defaults(func=cmd_ratner_witness)
     p = s.add_parser("forbac")
-    _add_common(p, params=True)
+    _add_common(p, csv=True, window=True)
     p.add_argument("--l-range", dest="l_range", required=True,
                    help="e.g. 6..12")
     p.add_argument("--grid", type=int, required=True)
@@ -639,9 +608,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    return _run(_parser().parse_args(argv))
+
+
+def _run(args) -> int:
+    """Run the command of parsed `args`, report its errors, and append its
+    record under --log (none for a payload of None)."""
     try:
-        return args.func(args)
+        code, payload, trace = args.func(args)
+        if args.log and payload is not None:
+            _log_record(args, payload, trace)
+        return code
     except ParamWindowError as exc:
         print(json.dumps({"error": "usage", "field": exc.constraint,
                           "detail": str(exc)}), file=sys.stderr)

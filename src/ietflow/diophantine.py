@@ -12,14 +12,14 @@ precision, never with bare floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
 
 from .birkhoff import sigma, sigma_set
-from .rauzy import AccelTimes, balance_check, col_norm, is_positive, \
+from .rauzy import AccelTimes, balance_check, is_positive, \
     projective_diameter
 
 
@@ -219,9 +219,13 @@ def ratner_dc_partial(accel: AccelTimes, params: DcParams, depth: int,
 # K_T membership and the summability partial sums
 # ---------------------------------------------------------------------------
 
+#: The most decimal digits `k_set_membership` raises its interval
+#: arithmetic to before it gives up.
+_KSET_MAX_DPS = 200
+
+
 def k_set_membership(accel: AccelTimes, params: DcParams, ell: int,
-                     window_len: Optional[int] = None,
-                     max_dps: int = 200) -> bool:
+                     window_len: Optional[int] = None) -> bool:
     """q_{l+W} <= q_l / sigma_l^xi, decided with outward rounding.
 
     sigma_l^xi is irrational; the comparison is evaluated in interval
@@ -244,7 +248,7 @@ def k_set_membership(accel: AccelTimes, params: DcParams, ell: int,
         return False        # sigma > 1 so q_l / sigma^xi < q_l < q_W
     expo = params.xi * params.tau_prime      # sigma^xi = exp(expo * ln_ratio)
     dps = 30
-    while dps <= max_dps:
+    while dps <= _KSET_MAX_DPS:
         iv = mpmath.iv
         old = iv.dps
         try:
@@ -261,7 +265,8 @@ def k_set_membership(accel: AccelTimes, params: DcParams, ell: int,
             iv.dps = old
         dps *= 2
     raise IndeterminateComparison(
-        "K_T membership at ell=%d undecided at %d digits" % (ell, max_dps))
+        "K_T membership at ell=%d undecided at %d digits"
+        % (ell, _KSET_MAX_DPS))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import ExactScalar, _sign, as_scalar, quadratic_float
+from .exact import ExactScalar, _sign, quadratic_float
 from .iet import _SEGMENT, Iet, IntegerOrbit
 
 #: unit used by the conservative rounding-error model
@@ -155,23 +155,6 @@ class FlowPoint:
     y: float
 
 
-def _distances(iet: Iet, spec: RoofSpec, x: ExactScalar, orbit_index=None):
-    """Exact distances of x to both endpoints of its interval, with the
-    cutoff check applied.  Returns (label, dist_left, dist_right)."""
-    a = iet.interval_of(x)
-    dl = x - iet.left(a)
-    dr = iet.right(a) - x
-    if spec.has_log_singularity and dl.is_zero():
-        # the model is undefined on {l_a}; constant roofs have no
-        # singular set and evaluate everywhere
-        raise RoofDomainError("evaluation at the singular point l_%s" % a)
-    if spec.cplus[a] != 0 and dl <= spec.hard_cutoff:
-        raise SingularityTooClose(a, "left", dl, orbit_index)
-    if spec.cminus[a] != 0 and dr <= spec.hard_cutoff:
-        raise SingularityTooClose(a, "right", dr, orbit_index)
-    return a, dl, dr
-
-
 def roof_terms(c0: float, cp, cm, points) -> tuple:
     """The one float roof-term evaluator: f and its rounding-error radius
     at n points with constants cp = Cplus_a, cm = Cminus_a (float arrays),
@@ -247,15 +230,17 @@ def _gaps_of(orbit: IntegerOrbit, i, p, q, dp, dq, shift=(0, 0)):
 
 def _orbit_error(orbit: IntegerOrbit, spec: RoofSpec, a, index, cp, cm,
                  gaps):
-    """The error of points of I_a at orbit index `index` with exact gaps
-    (dl, dr, ...), first point first: l_a itself (for a log roof), else the
-    first gap within the hard cutoff whose constant (cp left, cm right) is
-    nonzero; None when all pass."""
+    """The error of points of I_a at orbit index `index` (or None) with
+    exact gaps (dl, dr, ...), first point first: l_a itself (for a log
+    roof), else the first gap within the hard cutoff whose constant (cp
+    left, cm right) is nonzero; None when all pass."""
     if spec.has_log_singularity and gaps[0] == (0, 0):
         # the model is undefined on {l_a}; constant roofs have no
         # singular set and evaluate everywhere
-        return RoofDomainError("evaluation at the singular point l_%s "
-                               "(orbit index %d)" % (a, index))
+        msg = "evaluation at the singular point l_%s" % a
+        if index is not None:
+            msg += " (orbit index %d)" % index
+        return RoofDomainError(msg)
     cut = spec.hard_cutoff
     for k, gap in enumerate(gaps):
         if (cm if k % 2 else cp) and _sign(
@@ -266,12 +251,27 @@ def _orbit_error(orbit: IntegerOrbit, spec: RoofSpec, a, index, cp, cm,
     return None
 
 
+def _checked_gaps(iet: Iet, spec: RoofSpec, x, orbit_index):
+    """(a, dl, dr): the interval I_a of x and the correctly rounded gaps
+    x - l_a and r_a - x, once x passes `_orbit_error`'s checks."""
+    orbit = IntegerOrbit(iet, x)
+    i = orbit.interval_index()
+    a = iet.perm.top[i]
+    (lp, lq), (rp, rq) = orbit.lefts[i], orbit.cuts[i]
+    gaps = ((orbit.p - lp, orbit.q - lq), (rp - orbit.p, rq - orbit.q))
+    error = _orbit_error(orbit, spec, a, orbit_index, spec.cplus[a],
+                         spec.cminus[a], gaps)
+    if error is not None:
+        raise error
+    return (a, *map(orbit.to_float, gaps))
+
+
 def _point_terms(iet: Iet, spec: RoofSpec, x, orbit_index=None):
-    a, dl, dr = _distances(iet, spec, as_scalar(x), orbit_index)
+    a, dl, dr = _checked_gaps(iet, spec, x, orbit_index)
     ((f, err),), df, derr, _ = roof_terms(
         float(spec.c0), np.array([float(spec.cplus[a])]),
         np.array([float(spec.cminus[a])]),
-        [(np.array([float(dl)]), np.array([float(dr)]), None, None)])
+        [(np.array([dl]), np.array([dr]), None, None)])
     return [v.item() for v in (f, err, df, derr)]
 
 
@@ -288,15 +288,14 @@ def eval_roof_derivative(iet: Iet, spec: RoofSpec, x, orbit_index=None) -> RoofV
 def eval_roof_second_derivative(iet: Iet, spec: RoofSpec, x,
                                 orbit_index=None) -> RoofValue:
     """f''(x) = Cplus_a/(x - l_a)^2 + Cminus_a/(r_a - x)^2 on I_a."""
-    x = as_scalar(x)
-    a, dl, dr = _distances(iet, spec, x, orbit_index)
+    a, dl, dr = _checked_gaps(iet, spec, x, orbit_index)
     cp = float(spec.cplus[a])
     cm = float(spec.cminus[a])
     val = 0.0
     if cp:
-        val += cp / float(dl) ** 2
+        val += cp / dl ** 2
     if cm:
-        val += cm / float(dr) ** 2
+        val += cm / dr ** 2
     return RoofValue(val, _EPS * abs(val) + 1e-300)
 
 

@@ -113,8 +113,10 @@ def records_to_jsonl(records) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
-def series_to_csv(rows, header, precision: int = 17) -> str:
-    """CSV with an explicit precision column for the numeric fields."""
+def series_to_csv(rows, header) -> str:
+    """CSV with a precision column: floats are written by repr, the
+    shortest string that reads back as the same float (at most 17
+    significant digits)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header) + ["precision_digits"])
@@ -125,5 +127,5 @@ def series_to_csv(rows, header, precision: int = 17) -> str:
                 formatted.append(repr(item))
             else:
                 formatted.append(item)
-        writer.writerow(formatted + [precision])
+        writer.writerow(formatted + [17])
     return buf.getvalue()

@@ -322,7 +322,7 @@ class TestPrtyConditions:
         system = towers(accel.trace, n_next)
         tallest = max(system.towers, key=lambda t: t.height)
         mid = (tallest.base_left + tallest.base_right) * F(1, 2)
-        rep = prty_conditions(accel, spec, mid, ell, xi=0.992, eps=0.2)
+        rep = prty_conditions(accel, spec, mid, ell, xi=0.992)
         assert rep.forward_ok
         # the scale is small, so only the slack-free lower edge is asserted;
         # the full rows are reported for inspection
@@ -338,13 +338,13 @@ class TestPrtyConditions:
         dist = 1.0 / (4 * q * math.log(q) ** 0.992)
         iet = accel.trace.base
         x = iet.left("B") + ExactScalar(F(dist).limit_denominator(10 ** 12))
-        rep = prty_conditions(accel, spec, x, ell, xi=0.992, eps=0.2)
+        rep = prty_conditions(accel, spec, x, ell, xi=0.992)
         assert not rep.forward_ok
 
     def test_constant_roof_vacuous(self):
         accel = golden_accel()
         spec = constant_roof(accel.trace.base)
-        rep = prty_conditions(accel, spec, F(2, 9), 6, xi=0.992, eps=0.2)
+        rep = prty_conditions(accel, spec, F(2, 9), 6, xi=0.992)
         if rep.forward_ok:
             for _, ratio, ok in rep.forward_bounds:
                 assert ratio == 0.0 and ok
@@ -354,7 +354,7 @@ class TestPrtyConditions:
         spec = asymmetric_log_roof(accel.trace.base)
         ell = 7
         # generic point: both sides usually satisfy the bound at this scale
-        rep = prty_conditions(accel, spec, F(41, 89), ell, xi=0.992, eps=0.2)
+        rep = prty_conditions(accel, spec, F(41, 89), ell, xi=0.992)
         assert rep.forward_ok or rep.backward_ok
         if rep.backward_ok:
             assert rep.backward_bounds

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -293,3 +294,92 @@ class TestParserReuse:
 
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
+
+
+class TestEveryFlagIsRead:
+    # one small argv per subcommand
+    ARGV = {
+        ("iet", "eval"): "--x 1/3",
+        ("iet", "keane"): "--depth 5",
+        ("rv", "induct"): "--steps 3",
+        ("rv", "towers"): "--at 3",
+        ("rv", "accel"): "--steps 10 --lbar-max 4",
+        ("zip", "backward"): "--steps 2",
+        ("flow", "orbit"): "--t 1 --x 1/3",
+        ("flow", "birkhoff"): "--x 1/3 --r 5",
+        ("bs", "growth"): "--r-grid 50 --points 1 --steps 30",
+        ("bs", "sigma-sets"): "--l-max 2 --steps 20",
+        ("dc", "mixing"): "--depth 3 --steps 20",
+        ("dc", "ratner"): "--depth 3 --steps 20",
+        ("dc", "summability"): "--depth 3 --steps 30 --window-len 0",
+        ("ratner", "witness"): "--eps 0.2 --pairs 1 --steps 30 "
+                               "--rate-floor 0",
+        ("ratner", "forbac"): "--l-range 6..6 --grid 3 --steps 30",
+        ("mix", "correlate"): "--t 1 --samples 100",
+    }
+
+    @staticmethod
+    def _subcommands():
+        from ietflow import cli
+
+        groups = cli.build_parser()._subparsers._group_actions[0].choices
+        return [((group, name), leaf)
+                for group, sub in groups.items()
+                for name, leaf in
+                sub._subparsers._group_actions[0].choices.items()]
+
+    @staticmethod
+    def _recording_namespace():
+        """A namespace and the set of attribute names read from it; the
+        config echo's `vars(args)` reads only `__dict__`, which is not
+        recorded."""
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("__"):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        return Recording(), reads
+
+    def test_argv_for_every_subcommand(self):
+        assert sorted(key for key, _ in self._subcommands()) == \
+            sorted(self.ARGV)
+
+    @pytest.mark.parametrize("key", sorted(ARGV), ids=" ".join)
+    def test_every_registered_flag_is_read(self, key, tmp_path, capsys):
+        from ietflow import cli
+
+        leaf = dict(self._subcommands())[key]
+        dests = {a.dest for a in leaf._actions if a.dest != "help"}
+        args, reads = self._recording_namespace()
+        argv = [*key, *self.ARGV[key].split(), "--log",
+                str(tmp_path / "exp.jsonl")]
+        cli.build_parser().parse_args(argv, namespace=args)
+        reads.clear()           # parsing reads every dest
+        assert cli._run(args) == 0
+        capsys.readouterr()
+        assert (tmp_path / "exp.jsonl").exists()
+        assert dests - {"func", "group", "cmd"} - reads == set()
+
+    @pytest.mark.parametrize("argv", [
+        "iet eval --x 1/3 --csv", "rv induct --steps 2 --csv",
+        "ratner witness --eps 0.2 --pairs 1 --csv",
+        "bs sigma-sets --l-max 2 --tau 2", "bs growth --window asucons",
+        "bs growth --lbar 2",
+        "mix correlate --t 1 --samples 10 --tau 1.01"])
+    def test_flags_a_command_does_not_read_are_refused(self, argv, capsys):
+        from ietflow import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_precision_variable_changes_nothing(self, monkeypatch):
+        argv = ("bs", "sigma-sets", "--l-max", "2", "--steps", "10", "--csv")
+        plain = run_cli(*argv)
+        monkeypatch.setenv("IETFLOW_PRECISION", "5")
+        assert run_cli(*argv).stdout == plain.stdout
+        assert plain.stdout.splitlines()[1].endswith(",17")
