@@ -8,7 +8,8 @@ returns its exit code, its record payload and its induction trace, and
 full configuration echo, the seed, and a fingerprint of the induction type
 word, so that a record replays bit-for-bit for exact outputs.
 
-Exit codes: 0 ok, 1 a requested check failed, 2 usage error.
+Exit codes: 0 ok, 1 a requested check failed, 2 usage error; `_run`
+reports each error as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import kernels
-from .birkhoff import sigma_set
+from .birkhoff import ExactHitError, sigma_set
 from .diophantine import (
     IndeterminateComparison,
     ParamWindowError,
@@ -33,7 +34,7 @@ from .diophantine import (
     validate_params,
 )
 from .exact import ExactScalar
-from .iet import Iet, keane_check
+from .iet import Iet, ReturnBudgetError, keane_check
 from .rauzy import InductionTrace, RVUndefinedError, select_accel_times, towers
 from .ratner import (
     BumpObservable,
@@ -45,7 +46,8 @@ from .ratner import (
     mixing_correlation,
     witness_run,
 )
-from .roof import _advance, birkhoff_sum, roof_area
+from .roof import (FlowStepBudgetError, SingularityTooClose, _advance,
+                   birkhoff_sum, roof_area)
 from .serialize import (
     load_iet,
     load_roof,
@@ -196,13 +198,7 @@ def cmd_iet_keane(args):
 def cmd_rv_induct(args):
     iet = _load_iet(args)
     trace = InductionTrace(iet)
-    try:
-        records = list(trace_records(trace, args.steps))
-    except RVUndefinedError as exc:
-        print(json.dumps({"error": "RVUndefined", "detail": str(exc),
-                          "depth_reached": trace.depth}))
-        return 1, None, None
-    out = records_to_jsonl(records)
+    out = records_to_jsonl(list(trace_records(trace, args.steps)))
     sys.stdout.write(out)
     return 0, {"steps": args.steps,
                "sha256": hashlib.sha256(out.encode()).hexdigest()}, trace
@@ -383,13 +379,8 @@ def cmd_dc_ratner(args):
 
 def cmd_dc_summability(args):
     params, trace, accel = _dc_setup(args)
-    try:
-        out = summability_partial(accel, params, args.depth,
-                                  window_len=args.window_len)
-    except IndeterminateComparison as exc:
-        print(json.dumps({"error": "IndeterminateComparison",
-                          "detail": str(exc)}))
-        return 1, None, None
+    out = summability_partial(accel, params, args.depth,
+                              window_len=args.window_len)
     payload = {"depth": out.depth, "window": out.window_len,
                "members": out.members, "non_members": out.non_members,
                "sum_sigma_eta": out.sum_sigma_eta,
@@ -471,6 +462,17 @@ def cmd_mix_correlate(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses a flag it does not take with its
+    own usage line, rather than pass it up to the top parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ietflow",
@@ -478,8 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "induction and special flows with log singularities.")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    g_iet = sub.add_parser("iet", help="evaluate and check IETs")
-    s = g_iet.add_subparsers(dest="cmd", required=True)
+    def group(name, what):
+        return sub.add_parser(name, help=what).add_subparsers(
+            dest="cmd", required=True, parser_class=_CommandParser)
+
+    s = group("iet", "evaluate and check IETs")
     p = s.add_parser("eval")
     _add_common(p)
     p.add_argument("--x", required=True, help="exact point, e.g. 1/3")
@@ -490,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=100)
     p.set_defaults(func=cmd_iet_keane)
 
-    g_rv = sub.add_parser("rv", help="Rauzy-Veech induction")
-    s = g_rv.add_subparsers(dest="cmd", required=True)
+    s = group("rv", "Rauzy-Veech induction")
     p = s.add_parser("induct")
     _add_common(p)
     p.add_argument("--steps", type=int, required=True)
@@ -507,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lbar-max", dest="lbar_max", type=int, required=True)
     p.set_defaults(func=cmd_rv_accel)
 
-    g_zip = sub.add_parser("zip", help="zippered rectangles")
-    s = g_zip.add_subparsers(dest="cmd", required=True)
+    s = group("zip", "zippered rectangles")
     p = s.add_parser("backward")
     _add_common(p)
     p.add_argument("--steps", type=int, required=True)
@@ -516,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="off-boundary nudge for the seed suspension datum")
     p.set_defaults(func=cmd_zip_backward)
 
-    g_flow = sub.add_parser("flow", help="special flow over the IET")
-    s = g_flow.add_subparsers(dest="cmd", required=True)
+    s = group("flow", "special flow over the IET")
     p = s.add_parser("orbit")
     _add_common(p, roof=True)
     p.add_argument("--t", type=float, required=True)
@@ -531,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivative", action="store_true")
     p.set_defaults(func=cmd_flow_birkhoff)
 
-    g_bs = sub.add_parser("bs", help="Birkhoff-sum diagnostics")
-    s = g_bs.add_subparsers(dest="cmd", required=True)
+    s = group("bs", "Birkhoff-sum diagnostics")
     p = s.add_parser("growth")
     _add_common(p, csv=True, roof=True, induction=True)
     p.add_argument("--r-grid", dest="r_grid", default="1000,3000,10000")
@@ -545,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", dest="l_max", type=int, required=True)
     p.set_defaults(func=cmd_bs_sigma_sets)
 
-    g_dc = sub.add_parser("dc", help="Diophantine-condition diagnostics")
-    s = g_dc.add_subparsers(dest="cmd", required=True)
+    s = group("dc", "Diophantine-condition diagnostics")
     for name, func in (("mixing", cmd_dc_mixing), ("ratner", cmd_dc_ratner),
                        ("summability", cmd_dc_summability)):
         p = s.add_parser(name)
@@ -559,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "scales)")
         p.set_defaults(func=func)
 
-    g_rat = sub.add_parser("ratner", help="switchable-Ratner witness")
-    s = g_rat.add_subparsers(dest="cmd", required=True)
+    s = group("ratner", "switchable-Ratner witness")
     p = s.add_parser("witness")
     _add_common(p, roof=True, window=True)
     p.add_argument("--eps", type=float, required=True)
@@ -579,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.2)
     p.set_defaults(func=cmd_ratner_forbac)
 
-    g_mix = sub.add_parser("mix", help="Monte-Carlo mixing probes")
-    s = g_mix.add_subparsers(dest="cmd", required=True)
+    s = group("mix", "Monte-Carlo mixing probes")
     p = s.add_parser("correlate")
     _add_common(p, roof=True)
     p.add_argument("--t", type=float, required=True)
@@ -611,32 +609,35 @@ def main(argv=None) -> int:
     return _run(_parser().parse_args(argv))
 
 
+#: Package errors that fail a run (exit 1), reported by their type name
+_FAILURES = (IndeterminateComparison, FlowStepBudgetError,
+             SingularityTooClose, ReturnBudgetError, ExactHitError)
+
+
 def _run(args) -> int:
-    """Run the command of parsed `args`, report its errors, and append its
-    record under --log (none for a payload of None)."""
+    """Run the command of parsed `args`, append its record under --log
+    (none for a payload of None), and report its errors on stderr."""
     try:
         code, payload, trace = args.func(args)
         if args.log and payload is not None:
             _log_record(args, payload, trace)
         return code
     except ParamWindowError as exc:
-        print(json.dumps({"error": "usage", "field": exc.constraint,
-                          "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except IndeterminateComparison as exc:
-        print(json.dumps({"error": "IndeterminateComparison",
-                          "detail": str(exc)}), file=sys.stderr)
-        return 1
+        error, code = {"error": "usage", "field": exc.constraint,
+                       "detail": str(exc)}, 2
+    except RVUndefinedError as exc:
+        error, code = {"error": "RVUndefined", "detail": str(exc),
+                       "depth_reached": exc.depth}, 1
     except PairSamplingError as exc:
-        print(json.dumps({"error": "PairSamplingError",
-                          "requested": exc.requested, "found": exc.found,
-                          "max_tries": exc.max_tries, "detail": str(exc)}),
-              file=sys.stderr)
-        return 1
+        error, code = {"error": "PairSamplingError",
+                       "requested": exc.requested, "found": exc.found,
+                       "max_tries": exc.max_tries, "detail": str(exc)}, 1
+    except _FAILURES as exc:
+        error, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
     except (FileNotFoundError, ValueError) as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
+        error, code = {"error": "usage", "detail": str(exc)}, 2
+    print(json.dumps(error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -163,7 +163,6 @@ class _Walk(NamedTuple):
     big: int                # the largest translation numerator
     tt: list                # translation numerators, negated backward
     t64: Optional[list]     # as int64 arrays, where they fit
-    table: object           # the IET's itinerary table, or None
     top_of_b: np.ndarray
 
 
@@ -283,10 +282,9 @@ class Iet:
         """The `rauzy.ItineraryTable` of this IET (computed once), or None
         where it has none: on Q, without float tables, or where the
         induction stops before every tower is `_SEGMENT` floors tall.  Its
-        build walks orbits of this IET, which find no table meanwhile."""
+        build walks no orbit."""
         if self._towers is None:
             from .rauzy import build_itinerary_table
-            self._towers = (None,)
             self._towers = (build_itinerary_table(self),)
         return self._towers[0]
 
@@ -430,10 +428,10 @@ class IntegerOrbit:
 
     Segments: `segment(k)` takes k steps at once, each point bit for bit
     what the one-step methods leave; `ratner._pair_walk`,
-    `roof.BirkhoffCursor`, the exact flow, `keane_check`,
-    `first_return_map` and `rauzy.build_itinerary_table` walk so.  Their
-    interval indices J come first, then every other output from J by array
-    operations.
+    `roof.BirkhoffCursor`, the exact flow, `keane_check` and
+    `first_return_map` walk so.  Their interval indices J come first, then
+    `follow(J)` gives every other output from J by array operations;
+    `rauzy.build_itinerary_table` follows each tower's word so.
 
     J comes from one of three sources.  Where the shadow re-syncs (on
     Q(sqrt d) with float tables) and the IET has an itinerary table
@@ -446,10 +444,10 @@ class IntegerOrbit:
     This J is the exact itinerary, so no locate needs certifying.  On Q
     the shadow is the exact numerator, so bisection on the integer
     cuts is the exact locate: `_orbit_pass` gives J with no certificate.
-    Elsewhere on Q(sqrt d) (no float tables, or an IET whose induction
-    stops before its towers are that tall, and the table's own build)
-    `_stepped` locates one step at a time by `_locate`, the certified
-    locate of the one-step methods.
+    Elsewhere on Q(sqrt d), that is without float tables or on an IET
+    whose induction stops before its towers are that tall, `_stepped`
+    locates one step at a time by `_locate`, the certified locate of the
+    one-step methods.
 
     From a re-sync xerr grows by 2 units a step, exact multiples of the
     power of two `unit`, so one array holds the bounds of a run of up to
@@ -633,14 +631,10 @@ class IntegerOrbit:
             sdt = object if self.field is None else np.float64
             big = max(abs(v) for t in trans for v in t)
             tt = [[sign * t[c] for t in trans] for c in (0, 1)]
-            table = None
-            if 0 < self.unit < math.inf and \
-                    self.iet.integer_tables()[1] is not None:
-                table = self.iet.itinerary_table()
             walk = self._walks[forward] = _Walk(
                 cuts, fcuts, ftrans, np.array(ftrans, sdt), big, tt,
                 [np.array(t, np.int64) for t in tt] if big < 2 ** 63
-                else None, table, np.array(self.top_of_b))
+                else None, np.array(self.top_of_b))
         return walk
 
     def _itinerary(self, table, k: int, forward: bool):
@@ -688,16 +682,18 @@ class IntegerOrbit:
     def _stepped(self, walk, k: int) -> np.ndarray:
         """The indices of the next k steps of `segment` (bottom order
         backward) by the certified one-step locate `_locate`, the orbit
-        moved along each step as the one-step methods move it, its step
-        count aside."""
+        moved along each step as the one-step methods move it and then
+        back to where it was."""
         cuts, fcuts, ftrans, tp, tq = (walk.cuts, walk.fcuts, walk.ftrans,
                                        *walk.tt)
+        start = self.p, self.q, self.xf, self.xerr
         js = array("q", bytes(8 * k))
         for n in range(k):
             js[n] = j = self._locate(fcuts, cuts)
             self.p += tp[j]
             self.q += tq[j]
             self._shift(ftrans[j])
+        self.p, self.q, self.xf, self.xerr = start
         return np.frombuffer(js, np.int64)
 
     def segment(self, k: int, forward: bool = True) -> tuple:
@@ -705,8 +701,24 @@ class IntegerOrbit:
         (i, xf, xerr, dp, dq) over the points visited: top-order interval
         indices, shadows, their error bounds and exact pairs less the pair
         before the first step.  Forward visits x .. T^(k-1) x before each
-        step, backward T^-1 x .. T^-k x after each step."""
-        unit, field = self.unit, self.field
+        step, backward T^-1 x .. T^-k x after each step.  Then `follow`."""
+        walk = self._walk(forward)
+        table = (self.iet.itinerary_table() if 0 < self.unit < math.inf
+                 else None)
+        if table is not None:
+            J = self._itinerary(table, k, forward)
+        elif self.field is None:
+            J = _orbit_pass(k, self.xf, walk.fcuts, walk.ftrans,
+                            len(walk.cuts) - 1)
+        else:
+            J = self._stepped(walk, k)
+        return self.follow(J, forward)
+
+    def follow(self, J: np.ndarray, forward: bool = True) -> tuple:
+        """Take the steps of the orbit's own int64 interval indices J (top
+        order forward, bottom order backward) and return what `segment`
+        does: cumsums along J of the exact and the float translations."""
+        unit, field, k = self.unit, self.field, len(J)
         walk = self._walk(forward)
         sdt = object if field is None else np.float64
         if k * walk.big < 2 ** 63:
@@ -717,12 +729,6 @@ class IntegerOrbit:
         p, q, xf = self.p, self.q, self.xf
         # xerr = a units at the first point of a run
         a = round(self.xerr / unit) if resyncs else 1
-        if walk.table is not None:
-            J = self._itinerary(walk.table, k, forward)
-        elif field is None:
-            J = _orbit_pass(k, xf, walk.fcuts, walk.ftrans, len(walk.cuts) - 1)
-        else:
-            J = self._stepped(walk, k)
         X, E = np.empty(k + 1, sdt), np.empty(k + 1, sdt)
         dp, dq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
         for o, t in ((dp, tp), (dq, tq)):
@@ -847,8 +853,8 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     decides its side of the cut where it is more than its error bound plus
     two units away from the cut's float (on Q: the numerators, exactly);
     elsewhere `exact._sign` decides.  Over Q(sqrt d) the segments read the
-    IET's itinerary table, which `rauzy.build_itinerary_table` builds by
-    Rauzy-Veech steps but checks floor by floor against the intervals of
+    IET's itinerary table, whose towers `rauzy.towers` lays along the
+    Rauzy-Veech words but checks floor by floor against the intervals of
     T, so the oracle still rests on T alone.
     """
     if not (ExactScalar(0) < cut and cut <= iet.total):

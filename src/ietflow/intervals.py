@@ -63,9 +63,6 @@ class IntervalUnion:
             return self.parts[i]
         return None
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.parts + other.parts)
-
     def clip(self, lo, hi) -> "IntervalUnion":
         lo = as_scalar(lo)
         hi = as_scalar(hi)
@@ -107,10 +104,12 @@ def neighborhood(center, radius) -> tuple:
 
 def pullback_union(iet: Iet, base: IntervalUnion,
                    count: int) -> IntervalUnion:
-    """Union of T^(-i)(base) for 0 <= i <= count, clipped to the interval."""
+    """Union of T^(-i)(base) for 0 <= i <= count, clipped to the interval.
+    Only the base needs clipping: a preimage part is cut to an image
+    interval T(I_a) and moved back into I_a, so it lies in [0, total]."""
     acc = list(base.clip(0, iet.total).parts)
     cur = base
     for _ in range(count):
         cur = cur.preimage(iet)
-        acc.extend(cur.clip(0, iet.total).parts)
+        acc.extend(cur.parts)
     return IntervalUnion(acc)

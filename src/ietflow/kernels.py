@@ -52,18 +52,19 @@ class FloatTables:
 
 
 def float_tables(iet: Iet, spec: RoofSpec) -> FloatTables:
+    """The kernels' tables: the IET's correctly rounded `Iet.float_tables`
+    as arrays and the roof's constants; ValueError where the IET has none
+    (a total length outside the float range they keep)."""
+    tables = iet.float_tables()
+    if tables is None:
+        raise ValueError("no float tables for an IET of total length %s"
+                         % iet.total.to_string())
+    rights, lefts, trans, rights_b, trans_b = map(np.array, tables)
     top = iet.perm.top
-    bottom = iet.perm.bottom
-    rights = np.array([float(iet.right(a)) for a in top])
-    lefts = np.array([float(iet.left(a)) for a in top])
-    trans = np.array([float(iet.translation(a)) for a in top])
-    rights_b = np.array([float(iet.right_image(a)) for a in bottom])
-    trans_b = np.array([float(iet.translation(a)) for a in bottom])
-    c0 = float(spec.c0)
     cp = np.array([float(spec.cplus[a]) for a in top])
     cm = np.array([float(spec.cminus[a]) for a in top])
-    return FloatTables(rights, lefts, trans, rights_b, trans_b, c0, cp, cm,
-                       float(iet.total))
+    return FloatTables(rights, lefts, trans, rights_b, trans_b,
+                       float(spec.c0), cp, cm, tables[0][-1])
 
 
 def roof_values(tables: FloatTables, x, module=None):

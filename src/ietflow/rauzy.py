@@ -6,11 +6,11 @@ intervals; the longer one (the winner) absorbs the length of the shorter
 interval.  Each step emits the SL(d,Z) matrix B with lambda = B lambda',
 so products of step matrices transport lengths and (transposed) heights.
 The executable ground truth is `first_return_map` in `iet.py`: tests check
-every step against directly iterated return times.  Over Q(sqrt d) its
-orbits are read off the IET's itinerary table, which is built here by
-Rauzy-Veech steps; `build_itinerary_table` checks every floor of it
-against the intervals of T itself, so the oracle does not rest on
-`rv_step`.
+every step against directly iterated return times.  `towers` lays each
+Rohlin tower's floors along its word, read off the steps, and checks each
+floor against the intervals of T itself; over Q(sqrt d) the oracle reads
+its orbits off the IET's itinerary table, built from those towers, so it
+does not rest on `rv_step`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,15 @@ from typing import Optional
 import numpy as np
 
 from .exact import (ZERO, ExactScalar, _reduce, _sign, exact_dot, exact_max,
-                    exact_min, quadratic_float)
+                    exact_min)
 from .iet import _SEGMENT, Iet, IetDomainError, IntegerOrbit, Permutation
 
 
 class RVUndefinedError(ValueError):
-    """Last top and bottom intervals have equal length (Keane failure)."""
+    """Last top and bottom intervals have equal length (Keane failure).
+    `depth` is the step at which `InductionTrace.extend` met it."""
+
+    depth = None
 
 
 class MatrixDomainError(ValueError):
@@ -177,9 +180,13 @@ class InductionTrace:
         return len(self._moves)
 
     def extend(self, n: int) -> "InductionTrace":
-        """Extend the trace to n steps (RVUndefinedError propagates)."""
+        """Extend the trace to n steps; RVUndefinedError carries its depth."""
         while self.depth < n:
-            nxt, _, step_type, (w, l) = rv_step(self._iets[-1])
+            try:
+                nxt, _, step_type, (w, l) = rv_step(self._iets[-1])
+            except RVUndefinedError as exc:
+                exc.depth = self.depth
+                raise
             self._iets.append(nxt)
             self._moves.append((w, l))
             self._types.append(step_type)
@@ -241,8 +248,17 @@ class InductionTrace:
     def interval_length(self, n: int) -> ExactScalar:
         return self.iet(n).total
 
-    def lengths(self, n: int):
-        return self.iet(n).lengths
+    def words(self, n: int) -> list:
+        """Per tower at step n, alphabet order, the top-order indices of the
+        intervals of T its floors lie in, floor 0 first: a step with winner
+        w and loser l puts w's word after l's (top) or before it (bottom)."""
+        self.extend(n)
+        perm = self.base.perm
+        words = [(perm.top.index(a),) for a in perm.alphabet]
+        for (w, l), step_type in zip(self._moves[:n], self._types):
+            words[l] = (words[l] + words[w] if step_type == "top"
+                        else words[w] + words[l])
+        return words
 
     def check_cocycle(self, n: int) -> bool:
         """lambda^(0) = B^(0,n) lambda^(n), exactly."""
@@ -265,19 +281,21 @@ class Tower:
     The floors are kept as integer pairs over the common denominator `den`
     of the base IET, a pair (P, Q) standing for (P + Q sqrt(field))/den:
     the left end of every floor (`lefts`, floor 0 first) and the width
-    they share.  Reading `floors`, `base_left` or `base_right` builds
-    ExactScalars.
+    they share.  `word` holds the top-order index of the interval of T
+    each floor lies in.  Reading `floors`, `base_left` or `base_right`
+    builds ExactScalars.
     """
 
-    __slots__ = ("label", "lefts", "width", "den", "field")
+    __slots__ = ("label", "lefts", "width", "den", "field", "word")
 
     def __init__(self, label: str, lefts, width: tuple, den: int,
-                 field=None):
+                 field=None, word=()):
         self.label = label
         self.lefts = tuple(lefts)
         self.width = width
         self.den = den
         self.field = field
+        self.word = word
 
     @property
     def height(self) -> int:
@@ -369,31 +387,33 @@ def _base_pairs(ind: Iet, den: int) -> dict:
 
 
 def towers(trace: InductionTrace, n: int) -> TowerSystem:
-    """Exact tower system at step n; partition invariant verified on return.
-
-    One IntegerOrbit of the base IET walks every tower, moved to each
-    tower's base; a floor below the top must lie inside one continuity
-    interval.  The step-n lengths are integer combinations of the base
-    lengths, so every floor is an integer pair over the base's common
-    denominator.
-    """
-    trace.extend(n)
+    """Exact tower system at step n, with no orbit walked: floor 0 is
+    I^(n)_a and each next floor the last moved by the translation its word
+    (`InductionTrace.words`) names.  Every floor, the top one included,
+    must lie inside the interval of T its word names (else IetDomainError)
+    and the floors must partition the interval (else AssertionError).
+    Floors are integer pairs over the base IET's common denominator."""
+    words = trace.words(n)
     base_iet = trace.base
-    heights = trace.heights(n)
-    orbit = IntegerOrbit(base_iet, ZERO)
-    bases = _base_pairs(trace.iet(n), orbit.den)
+    den, field, rights, lefts, trans = base_iet.integer_tables()[:5]
+    if field is None:
+        rights, lefts, trans = ([(c, 0) for c in t]
+                                for t in (rights, lefts, trans))
+    bases = _base_pairs(trace.iet(n), den)
     out = []
-    for idx, a in enumerate(base_iet.perm.alphabet):
-        left, (wp, wq) = bases[a]
-        orbit.move_to(left)
-        lefts = [left]
-        for _ in range(heights[idx] - 1):
-            i = orbit.interval_index()
-            if orbit.pair_less(orbit.cuts[i], (orbit.p + wp, orbit.q + wq)):
-                raise IetDomainError("interval crosses a discontinuity")
-            orbit.step_forward(i)
-            lefts.append((orbit.p, orbit.q))
-        out.append(Tower(a, lefts, (wp, wq), orbit.den, orbit.field))
+    for a, word in zip(base_iet.perm.alphabet, words):
+        (p, q), (wp, wq) = bases[a]
+        floors = []
+        for j in word:
+            (lp, lq), (rp, rq), (tp, tq) = lefts[j], rights[j], trans[j]
+            # a pair with no negative entry is no negative value
+            dp, dq, ep, eq = p - lp, q - lq, rp - wp - p, rq - wq - q
+            if (dp < 0 or dq < 0) and _sign(dp, dq, field) < 0 or \
+                    (ep < 0 or eq < 0) and _sign(ep, eq, field) < 0:
+                raise IetDomainError("tower floor crosses a discontinuity")
+            floors.append((p, q))
+            p, q = p + tp, q + tq
+        out.append(Tower(a, floors, (wp, wq), den, field, word))
     system = TowerSystem(out, base_iet.total, n)
     if not system.check_partition():
         raise AssertionError("tower floors do not partition the interval")
@@ -406,8 +426,9 @@ _TABLE_FLOORS = 1 << 16
 
 
 class ItineraryTable:
-    """The Rohlin towers of an IET over Q(sqrt d) as arrays: the orbit
-    itineraries that `IntegerOrbit.segment` reads.
+    """The Rohlin towers of an IET over Q(sqrt d) as arrays (`towers` at
+    the table's `step`): the orbit itineraries that `IntegerOrbit.segment`
+    reads.
 
     Floors are numbered tower by tower in alphabet order, floor 0 first:
     tower a holds floors starts[a] .. ends[a] - 1.  Per floor g: `word[g]`,
@@ -461,80 +482,54 @@ def _offset(base: int, off):
     return off.astype(object) + base
 
 
-def _check_floors(t: ItineraryTable, iet: Iet, tol) -> None:
-    """Raise unless every floor g of `t`, the top floors included, lies
-    inside the interval of T it is walked by: l_j <= L_g and L_g + w <= r_j
-    for j = word[g], L_g its left end and w its width.  The floor's shadow
-    decides an end where it is more than tol[g] (its error bound plus two
-    units) from the float of l_j or r_j, `_sign` decides the rest."""
-    den, field, rights, lefts = iet.integer_tables()[:4]
-    frights, flefts = (np.array(f) for f in iet.float_tables()[:2])
-    fw = np.repeat([quadratic_float(wp, wq, den, field)
-                    for wp, wq in t.widths], t.heights)
-    j, fl = t.word, t.fl
-    near = (fl - flefts[j] <= tol) | (frights[j] - (fl + fw) <= tol)
-    for g in np.flatnonzero(near).tolist():
-        lp, lq, i = t.lp.item(g), t.lq.item(g), j.item(g)
-        wp, wq = t.widths[bisect_right(t.starts, g) - 1]
-        if _sign(lp - lefts[i][0], lq - lefts[i][1], field) < 0 or \
-                _sign(rights[i][0] - lp - wp, rights[i][1] - lq - wq,
-                      field) < 0:
-            raise AssertionError("tower floor crosses a discontinuity")
-
-
 def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     """The towers of `iet` at the first induction step n where each is at
     least `_SEGMENT` floors tall, as an `ItineraryTable`; None on Q,
     without float tables, when a step is undefined, or past
     `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
 
-    Each tower base is walked by one `IntegerOrbit.segment` of its height
-    (by certified one-step locates, as the IET has no table yet): its
-    indices are the word, the base plus its exact offsets the floors' left
-    ends and its shadows and bounds certify their order.  Every floor is
-    checked to lie inside the interval of T its word names
-    (`_check_floors`), as `towers` checks floor by floor, and the floors'
-    chain exactly as `TowerSystem.check_partition` does: a wrong base or
-    width refuses the table with AssertionError.  `Iet.itinerary_table`
-    calls this once per IET."""
-    den, field, cuts = iet.integer_tables()[:3]
+    The words, floors and widths are those of `towers`, which checks every
+    floor against the intervals of T and their partition: a wrong base or
+    width refuses the table with its error.  One `IntegerOrbit.follow` of
+    each word from its tower's base gives the floors' left ends, shadows
+    and error bounds, which certify the floors' order, and the exit.  No
+    orbit is walked.  `Iet.itinerary_table` calls this once per IET."""
+    den, field = iet.integer_tables()[:2]
     if field is None or iet.float_tables() is None:
         return None
-    ind, heights, n = iet, [1] * iet.perm.d, 0
-    while min(heights) < _SEGMENT:
-        if n == _TABLE_STEPS or sum(heights) > _TABLE_FLOORS:
-            return None
-        try:
-            ind, _, _, (w, l) = rv_step(ind)
-        except RVUndefinedError:
-            return None
-        heights[l] += heights[w]
-        n += 1
-    if sum(heights) > _TABLE_FLOORS:
+    trace = InductionTrace(iet)
+    try:
+        n = next((n for n in range(_TABLE_STEPS + 1)
+                  if min(trace.heights(n)) >= _SEGMENT
+                  or sum(trace.heights(n)) > _TABLE_FLOORS), None)
+    except RVUndefinedError:
         return None
+    if n is None or sum(trace.heights(n)) > _TABLE_FLOORS:
+        return None
+    heights = trace.heights(n)
+    system = towers(trace, n)
     orbit = IntegerOrbit(iet, ZERO)
-    bases = _base_pairs(ind, den)
     t = ItineraryTable()
-    t.den, t.field, t.step, t.heights = den, field, n, tuple(heights)
+    t.den, t.field, t.step, t.heights = den, field, n, heights
     t.ends = tuple(np.cumsum(heights).tolist())
     t.starts = (0,) + t.ends[:-1]
     t.widths, t.exits, t.fexits = [], [], []
-    words, lps, lqs, fls, fes = [], [], [], [], []
-    for a, h in zip(iet.perm.alphabet, heights):
-        (bp, bq), width = bases[a]
+    lps, lqs, fls, fes = [], [], [], []
+    for tower in system.towers:
+        bp, bq = tower.lefts[0]
         orbit.move_to((bp, bq))
-        word, xf, xerr, dp, dq = orbit.segment(h)
-        words.append(word)
+        _, xf, xerr, dp, dq = orbit.follow(np.array(tower.word, np.int64))
         lps.append(_offset(bp, dp))
         lqs.append(_offset(bq, dq))
         fls.append(xf)
         fes.append(xerr)
-        t.widths.append(width)
+        t.widths.append(tower.width)
         t.exits.append((orbit.p, orbit.q))
         t.fexits.append(orbit.xf)
     perm = iet.perm
     idt = np.int8 if perm.d < 128 else np.int64
-    t.word = np.concatenate(words).astype(idt)
+    t.word = np.array([j for tower in system.towers for j in tower.word],
+                      idt)
     t.bword = np.array([perm.bottom.index(a) for a in perm.top],
                        idt)[t.word]
     t.lp, t.lq = np.concatenate(lps), np.concatenate(lqs)
@@ -544,18 +539,6 @@ def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     if not (np.diff(fs) > fe[1:] + fe[:-1] + orbit.unit).all():
         return None
     t.fsorted, t.order = fs, order.astype(np.int32)
-    _check_floors(t, iet, np.concatenate(fes) + 2 * orbit.unit)
-    # from 0 each floor's right end is the next floor's left end, up to
-    # the total length
-    for left, c in ((t.lp, 0), (t.lq, 1)):
-        width = [w[c] for w in t.widths]
-        left = left[order]
-        if left.dtype == object or max(map(abs, width)) >= 2 ** 62:
-            left, width = left.astype(object), np.array(width, object)
-        right = left + np.repeat(width, heights)[order]
-        if left[0] or right[-1] != cuts[-1][c] or \
-                (left[1:] != right[:-1]).any():
-            raise AssertionError("tower floors do not partition the interval")
     return t
 
 

@@ -245,6 +245,109 @@ class TestAnalysisCommands:
         assert all(line["lower_ok"] and line["upper_ok"] for line in lines)
 
 
+class TestErrorReports:
+    """`_run` reports every error of a run as one JSON object on stderr."""
+
+    HALF = "top = A B\nbottom = B A\nlengths = 1/2 1/2\n"
+
+    @pytest.mark.parametrize("argv", [
+        "rv induct --steps 3", "bs sigma-sets --l-max 2",
+        "bs growth --points 1 --r-grid 10",
+        "ratner witness --eps 0.2 --pairs 1",
+        "ratner forbac --l-range 1..1 --grid 1"])
+    def test_undefined_induction_fails_each_command_alike(self, argv,
+                                                          tmp_path, capsys):
+        from ietflow import cli
+
+        iet_file = tmp_path / "half.iet"
+        iet_file.write_text(self.HALF)
+        code = cli.main(argv.split() + ["--iet", str(iet_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert json.loads(captured.err) == {
+            "error": "RVUndefined",
+            "detail": "last top and bottom intervals both have length 1/2",
+            "depth_reached": 0}
+
+    def test_depth_rides_on_the_error(self):
+        from ietflow.exact import ExactScalar
+        from ietflow.iet import Iet, Permutation
+        from ietflow.rauzy import InductionTrace, RVUndefinedError
+
+        # 3/8 1/8 1/2 on A B C / C B A: a top step (1/2 > 3/8) leaves
+        # C at 1/8, equal to B
+        iet = Iet(Permutation("ABC", "CBA"),
+                  [ExactScalar.parse(v) for v in ("3/8", "1/8", "1/2")])
+        trace = InductionTrace(iet)
+        with pytest.raises(RVUndefinedError) as exc:
+            trace.extend(5)
+        assert exc.value.depth == trace.depth == 1
+
+    def test_flow_step_budget_is_reported(self, monkeypatch, capsys):
+        import functools
+
+        from ietflow import cli, roof
+
+        monkeypatch.setattr(cli, "_advance",
+                            functools.partial(roof._advance, max_steps=50))
+        code = cli.main(["flow", "orbit", "--x", "1/3", "--t", "1e9"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        err = json.loads(captured.err)
+        assert err["error"] == "FlowStepBudgetError"
+        assert err["detail"].startswith("flow advance exceeded 50 steps")
+
+    @pytest.mark.parametrize("name", [
+        "IndeterminateComparison", "SingularityTooClose",
+        "ReturnBudgetError", "ExactHitError"])
+    @pytest.mark.parametrize("argv,target", [
+        ("flow birkhoff --x 1/3 --r 4", "birkhoff_sum"),
+        ("dc summability --depth 4 --steps 30 --window-len 0",
+         "summability_partial")])
+    def test_package_errors_are_reported_by_type(self, name, argv, target,
+                                                 monkeypatch, capsys,
+                                                 tmp_path):
+        from ietflow import cli
+        from ietflow.birkhoff import ExactHitError
+        from ietflow.diophantine import IndeterminateComparison
+        from ietflow.exact import ExactScalar
+        from ietflow.iet import ReturnBudgetError
+        from ietflow.roof import SingularityTooClose
+
+        exc = {"IndeterminateComparison": IndeterminateComparison("tied"),
+               "SingularityTooClose": SingularityTooClose("A", "left", 0.0),
+               "ReturnBudgetError": ReturnBudgetError(
+                   ExactScalar(0), ExactScalar(1), 9),
+               "ExactHitError": ExactHitError(3, ExactScalar(0))}[name]
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        log = tmp_path / "exp.jsonl"
+        code = cli.main(argv.split() + ["--log", str(log)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, log.exists()) == (1, "", False)
+        assert json.loads(captured.err) == {"error": name,
+                                            "detail": str(exc)}
+
+    @pytest.mark.parametrize("argv,extras", [
+        ("bs sigma-sets --l-max 2 --tau 2", "--tau 2"),
+        ("dc mixing --depth 5 --nope", "--nope")])
+    def test_unknown_flag_shows_the_subcommand_usage(self, argv, extras,
+                                                     capsys):
+        from ietflow import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        err = capsys.readouterr().err
+        command = "ietflow " + " ".join(argv.split()[:2])
+        assert exc.value.code == 2
+        assert err.startswith("usage: %s [-h]" % command)
+        assert err.endswith("%s: error: unrecognized arguments: %s\n"
+                            % (command, extras))
+
+
 class TestParserReuse:
     SEQUENCE = (
         ["rv", "towers", "--at", "4", "--log", "{log}"],

@@ -46,12 +46,15 @@ CASES = [
     "bs growth --r-grid 50,150 --points 2 --steps 30 --seed 2 --csv",
     "bs sigma-sets --l-max 4 --steps 20",
     "bs sigma-sets --l-max 4 --steps 20 --csv",
+    "bs sigma-sets --l-max 2 --iet {tmp}/half.iet",
+    "bs sigma-sets --l-max 2 --tau 2",
     "dc mixing --depth 5 --steps 20",
     "dc mixing --depth 5 --steps 20 --csv",
     "dc mixing --depth 40 --steps 10 --csv",
     "dc mixing --depth 5 --tau 2",
     "dc mixing --depth 5 --nope",
     "dc mixing --steps 20",
+    "dc mixing --depth 5 --iet {tmp}/half.iet",
     "dc ratner --depth 4 --steps 20",
     "dc ratner --depth 4 --steps 20 --csv",
     "dc ratner --depth 0 --steps 8",

@@ -10,6 +10,7 @@ from ietflow import _core_py, kernels, ratner
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (asymmetric_log_roof, bounded_type_3iet,
                               constant_roof, golden_rotation)
+from ietflow.iet import Iet, Permutation
 from ietflow.ratner import BumpObservable
 from ietflow.roof import (BirkhoffCursor, FlowDomainError, FlowPoint,
                           FlowStepBudgetError, RoofSpec, eval_roof, flow)
@@ -159,6 +160,36 @@ def masked_sample_flow_space(iet, spec, n, rng):
             x[mask] = left + lam * u if from_left else right - lam * u
     fx = kernels.roof_values(kernels.float_tables(iet, spec), x)
     return x, rng.uniform(0.0, 1.0, n) * fx, fx
+
+
+def rational_3iet():
+    return Iet(Permutation("ABC", "CAB"), [F(1, 7), F(2, 5), F(16, 35)])
+
+
+@pytest.mark.parametrize("make_iet", [golden_rotation, bounded_type_3iet,
+                                      rational_3iet])
+def test_float_tables_are_the_rounded_endpoints(make_iet):
+    # the IET's cached tables: each float the correct rounding of its
+    # exact endpoint or translation
+    iet = make_iet()
+    tables = kernels.float_tables(iet, constant_roof(iet))
+    top, bottom = iet.perm.top, iet.perm.bottom
+    for got, want in (
+            (tables.rights, [iet.right(a) for a in top]),
+            (tables.lefts, [iet.left(a) for a in top]),
+            (tables.trans, [iet.translation(a) for a in top]),
+            (tables.rights_b, [iet.right_image(a) for a in bottom]),
+            (tables.trans_b, [iet.translation(a) for a in bottom])):
+        assert got.dtype == np.float64
+        assert got.tolist() == [float(v) for v in want]
+    assert tables.total == float(iet.total)
+
+
+def test_float_tables_refuse_an_iet_past_the_float_range():
+    huge = ExactScalar(2 ** 900)
+    iet = Iet(Permutation("AB", "BA"), [huge, 3 * huge])
+    with pytest.raises(ValueError, match="total length %d" % (4 * 2 ** 900)):
+        kernels.float_tables(iet, constant_roof(iet))
 
 
 @pytest.fixture(scope="module")

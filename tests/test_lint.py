@@ -1,5 +1,6 @@
 """Stdlib lint of the package: no module imports a name it never uses
-(the re-exports of `__init__.py` excepted)."""
+(the re-exports of `__init__.py` excepted), and every private function
+and method is used somewhere in the package outside its own body."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,78 @@ def test_lint_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+class _Uses(ast.NodeVisitor):
+    """The private functions and methods a module defines, and the names
+    it reads outside the body of the function of the same name."""
+
+    def __init__(self):
+        self.defined, self.used, self._inside = set(), set(), []
+
+    def visit_Module(self, node):
+        for child in node.body:
+            if isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) and \
+                            _is_private(item.name):
+                        self.defined.add(item.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and _is_private(child.name):
+                self.defined.add(child.name)
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _read(self, name: str):
+        if name not in self._inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        # an import of a private name from another module is a use of it
+        self._read(node.name)
+
+
+def unused_private(sources: dict) -> list:
+    """(module, name) of every private module-level function or method
+    that no module of `sources` (name -> source) reads outside its own
+    body."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        uses = _Uses()
+        uses.visit(ast.parse(source))
+        defined += [(module, name) for name in sorted(uses.defined)]
+        used |= uses.used
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_lint_finds_an_unused_private_function():
+    sources = {"a": "def _kept():\n    return _kept()\n\n"
+                    "def _used():\n    pass\n\n"
+                    "class C:\n    def _m(self):\n        self._m()\n"
+                    "    def __len__(self):\n        return 0\n",
+               "b": "from a import _used\n"}
+    assert unused_private(sources) == [("a", "_kept"), ("a", "_m")]
+
+
+def test_every_private_function_is_used():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private(sources) == []

@@ -103,6 +103,24 @@ class TestForbac:
         assert not rep.forward_ok
         assert rep.backward_ok
 
+    @pytest.mark.parametrize("shift,holds", [(-5, "backward"),
+                                             (5, "forward")])
+    def test_planted_violator_holds_the_other_way(self, shift, holds):
+        # x's orbit hits within c/(2 q_{l+L}) of l_B five steps ahead
+        # (shift -5) or five steps back (shift 5)
+        accel = golden_accel()
+        params = golden_params()
+        iet = accel.trace.base
+        ell = 8
+        thr = F(1, 6) / params.nu / accel.q(ell + params.L)
+        target = iet.left("B") + ExactScalar(thr / 2)
+        rep = forbac_scan(accel, iet.iterate(target, shift), ell, params)
+        assert rep.which_holds == holds
+        assert dataclasses.replace(rep, forward_ok=True,
+                                   backward_ok=True).which_holds == "both"
+        assert dataclasses.replace(rep, forward_ok=False,
+                                   backward_ok=False).which_holds == "neither"
+
     def test_margin_precondition(self):
         accel = golden_accel()
         with pytest.raises(WitnessPreconditionError):
@@ -212,6 +230,28 @@ class TestWitness:
         assert res.verdict == "failed"
         assert res.p in (-1, 1)
         assert res.max_deviation == pytest.approx(1.0, abs=1e-9)
+
+    def test_sign_change_of_the_derivative_sums_is_a_tie(self,
+                                                            monkeypatch):
+        # the walk's derivative sums made to change sign on the window:
+        # no shift p is admissible, in either direction
+        accel, spec, cfg = witness_setup()
+        walk = ratner._pair_walk
+
+        def flipped(*args, **kwargs):
+            checkpoints, straddle, deriv = walk(*args, **kwargs)
+            v, e, d = checkpoints[-1]
+            return checkpoints[:-1] + [(v, e, -d)], straddle, deriv
+
+        monkeypatch.setattr(ratner, "_pair_walk", flipped)
+        res = sr_pair_test(accel, spec, cfg, F(41, 100),
+                           F(41, 100) + F(1, 10 ** 5))
+        assert (res.verdict, res.failure_kind, res.p) == ("failed", "tie", 0)
+        assert res.max_deviation == res.max_separation == math.inf
+        assert [a[:2] for a in res.attempts] == [("forward", False),
+                                                 ("backward", False)]
+        assert res.failure_reason == ("derivative sum changes sign on the "
+                                      "window (tie)")
 
     def test_straddling_pair_reported(self):
         accel, spec, cfg = witness_setup()

@@ -23,7 +23,8 @@ from ietflow.fixtures import (
     constant_roof,
     golden_rotation,
 )
-from ietflow.iet import _SEGMENT, Iet, IntegerOrbit, Permutation
+from ietflow.iet import (_SEGMENT, Iet, IetDomainError, IntegerOrbit,
+                         Permutation)
 from ietflow.ratner import _pair_walk
 from ietflow.rauzy import InductionTrace, towers
 from ietflow.roof import (
@@ -428,27 +429,39 @@ def test_table_matches_the_towers(make):
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
-def test_table_floors_are_checked_against_the_cuts(make):
+def test_table_floors_are_checked_against_the_cuts(monkeypatch, make):
     # every floor, the top floors included, must lie inside the interval
-    # of T its word names, at the floor's full width
+    # of T its word names, at the floor's full width: `towers` refuses a
+    # wrong word or width, and so the table
     iet = make()
-    table = rauzy.build_itinerary_table(iet)
-    unit = IntegerOrbit(iet, 0).unit
-    tol = np.full(table.ends[-1], (iet_module._SHADOW_RESYNC + 3) * unit)
-    rauzy._check_floors(table, iet, tol)
+    trace = InductionTrace(iet)
+    n = iet.itinerary_table().step
+    words, bases = trace.words(n), rauzy._base_pairs
     d = iet.perm.d
-    for a in range(d):
-        for g in (table.starts[a], table.ends[a] - 1):
-            j = table.word[g]
-            table.word[g] = (j + 1) % d
-            with pytest.raises(AssertionError, match="discontinuity"):
-                rauzy._check_floors(table, iet, tol)
-            table.word[g] = j
-        wp, wq = width = table.widths[a]
-        table.widths[a] = (wp + 1, wq)
-        with pytest.raises(AssertionError, match="discontinuity"):
-            rauzy._check_floors(table, iet, tol)
-        table.widths[a] = width
+    for a, label in enumerate(iet.perm.alphabet):
+        for g in (0, len(words[a]) - 1):
+            wrong = list(words)
+            word = list(wrong[a])
+            word[g] = (word[g] + 1) % d
+            wrong[a] = tuple(word)
+            monkeypatch.setattr(InductionTrace, "words",
+                                lambda self, n, wrong=wrong: wrong)
+            with pytest.raises(IetDomainError, match="discontinuity"):
+                towers(trace, n)
+            with pytest.raises(IetDomainError, match="discontinuity"):
+                rauzy.build_itinerary_table(iet)
+        monkeypatch.undo()
+
+        def wider(ind, den, label=label):
+            out = bases(ind, den)
+            left, (wp, wq) = out[label]
+            out[label] = left, (wp + 1, wq)
+            return out
+
+        monkeypatch.setattr(rauzy, "_base_pairs", wider)
+        with pytest.raises(IetDomainError, match="discontinuity"):
+            towers(trace, n)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
@@ -467,7 +480,7 @@ def test_table_from_a_wrong_induction_is_refused(monkeypatch, make):
         return Iet(new.perm, lengths), matrix, kind, wl
 
     monkeypatch.setattr(rauzy, "rv_step", wrong_step)
-    with pytest.raises(AssertionError, match="discontinuity"):
+    with pytest.raises(IetDomainError, match="discontinuity"):
         rauzy.build_itinerary_table(iet)
 
 
@@ -537,6 +550,25 @@ def test_tower_segments_match_one_steps(monkeypatch, make, forward):
     assert not steps
 
 
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
+                                  thin_3iet])
+def test_backward_segment_ending_below_a_tower_base(monkeypatch, make):
+    # from floor f of a tower, f + 1 backward steps follow the reversed
+    # word down to floor 0 and end with the one locate below the base
+    iet = make()
+    table = iet.itinerary_table()
+    below = spy_on(monkeypatch, iet_module, "_first_above")
+    for a in range(iet.perm.d):
+        for f in (0, 5):
+            g = table.starts[a] + f
+            x = ExactScalar(F(table.lp.item(g), table.den),
+                            F(table.lq.item(g), table.den), table.field)
+            del below[:]
+            IntegerOrbit(iet, x).segment(f + 1, False)
+            assert len(below) == 1
+            assert_segments_match_steps(iet, x, (f + 1,), False)
+
+
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
 def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
     iet = make()
@@ -546,15 +578,14 @@ def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
     reads = spy_on(monkeypatch, IntegerOrbit, "_itinerary")
     x = ExactScalar(F(41, 100))
     y = x + ExactScalar(F(1, 10 ** 5))
-    built, segments = None, 0
+    segments = 0
     for forward in (True, False):
         straddle = _pair_walk(iet, spec, x, y, 10770, 18, forward)[1]
         table = iet.itinerary_table()
         assert table is not None and len(builds) == 1
-        # the build walks each tower by one-steps; the witness walk reads
-        # every one of its 2048-step segments off the table
-        built = len(steps) if built is None else built
-        assert built and len(steps) == built
+        # the build takes no one-step; the witness walk reads every one of
+        # its 2048-step segments off the table
+        assert not steps
         end = 10788 if straddle is None else straddle + 1
         segments += -(-end // _SEGMENT)
         assert len(reads) == segments
