@@ -21,9 +21,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
-from . import kernels
+from . import fixtures, kernels
 from .birkhoff import ExactHitError, sigma_set
 from .diophantine import (
     IndeterminateComparison,
@@ -38,6 +37,7 @@ from .iet import Iet, ReturnBudgetError, keane_check
 from .rauzy import InductionTrace, RVUndefinedError, select_accel_times, towers
 from .ratner import (
     BumpObservable,
+    SAMPLE_TRIES,
     PairSamplingError,
     WitnessConfig,
     forbac_scan,
@@ -51,8 +51,6 @@ from .roof import (FlowStepBudgetError, SingularityTooClose, _advance,
 from .serialize import (
     load_iet,
     load_roof,
-    loads_iet,
-    loads_roof,
     records_to_jsonl,
     series_to_csv,
     trace_records,
@@ -60,22 +58,16 @@ from .serialize import (
 from .zippered import ZipperedRectangles, backward_rv_step, generic_tau
 
 
-def _bundled(name: str) -> str:
-    return resources.files("ietflow").joinpath("data", name).read_text()
-
-
 def _load_iet(args) -> Iet:
     if args.iet:
         return load_iet(args.iet)
-    return loads_iet(_bundled("golden_rotation.iet"))
+    return fixtures.golden_rotation()
 
 
 def _load_roof(args, iet: Iet):
     if args.roof:
         return load_roof(args.roof, iet)
-    name = ("asymmetric_roof.roof" if iet.perm.d == 2
-            else "asymmetric_roof3.roof")
-    return loads_roof(_bundled(name), iet)
+    return fixtures.asymmetric_log_roof(iet)
 
 
 def _emit(payload):
@@ -154,7 +146,7 @@ def _add_common(parser, csv=False, roof=False, induction=False,
     Flags are matched whole, so one a command does not take is refused
     rather than read as a longer one (--tau as --tau-prime on bs)."""
     parser.allow_abbrev = False
-    parser.add_argument("--iet", help="IET file (default: bundled golden "
+    parser.add_argument("--iet", help="IET file (default: the golden "
                                       "rotation)")
     parser.add_argument("--log", help="append an experiment record to this "
                                       "JSONL file")
@@ -162,8 +154,8 @@ def _add_common(parser, csv=False, roof=False, induction=False,
         parser.add_argument("--csv", action="store_true",
                             help="emit CSV series instead of JSON lines")
     if roof:
-        parser.add_argument("--roof", help="roof file (default: bundled "
-                                           "asymmetric single-log roof)")
+        parser.add_argument("--roof", help="roof file (default: "
+                                           "fixtures.asymmetric_log_roof)")
     if induction or window:
         for flag, options, windowed in _INDUCTION_FLAGS:
             if window or not windowed:
@@ -293,7 +285,9 @@ def cmd_bs_growth(args):
     rng = _random.Random(args.seed)
     rows = []
     sampled = 0
-    while sampled < args.points:
+    for _ in range(SAMPLE_TRIES):
+        if sampled >= args.points:
+            break
         x = Fraction(rng.randrange(10 ** 6 // 20, 10 ** 6 * 19 // 20), 10 ** 6)
         try:
             reports = [derivative_growth_check(accel, spec, x, r,
@@ -306,6 +300,9 @@ def cmd_bs_growth(args):
         for rep in reports:
             rows.append((str(x), rep.r, rep.ell, rep.oriented_ratio,
                          rep.lower_ok, rep.upper_ok, rep.used_UV_slack))
+    if sampled < args.points:
+        # Sigma covers the sampling range at some scale of the grid
+        raise PairSamplingError(args.points, sampled, SAMPLE_TRIES)
     _rows(["x", "r", "ell", "oriented_ratio", "lower_ok", "upper_ok",
            "used_UV_slack"], rows, args.csv)
     ok = all(row[4] and row[5] for row in rows)

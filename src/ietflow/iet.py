@@ -143,20 +143,22 @@ def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
     return last
 
 
-def _orbit_pass(k: int, xf: int, fcuts, ftrans, last: int) -> np.ndarray:
-    """The indices of k steps on Q from the point of numerator xf, by
-    bisection of the integer cuts `fcuts`: the shadow is the exact
-    numerator there, so this is the exact locate."""
+def _orbit_pass(k: int, p: int, pcuts, tp, last: int) -> np.ndarray:
+    """The indices of k steps on Q from the point of numerator p, by
+    bisection of the cuts' numerators `pcuts`, moved by the translation
+    numerators `tp`: the exact locate, with no certificate."""
     js = array("q", bytes(8 * k))
     for n in range(k):
-        js[n] = j = bisect_right(fcuts, xf, 0, last)
-        xf += ftrans[j]
+        js[n] = j = bisect_right(pcuts, p, 0, last)
+        p += tp[j]
     return np.frombuffer(js, np.int64)
 
 
 class _Walk(NamedTuple):
-    """The tables of one direction of `IntegerOrbit.segment`."""
+    """The tables of one direction of `IntegerOrbit.segment`: exact pairs,
+    their numerators and their float shadows."""
     cuts: tuple             # right ends, top (bottom) order, integer pairs
+    pcuts: tuple            # their numerators P, the exact cuts on Q
     fcuts: tuple            # their shadows
     ftrans: list            # shadow translations, negated backward
     ft: np.ndarray          # ftrans as an array
@@ -404,13 +406,9 @@ class IntegerOrbit:
     value, which makes it provably the exact decision; otherwise the exact
     sign test `exact._sign` decides.
 
-    On Q every pair is (P, 0), so the shadow works on the numerators: the
-    tables hold the P of each entry, `xf` is the P of the point and `xerr`
-    = `unit` = 0; every lookup is an exact integer bisection, and only a
-    point exactly on a cut falls back to `exact._sign`.
-
-    On Q(sqrt d) the tables are the correctly rounded floats of
-    `Iet.float_tables`.  Every value involved lies below 2H, with H a power
+    On Q, as on Q(sqrt d), the tables are the correctly rounded floats of
+    `Iet.float_tables` (on Q every pair is (P, 0)), so the shadow has one
+    format on every field.  Every value involved lies below 2H, with H a power
     of two above the total length, so each table entry and each rounded sum
     or difference of two of them is off by at most half of `unit` =
     H 2^-52.  A step adds two units to `xerr` (translation entry and sum);
@@ -433,17 +431,17 @@ class IntegerOrbit:
     `follow(J)` gives every other output from J by array operations;
     `rauzy.build_itinerary_table` follows each tower's word so.
 
-    J comes from one of three sources.  Where the shadow re-syncs (on
-    Q(sqrt d) with float tables) and the IET has an itinerary table
+    J comes from one of three sources.  On Q bisection on the cuts'
+    numerators (kept in `_Walk`) is the exact locate: `_orbit_pass` gives
+    J with no certificate.  On Q(sqrt d), where the shadow re-syncs (with
+    float tables) and the IET has an itinerary table
     (`Iet.itinerary_table`: its Rohlin towers at the first induction step
     where each is `_SEGMENT` floors tall), J is read off the towers
     (`_itinerary`).  An exact locate gives the point's tower and floor,
     and the next points follow that tower's word up to its top, where the
     point is located again; backward, the reversed word below the floor in
     bottom order, then at floor 0 one `_first_above` on the bottom cuts.
-    This J is the exact itinerary, so no locate needs certifying.  On Q
-    the shadow is the exact numerator, so bisection on the integer
-    cuts is the exact locate: `_orbit_pass` gives J with no certificate.
+    This J is the exact itinerary, so no locate needs certifying.
     Elsewhere on Q(sqrt d), that is without float tables or on an IET
     whose induction stops before its towers are that tall, `_stepped`
     locates one step at a time by `_locate`, the certified locate of the
@@ -478,25 +476,15 @@ class IntegerOrbit:
                 field = s.d
         k = den // den0
         if rational:
-            # tables of numerators P: these are the shadow tables on Q
-            if k > 1:
-                tables = [tuple([c * k for c in t]) for t in tables]
-            shadow = tables
-            zeros = (0,) * len(tables[0])
-            tables = [tuple(zip(t, zeros)) for t in tables]
+            # the tables of Q hold numerators P: pairs (P, 0)
+            tables = [tuple([(c * k, 0) for c in t]) for t in tables]
         elif k > 1:
             tables = [tuple([(p * k, q * k) for p, q in t]) for t in tables]
         self.den = den
         self.field = field
         self.cuts, self.lefts, self.trans, self.cuts_b, self.trans_b = tables
         self.top_of_b = tuple(map(iet.perm.top.index, iet.perm.bottom))
-        if field is None:
-            # on Q every pair is (P, 0): the numerators are the tables and
-            # the shadow, with no error
-            (self.frights, self.flefts, self.ftrans, self.frights_b,
-             self.ftrans_b) = shadow
-            self.unit = 0
-        elif iet.float_tables() is not None:
+        if iet.float_tables() is not None:
             (self.frights, self.flefts, self.ftrans, self.frights_b,
              self.ftrans_b) = iet.float_tables()
             self.unit = math.ldexp(1.0, math.frexp(self.frights[-1])[1] - 52)
@@ -522,12 +510,7 @@ class IntegerOrbit:
                                   self.iet.total.to_string()))
         self.p, self.q = p, q
         self.steps = 0
-        if self.field is None:
-            self.xf = p
-        elif self.unit == math.inf:
-            self.xf = 0.0
-        else:
-            self.xf = self.to_float()
+        self.xf = 0.0 if self.unit == math.inf else self.to_float()
         self.xerr = self.unit
 
     def _pair(self, s: ExactScalar):
@@ -628,11 +611,11 @@ class IntegerOrbit:
                 else (self.cuts_b, self.frights_b, self.trans_b,
                       self.ftrans_b))
             ftrans = [sign * t for t in ftrans]
-            sdt = object if self.field is None else np.float64
             big = max(abs(v) for t in trans for v in t)
             tt = [[sign * t[c] for t in trans] for c in (0, 1)]
             walk = self._walks[forward] = _Walk(
-                cuts, fcuts, ftrans, np.array(ftrans, sdt), big, tt,
+                cuts, tuple(c for c, _ in cuts), fcuts, ftrans,
+                np.array(ftrans, np.float64), big, tt,
                 [np.array(t, np.int64) for t in tt] if big < 2 ** 63
                 else None, np.array(self.top_of_b))
         return walk
@@ -703,33 +686,31 @@ class IntegerOrbit:
         before the first step.  Forward visits x .. T^(k-1) x before each
         step, backward T^-1 x .. T^-k x after each step.  Then `follow`."""
         walk = self._walk(forward)
-        table = (self.iet.itinerary_table() if 0 < self.unit < math.inf
-                 else None)
-        if table is not None:
-            J = self._itinerary(table, k, forward)
-        elif self.field is None:
-            J = _orbit_pass(k, self.xf, walk.fcuts, walk.ftrans,
+        if self.field is None:
+            J = _orbit_pass(k, self.p, walk.pcuts, walk.tt[0],
                             len(walk.cuts) - 1)
         else:
-            J = self._stepped(walk, k)
+            table = (self.iet.itinerary_table() if self.unit < math.inf
+                     else None)
+            J = (self._stepped(walk, k) if table is None
+                 else self._itinerary(table, k, forward))
         return self.follow(J, forward)
 
     def follow(self, J: np.ndarray, forward: bool = True) -> tuple:
         """Take the steps of the orbit's own int64 interval indices J (top
         order forward, bottom order backward) and return what `segment`
         does: cumsums along J of the exact and the float translations."""
-        unit, field, k = self.unit, self.field, len(J)
+        unit, k = self.unit, len(J)
         walk = self._walk(forward)
-        sdt = object if field is None else np.float64
         if k * walk.big < 2 ** 63:
             odt, (tp, tq) = np.int64, walk.t64
         else:
             odt, (tp, tq) = object, (np.array(t, object) for t in walk.tt)
-        resyncs = 0 < unit < math.inf
+        resyncs = unit < math.inf
         p, q, xf = self.p, self.q, self.xf
         # xerr = a units at the first point of a run
         a = round(self.xerr / unit) if resyncs else 1
-        X, E = np.empty(k + 1, sdt), np.empty(k + 1, sdt)
+        X, E = np.empty(k + 1), np.empty(k + 1)
         dp, dq = np.zeros(k + 1, odt), np.zeros(k + 1, odt)
         for o, t in ((dp, tp), (dq, tq)):
             np.cumsum(t[J], out=o[1:])
@@ -737,17 +718,17 @@ class IntegerOrbit:
         while n0 < k:
             full = (_SHADOW_RESYNC - a) // 2 + 1 if resyncs else k
             m = min(full, k - n0)
-            np.multiply(np.arange(a, a + 2 * m, 2, dtype=sdt), unit,
+            np.multiply(np.arange(a, a + 2 * m, 2, dtype=np.float64), unit,
                         out=E[n0:n0 + m])
             Jm = J[n0:n0 + m]
-            np.cumsum(np.concatenate((np.array([xf], sdt), walk.ft[Jm[:-1]])),
+            np.cumsum(np.concatenate(((xf,), walk.ft[Jm[:-1]])),
                       out=X[n0:n0 + m])
             xf_next = X.item(n0 + m - 1) + walk.ftrans[Jm.item(-1)]
             n0 += m
             # the next run starts at a re-sync, as `_shift` makes it
             if resyncs and m == full:
                 xf, a = quadratic_float(p + dp.item(n0), q + dq.item(n0),
-                                        self.den, field), 1
+                                        self.den, self.field), 1
             else:
                 xf, a = xf_next, a + 2 * m
         X[k] = self.xf = xf
@@ -849,9 +830,9 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
 
     This is the convention-free oracle against which the Rauzy-Veech step
     is validated.  The orbit is walked by `_segments`, the first
-    `_FIRST_SEGMENT` points long, as most returns are.  A point's shadow
-    decides its side of the cut where it is more than its error bound plus
-    two units away from the cut's float (on Q: the numerators, exactly);
+    `_FIRST_SEGMENT` points long, as most returns are.  A point's float
+    shadow (on Q as on Q(sqrt d)) decides its side of the cut where it is
+    more than its error bound plus two units away from the cut's float;
     elsewhere `exact._sign` decides.  Over Q(sqrt d) the segments read the
     IET's itinerary table, whose towers `rauzy.towers` lays along the
     Rauzy-Veech words but checks floor by floor against the intervals of
@@ -867,11 +848,10 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
             raise IetDomainError("start point outside the inducing interval")
         orbit = IntegerOrbit(iet, x, extra=[cut])
         cp, cq = bound = orbit.pair_of(cut)
-        unit, field = orbit.unit, orbit.field
-        # the cut on the shadow's scale; with no shadow (unit infinite)
-        # every point is left to the exact test
-        fcut = (cp if field is None else
-                orbit.to_float(bound) if unit < math.inf else 0.0)
+        unit = orbit.unit
+        # the cut's float; with no shadow (unit infinite) every point is
+        # left to the exact test
+        fcut = orbit.to_float(bound) if unit < math.inf else 0.0
         for s0, p, q, (_, X, E, dp, dq) in _segments(orbit, last, _FIRST_SEGMENT):
             tol = E + 2 * unit
             # the points not provably at or above the cut, in orbit order
@@ -880,7 +860,7 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
                     continue
                 pair = (p + dp.item(n), q + dq.item(n))
                 if fcut - X[n] > tol[n] or \
-                        _sign(pair[0] - cp, pair[1] - cq, field) < 0:
+                        _sign(pair[0] - cp, pair[1] - cq, orbit.field) < 0:
                     return orbit.value(pair), s0 + n
         raise ReturnBudgetError(x, cut, max_steps)
 

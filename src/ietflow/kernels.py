@@ -13,7 +13,8 @@ dispatched here, over the float tables of `float_tables`:
   the closest approach of one float orbit segment to a set of points.
 
 `flow_points` checks the flow-space domain 0 <= x < total, 0 <= y < f(x)
-here, before dispatch, so both backends refuse a stray sample alike.
+and the flow time here, before dispatch, so both backends refuse a stray
+sample or a non-finite t alike.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
     0 <= x < total, 0 <= y < f(x) (f by the same backend's roof values, or
     the given array `f` of them, which a caller that has just computed
     them passes); FlowStepBudgetError when one would need more than
-    max_steps jumps; ValueError unless x and y are 1-d and of one length.
+    max_steps jumps; ValueError unless x and y are 1-d and of one length
+    and t is finite.
     """
     mod = module or impl
     x = np.asarray(x, dtype=np.float64)
@@ -90,6 +92,8 @@ def flow_points(tables: FloatTables, x, y, t: float, max_steps: int = 10 ** 6,
     if x.ndim != 1 or y.shape != x.shape:
         raise ValueError("flow_points takes 1-d x and y of one length, not "
                          "shapes %s and %s" % (x.shape, y.shape))
+    if not math.isfinite(t):
+        raise ValueError("flow time t = %r is not finite" % t)
     _require_flow_space(tables, x, y, mod, f)
     try:
         return mod.flow_points(tables.rights, tables.trans, tables.rights_b,

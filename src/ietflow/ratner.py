@@ -43,6 +43,10 @@ class WitnessPreconditionError(ValueError):
         super().__init__(msg)
 
 
+#: Draws a rejection sampler makes before it gives up with PairSamplingError.
+SAMPLE_TRIES = 100000
+
+
 class PairSamplingError(RuntimeError):
     """Sampling found fewer good pairs than asked for within max_tries."""
 
@@ -371,11 +375,13 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     Shadow gates pick the steps needing exact work (a straddle, the
     singular point, the cutoff, on both points), visited in step order.
 
+    The shadow, its bound and every gate are floats on Q as on Q(sqrt d).
     Up to the straddle y's gaps are dl + delta and dr - delta, and both
-    roofs are `roof_terms` of the two points: on Q from exact numerators;
-    on Q(sqrt d) x's gaps are the shadow's, within e = xerr + unit of the
-    exact ones (xerr, the table entry's half unit and the difference's
-    rounding), and y's those -/+ the float of delta, within e + unit.
+    roofs are `roof_terms` of the two points: on Q from the correctly
+    rounded exact gaps (the walk's one branch on the field); on Q(sqrt d)
+    x's gaps are the shadow's, within e = xerr + unit of the exact ones
+    (xerr, the table entry's half unit and the difference's rounding), and
+    y's those -/+ the float of delta, within e + unit.
     Delta_n = S_n(f)(x) - S_n(f)(y) carries a rigorous radius: both
     evaluation radii, the gap radius `rad` and twice the rounding bound of
     each difference and each summation step (which also covers a later
@@ -390,23 +396,15 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     S_n(f')(x) at the last n reached.
     """
     orbit = IntegerOrbit(iet, x, extra=[y])
-    field, den, unit = orbit.field, orbit.den, orbit.unit
+    field, unit = orbit.field, orbit.unit
     d0, d1 = orbit.pair_of(y)
     delta = d0 - orbit.p, d1 - orbit.q
     top = iet.perm.top
     cps = np.array([float(spec.cplus[a]) for a in top])
     cms = np.array([float(spec.cminus[a]) for a in top])
-    singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
-    rational = field is None
-    if rational:
-        # delta and the cutoff as numerators, exact: the shadow, xerr and
-        # every gate are Python ints, of any size
-        df, cut = delta[0], cutoff.numerator * den // cutoff.denominator
-        sdt = object
-    else:
-        df, cut = orbit.to_float(delta), float(cutoff)
-        sdt = np.float64
-    fr, fl = np.array(orbit.frights, sdt), np.array(orbit.flefts, sdt)
+    singular, cut = spec.has_log_singularity, float(spec.hard_cutoff)
+    df = orbit.to_float(delta)
+    fr, fl = np.array(orbit.frights), np.array(orbit.flefts)
     sign = 1 if forward else -1
     s = err = ds = 0.0
     checkpoints, n0, end = [], 0, M + L
@@ -438,7 +436,7 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
                 raise error
         # the terms of x and y, on the steps before the stop
         cp_n, cm_n = cps[i[:stop]], cms[i[:stop]]
-        if rational:
+        if field is None:
             points = [(None, None, None, exact), (None, None, None, yexact)]
         else:
             e = xerr[:stop] + unit
@@ -613,7 +611,7 @@ def witness_run(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
 
 
 def sample_good_pairs(accel: AccelTimes, spec: RoofSpec, cfg: WitnessConfig,
-                      count: int, gap, max_tries: int = 100000,
+                      count: int, gap, max_tries: int = SAMPLE_TRIES,
                       good_region: Optional[GoodRegion] = None):
     """Deterministic sample of good pairs (x, x + gap) inside the good set.
 

@@ -325,7 +325,8 @@ class BirkhoffCursor:
     minima and `hit` but not for the sums or `steps`.
 
     Every decision is exact and every value the one a walk point by point
-    makes, on the segments of `IntegerOrbit.segment`.  A shadow gap is
+    makes, on the segments of `IntegerOrbit.segment`, whose shadows are
+    floats on Q as on Q(sqrt d).  A shadow gap is
     within xerr + 2 units of the exact gap, so two gaps whose shadows differ
     by more than both bounds plus one unit compare as their shadows do: a
     segment's smallest gap is found exactly among those few, first index
@@ -341,9 +342,8 @@ class BirkhoffCursor:
         self.spec = spec
         self.forward = forward
         orbit = self.orbit = IntegerOrbit(iet, x)
-        sdt = object if orbit.field is None else np.float64
-        self._fl = np.array(orbit.flefts, sdt)
-        self._fr = np.array(orbit.frights, sdt)
+        self._fl = np.array(orbit.flefts)
+        self._fr = np.array(orbit.frights)
         if spec is not None:
             top = iet.perm.top
             self._cp = np.array([float(spec.cplus[a]) for a in top])
@@ -379,10 +379,7 @@ class BirkhoffCursor:
         gaps = (xf - self._fl[i], self._fr[i] - xf)
         stop, error = k, None
         if spec is not None and spec.has_log_singularity:
-            cut = spec.hard_cutoff
-            # on Q the gaps are exact numerators
-            gate = gerr + unit + float(cut) if orbit.field else \
-                cut.numerator * orbit.den // cut.denominator
+            gate = gerr + unit + float(spec.hard_cutoff)
             for m in np.flatnonzero((gaps[0] <= gate)
                                     | (gaps[1] <= gate)).tolist():
                 ia = i.item(m)
@@ -492,12 +489,16 @@ def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
              max_steps: int = 10 ** 7):
     """Move (x, y) by t time units, i.e. (x, 0) by s = y + t: returns
     (T^r x, s - S_r, r) with 0 <= remainder < f(T^r x), after at most
-    max_steps jumps (FlowStepBudgetError beyond).  The cursor walks
+    max_steps jumps (FlowStepBudgetError beyond; ValueError when y + t is
+    not finite).  The cursor walks
     segments, each after the first as long as the mean of the roof values
     walked so far predicts; r is the first step where the running
     remainder (a cumsum in step order) falls below f, or reaches 0
     backward.  Points past it never raise."""
     s = y + t
+    if not math.isfinite(s):
+        raise ValueError("flow time y + t = %r (y = %r, t = %r) is not "
+                         "finite" % (s, y, t))
     forward = s >= 0
     cur = BirkhoffCursor(iet, spec, x, forward=forward)
     k = 16

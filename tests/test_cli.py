@@ -237,6 +237,22 @@ class TestAnalysisCommands:
             "max_tries": 50,
             "detail": "could not sample 100 good pairs: found 7 in 50 tries"}
 
+    def test_bs_growth_stops_when_sigma_covers_the_range(self, capsys):
+        # at r = 3 (scale 2) Sigma_2^+ is [0, 1]: every draw is excluded,
+        # and the sampler gives up after its fixed number of draws
+        from ietflow import cli
+        from ietflow.ratner import SAMPLE_TRIES
+
+        code = cli.main(["bs", "growth", "--r-grid", "3", "--points", "1",
+                         "--steps", "30"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert json.loads(captured.err) == {
+            "error": "PairSamplingError", "requested": 1, "found": 0,
+            "max_tries": SAMPLE_TRIES,
+            "detail": "could not sample 1 good pairs: found 0 in %d tries"
+                      % SAMPLE_TRIES}
+
     def test_bs_growth_small(self):
         proc = run_cli("bs", "growth", "--r-grid", "500,1500", "--points",
                        "4", "--steps", "40", "--seed", "2", check=False)
@@ -247,6 +263,24 @@ class TestAnalysisCommands:
 
 class TestErrorReports:
     """`_run` reports every error of a run as one JSON object on stderr."""
+
+    @pytest.mark.parametrize("argv,value", [
+        ("mix correlate --samples 100 --t nan", "t = nan"),
+        ("mix correlate --samples 100 --t=-inf", "t = -inf"),
+        ("flow orbit --x 1/3 --t inf", "y + t = inf"),
+        ("flow orbit --x 1/3 --t nan", "y + t = nan"),
+        ("flow orbit --x 1/3 --y 1e308 --t 1e308", "y + t = inf")])
+    def test_non_finite_flow_time_is_a_usage_error(self, argv, value,
+                                                   capsys):
+        from ietflow import cli
+
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert err["detail"].startswith("flow time %s " % value)
+        assert err["detail"].endswith("is not finite")
 
     HALF = "top = A B\nbottom = B A\nlengths = 1/2 1/2\n"
 
@@ -346,6 +380,46 @@ class TestErrorReports:
         assert err.startswith("usage: %s [-h]" % command)
         assert err.endswith("%s: error: unrecognized arguments: %s\n"
                             % (command, extras))
+
+
+class TestDefaults:
+    """Without --iet and --roof the commands run on the golden rotation
+    and `fixtures.asymmetric_log_roof` of the IET given."""
+
+    def test_defaults_are_the_fixtures(self):
+        from fractions import Fraction
+
+        from ietflow import cli, fixtures
+        from ietflow.roof import RoofSpec
+
+        iet = cli._load_iet(argparse.Namespace(iet=None))
+        assert iet == fixtures.golden_rotation()
+        # the former bundled roofs: C- = 1 at the right end of A
+        for labels in ("AB", "ABC"):
+            target = iet if labels == "AB" else fixtures.bounded_type_3iet()
+            zero = {a: Fraction(0) for a in labels}
+            assert cli._load_roof(argparse.Namespace(roof=None), target) == \
+                RoofSpec(c0=Fraction(1), cplus=zero,
+                         cminus={**zero, "A": Fraction(1)})
+
+    def test_default_roof_takes_the_iet_labels(self, tmp_path, capsys):
+        from fractions import Fraction
+
+        from ietflow import cli
+        from ietflow.fixtures import asymmetric_log_roof
+        from ietflow.roof import birkhoff_sum
+        from ietflow.serialize import load_iet
+
+        iet_file = tmp_path / "xy.iet"
+        iet_file.write_text("alphabet = X Y\ntop = X Y\nbottom = Y X\n"
+                            "lengths = 2/3 1/3\n")
+        code = cli.main(["flow", "birkhoff", "--iet", str(iet_file), "--x",
+                         "1/7", "--r", "3"])
+        out = json.loads(capsys.readouterr().out)
+        iet = load_iet(str(iet_file))
+        value = birkhoff_sum(iet, asymmetric_log_roof(iet), Fraction(1, 7), 3)
+        assert code == 0
+        assert (out["sum"], out["error_radius"]) == (value.value, value.err)
 
 
 class TestParserReuse:

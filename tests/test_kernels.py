@@ -521,6 +521,17 @@ def test_flow_points_take_1d_arrays_of_one_length(module, setup, shapes):
 
 
 @BACKENDS
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_points_refuse_a_non_finite_time(module, setup, t):
+    # nan would flow nowhere and inf would run the whole step budget
+    _, _, tables = setup
+    with pytest.raises(ValueError, match="flow time t = %r is not finite"
+                       % t):
+        kernels.flow_points(tables, np.array([0.3]), np.array([0.1]), t,
+                            module=module)
+
+
+@BACKENDS
 @pytest.mark.parametrize("t", [0.5, -0.5])
 @pytest.mark.parametrize("where", ["y below 0", "y at f(x)", "y above f(x)",
                                    "x below 0", "x at total"])

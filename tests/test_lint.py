@@ -1,6 +1,7 @@
 """Stdlib lint of the package: no module imports a name it never uses
-(the re-exports of `__init__.py` excepted), and every private function
-and method is used somewhere in the package outside its own body."""
+(the re-exports of `__init__.py` excepted), every private function and
+method is used somewhere in the package outside its own body, and every
+local name a function binds is read."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,70 @@ def test_every_private_function_is_used():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_private(sources) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(node):
+    """The nodes of `node`'s body outside its nested functions, lambdas
+    and classes (whose names, but not bodies, are yielded)."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_scope(child)
+
+
+def unused_locals(source: str) -> list:
+    """(line, function, name) of every local name a function binds (by
+    assignment, loop, `with`, `except` or a nested `def`) and never reads,
+    itself or in a nested function; names starting with `_` are exempt,
+    and so are the `global` and `nonlocal` ones."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and
+                isinstance(node.ctx, ast.Load)}
+        bound, shared = {}, set()
+        for node in _own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        out += [(line, func.name, name) for name, line in bound.items()
+                if name not in read and name not in shared
+                and not name.startswith("_")]
+    return sorted(out)
+
+
+def test_lint_finds_an_unused_local():
+    source = ("def f(a):\n"
+              "    den, num = a\n"
+              "    _skip = 1\n"
+              "    for i in range(num):\n"
+              "        pass\n"
+              "    try:\n"
+              "        pass\n"
+              "    except ValueError as exc:\n"
+              "        pass\n"
+              "    kept = 2\n"
+              "    def inner():\n"
+              "        return kept\n"
+              "    def spare():\n"
+              "        pass\n"
+              "    return inner()\n")
+    assert unused_locals(source) == [(2, "f", "den"), (4, "f", "i"),
+                                     (8, "f", "exc"), (13, "f", "spare")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert unused_locals(path.read_text()) == []

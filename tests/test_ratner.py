@@ -597,11 +597,7 @@ def exact_gap_pair_walk(iet, spec, x, y, M, L, forward):
     cps = [float(spec.cplus[a]) for a in top]
     cms = [float(spec.cminus[a]) for a in top]
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
-    # delta and the cutoff in the shadow's units (numerators on Q, exact)
-    if field is None:
-        df, cut = d0, cutoff.numerator * den // cutoff.denominator
-    else:
-        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+    df, cut = orbit.to_float((d0, d1)), float(cutoff)
     sign = 1 if forward else -1
     s = err = ds = 0.0
     checkpoints = []
@@ -685,12 +681,9 @@ def scalar_pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     cps = [float(spec.cplus[a]) for a in top]
     cms = [float(spec.cminus[a]) for a in top]
     singular, cutoff = spec.has_log_singularity, spec.hard_cutoff
-    # delta and the cutoff in the shadow's units (numerators on Q, exact)
+    # on Q the terms are those of the correctly rounded exact gaps
     rational = field is None
-    if rational:
-        df, cut = d0, cutoff.numerator * den // cutoff.denominator
-    else:
-        df, cut = orbit.to_float((d0, d1)), float(cutoff)
+    df, cut = orbit.to_float((d0, d1)), float(cutoff)
     sign = 1 if forward else -1
     s = err = ds = 0.0
     checkpoints = []
@@ -746,7 +739,7 @@ def scalar_pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
             if cp:
                 gx, gy = glx, glx + df
                 if rational:
-                    gx, gy = gx / den, gy / den
+                    gx, gy = (p - left[0]) / den, (p - left[0] + d0) / den
                 else:
                     if e > gx * _SHADOW_GAP:
                         gx = quadratic_float(p - left[0], q - left[1], den,
@@ -767,7 +760,7 @@ def scalar_pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
             if cm:
                 gx, gy = grx, yrf
                 if rational:
-                    gx, gy = gx / den, gy / den
+                    gx, gy = (right[0] - p) / den, (right[0] - p - d0) / den
                 else:
                     if e > gx * _SHADOW_GAP:
                         gx = quadratic_float(right[0] - p, right[1] - q, den,

@@ -286,6 +286,18 @@ class TestFlow:
         assert one.x == two.x
         assert one.y == pytest.approx(two.y, abs=1e-9)
 
+    @pytest.mark.parametrize("y,t", [(0.0, math.nan), (0.0, math.inf),
+                                     (0.0, -math.inf), (1e308, 1e308)])
+    def test_non_finite_time_is_refused(self, y, t):
+        # before any jump: inf would run the whole budget of 10^7 jumps
+        iet = golden_rotation()
+        spec = asymmetric_log_roof(iet)
+        with pytest.raises(ValueError, match=r"flow time y \+ t = %r "
+                           % (y + t)):
+            _advance(iet, spec, F(1, 3), y, t)
+        with pytest.raises(ValueError, match="is not finite"):
+            flow(iet, spec, FlowPoint(ExactScalar(F(1, 3)), y), t)
+
     @pytest.mark.parametrize("forward", [True, False])
     def test_step_budget_allows_exactly_max_steps(self, forward):
         """A point that needs exactly one jump flows under max_steps=1;

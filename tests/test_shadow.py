@@ -2,10 +2,10 @@
 
 Each decision of the shadow (interval index, image interval index, the
 cursor's running gap minima) must equal the decision of the exact sign
-tests at every step: on IETs over Q (integer shadow), Q(sqrt2) and
-Q(sqrt5) (float shadow) with d = 2..5, from points on a cut, a few ulps
+tests at every step: on IETs over Q, Q(sqrt2) and Q(sqrt5), whose
+shadows are floats alike, with d = 2..5, from points on a cut, a few ulps
 from a cut or anywhere, forward and backward, on walks long enough to
-re-sync the float shadow.
+re-sync the shadow.
 """
 
 import math
@@ -43,18 +43,15 @@ def sign_index(orbit, cuts):
 
 
 def assert_shadow_bound(orbit):
-    """|xf - x| <= xerr: on Q the shadow is the exact numerator."""
-    if orbit.field is None:
-        assert (orbit.xf, orbit.xerr, orbit.unit) == (orbit.p, 0, 0)
-    else:
-        assert abs(ExactScalar(F(orbit.xf)) - orbit.value()) <= \
-            ExactScalar(F(orbit.xerr))
+    """|xf - x| <= xerr, on every field."""
+    assert abs(ExactScalar(F(orbit.xf)) - orbit.value()) <= \
+        ExactScalar(F(orbit.xerr))
 
 
 @st.composite
 def walks(draw):
     """(iet, start, steps, forward, tie): tie marks a start on a cut, or
-    within two ulps of one on Q(sqrt d), where the shadow cannot decide."""
+    within two ulps of one, where the shadow cannot decide."""
     d = draw(st.integers(min_value=2, max_value=5))
     field = draw(st.sampled_from([None, 2, 5]))
     # small denominators make rational orbits collide with cuts
@@ -81,7 +78,7 @@ def walks(draw):
             x = x + iet.total * F(k, 2 ** 53)
     steps = draw(st.sampled_from([40, LONG_WALK]))
     forward = draw(st.booleans())
-    tie = kind == "cut" or (kind == "near" and field is not None)
+    tie = kind != "anywhere"
     return iet, x, steps, forward, tie
 
 
@@ -119,8 +116,7 @@ def test_shadow_decisions_are_exact(case):
     assert (cursor.left_min, cursor.left_index) == (left_min, left_index)
     assert (cursor.right_min, cursor.right_index) == (right_min, right_index)
     # without a re-sync the bound would have grown by two units a step
-    assert steps < LONG_WALK or orbit.field is None or \
-        orbit.xerr < (2 * steps + 1) * orbit.unit
+    assert steps < LONG_WALK or orbit.xerr < (2 * steps + 1) * orbit.unit
 
 
 @pytest.mark.parametrize("scale", [F(1, 2 ** 1100), F(2 ** 1100)])
@@ -146,14 +142,25 @@ def test_shadow_off_outside_float_range(scale):
 
 
 def test_shadow_exact_on_rationals_of_any_size():
-    # on Q the shadow is the exact numerator, however large the lengths
+    # on Q as on Q(sqrt d) a total length below 2^-1000 or above 2^800
+    # leaves no float shadow: every one-step decision is exact, and the
+    # segments still bisect the integer cuts with no exact fallback
     for scale in (F(1, 2 ** 1100), F(2 ** 1100)):
         iet = Iet(Permutation("ABC", "CBA"),
                   [F(1) * scale, F(2) * scale, F(4) * scale])
-        orbit = CountingOrbit(iet, F(3, 2) * scale)
+        x = F(3, 2) * scale
+        orbit = CountingOrbit(iet, x)
+        assert orbit.unit == math.inf
         for _ in range(20):
             assert orbit.interval_index() == sign_index(orbit, orbit.cuts)
-            assert_shadow_bound(orbit)
             orbit.step_forward()
-        assert orbit.exact_calls == 0
+        assert orbit.exact_calls == 40
+        walker = CountingOrbit(iet, x)
+        i = walker.segment(20)[0]
+        assert walker.exact_calls == 0
+        assert (walker.p, walker.q) == (orbit.p, orbit.q)
+        walker.move_to(walker.pair_of(x))
+        for n in range(20):
+            assert i[n] == sign_index(walker, walker.cuts)
+            walker.step_forward(i[n])
         assert iet_module.keane_check(iet, 30).colliding_pair is not None
