@@ -188,7 +188,8 @@ def locate_scale(accel: AccelTimes, r: int) -> int:
 
 
 def default_slack_constant(spec: RoofSpec) -> float:
-    """Default for the uncomputable constant in the upper growth bound."""
+    """The constant M of the upper growth bound's M (U + V) slack, which
+    the paper leaves uncomputed."""
     return 4.0 * max(float(spec.cplus_total), float(spec.cminus_total), 1.0)
 
 
@@ -215,7 +216,6 @@ class GrowthReport:
 
 def derivative_growth_check(accel: AccelTimes, spec: RoofSpec, x, r: int,
                             eps: float, tau_prime: float = 0.995,
-                            M: Optional[float] = None,
                             skip_exclusion_check: bool = False) -> GrowthReport:
     """Two-sided (C- - C+) r log r bound on S_r(f')(x) for good points.
 
@@ -225,9 +225,10 @@ def derivative_growth_check(accel: AccelTimes, spec: RoofSpec, x, r: int,
     sigma_set(accel, l, tau_prime), tested exactly against the set built
     once per accel and key; a point inside raises ExcludedPointError with
     the component holding it.  The lower bound is the clean one; the upper
-    bound carries the M (U + V) slack, and used_UV_slack says whether it
-    needed it.  The orientation follows the sign of C- - C+; for symmetric
-    roofs the oriented ratio is the raw ratio.
+    bound carries the M (U + V) slack, M = default_slack_constant(spec),
+    and used_UV_slack says whether it needed it.  The orientation follows
+    the sign of C- - C+; for symmetric roofs the oriented ratio is the raw
+    ratio.
     """
     iet = accel.trace.base
     ell = locate_scale(accel, r)
@@ -237,8 +238,7 @@ def derivative_growth_check(accel: AccelTimes, spec: RoofSpec, x, r: int,
             raise ExcludedPointError(
                 "x lies in Sigma_%d^+ within [%s, %s]"
                 % (ell, wit[0].to_string(), wit[1].to_string()), wit)
-    if M is None:
-        M = default_slack_constant(spec)
+    M = default_slack_constant(spec)
     cur = BirkhoffCursor(iet, spec, x, forward=True)
     val = cur.derivative_sum_at(r)
     stats = _approaches(cur)

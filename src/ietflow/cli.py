@@ -27,12 +27,13 @@ from .birkhoff import ExactHitError, sigma_set
 from .diophantine import (
     IndeterminateComparison,
     ParamWindowError,
+    _require_times,
     mixing_dc_report,
     ratner_dc_partial,
     summability_partial,
     validate_params,
 )
-from .exact import ExactScalar
+from .exact import ExactScalar, FieldMismatchError
 from .iet import Iet, ReturnBudgetError, keane_check
 from .rauzy import InductionTrace, RVUndefinedError, select_accel_times, towers
 from .ratner import (
@@ -312,6 +313,8 @@ def cmd_bs_growth(args):
 def cmd_bs_sigma_sets(args):
     iet = _load_iet(args)
     trace, accel = _induct(args, iet)
+    # sigma_l reads A_l = B^(n_l, n_{l+1})
+    _require_times(accel, args.l_max + 1)
     rows = []
     for ell in range(1, args.l_max + 1):
         sset = sigma_set(accel, ell, float(args.tau_prime))
@@ -631,7 +634,7 @@ def _run(args) -> int:
                        "max_tries": exc.max_tries, "detail": str(exc)}, 1
     except _FAILURES as exc:
         error, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, FieldMismatchError) as exc:
         error, code = {"error": "usage", "detail": str(exc)}, 2
     print(json.dumps(error), file=sys.stderr)
     return code

@@ -187,6 +187,13 @@ class RatnerDcPartial:
     products: list
 
 
+def _require_times(accel: AccelTimes, n: int):
+    """ValueError unless `accel` has at least n accelerated times."""
+    if accel.count < n:
+        raise ValueError("acceleration too short: need %d times, have %d"
+                         % (n, accel.count))
+
+
 def ratner_dc_partial(accel: AccelTimes, params: DcParams, depth: int,
                       window_len: Optional[int] = None) -> RatnerDcPartial:
     """Indices l <= depth with |A_l| ... |A_{l+W}| > l^xi and the partial
@@ -197,9 +204,7 @@ def ratner_dc_partial(accel: AccelTimes, params: DcParams, depth: int,
     diagnostics.
     """
     W = params.L if window_len is None else int(window_len)
-    if accel.count < depth + W + 1:
-        raise ValueError("acceleration too short: need %d times, have %d"
-                         % (depth + W + 1, accel.count))
+    _require_times(accel, depth + W + 1)
     bad = []
     products = []
     total = 0.0
@@ -280,12 +285,14 @@ class SummabilityPartial:
 
 
 def summability_partial(accel: AccelTimes, params: DcParams, depth: int,
-                        window_len: Optional[int] = None,
-                        tau_prime: Optional[float] = None) -> SummabilityPartial:
+                        window_len: Optional[int] = None) -> SummabilityPartial:
     """Partial sums of sigma_l^eta and of measure(Sigma_l^+) over the
-    indices l <= depth outside K_T."""
+    indices l <= depth outside K_T.  The K_T test of l reads q_{l+W} and
+    sigma_l reads A_l, so depth + max(W, 1) accelerated times are needed
+    (else ValueError)."""
     W = params.L if window_len is None else int(window_len)
-    tp = float(tau_prime if tau_prime is not None else params.tau_prime)
+    _require_times(accel, depth + max(W, 1))
+    tp = float(params.tau_prime)
     members = []
     non_members = []
     s_eta = 0.0

@@ -143,22 +143,10 @@ def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
     return last
 
 
-def _orbit_pass(k: int, p: int, pcuts, tp, last: int) -> np.ndarray:
-    """The indices of k steps on Q from the point of numerator p, by
-    bisection of the cuts' numerators `pcuts`, moved by the translation
-    numerators `tp`: the exact locate, with no certificate."""
-    js = array("q", bytes(8 * k))
-    for n in range(k):
-        js[n] = j = bisect_right(pcuts, p, 0, last)
-        p += tp[j]
-    return np.frombuffer(js, np.int64)
-
-
 class _Walk(NamedTuple):
-    """The tables of one direction of `IntegerOrbit.segment`: exact pairs,
-    their numerators and their float shadows."""
+    """The tables of one direction of `IntegerOrbit.segment`: exact pairs
+    and their float shadows."""
     cuts: tuple             # right ends, top (bottom) order, integer pairs
-    pcuts: tuple            # their numerators P, the exact cuts on Q
     fcuts: tuple            # their shadows
     ftrans: list            # shadow translations, negated backward
     ft: np.ndarray          # ftrans as an array
@@ -178,8 +166,8 @@ class Iet:
     endpoints and translations) is kept once, in integer form, by
     `integer_tables` on first use, and every endpoint or translation is
     read from there; an Iet that is only asked for its lengths, as most
-    Rauzy-Veech steps are, never builds it.  Over Q(sqrt d) it also keeps
-    its orbits' itinerary table (`itinerary_table`), built on first use.
+    Rauzy-Veech steps are, never builds it.  It also keeps its orbits'
+    itinerary table (`itinerary_table`), built on first use.
     """
 
     __slots__ = ("perm", "lengths", "total", "_itables", "_ftables",
@@ -282,9 +270,9 @@ class Iet:
 
     def itinerary_table(self):
         """The `rauzy.ItineraryTable` of this IET (computed once), or None
-        where it has none: on Q, without float tables, or where the
-        induction stops before every tower is `_SEGMENT` floors tall.  Its
-        build walks no orbit."""
+        where it has none: without float tables, or where the induction
+        stops before every tower is `_SEGMENT` floors tall.  Its build
+        walks no orbit."""
         if self._towers is None:
             from .rauzy import build_itinerary_table
             self._towers = (build_itinerary_table(self),)
@@ -431,9 +419,7 @@ class IntegerOrbit:
     `follow(J)` gives every other output from J by array operations;
     `rauzy.build_itinerary_table` follows each tower's word so.
 
-    J comes from one of three sources.  On Q bisection on the cuts'
-    numerators (kept in `_Walk`) is the exact locate: `_orbit_pass` gives
-    J with no certificate.  On Q(sqrt d), where the shadow re-syncs (with
+    J comes by one rule on every field.  Where the shadow re-syncs (with
     float tables) and the IET has an itinerary table
     (`Iet.itinerary_table`: its Rohlin towers at the first induction step
     where each is `_SEGMENT` floors tall), J is read off the towers
@@ -442,10 +428,9 @@ class IntegerOrbit:
     point is located again; backward, the reversed word below the floor in
     bottom order, then at floor 0 one `_first_above` on the bottom cuts.
     This J is the exact itinerary, so no locate needs certifying.
-    Elsewhere on Q(sqrt d), that is without float tables or on an IET
-    whose induction stops before its towers are that tall, `_stepped`
-    locates one step at a time by `_locate`, the certified locate of the
-    one-step methods.
+    Elsewhere, that is without float tables or on an IET whose induction
+    stops before its towers are that tall, `_stepped` locates one step at
+    a time by `_locate`, the certified locate of the one-step methods.
 
     From a re-sync xerr grows by 2 units a step, exact multiples of the
     power of two `unit`, so one array holds the bounds of a run of up to
@@ -614,7 +599,7 @@ class IntegerOrbit:
             big = max(abs(v) for t in trans for v in t)
             tt = [[sign * t[c] for t in trans] for c in (0, 1)]
             walk = self._walks[forward] = _Walk(
-                cuts, tuple(c for c, _ in cuts), fcuts, ftrans,
+                cuts, fcuts, ftrans,
                 np.array(ftrans, np.float64), big, tt,
                 [np.array(t, np.int64) for t in tt] if big < 2 ** 63
                 else None, np.array(self.top_of_b))
@@ -633,7 +618,7 @@ class IntegerOrbit:
         lp, lq, fl = table.lp, table.lq, table.fl
         J, n = np.empty(k, np.int64), 0
         while True:
-            a, g = table.locate(p, q, scale, guess)
+            a, g = table.locate(p, q, scale, guess, self.field)
             if forward:
                 m = min(table.ends[a] - g, k - n)
                 J[n:n + m] = table.word[g:g + m]
@@ -685,15 +670,9 @@ class IntegerOrbit:
         indices, shadows, their error bounds and exact pairs less the pair
         before the first step.  Forward visits x .. T^(k-1) x before each
         step, backward T^-1 x .. T^-k x after each step.  Then `follow`."""
-        walk = self._walk(forward)
-        if self.field is None:
-            J = _orbit_pass(k, self.p, walk.pcuts, walk.tt[0],
-                            len(walk.cuts) - 1)
-        else:
-            table = (self.iet.itinerary_table() if self.unit < math.inf
-                     else None)
-            J = (self._stepped(walk, k) if table is None
-                 else self._itinerary(table, k, forward))
+        table = self.iet.itinerary_table() if self.unit < math.inf else None
+        J = (self._stepped(self._walk(forward), k) if table is None
+             else self._itinerary(table, k, forward))
         return self.follow(J, forward)
 
     def follow(self, J: np.ndarray, forward: bool = True) -> tuple:
@@ -833,10 +812,10 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     `_FIRST_SEGMENT` points long, as most returns are.  A point's float
     shadow (on Q as on Q(sqrt d)) decides its side of the cut where it is
     more than its error bound plus two units away from the cut's float;
-    elsewhere `exact._sign` decides.  Over Q(sqrt d) the segments read the
-    IET's itinerary table, whose towers `rauzy.towers` lays along the
-    Rauzy-Veech words but checks floor by floor against the intervals of
-    T, so the oracle still rests on T alone.
+    elsewhere `exact._sign` decides.  The segments read the IET's
+    itinerary table where it has one, whose towers `rauzy.towers` lays
+    along the Rauzy-Veech words but checks floor by floor against the
+    intervals of T, so the oracle still rests on T alone.
     """
     if not (ExactScalar(0) < cut and cut <= iet.total):
         raise IetDomainError("cut must lie in (0, total]")

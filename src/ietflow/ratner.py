@@ -127,16 +127,17 @@ class DiscontinuityDistances:
     holds: bool
 
 
-def induced_discontinuity_gaps(accel: AccelTimes, ell: int,
-                      lbar: Optional[int] = None) -> DiscontinuityDistances:
+def induced_discontinuity_gaps(accel: AccelTimes,
+                               ell: int) -> DiscontinuityDistances:
     """Min distances between top discontinuities and bottom images at step
-    n_l, after the two structural exclusions, against |I^(n_{l+lbar})|/nu.
+    n_l, after the two structural exclusions, against |I^(n_{l+lbar})|/nu
+    with lbar = accel.lbar.
 
     Exclusions: for the l-family, the bottom-first letter (its image
     endpoint is 0); for the r-family, the top-last letter (its endpoint is
     the right end of the interval).
     """
-    lbar = lbar or accel.lbar
+    lbar = accel.lbar
     if lbar is None:
         raise ValueError("no positivity window available")
     ind = accel.iet(ell)
@@ -367,8 +368,8 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
     step, which also catches a pair split by a bottom cut).  The orbit goes
     by `IntegerOrbit.segment`, whose docstring says where its itinerary
-    comes from (the IET's Rohlin towers on Q(sqrt d), exact bisection on
-    Q, else certified one-step locates).
+    comes from (the IET's Rohlin towers, else certified one-step locates,
+    on Q as on Q(sqrt d)).
     The straddle test goes by the shadow when its difference clears xerr +
     3 units (xerr + 1 for a gap, one for delta and the difference, one
     spare), else by `exact._sign`; the walk stops at the first straddle.

@@ -8,9 +8,9 @@ so products of step matrices transport lengths and (transposed) heights.
 The executable ground truth is `first_return_map` in `iet.py`: tests check
 every step against directly iterated return times.  `towers` lays each
 Rohlin tower's floors along its word, read off the steps, and checks each
-floor against the intervals of T itself; over Q(sqrt d) the oracle reads
-its orbits off the IET's itinerary table, built from those towers, so it
-does not rest on `rv_step`.
+floor against the intervals of T itself; the oracle reads its orbits off
+the IET's itinerary table, built from those towers, so it does not rest
+on `rv_step`.
 """
 
 from __future__ import annotations
@@ -152,6 +152,14 @@ def _step_matrix(d: int, wi: int, li: int):
 # induction traces
 # ---------------------------------------------------------------------------
 
+def _require_step(n: int) -> int:
+    """n, an induction step: ValueError when it is negative, which would
+    index the trace's lists from their ends."""
+    if n < 0:
+        raise ValueError("negative induction step %d" % n)
+    return n
+
+
 class InductionTrace:
     """Orbit of an IET under unnormalized Rauzy-Veech induction.
 
@@ -180,7 +188,9 @@ class InductionTrace:
         return len(self._moves)
 
     def extend(self, n: int) -> "InductionTrace":
-        """Extend the trace to n steps; RVUndefinedError carries its depth."""
+        """Extend the trace to n >= 0 steps (else ValueError);
+        RVUndefinedError carries its depth."""
+        _require_step(n)
         while self.depth < n:
             try:
                 nxt, _, step_type, (w, l) = rv_step(self._iets[-1])
@@ -205,11 +215,11 @@ class InductionTrace:
         return self._iets[n]
 
     def step_matrix(self, k: int):
-        self.extend(k + 1)
+        self.extend(_require_step(k) + 1)
         return _step_matrix(self.base.perm.d, *self._moves[k])
 
     def step_type(self, k: int) -> str:
-        self.extend(k + 1)
+        self.extend(_require_step(k) + 1)
         return self._types[k]
 
     def type_word(self, n: Optional[int] = None) -> str:
@@ -222,6 +232,7 @@ class InductionTrace:
         if m > n:
             raise ValueError("need m <= n")
         self.extend(n)
+        _require_step(m)
         if m == 0:
             return self._prefix[n]
         windows = self._windows.setdefault(m, {m: self._prefix[0]})
@@ -426,9 +437,8 @@ _TABLE_FLOORS = 1 << 16
 
 
 class ItineraryTable:
-    """The Rohlin towers of an IET over Q(sqrt d) as arrays (`towers` at
-    the table's `step`): the orbit itineraries that `IntegerOrbit.segment`
-    reads.
+    """The Rohlin towers of an IET as arrays (`towers` at the table's
+    `step`): the orbit itineraries that `IntegerOrbit.segment` reads.
 
     Floors are numbered tower by tower in alphabet order, floor 0 first:
     tower a holds floors starts[a] .. ends[a] - 1.  Per floor g: `word[g]`,
@@ -451,13 +461,14 @@ class ItineraryTable:
                  "bword", "lp", "lq", "fl", "widths", "exits", "fexits",
                  "fsorted", "order")
 
-    def locate(self, p: int, q: int, scale: int, guess: float) -> tuple:
+    def locate(self, p: int, q: int, scale: int, guess: float,
+               field) -> tuple:
         """(a, g): the tower and floor holding the point (p + q
         sqrt(field))/(den scale), from the floor whose shadow is the last
         at or below `guess`, stepped to the exact one by `_sign` at its two
-        ends."""
+        ends.  `field` is the point's, which on a rational IET may be a
+        quadratic one."""
         fsorted, order, lp, lq = self.fsorted, self.order, self.lp, self.lq
-        field = self.field
         s = min(max(int(fsorted.searchsorted(guess, "right")) - 1, 0),
                 fsorted.size - 1)
         while True:
@@ -484,9 +495,9 @@ def _offset(base: int, off):
 
 def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     """The towers of `iet` at the first induction step n where each is at
-    least `_SEGMENT` floors tall, as an `ItineraryTable`; None on Q,
-    without float tables, when a step is undefined, or past
-    `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
+    least `_SEGMENT` floors tall, as an `ItineraryTable`, on Q as on
+    Q(sqrt d); None without float tables, when a step is undefined, or
+    past `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
 
     The words, floors and widths are those of `towers`, which checks every
     floor against the intervals of T and their partition: a wrong base or
@@ -495,7 +506,7 @@ def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
     and error bounds, which certify the floors' order, and the exit.  No
     orbit is walked.  `Iet.itinerary_table` calls this once per IET."""
     den, field = iet.integer_tables()[:2]
-    if field is None or iet.float_tables() is None:
+    if iet.float_tables() is None:
         return None
     trace = InductionTrace(iet)
     try:
@@ -692,16 +703,14 @@ def select_accel_times(trace: InductionTrace, nu, lbar_max: int,
     return AccelTimes(trace, times, nu, lbar, diag)
 
 
-def zorich_times(trace: InductionTrace, depth: Optional[int] = None) -> list:
-    """Ends of maximal same-type runs of induction steps.
+def zorich_times(trace: InductionTrace) -> list:
+    """Ends of maximal same-type runs of the trace's induction steps.
 
     Grouping consecutive steps of one type is the classical acceleration
     with finite invariant mass; it is a special case of time selection and
     feeds the same AccelTimes machinery.
     """
-    if depth is None:
-        depth = trace.depth
-    trace.extend(depth)
+    depth = trace.depth
     out = []
     for k in range(depth):
         if k + 1 == depth or trace.step_type(k + 1) != trace.step_type(k):

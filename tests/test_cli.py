@@ -282,6 +282,57 @@ class TestErrorReports:
         assert err["detail"].startswith("flow time %s " % value)
         assert err["detail"].endswith("is not finite")
 
+    @pytest.mark.parametrize("argv,step", [
+        ("rv towers --at -1", -1), ("rv induct --steps -2", -2),
+        ("dc mixing --depth 2 --steps -1", -1)])
+    def test_negative_induction_step_is_a_usage_error(self, argv, step,
+                                                      capsys):
+        from ietflow import cli
+
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {
+            "error": "usage", "detail": "negative induction step %d" % step}
+
+    #: three accelerated times at --steps 30
+    FOUR = ("top = A B C D\nbottom = D C B A\n"
+            "lengths = 3/17 5/19 2/7 621/2261\n")
+
+    @pytest.mark.parametrize("argv,need", [
+        ("bs sigma-sets --l-max 2", 3), ("bs sigma-sets --l-max 3", 4),
+        ("dc summability --depth 2 --window-len 0", 3),
+        ("dc summability --depth 3 --window-len 0", 4),
+        ("dc ratner --depth 2 --window-len 0", 3),
+        ("dc ratner --depth 3 --window-len 0", 4)])
+    def test_running_past_the_accelerated_times_is_a_usage_error(
+            self, argv, need, tmp_path, capsys):
+        from ietflow import cli
+
+        iet_file = tmp_path / "four.iet"
+        iet_file.write_text(self.FOUR)
+        code = cli.main(argv.split() + ["--steps", "30", "--iet",
+                                        str(iet_file)])
+        captured = capsys.readouterr()
+        if need <= 3:
+            assert (code, captured.err) == (0, "")
+            return
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "detail": "acceleration too short: need %d times, have 3" % need}
+
+    @pytest.mark.parametrize("argv", [
+        "iet eval --x (1+1*sqrt(2))/4",
+        "flow orbit --x (1+1*sqrt(2))/4 --t 1"])
+    def test_point_in_another_field_is_a_usage_error(self, argv, capsys):
+        from ietflow import cli
+
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == "usage"
+
     HALF = "top = A B\nbottom = B A\nlengths = 1/2 1/2\n"
 
     @pytest.mark.parametrize("argv", [

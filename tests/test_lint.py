@@ -1,7 +1,8 @@
 """Stdlib lint of the package: no module imports a name it never uses
-(the re-exports of `__init__.py` excepted), every private function and
-method is used somewhere in the package outside its own body, and every
-local name a function binds is read."""
+(the re-exports of `__init__.py` excepted), every private module-level
+function or class and every private method is used somewhere in the
+package outside its own body, and every local name a function binds is
+read."""
 
 import ast
 from pathlib import Path
@@ -46,8 +47,9 @@ def _is_private(name: str) -> bool:
 
 
 class _Uses(ast.NodeVisitor):
-    """The private functions and methods a module defines, and the names
-    it reads outside the body of the function of the same name."""
+    """The private module-level functions and classes and the private
+    methods a module defines, and the names it reads outside the body of
+    the function or class of the same name."""
 
     def __init__(self):
         self.defined, self.used, self._inside = set(), set(), []
@@ -55,6 +57,8 @@ class _Uses(ast.NodeVisitor):
     def visit_Module(self, node):
         for child in node.body:
             if isinstance(child, ast.ClassDef):
+                if _is_private(child.name):
+                    self.defined.add(child.name)
                 for item in child.body:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)) and \
@@ -70,7 +74,7 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
         self._inside.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def _read(self, name: str):
         if name not in self._inside:
@@ -89,9 +93,9 @@ class _Uses(ast.NodeVisitor):
 
 
 def unused_private(sources: dict) -> list:
-    """(module, name) of every private module-level function or method
-    that no module of `sources` (name -> source) reads outside its own
-    body."""
+    """(module, name) of every private module-level function or class or
+    private method that no module of `sources` (name -> source) reads
+    outside its own body."""
     defined, used = [], set()
     for module, source in sources.items():
         uses = _Uses()
@@ -105,9 +109,12 @@ def test_lint_finds_an_unused_private_function():
     sources = {"a": "def _kept():\n    return _kept()\n\n"
                     "def _used():\n    pass\n\n"
                     "class C:\n    def _m(self):\n        self._m()\n"
-                    "    def __len__(self):\n        return 0\n",
-               "b": "from a import _used\n"}
-    assert unused_private(sources) == [("a", "_kept"), ("a", "_m")]
+                    "    def __len__(self):\n        return 0\n\n"
+                    "class _Left:\n    def f(self):\n        return _Left()\n"
+                    "\nclass _Made(tuple):\n    pass\n",
+               "b": "import a\nfrom a import _used\n\nx = a._Made()\n"}
+    assert unused_private(sources) == [("a", "_Left"), ("a", "_kept"),
+                                       ("a", "_m")]
 
 
 def test_every_private_function_is_used():

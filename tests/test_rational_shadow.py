@@ -1,21 +1,24 @@
-"""One shadow format on Q and Q(sqrt d).
+"""One shadow format and one index rule on Q and Q(sqrt d).
 
 An `IntegerOrbit` of a rational IET keeps a float shadow of each point
-with an error bound, from `Iet.float_tables()`, as one over Q(sqrt d)
-does; only its interval indices (bisection on the integer cuts) and the
-pair walk's roof terms (from correctly rounded exact gaps) are its own.
-Every decision is exact, so the outputs of the exact walkers on Q are
-those of the former integer shadow.  `OUTPUTS_DIGEST` was recorded with
-that integer shadow; print the digest with
+with an error bound, from `Iet.float_tables()`, and its segments read
+their interval indices off the IET's itinerary table where it has one and
+by the certified one-step locate elsewhere, as one over Q(sqrt d) does;
+only the pair walk's roof terms (from correctly rounded exact gaps) are
+its own.  Every decision is exact, so the outputs of the exact walkers on
+Q are those of the former integer shadow and of the former bisection on
+the integer cuts.  `OUTPUTS_DIGEST` was recorded with that integer
+shadow; print the digest with
 
     PYTHONPATH=src python tests/test_rational_shadow.py
 """
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ietflow import iet as iet_module
 from ietflow.exact import ExactScalar
@@ -163,16 +166,27 @@ def rational_walks(draw):
     return iet, x, k, draw(st.booleans())
 
 
+@st.composite
+def tabled_walks(draw):
+    """Walks on rational IETs of the reversal permutation with numerators
+    of 10^5 .. 10^7, most of which have an itinerary table."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    den = draw(st.sampled_from([1, 7, 1000]))
+    lengths = [F(draw(st.integers(min_value=10 ** 5, max_value=10 ** 7)),
+                 den) for _ in range(d)]
+    labels = "ABCDE"[:d]
+    iet = Iet(Permutation(labels, labels[::-1]), lengths)
+    x = iet.total * F(draw(st.integers(min_value=0, max_value=10 ** 6 - 1)),
+                      10 ** 6)
+    k = draw(st.sampled_from([1, 30, iet_module._SHADOW_RESYNC // 2 + 50]))
+    return iet, x, k, draw(st.booleans())
+
+
 def bits(*values):
     return [float(v).hex() for v in values]
 
 
-@given(rational_walks())
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_rational_segment_shadows_are_the_one_steps(case):
-    # on Q a segment's X and E are float64 and equal, bit for bit, the
-    # shadow and bound the one-step walk leaves at each point
-    iet, x, k, forward = case
+def assert_segment_is_the_one_steps(iet, x, k, forward):
     orbit, walker = IntegerOrbit(iet, x), IntegerOrbit(iet, x)
     i, X, E, _, _ = orbit.segment(k, forward)
     assert X.dtype == E.dtype == np.float64
@@ -187,6 +201,20 @@ def test_rational_segment_shadows_are_the_one_steps(case):
             assert bits(X[n], E[n]) == bits(walker.xf, walker.xerr)
     assert orbit.p == walker.p
     assert bits(orbit.xf, orbit.xerr) == bits(walker.xf, walker.xerr)
+
+
+@given(st.one_of(rational_walks(), tabled_walks()))
+@example((rational_iets()[0], F(41, 100), 3000, False))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_rational_segment_shadows_are_the_one_steps(case):
+    # on Q a segment's J, X and E are those of the one-step walk at each
+    # point, bit for bit, read off the IET's itinerary table where it has
+    # one and by the one-step locate without
+    iet, x, k, forward = case
+    event("table" if iet.itinerary_table() is not None else "no table")
+    assert_segment_is_the_one_steps(iet, x, k, forward)
+    with mock.patch.object(Iet, "itinerary_table", return_value=None):
+        assert_segment_is_the_one_steps(iet, x, k, forward)
 
 
 if __name__ == "__main__":

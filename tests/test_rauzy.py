@@ -160,6 +160,17 @@ class TestInduct:
         # cross-check: the return time of I^(1)_C is 2
         assert return_time_oracle(trace, 1, "C") == 2
 
+    def test_negative_steps_are_refused(self):
+        # a negative step would index the trace's lists from their ends
+        trace = InductionTrace(golden_rotation()).extend(10)
+        for read in (trace.extend, trace.iet, trace.heights, trace.words,
+                     trace.step_matrix, trace.step_type,
+                     lambda n: trace.product(n, 3),
+                     lambda n: towers(trace, n)):
+            with pytest.raises(ValueError, match="negative induction step -1"):
+                read(-1)
+        assert trace.depth == 10
+
     def test_golden_heights_are_fibonacci(self):
         trace = InductionTrace(golden_rotation()).extend(21)
         # fix the offset at small depth with the return-time oracle

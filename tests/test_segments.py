@@ -231,6 +231,12 @@ def rational_4iet():
     return Iet(perm, [F(3, 17), F(5, 19), F(2, 7), F(7, 23)])
 
 
+def rational_3iet():
+    """A 3-IET over Q whose induction stops before its towers are a
+    segment tall: it has no itinerary table."""
+    return Iet(Permutation("ABC", "CAB"), [F(5, 13), F(7, 11), F(1, 3)])
+
+
 def bits(v):
     """A shadow or bound as compared bit for bit."""
     return v.hex() if isinstance(v, float) else v
@@ -299,11 +305,12 @@ def huge_3iet():
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("make,x", [
     (rational_4iet, F(41, 100)), (rational_4iet, DEN50),
+    (rational_4iet, (3 + R2) / 10), (rational_3iet, F(41, 100)),
     (golden_rotation, F(41, 100)), (golden_rotation, DEN50),
     (bounded_type_3iet, F(41, 100)), (connected_4iet, F(41, 100)),
     (huge_3iet, (3 + R2) * HUGE)],
-    ids=["Q", "Q-den50", "sqrt5", "sqrt5-den50", "sqrt2", "sqrt2-no-table",
-         "sqrt2-no-float"])
+    ids=["Q", "Q-den50", "Q-sqrt2-point", "Q-no-table", "sqrt5",
+         "sqrt5-den50", "sqrt2", "sqrt2-no-table", "sqrt2-no-float"])
 def test_segment_matches_one_steps(make, x, forward):
     # uneven segments across several shadow re-syncs (one per 2048 steps
     # from a re-sync), each resumed where the last one stopped
@@ -387,16 +394,22 @@ def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
 # Segments read off the itinerary table
 # ---------------------------------------------------------------------------
 
-def test_rational_iet_walks_pass_one(monkeypatch):
-    iet = rational_4iet()
-    assert iet.itinerary_table() is None
-    calls = spy_on(monkeypatch, iet_module, "_orbit_pass")
-    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
-    IntegerOrbit(iet, F(41, 100)).segment(100)
-    assert calls and not steps
+@pytest.mark.parametrize("make,source", [(rational_4iet, "_itinerary"),
+                                         (rational_3iet, "_stepped")])
+def test_rational_iets_take_the_one_index_rule(monkeypatch, make, source):
+    # on Q as on Q(sqrt d): J read off the towers where the IET has an
+    # itinerary table, else by the certified one-step locate
+    iet = make()
+    assert (iet.itinerary_table() is None) == (source == "_stepped")
+    calls = {name: spy_on(monkeypatch, IntegerOrbit, name)
+             for name in ("_itinerary", "_stepped")}
+    for forward in (True, False):
+        IntegerOrbit(iet, F(41, 100)).segment(100, forward)
+    assert len(calls[source]) == 2 and sum(map(len, calls.values())) == 2
 
 
-@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
+                                  rational_4iet])
 def test_table_matches_the_towers(make):
     iet = make()
     table = iet.itinerary_table()
@@ -525,7 +538,7 @@ def test_locate_is_exact_at_floor_ends(make):
             shadow = table.fsorted.item(pos[g])
             for ulps in (-2, 0, 2):
                 guess = shadow + ulps * math.ulp(shadow)
-                a, h = table.locate(p, q, scale, guess)
+                a, h = table.locate(p, q, scale, guess, table.field)
                 assert h == want and table.starts[a] <= h < table.ends[a]
 
 

@@ -143,8 +143,8 @@ def test_shadow_off_outside_float_range(scale):
 
 def test_shadow_exact_on_rationals_of_any_size():
     # on Q as on Q(sqrt d) a total length below 2^-1000 or above 2^800
-    # leaves no float shadow: every one-step decision is exact, and the
-    # segments still bisect the integer cuts with no exact fallback
+    # leaves no float shadow and no itinerary table: every decision is
+    # exact, the segments' locates as the one steps'
     for scale in (F(1, 2 ** 1100), F(2 ** 1100)):
         iet = Iet(Permutation("ABC", "CBA"),
                   [F(1) * scale, F(2) * scale, F(4) * scale])
@@ -155,9 +155,10 @@ def test_shadow_exact_on_rationals_of_any_size():
             assert orbit.interval_index() == sign_index(orbit, orbit.cuts)
             orbit.step_forward()
         assert orbit.exact_calls == 40
+        assert iet.itinerary_table() is None
         walker = CountingOrbit(iet, x)
         i = walker.segment(20)[0]
-        assert walker.exact_calls == 0
+        assert walker.exact_calls == 20
         assert (walker.p, walker.q) == (orbit.p, orbit.q)
         walker.move_to(walker.pair_of(x))
         for n in range(20):

@@ -291,7 +291,7 @@ def test_flow_matches_reference(name, roof):
 @pytest.mark.parametrize("name", sorted(IETS))
 def test_keane_matches_reference(name):
     # the longer depths walk several segments and cross tower tops of the
-    # itinerary table on Q(sqrt d)
+    # itinerary table
     iet = IETS[name]()
     for depth in (1, 5, 40, 600, 1500, 3000):
         rep = keane_check(iet, depth)
