@@ -59,6 +59,14 @@ from .serialize import (
 from .zippered import ZipperedRectangles, backward_rv_step, generic_tau
 
 
+class _FlagError(ValueError):
+    """A flag's value outside its domain: a usage error naming the flag."""
+
+    def __init__(self, field, detail):
+        super().__init__(detail)
+        self.constraint = field
+
+
 def _load_iet(args) -> Iet:
     if args.iet:
         return load_iet(args.iet)
@@ -326,14 +334,18 @@ def cmd_bs_sigma_sets(args):
     return (0 if ok else 1), {"l_max": args.l_max, "bounds_hold": ok}, trace
 
 
-def _dc_setup(args):
+def _dc_setup(args, least=0):
+    """Parameters, trace and accelerated times; --depth >= `least`."""
+    if args.depth < least:
+        raise _FlagError("depth", "need --depth >= %d, got %d"
+                         % (least, args.depth))
     iet = _load_iet(args)
     params = _params_from(args)
     return (params, *_induct(args, iet, partial=True))
 
 
 def cmd_dc_mixing(args):
-    params, trace, accel = _dc_setup(args)
+    params, trace, accel = _dc_setup(args, least=1)
     report = mixing_dc_report(accel, params, args.depth)
     full = not report.insufficient_depth
     payload = {
@@ -422,10 +434,14 @@ def cmd_ratner_forbac(args):
     params = _params_from(args)
     trace, accel = _induct(args, iet)
     lo, _, hi = args.l_range.partition("..")
+    lo, hi = int(lo), int(hi)
+    if not 1 <= lo <= hi <= accel.count:
+        raise _FlagError("l_range", "need 1 <= lo <= hi <= %d (accelerated "
+                         "times), got %s" % (accel.count, args.l_range))
     rows = []
     failures = 0
     margin = margin_width(args.eps)
-    for ell in range(int(lo), int(hi) + 1):
+    for ell in range(lo, hi + 1):
         for k in range(1, args.grid + 1):
             x = Fraction(k, args.grid + 1)
             if in_margins(x, margin):
@@ -551,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("summability", cmd_dc_summability)):
         p = s.add_parser(name)
         _add_common(p, csv=True, window=True)
-        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--depth", type=int, required=True,
+                       help="scales to report, >= 1 on mixing, else >= 0")
         if name != "mixing":
             p.add_argument("--window-len", dest="window_len", type=int,
                            default=None,
@@ -573,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("forbac")
     _add_common(p, csv=True, window=True)
     p.add_argument("--l-range", dest="l_range", required=True,
-                   help="e.g. 6..12")
+                   help="1 <= lo..hi <= accelerated times, e.g. 6..12")
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.2)
     p.set_defaults(func=cmd_ratner_forbac)
@@ -622,7 +639,7 @@ def _run(args) -> int:
         if args.log and payload is not None:
             _log_record(args, payload, trace)
         return code
-    except ParamWindowError as exc:
+    except (ParamWindowError, _FlagError) as exc:
         error, code = {"error": "usage", "field": exc.constraint,
                        "detail": str(exc)}, 2
     except RVUndefinedError as exc:

@@ -165,9 +165,9 @@ class Iet:
     An Iet keeps its permutation, lengths and total.  Its geometry (the
     endpoints and translations) is kept once, in integer form, by
     `integer_tables` on first use, and every endpoint or translation is
-    read from there; an Iet that is only asked for its lengths, as most
-    Rauzy-Veech steps are, never builds it.  It also keeps its orbits'
-    itinerary table (`itinerary_table`), built on first use.
+    read from there; an Iet that is only asked for its lengths, as the
+    ones of zippered induction steps are, never builds it.  It also keeps
+    its orbits' itinerary table (`itinerary_table`), built on first use.
     """
 
     __slots__ = ("perm", "lengths", "total", "_itables", "_ftables",
@@ -236,16 +236,22 @@ class Iet:
         lcm of theirs: the tables are the lengths' (p, q, den) rescaled to
         D and summed."""
         if self._itables is None:
-            den = math.lcm(*(lam.den for lam in self.lengths))
-            field = next((lam.d for lam in self.lengths if lam.d), None)
-            tables = _geometry(self.perm, [lam.p * (den // lam.den)
-                                           for lam in self.lengths])
+            den, field, lengths = self.integer_lengths()
+            tables = _geometry(self.perm, [p for p, _ in lengths])
             if field is not None:
-                q_tables = _geometry(self.perm, [lam.q * (den // lam.den)
-                                                 for lam in self.lengths])
+                q_tables = _geometry(self.perm, [q for _, q in lengths])
                 tables = [tuple(zip(p, q)) for p, q in zip(tables, q_tables)]
             self._itables = (den, field, *tables)
         return self._itables
+
+    def integer_lengths(self) -> tuple:
+        """(D, d, lengths): D and d as in `integer_tables`, and the lengths
+        over D, integer pairs (P, Q) in alphabet order (Q = 0 on Q)."""
+        den = math.lcm(*(lam.den for lam in self.lengths))
+        field = next((lam.d for lam in self.lengths if lam.d), None)
+        return den, field, tuple((lam.p * (den // lam.den),
+                                  lam.q * (den // lam.den))
+                                 for lam in self.lengths)
 
     def float_tables(self) -> Optional[tuple]:
         """Correctly rounded floats of the right and left endpoints and the

@@ -5,12 +5,14 @@ intervals; the longer one (the winner) absorbs the length of the shorter
 (the loser) and the induced map is the first return to the shortened
 interval.  Each step emits the SL(d,Z) matrix B with lambda = B lambda',
 so products of step matrices transport lengths and (transposed) heights.
-The executable ground truth is `first_return_map` in `iet.py`: tests check
-every step against directly iterated return times.  `towers` lays each
-Rohlin tower's floors along its word, read off the steps, and checks each
-floor against the intervals of T itself; the oracle reads its orbits off
-the IET's itinerary table, built from those towers, so it does not rest
-on `rv_step`.
+A step (`rv_step`) walks the rows and the length vector alone, as integer
+pairs over the base IET's common denominator; a trace builds the induced
+`Iet` of a step only when asked.  The executable ground truth is
+`first_return_map` in `iet.py`: tests check every step against directly
+iterated return times.  `towers` lays each Rohlin tower's floors along its
+word, read off the steps, and checks each floor against the intervals of
+T itself; the oracle reads its orbits off the IET's itinerary table, built
+from those towers, so it does not rest on `rv_step`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .exact import (ZERO, ExactScalar, _reduce, _sign, exact_dot, exact_max,
-                    exact_min)
+from .exact import ZERO, ExactScalar, _reduce, _sign, exact_max, exact_min
 from .iet import _SEGMENT, Iet, IetDomainError, IntegerOrbit, Permutation
 
 
@@ -102,43 +105,43 @@ def is_positive(a) -> bool:
 # single induction step
 # ---------------------------------------------------------------------------
 
-def rv_step(iet: Iet):
-    """One unnormalized Rauzy-Veech step.
+def rv_step(alphabet, rows, lengths, den: int, field):
+    """One unnormalized Rauzy-Veech step on integer data.
 
-    Returns (induced Iet on the shortened interval, step matrix B with
-    lambda = B lambda', step type, (w, l)).  Type 'top' means the last top
-    interval won (was longer); 'bottom' the opposite.  w and l are the
-    alphabet indices of the winner and the loser, so B = I + E[w][l].
+    `rows` is the pair (top, bottom) of label tuples and `lengths` the
+    lengths in `alphabet` order, integer pairs (P, Q) standing for
+    (P + Q sqrt(field))/den.  Returns (rows, lengths, step type, (w, l))
+    after the step.  Type 'top' means the last top interval won (was
+    longer); 'bottom' the opposite.  w and l are the alphabet indices of
+    the winner and the loser, so the step matrix is B = I + E[w][l].
     Equal lengths raise RVUndefinedError.
     """
-    perm = iet.perm
-    alphabet = perm.alphabet
-    ti = alphabet.index(perm.top[-1])
-    bi = alphabet.index(perm.bottom[-1])
-    lt = iet.lengths[ti]
-    lb = iet.lengths[bi]
-    if lt == lb:
+    top, bottom = rows
+    ti = alphabet.index(top[-1])
+    bi = alphabet.index(bottom[-1])
+    (pt, qt), (pb, qb) = lengths[ti], lengths[bi]
+    sign = _sign(pt - pb, qt - qb, field)
+    if not sign:
         raise RVUndefinedError(
             "last top and bottom intervals both have length %s"
-            % lt.to_string())
-    if lt > lb:
-        step_type, wi, li = "top", ti, bi
-    else:
-        step_type, wi, li = "bottom", bi, ti
-    winner, loser = alphabet[wi], alphabet[li]
-    lengths = list(iet.lengths)
-    lengths[wi] = lengths[wi] - lengths[li]
-
+            % _reduce(pt, qt, den, field).to_string())
     # the loser leaves the end of its row and re-enters after the winner
-    row = [a for a in (perm.bottom if step_type == "top" else perm.top)
-           if a != loser]
-    row.insert(row.index(winner) + 1, loser)
-    if step_type == "top":
-        new_perm = Permutation(perm.top, row, alphabet=alphabet)
+    if sign > 0:
+        step_type, wi, li, row = "top", ti, bi, bottom
     else:
-        new_perm = Permutation(row, perm.bottom, alphabet=alphabet)
-    return (Iet(new_perm, lengths), _step_matrix(perm.d, wi, li), step_type,
-            (wi, li))
+        step_type, wi, li, row = "bottom", bi, ti, top
+    k = row.index(alphabet[wi]) + 1
+    row = row[:k] + row[-1:] + row[k:-1]
+    rows = (top, row) if sign > 0 else (row, bottom)
+    (pw, qw), (pl, ql) = lengths[wi], lengths[li]
+    lengths = lengths[:wi] + ((pw - pl, qw - ql),) + lengths[wi + 1:]
+    return rows, lengths, step_type, (wi, li)
+
+
+def _iet_of(alphabet, rows, lengths, den: int, field) -> Iet:
+    """The `Iet` of `rv_step`'s integer data."""
+    return Iet(Permutation(*rows, alphabet=alphabet),
+               [_reduce(p, q, den, field) for p, q in lengths])
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,14 +171,24 @@ class InductionTrace:
     h^(n) = (B^(n))^T (1,...,1), which is also the vector of column sums of
     B^(0,n) and the vector of measured first-return times.
 
+    Per step the trace keeps the rows (label tuples) and the lengths
+    (`lengths(n)`), integer pairs (P, Q) in alphabet order standing for
+    (P + Q sqrt(field))/den over the base IET's `Iet.integer_lengths`.
+    `iet(n)` builds the induced `Iet` on first request and returns that
+    same object afterwards, as readers cache tables on it.
+
     Construction (extend) is sequential; once extended, a trace may be
-    shared by concurrent readers — the product and return-time caches only
-    ever fill in values that every reader would compute identically.
+    shared by concurrent readers — the product, return-time and `Iet`
+    caches only ever fill in values that every reader would compute
+    identically (an `Iet` by `setdefault`, so all get the first built).
     """
 
     def __init__(self, base: Iet):
         self.base = base
-        self._iets = [base]
+        self.den, self.field, lengths = base.integer_lengths()
+        self._rows = [(base.perm.top, base.perm.bottom)]
+        self._lengths = [lengths]
+        self._iets = {0: base}
         self._moves = []
         self._types = []
         self._heights = [(1,) * base.perm.d]
@@ -190,29 +203,55 @@ class InductionTrace:
     def extend(self, n: int) -> "InductionTrace":
         """Extend the trace to n >= 0 steps (else ValueError);
         RVUndefinedError carries its depth."""
-        _require_step(n)
-        while self.depth < n:
+        if n <= len(self._moves):
+            _require_step(n)
+            return self
+        alphabet = self.base.perm.alphabet
+        for k in range(len(self._moves), n):
             try:
-                nxt, _, step_type, (w, l) = rv_step(self._iets[-1])
+                rows, lengths, step_type, (w, l) = rv_step(
+                    alphabet, self._rows[k], self._lengths[k], self.den,
+                    self.field)
             except RVUndefinedError as exc:
-                exc.depth = self.depth
+                exc.depth = k
                 raise
-            self._iets.append(nxt)
+            self._rows.append(rows)
+            self._lengths.append(lengths)
             self._moves.append((w, l))
             self._types.append(step_type)
-            # B = I + E[w][l]: B^(n) B adds column w of B^(n) to column l,
+            # B = I + E[w][l]: B^(k) B adds column w of B^(k) to column l,
             # and B^T h adds h_w to h_l
-            h = list(self._heights[-1])
+            h = list(self._heights[k])
             h[l] += h[w]
             self._heights.append(tuple(h))
-            self._prefix[self.depth] = tuple(
+            self._prefix[k + 1] = tuple(
                 row[:l] + (row[l] + row[w],) + row[l + 1:]
-                for row in self._prefix[self.depth - 1])
+                for row in self._prefix[k])
         return self
+
+    def lengths(self, n: int) -> tuple:
+        """The lengths of iet(n), integer pairs over `den`."""
+        self.extend(n)
+        return self._lengths[n]
+
+    def intervals(self, n: int) -> list:
+        """Per label, alphabet order, the left end and the length of
+        I^(n)_label as integer pairs over `den`."""
+        lengths, index = self.lengths(n), self.base.perm.alphabet.index
+        out, p, q = [None] * len(lengths), 0, 0
+        for i in map(index, self._rows[n][0]):
+            out[i] = (p, q), lengths[i]
+            p, q = p + lengths[i][0], q + lengths[i][1]
+        return out
 
     def iet(self, n: int) -> Iet:
         self.extend(n)
-        return self._iets[n]
+        iet = self._iets.get(n)
+        if iet is None:
+            iet = self._iets.setdefault(n, _iet_of(
+                self.base.perm.alphabet, self._rows[n], self._lengths[n],
+                self.den, self.field))
+        return iet
 
     def step_matrix(self, k: int):
         self.extend(_require_step(k) + 1)
@@ -257,7 +296,9 @@ class InductionTrace:
         return max(self.heights(n))
 
     def interval_length(self, n: int) -> ExactScalar:
-        return self.iet(n).total
+        lengths = self.lengths(n)
+        return _reduce(sum(p for p, _ in lengths), sum(q for _, q in lengths),
+                       self.den, self.field)
 
     def words(self, n: int) -> list:
         """Per tower at step n, alphabet order, the top-order indices of the
@@ -272,10 +313,13 @@ class InductionTrace:
         return words
 
     def check_cocycle(self, n: int) -> bool:
-        """lambda^(0) = B^(0,n) lambda^(n), exactly."""
-        lam_n = self.iet(n).lengths
-        return all(exact_dot(row, lam_n) == lam
-                   for row, lam in zip(self.product(0, n), self.base.lengths))
+        """lambda^(0) = B^(0,n) lambda^(n), exactly: integer dot products
+        of the rows of B^(0,n) with the length vectors over `den`."""
+        ps, qs = zip(*self.lengths(n))
+        return all(sum(map(mul, row, ps)) == p0 and
+                   sum(map(mul, row, qs)) == q0
+                   for row, (p0, q0) in zip(self.product(0, n),
+                                            self._lengths[0]))
 
 
 def induct(trace: InductionTrace, n: int) -> InductionTrace:
@@ -353,48 +397,45 @@ class TowerSystem:
                 yield floor + (tower.label,)
 
     def check_partition(self) -> bool:
-        """Exact chain check on the floors' integer pairs: every width is
-        positive, and from 0 each floor's right end is the left end of the
-        next, so that every floor is visited once and the last right end
-        is `total`."""
-        if not self.towers:
-            return self.total.sign() == 0
-        den, field = self.towers[0].den, self.towers[0].field
-        total = self.total
+        """Exact check by one sort of the floors' integer left ends: every
+        width is positive and, in the sorted order, the first floor starts
+        at 0, each right end is the next left end (so none repeats) and
+        the last is `total`; a chain that passes tiles the interval in any
+        order.  The key of (p, q) is p 2^m + q r, r = floor(sqrt(d) 2^m)
+        (p on Q), less than |q| below the value times 2^m: with 2^m > 2
+        max|q| over the least width, tiling floors' keys follow their
+        order."""
+        towers, total = self.towers, self.total
+        if not towers:
+            return total.sign() == 0
+        den, field = towers[0].den, towers[0].field
         if den % total.den or (total.d is not None and total.d != field):
             return False
-        end = (total.p * (den // total.den), total.q * (den // total.den))
-        right_of = {}
-        for tower in self.towers:
-            wp, wq = tower.width
-            if _sign(wp, wq, field) <= 0:
+        k = den // total.den
+        m = root = 0
+        if field is not None:
+            # w = |wp^2 - d wq^2| / |wp - wq sqrt(d)| >= 1 / (big (r + 2))
+            pairs = chain.from_iterable((t.width, *t.lefts) for t in towers)
+            big = max(map(abs, chain.from_iterable(pairs)))
+            m = (2 * big * big * (math.isqrt(field) + 2)).bit_length()
+            root = math.isqrt(field << 2 * m)
+        keys, lefts, widths = [], [], []
+        for t in towers:
+            if _sign(*t.width, field) <= 0:
                 return False
-            for p, q in tower.lefts:
-                right_of[p, q] = (p + wp, q + wq)
-        if len(right_of) != self.floor_count():
-            return False        # two floors share a left end
+            lefts += t.lefts
+            widths += [t.width] * len(t.lefts)
+            keys += [(p << m) + q * root for p, q in t.lefts]
         x = (0, 0)
-        for _ in range(len(right_of)):
-            x = right_of.get(x)
-            if x is None:
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if lefts[i] != x:
                 return False
-        return x == end
+            wp, wq = widths[i]
+            x = (x[0] + wp, x[1] + wq)
+        return x == (total.p * k, total.q * k)
 
     def floor_count(self) -> int:
         return sum(t.height for t in self.towers)
-
-
-def _base_pairs(ind: Iet, den: int) -> dict:
-    """label -> (left end, length) of I_label of `ind`, as integer pairs
-    over `den`, a multiple of the denominators of its lengths."""
-    length = dict(zip(ind.perm.alphabet, ind.lengths))
-    out, p, q = {}, 0, 0
-    for a in ind.perm.top:
-        lam = length[a]
-        k = den // lam.den
-        out[a] = ((p, q), (lam.p * k, lam.q * k))
-        p, q = p + lam.p * k, q + lam.q * k
-    return out
 
 
 def towers(trace: InductionTrace, n: int) -> TowerSystem:
@@ -410,10 +451,9 @@ def towers(trace: InductionTrace, n: int) -> TowerSystem:
     if field is None:
         rights, lefts, trans = ([(c, 0) for c in t]
                                 for t in (rights, lefts, trans))
-    bases = _base_pairs(trace.iet(n), den)
     out = []
-    for a, word in zip(base_iet.perm.alphabet, words):
-        (p, q), (wp, wq) = bases[a]
+    for a, word, ((p, q), (wp, wq)) in zip(base_iet.perm.alphabet, words,
+                                           trace.intervals(n)):
         floors = []
         for j in word:
             (lp, lq), (rp, rq), (tp, tq) = lefts[j], rights[j], trans[j]
@@ -563,11 +603,11 @@ def return_time_oracle(trace: InductionTrace, n: int, label: str) -> int:
     """
     times = trace._returns.get(n)
     if times is None:
-        trace.extend(n)
-        ind = trace.iet(n)
-        mids = [(ind.left(a) + ind.right(a)) / 2 for a in ind.perm.alphabet]
+        den, field = 2 * trace.den, trace.field
+        mids = [_reduce(2 * p + wp, 2 * q + wq, den, field)
+                for (p, q), (wp, wq) in trace.intervals(n)]
         orbit = IntegerOrbit(trace.base, mids[0], extra=mids[1:])
-        cut = orbit.pair_of(ind.total)
+        cut = orbit.pair_of(trace.interval_length(n))
         times = []
         for x in mids:
             orbit.move_to(orbit.pair_of(x))
@@ -598,15 +638,17 @@ def _as_ratio(nu) -> Fraction:
 def balance_check(trace: InductionTrace, n: int, nu) -> bool:
     """nu-balance at step n: all length ratios and height ratios in [1/nu, nu].
 
-    Exact comparisons; equivalent to max <= nu * min on both vectors.
+    Exact comparisons on integers; with nu = a/b, equivalent to
+    b max <= a min on both vectors, the lengths compared pairwise.
     """
     nu = _as_ratio(nu)
-    trace.extend(n)
-    lens = trace.iet(n).lengths
-    if exact_max(lens) > exact_min(lens) * nu:
+    a, b = nu.numerator, nu.denominator
+    lens, field = trace.lengths(n), trace.field
+    if any(_sign(b * p - a * pm, b * q - a * qm, field) > 0
+           for p, q in lens for pm, qm in lens):
         return False
     hs = trace.heights(n)
-    return max(hs) <= nu * min(hs)
+    return b * max(hs) <= a * min(hs)
 
 
 def positivity_check(trace: InductionTrace, m: int, n: int) -> bool:

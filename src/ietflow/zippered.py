@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import rauzy
 from .exact import ZERO, ExactScalar, as_scalar, exact_dot, exact_sum
 from .iet import Iet, InvalidIetError, Permutation
-from .rauzy import _step_matrix, rv_step
+from .rauzy import _iet_of, _step_matrix
 
 
 class InvalidSuspensionError(ValueError):
@@ -158,13 +159,17 @@ def area_normalize(z: ZipperedRectangles) -> ZipperedRectangles:
 
 
 def forward_rv_step(z: ZipperedRectangles):
-    """Lift of the induction step to triples: tau transforms like lambda."""
-    new_iet, matrix, step_type, (w, l) = rv_step(z.iet)
-    alphabet = z.iet.perm.alphabet
-    tau = {a: z.suspension.value(a) for a in alphabet}
-    tau[alphabet[w]] = tau[alphabet[w]] - tau[alphabet[l]]
-    new_susp = SuspensionData(new_iet.perm, tau)
-    return ZipperedRectangles(new_iet, new_susp), matrix, step_type
+    """Lift of the induction step to triples: tau transforms like lambda.
+    The step itself is `rauzy.rv_step` on z's rows and integer lengths."""
+    perm = z.iet.perm
+    den, field, lengths = z.iet.integer_lengths()
+    rows, lengths, step_type, (w, l) = rauzy.rv_step(
+        perm.alphabet, (perm.top, perm.bottom), lengths, den, field)
+    new_iet = _iet_of(perm.alphabet, rows, lengths, den, field)
+    tau = list(z.suspension.tau)
+    tau[w] = tau[w] - tau[l]
+    return (ZipperedRectangles(new_iet, SuspensionData(new_iet.perm, tau)),
+            _step_matrix(perm.d, w, l), step_type)
 
 
 def backward_rv_step(z: ZipperedRectangles):
@@ -176,48 +181,31 @@ def backward_rv_step(z: ZipperedRectangles):
     matrix.
     """
     perm = z.iet.perm
-    total = z.suspension.total()
-    sign = total.sign()
+    sign = z.suspension.total().sign()
     if sign == 0:
         raise BackwardUndefinedError("sum of tau vanishes; preimage type "
                                      "undetermined")
-    if sign < 0:
-        # previous step was 'top': winner is the last top letter and the
-        # loser sat at the end of the previous bottom row
-        step_type = "top"
-        winner = perm.top[-1]
-        row = list(perm.bottom)
-        wpos = row.index(winner)
-        if wpos == len(row) - 1:
-            raise BackwardUndefinedError(
-                "no 'top' preimage: winner is last in the bottom row")
-        loser = row[wpos + 1]
-        del row[wpos + 1]
-        row.append(loser)
-        prev_perm = Permutation(perm.top, row, alphabet=perm.alphabet)
-    else:
-        step_type = "bottom"
-        winner = perm.bottom[-1]
-        row = list(perm.top)
-        wpos = row.index(winner)
-        if wpos == len(row) - 1:
-            raise BackwardUndefinedError(
-                "no 'bottom' preimage: winner is last in the top row")
-        loser = row[wpos + 1]
-        del row[wpos + 1]
-        row.append(loser)
-        prev_perm = Permutation(row, perm.bottom, alphabet=perm.alphabet)
-
-    lengths = {a: z.iet.length(a) for a in perm.alphabet}
-    lengths[winner] = lengths[winner] + lengths[loser]
-    tau = {a: z.suspension.value(a) for a in perm.alphabet}
-    tau[winner] = tau[winner] + tau[loser]
-
-    matrix = _step_matrix(perm.d, perm.alphabet.index(winner),
-                          perm.alphabet.index(loser))
+    # the winner ends the row of the step's type; the loser sits right
+    # after it in the other row and goes back to that row's end
+    step_type, other = ("top", "bottom") if sign < 0 else ("bottom", "top")
+    winner = getattr(perm, step_type)[-1]
+    row = list(getattr(perm, other))
+    wpos = row.index(winner)
+    if wpos == len(row) - 1:
+        raise BackwardUndefinedError(
+            "no %r preimage: winner is last in the %s row"
+            % (step_type, other))
+    loser = row.pop(wpos + 1)
+    row.append(loser)
+    rows = (perm.top, row) if sign < 0 else (row, perm.bottom)
+    prev_perm = Permutation(*rows, alphabet=perm.alphabet)
+    w, l = perm.alphabet.index(winner), perm.alphabet.index(loser)
+    lengths, tau = list(z.iet.lengths), list(z.suspension.tau)
+    lengths[w] = lengths[w] + lengths[l]
+    tau[w] = tau[w] + tau[l]
     prev = ZipperedRectangles(Iet(prev_perm, lengths),
                               SuspensionData(prev_perm, tau))
-    return prev, matrix, step_type
+    return prev, _step_matrix(perm.d, w, l), step_type
 
 
 def canonical_zippered(iet: Iet, normalize: bool = True) -> ZipperedRectangles:

@@ -51,3 +51,22 @@ def test_traced_names_resolve_and_are_restored():
     # read by the environment stamp
     assert bench_module("stats").environment(os.getcwd())["hp_backend"] \
         == ("mpmath" if ratner.gmpy2 is None else "gmpy2")
+
+
+def test_every_induction_step_passes_the_step_hook():
+    # the traced run counts `rauzy.rv_steps` by wrapping `rauzy.rv_step`:
+    # the trace and the zippered forward step must both step through it
+    from ietflow import fixtures, rauzy, zippered
+
+    layers, tracer = bench_module("layers"), bench_module("tracer")
+    tr = tracer.Tracer()
+    try:
+        layers.install(tr)
+        rauzy.InductionTrace(fixtures.golden_rotation()).extend(20)
+        z = zippered.canonical_zippered(fixtures.golden_rotation(),
+                                        normalize=False)
+        for _ in range(5):
+            z, _, _ = zippered.forward_rv_step(z)
+    finally:
+        tr.uninstall()
+    assert tr.counts["rauzy.rv_steps"] == 25

@@ -55,15 +55,21 @@ CASES = [
     "dc mixing --depth 5 --nope",
     "dc mixing --steps 20",
     "dc mixing --depth 5 --iet {tmp}/half.iet",
+    "dc mixing --depth 0 --steps 20",
+    "dc mixing --depth -3 --steps 20",
     "dc ratner --depth 4 --steps 20",
     "dc ratner --depth 4 --steps 20 --csv",
     "dc ratner --depth 0 --steps 8",
+    "dc ratner --depth -1 --steps 8",
     "dc summability --depth 4 --steps 30 --window-len 0",
+    "dc summability --depth -2 --steps 30 --window-len 0",
     "dc summability --depth 4 --steps 30 --window-len 0 --csv",
     "ratner witness --eps 0.2 --pairs 2 --seed 3 --rate-floor 0.5 "
     "--steps 30",
     "ratner forbac --l-range 6..6 --grid 5 --steps 30",
     "ratner forbac --l-range 6..6 --grid 5 --steps 30 --csv",
+    "ratner forbac --l-range 0..1 --grid 5 --steps 30",
+    "ratner forbac --l-range 5..3 --grid 5 --steps 30",
     "mix correlate --t 1.0 --samples 2000 --seed 1",
     "nope",
 ]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,6 @@ from ietflow.rauzy import (
     positivity_check,
     projective_diameter,
     return_time_oracle,
-    rv_step,
     select_accel_times,
     towers,
 )
@@ -83,10 +83,11 @@ def fib(n):
 class TestRvStep:
     def test_symmetric_3iet_example(self):
         iet = symmetric_3iet()
-        new, matrix, step_type, winner_loser = rv_step(iet)
+        trace = InductionTrace(iet)
+        new, matrix, step_type = (trace.iet(1), trace.step_matrix(0),
+                                  trace.step_type(0))
         # bottom interval A (1/2) beats top interval C (1/6)
         assert step_type == "bottom"
-        assert winner_loser == (0, 2)
         lengths = {a: new.length(a) for a in "ABC"}
         assert lengths["A"] == ExactScalar(F(1, 3))
         assert lengths["B"] == ExactScalar(F(1, 3))
@@ -102,7 +103,7 @@ class TestRvStep:
     def test_first_return_oracle(self):
         # the induced map must equal the first-return map to the new interval
         iet = symmetric_3iet()
-        new, _, _, _ = rv_step(iet)
+        new = InductionTrace(iet).iet(1)
         hit = first_return_map(iet, new.total)
         for k in range(1, 40):
             x = ExactScalar(F(k, 48))
@@ -113,7 +114,7 @@ class TestRvStep:
 
     def test_first_return_oracle_golden(self):
         iet = golden_rotation()
-        new, _, _, _ = rv_step(iet)
+        new = InductionTrace(iet).iet(1)
         hit = first_return_map(iet, new.total)
         for k in range(1, 20):
             x = ExactScalar(F(k, 60))
@@ -146,6 +147,114 @@ class TestRvStep:
             for k in range(tr.depth):
                 assert mat_det(tr.step_matrix(k)) in (1, -1)
             assert mat_det(tr.product(0, tr.depth)) in (1, -1)
+
+
+def _reference_step(iet):
+    """One Rauzy-Veech step of an Iet in ExactScalar arithmetic: (induced
+    Iet, step matrix, step type, (w, l)); the differential reference of
+    the integer step `rv_step`."""
+    perm = iet.perm
+    alphabet = perm.alphabet
+    ti = alphabet.index(perm.top[-1])
+    bi = alphabet.index(perm.bottom[-1])
+    lt = iet.lengths[ti]
+    lb = iet.lengths[bi]
+    if lt == lb:
+        raise RVUndefinedError(
+            "last top and bottom intervals both have length %s"
+            % lt.to_string())
+    if lt > lb:
+        step_type, wi, li = "top", ti, bi
+    else:
+        step_type, wi, li = "bottom", bi, ti
+    winner, loser = alphabet[wi], alphabet[li]
+    lengths = list(iet.lengths)
+    lengths[wi] = lengths[wi] - lengths[li]
+    row = [a for a in (perm.bottom if step_type == "top" else perm.top)
+           if a != loser]
+    row.insert(row.index(winner) + 1, loser)
+    if step_type == "top":
+        new_perm = Permutation(perm.top, row, alphabet=alphabet)
+    else:
+        new_perm = Permutation(row, perm.bottom, alphabet=alphabet)
+    matrix = tuple(tuple(int(i == j or (i, j) == (wi, li))
+                         for j in range(perm.d)) for i in range(perm.d))
+    return Iet(new_perm, lengths), matrix, step_type, (wi, li)
+
+
+def _random_iet(seed, field):
+    """A random irreducible IET with d = 3..6 and lengths a + b sqrt(field)
+    (b = 0 on Q), a and b over 10^6, a > 0 and b >= 0."""
+    rng = random.Random("%d:%s" % (seed, field))
+    d = 3 + seed % 4
+    alphabet = "ABCDEF"[:d]
+    bottom = list(alphabet)
+    while True:
+        rng.shuffle(bottom)
+        perm = Permutation(alphabet, bottom)
+        if perm.irreducible:
+            break
+    return Iet(perm, [
+        ExactScalar(F(rng.randrange(1, 10 ** 6), 10 ** 6),
+                    F(rng.randrange(0, 10 ** 6), 10 ** 6) if field else 0,
+                    field)
+        for _ in range(d)])
+
+
+class TestIntegerTrace:
+    """The trace's integer steps against the ExactScalar reference."""
+
+    def _compare(self, base, depth):
+        trace = InductionTrace(base)
+        iet, d = base, base.perm.d
+        heights, prod, word = (1,) * d, mat_identity(d), ""
+        for n in range(depth + 1):
+            got = trace.iet(n)
+            assert got.perm == iet.perm and got.lengths == iet.lengths
+            assert trace.iet(n) is got
+            assert trace.heights(n) == heights
+            assert trace.product(0, n) == prod
+            assert trace.type_word(n) == word
+            assert trace.interval_length(n) == iet.total
+            assert trace.check_cocycle(n)
+            assert all(sum((k * lam for k, lam in zip(row, iet.lengths)),
+                           ExactScalar(0)) == lam0
+                       for row, lam0 in zip(prod, base.lengths))
+            if n == depth:
+                return trace
+            try:
+                iet, matrix, step_type, (w, l) = _reference_step(iet)
+            except RVUndefinedError as exc:
+                with pytest.raises(RVUndefinedError) as got_exc:
+                    trace.extend(n + 1)
+                assert str(got_exc.value) == str(exc)
+                assert got_exc.value.depth == trace.depth == n
+                return trace
+            assert trace.step_matrix(n) == matrix
+            assert trace.step_type(n) == step_type
+            h = list(heights)
+            h[l] += h[w]
+            heights, prod = tuple(h), mat_mul(prod, matrix)
+            word += step_type[0]
+
+    @pytest.mark.parametrize("field", [None, 2, 5])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_iets_match_the_exact_reference(self, field, seed):
+        trace = self._compare(_random_iet(seed, field), 40)
+        assert trace.depth == 40
+
+    @pytest.mark.parametrize("lengths,depth,tied", [
+        ([F(2, 5), F(3, 5)], 2, "1/5"),
+        ([ExactScalar(-1, 1, 2), ExactScalar(-2, 2, 2)], 1,
+         "(-1+1*sqrt(2))/1"),
+    ])
+    def test_a_tie_is_met_at_the_same_depth(self, lengths, depth, tied):
+        base = Iet(Permutation("AB", "BA"), lengths)
+        trace = self._compare(base, depth + 1)
+        assert trace.depth == depth
+        with pytest.raises(RVUndefinedError,
+                           match=r"both have length %s$" % re.escape(tied)):
+            trace.extend(depth + 1)
 
 
 class TestInduct:
@@ -339,6 +448,9 @@ class TestTowers:
                            ("C", [5], 5)],
             "zero width at the end": [("A", [0], 3), ("B", [3], 2),
                                       ("C", [5], 5), ("E", [10], 0)],
+            "negative width": [("A", [0], 3), ("B", [3], 2), ("C", [5], 5),
+                               ("E", [10], -1)],
+            "short of total": [("A", [0], 3), ("B", [3], 2), ("C", [5], 4)],
         }
         for name, spec in faults.items():
             assert not _system(1, 10, *spec).check_partition(), name
@@ -350,6 +462,55 @@ class TestTowers:
             _system(1, 10, *faults["zero width"]).all_floors(),
             ExactScalar(1))
 
+    def test_check_partition_faults_on_a_quadratic_field(self):
+        # [0, a) and [a, 1) with a = sqrt(2) - 1, as pairs over 1
+        a, b = (-1, 1), (2, -1)
+
+        def system(*towers_):
+            return TowerSystem([Tower(label, lefts, w, 1, 2)
+                                for label, lefts, w in towers_],
+                               ExactScalar(1), 0)
+
+        assert system(("A", [(0, 0)], a), ("B", [a], b)).check_partition()
+        assert system(("B", [a], b), ("A", [(0, 0)], a)).check_partition()
+        faults = {
+            # 3 - 2 sqrt(2) ~ 0.17
+            "gap": [("A", [(0, 0)], (3, -2)), ("B", [a], b)],
+            "overlap": [("A", [(0, 0)], a), ("B", [(3, -2)], (-2, 2))],
+            "duplicate": [("A", [(0, 0)], a), ("B", [a, a], b)],
+            "missing": [("A", [(0, 0)], a)],
+            "zero width": [("A", [(0, 0)], a), ("E", [a], (0, 0)),
+                           ("B", [a], b)],
+            "negative width": [("A", [(0, 0)], a), ("B", [a], b),
+                               ("E", [(1, 0)], (1, -1))],
+            "short of total": [("A", [(0, 0)], a), ("B", [a], (1, -1))],
+            "past total": [("A", [(0, 0)], a), ("B", [a], b),
+                           ("C", [(1, 0)], a)],
+        }
+        for name, spec in faults.items():
+            assert not system(*spec).check_partition(), name
+
+    def test_sort_keys_order_floors_closer_than_a_float_resolves(self):
+        # w = (sqrt(2) - 1)^40 ~ 5e-16 has pairs near 10^15, so p +
+        # q sqrt(2) in floats cannot order the floors [j w, (j + 1) w);
+        # the integer keys must, in any order of the tower's floors
+        w = ExactScalar(-1, 1, 2) ** 40
+        wp, wq = w.p, w.q
+        lefts = [(j * wp, j * wq) for j in range(50)]
+        random.Random(0).shuffle(lefts)
+        rest = (1 - 50 * wp, -50 * wq)
+        system = TowerSystem([Tower("A", lefts, (wp, wq), 1, 2),
+                              Tower("B", [(50 * wp, 50 * wq)], rest, 1, 2)],
+                             ExactScalar(1), 0)
+        floats = sorted(lefts, key=lambda f: f[0] + f[1] * math.sqrt(2))
+        assert floats != sorted(lefts, key=lambda f: f[0] // wp)
+        assert system.check_partition()
+        lefts[7] = (lefts[7][0] + wp, lefts[7][1] + wq)
+        assert not TowerSystem(
+            [Tower("A", lefts, (wp, wq), 1, 2),
+             Tower("B", [(50 * wp, 50 * wq)], rest, 1, 2)],
+            ExactScalar(1), 0).check_partition()
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 5), n=st.integers(0, 8),
            edits=st.lists(st.tuples(st.sampled_from(
@@ -360,27 +521,50 @@ class TestTowers:
         # shift a floor, change a tower's width by a few units of the
         # denominator) and compare the two checks on the result
         trace = _random_trace(seed, n)
-        system = towers(trace, min(n, trace.depth))
-        specs = [[t.label, list(t.lefts), t.width, t.den]
-                 for t in system.towers]
-        for kind, pick, delta in edits:
-            spec = specs[pick % len(specs)]
-            lefts = spec[1]
-            if kind == "width":
-                spec[2] = (spec[2][0] + delta, 0)
-            elif lefts:
-                j = pick % len(lefts)
-                if kind == "drop":
-                    del lefts[j]
-                elif kind == "copy":
-                    lefts.insert(j, lefts[j])
-                else:
-                    lefts[j] = (lefts[j][0] + delta, 0)
-        perturbed = TowerSystem([Tower(*spec) for spec in specs],
-                                system.total, system.step)
-        want = (_sorted_partition(perturbed.all_floors(), perturbed.total)
-                and all(t.width[0] > 0 for t in perturbed.towers))
-        assert perturbed.check_partition() == want
+        _compare_checks(towers(trace, min(n, trace.depth)), edits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(make=st.sampled_from([golden_rotation, bounded_type_3iet]),
+           n=st.integers(0, 12),
+           edits=st.lists(st.tuples(st.sampled_from(
+               ["drop", "copy", "shift", "width", "qshift", "qwidth"]),
+               st.integers(0, 10 ** 6), st.integers(-3, 3)), max_size=3))
+    def test_chain_check_matches_sorted_check_on_quadratic_fields(
+            self, make, n, edits):
+        # as above on Q(sqrt 5) and Q(sqrt 2), where the floors also move
+        # by units of sqrt(d)
+        _compare_checks(towers(InductionTrace(make()), n), edits)
+
+
+def _compare_checks(system, edits):
+    """Apply `edits` to the integer floors of `system` and compare
+    check_partition with the reference `_sorted_partition` and positive
+    widths."""
+    specs = [[t.label, list(t.lefts), t.width, t.den, t.field]
+             for t in system.towers]
+    for kind, pick, delta in edits:
+        spec = specs[pick % len(specs)]
+        lefts = spec[1]
+        if kind in ("width", "qwidth"):
+            wp, wq = spec[2]
+            spec[2] = (wp + delta, wq) if kind == "width" else \
+                (wp, wq + delta)
+        elif lefts:
+            j = pick % len(lefts)
+            p, q = lefts[j]
+            if kind == "drop":
+                del lefts[j]
+            elif kind == "copy":
+                lefts.insert(j, lefts[j])
+            else:
+                lefts[j] = (p + delta, q) if kind == "shift" else \
+                    (p, q + delta)
+    perturbed = TowerSystem([Tower(*spec) for spec in specs],
+                            system.total, system.step)
+    want = (_sorted_partition(perturbed.all_floors(), perturbed.total)
+            and all(ExactScalar(F(t.width[0], t.den), F(t.width[1], t.den),
+                                t.field) > 0 for t in perturbed.towers))
+    assert perturbed.check_partition() == want
 
 
 class TestReturnTimes:

@@ -449,9 +449,9 @@ def test_table_floors_are_checked_against_the_cuts(monkeypatch, make):
     iet = make()
     trace = InductionTrace(iet)
     n = iet.itinerary_table().step
-    words, bases = trace.words(n), rauzy._base_pairs
+    words, intervals = trace.words(n), InductionTrace.intervals
     d = iet.perm.d
-    for a, label in enumerate(iet.perm.alphabet):
+    for a in range(d):
         for g in (0, len(words[a]) - 1):
             wrong = list(words)
             word = list(wrong[a])
@@ -465,13 +465,13 @@ def test_table_floors_are_checked_against_the_cuts(monkeypatch, make):
                 rauzy.build_itinerary_table(iet)
         monkeypatch.undo()
 
-        def wider(ind, den, label=label):
-            out = bases(ind, den)
-            left, (wp, wq) = out[label]
-            out[label] = left, (wp + 1, wq)
+        def wider(self, n, a=a):
+            out = intervals(self, n)
+            left, (wp, wq) = out[a]
+            out[a] = left, (wp + 1, wq)
             return out
 
-        monkeypatch.setattr(rauzy, "_base_pairs", wider)
+        monkeypatch.setattr(InductionTrace, "intervals", wider)
         with pytest.raises(IetDomainError, match="discontinuity"):
             towers(trace, n)
         monkeypatch.undo()
@@ -483,14 +483,16 @@ def test_table_from_a_wrong_induction_is_refused(monkeypatch, make):
     # of T from the first interval to the second give the towers wrong
     # bases and widths: a floor crosses a cut of T
     iet = make()
-    eps = min(InductionTrace(iet).iet(40).lengths)
+    deep = InductionTrace(iet)
+    lengths = deep.iet(40).lengths
+    ep, eq = deep.lengths(40)[lengths.index(min(lengths))]
     step = rauzy.rv_step
 
-    def wrong_step(ind):
-        new, matrix, kind, wl = step(ind)
-        lengths = list(new.lengths)
-        lengths[0], lengths[1] = lengths[0] + eps, lengths[1] - eps
-        return Iet(new.perm, lengths), matrix, kind, wl
+    def wrong_step(alphabet, rows, lengths, den, field):
+        rows, lengths, kind, wl = step(alphabet, rows, lengths, den, field)
+        (p0, q0), (p1, q1) = lengths[:2]
+        lengths = ((p0 + ep, q0 + eq), (p1 - ep, q1 - eq)) + lengths[2:]
+        return rows, lengths, kind, wl
 
     monkeypatch.setattr(rauzy, "rv_step", wrong_step)
     with pytest.raises(IetDomainError, match="discontinuity"):

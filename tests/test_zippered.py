@@ -5,7 +5,7 @@ import pytest
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import bounded_type_3iet, golden_rotation, symmetric_3iet
 from ietflow.iet import Iet, InvalidIetError, Permutation
-from ietflow.rauzy import mat_det, mat_mul, rv_step
+from ietflow.rauzy import InductionTrace, mat_det, mat_mul
 from ietflow.zippered import (
     BackwardUndefinedError,
     InvalidSuspensionError,
@@ -185,7 +185,7 @@ class TestBackwardStep:
         seed = canonical_zippered(bounded_type_3iet(), normalize=False)
         z, _, _ = forward_rv_step(seed)
         prev, matrix, step_type = backward_rv_step(z)
-        nxt, matrix_f, type_f, _ = rv_step(prev.iet)
-        assert type_f == step_type
-        assert matrix_f == matrix
-        assert nxt == z.iet
+        trace = InductionTrace(prev.iet)
+        assert trace.step_type(0) == step_type
+        assert trace.step_matrix(0) == matrix
+        assert trace.iet(1) == z.iet
