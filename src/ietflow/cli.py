@@ -8,8 +8,11 @@ returns its exit code, its record payload and its induction trace, and
 full configuration echo, the seed, and a fingerprint of the induction type
 word, so that a record replays bit-for-bit for exact outputs.
 
-Exit codes: 0 ok, 1 a requested check failed, 2 usage error; `_run`
-reports each error as one JSON object on stderr.
+Exit codes: 0 ok, 1 a requested check failed (or a run failed), 2 usage
+error; `_run` reports each error as one JSON object on stderr.  Output is
+strict JSON: the `max_dev` of a pair that never got a certified deviation
+and the `max_diameter` of windows none of which is positive are null, and
+any other non-finite value fails the run (`NonFiniteOutput`, exit 1).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -79,18 +83,37 @@ def _load_roof(args, iet: Iet):
     return fixtures.asymmetric_log_roof(iet)
 
 
+class NonFiniteOutput(Exception):
+    """A non-finite float reached an output, where strict JSON has no token
+    for it: a defect of the run (exit 1), not of its flags."""
+
+
+def _dumps(obj, **options) -> str:
+    """`json.dumps` that raises `NonFiniteOutput` rather than write a NaN
+    or Infinity token."""
+    try:
+        return json.dumps(obj, allow_nan=False, **options)
+    except ValueError as exc:
+        raise NonFiniteOutput(str(exc)) from None
+
+
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
+
+
 def _emit(payload):
-    print(json.dumps(payload, sort_keys=True))
+    """Print the payload as one strict JSON line."""
+    print(_dumps(payload, sort_keys=True))
 
 
 def _rows(header, rows, csv=False):
-    """Print a series: CSV, or one JSON object per row with its keys in
-    header order."""
+    """Print a series: CSV, or one strict JSON object per row with its keys
+    in header order, every row encoded before the first is printed."""
     if csv:
         sys.stdout.write(series_to_csv(rows, header))
     else:
-        for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+        for line in [_dumps(dict(zip(header, row))) for row in rows]:
+            print(line)
 
 
 def _fingerprint(trace: InductionTrace) -> str:
@@ -107,8 +130,9 @@ def _log_record(args, payload, trace):
         "fingerprint": _fingerprint(trace) if trace is not None else None,
         "results": payload,
     }
+    line = _dumps(record, sort_keys=True, default=str)
     with open(args.log, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        fh.write(line + "\n")
 
 
 def _params_from(args):
@@ -352,7 +376,8 @@ def cmd_dc_mixing(args):
         "depth": args.depth, "insufficient_depth": report.insufficient_depth,
         "all_balanced": report.all_balanced if full else None,
         "all_windows_positive": report.all_windows_positive if full else None,
-        "max_diameter": report.max_diameter if full else None,
+        "max_diameter": _finite_or_none(report.max_diameter) if full
+        else None,
         "integrability": report.integrability,
     }
     if args.csv and full:
@@ -417,7 +442,8 @@ def cmd_ratner_witness(args):
     _rows(["x", "direction", "verdict", "p", "M", "L", "max_dev",
            "reverified", "reason"],
           [(res.x.to_string(), res.direction, res.verdict, res.p, res.M,
-            res.L, res.max_deviation, ok, res.failure_reason)
+            res.L, _finite_or_none(res.max_deviation), ok,
+            res.failure_reason)
            for res, ok in zip(results, ok_hp)])
     verified = sum(res.verdict == "verified" for res in results)
     reverified = sum(ok_hp)
@@ -628,7 +654,8 @@ def main(argv=None) -> int:
 
 #: Package errors that fail a run (exit 1), reported by their type name
 _FAILURES = (IndeterminateComparison, FlowStepBudgetError,
-             SingularityTooClose, ReturnBudgetError, ExactHitError)
+             SingularityTooClose, ReturnBudgetError, ExactHitError,
+             NonFiniteOutput)
 
 
 def _run(args) -> int:

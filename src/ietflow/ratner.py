@@ -659,7 +659,8 @@ class BumpObservable:
     and `put`) rather than masked, with the same operations in the same
     order as the full product; every other point gets 0.0, which is what
     the product of a zero factor and a factor in [0, 1] gives.  Scalars
-    and 0-d arrays give a numpy scalar.
+    and 0-d arrays give a numpy scalar.  ValueError, naming the field, for a
+    non-finite centre or a non-finite or non-positive width.
     """
 
     x0: float
@@ -669,6 +670,14 @@ class BumpObservable:
 
     _B_INT = 32.0 / 35.0
     _B2_INT = 2048.0 / 3003.0
+
+    def __post_init__(self):
+        for name in ("x0", "wx", "y0", "wy"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or (name[0] == "w" and value <= 0):
+                raise ValueError("BumpObservable %s = %r: %s" % (
+                    name, value, "a width must be finite and positive"
+                    if name[0] == "w" else "a centre must be finite"))
 
     def __call__(self, x, y):
         ux, uy = np.broadcast_arrays((x - self.x0) / self.wx,
@@ -696,9 +705,15 @@ class BumpObservable:
 
 @dataclass(frozen=True)
 class ConstantObservable:
-    """g == value everywhere on the flow space (marginalization checks)."""
+    """g == value everywhere on the flow space (marginalization checks);
+    ValueError for a non-finite value."""
 
     value: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("ConstantObservable value = %r: the value must "
+                             "be finite" % (self.value,))
 
     def __call__(self, x, y):
         return np.full(np.shape(x), self.value)
@@ -781,18 +796,41 @@ def _probe(iet: Iet, spec: RoofSpec, gs: tuple, ts: tuple,
            n_samples: int, seed: int) -> tuple:
     """(value, stderr): the Monte-Carlo estimate of int prod_i g_i(p_i) dmu
     minus the product of the means of the g_i, with p_0 a sample and p_i =
-    phi_{t_i} p_{i-1}; ValueError for n_samples < 2."""
+    phi_{t_i} p_{i-1}; ValueError for n_samples < 2 or a non-finite t_i.
+
+    Only the live samples, those whose running product z is nonzero, are
+    flowed and observed: before each factor the samples where z is exactly
+    0.0 are dropped, and the next products are written back into the
+    full-length z, whose mean and std still run over all n_samples.  The
+    observables are finite (they refuse non-finite parameters), so 0.0
+    times the next factor is 0.0, the product a dropped sample keeps; and
+    the flow is elementwise.  So every estimate is bit for bit that of
+    flowing every sample, except that a negative factor can flip the sign
+    of an estimate that is zero.  A FlowStepBudgetError's pending count
+    counts the flowed samples only.
+    """
     _require_samples(n_samples)
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError("flow time t = %r is not finite" % (t,))
     rng = np.random.default_rng(seed)
     area = roof_area(iet, spec)
     x, y, tables, f = sample_flow_space(iet, spec, n_samples, rng)
     z = gs[0](x, y)
+    live = np.arange(n_samples)
     for g, t in zip(gs[1:], ts):
+        # the index of a bool array, several times faster than of floats
+        keep = np.flatnonzero(z.take(live) != 0.0)
+        live, x, y = live.take(keep), x.take(keep), y.take(keep)
+        if f is not None:
+            f = f.take(keep)
+        if not live.size:
+            break
         if t != 0.0:
             # the samples' roof values serve only a flow from the samples
             x, y, _ = kernels.flow_points(tables, x, y, t, f=f)
             f = None
-        z = z * g(x, y)
+        z.put(live, z.take(live) * g(x, y))
     value = float(z.mean()) - math.prod(g.mean(area) for g in gs)
     return value, float(z.std(ddof=1)) / math.sqrt(n_samples)
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -367,6 +368,124 @@ class TestErrorReports:
         with pytest.raises(RVUndefinedError) as exc:
             trace.extend(5)
         assert exc.value.depth == trace.depth == 1
+
+    #: each bump flag and the BumpObservable field it sets
+    BUMP_FIELDS = {"--gx": "x0", "--gw": "wx", "--gy": "y0", "--gwy": "wy",
+                   "--hx": "x0", "--hw": "wx", "--hy": "y0", "--hwy": "wy"}
+
+    @pytest.mark.parametrize("flag,value", [
+        (flag, value) for flag in ("--gw", "--gwy", "--hw", "--hwy")
+        for value in ("nan", "inf", "0", "-1")] + [
+        (flag, value) for flag in ("--gx", "--gy", "--hx", "--hy")
+        for value in ("nan", "inf")])
+    def test_bump_outside_its_domain_is_a_usage_error(self, flag, value,
+                                                      capsys):
+        from ietflow import cli
+
+        code = cli.main(["mix", "correlate", "--t", "1", "--samples", "100",
+                         "%s=%s" % (flag, value)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert err["detail"].startswith("BumpObservable %s = "
+                                        % self.BUMP_FIELDS[flag])
+
+    @pytest.mark.parametrize("writer", ["_emit", "_rows", "_log_record"])
+    def test_non_finite_output_is_one_json_error(self, writer, monkeypatch,
+                                                 tmp_path, capsys):
+        # strict JSON: a non-finite float in a payload, a row or a log
+        # record fails the run (exit 1) before the line is written
+        import types
+
+        from ietflow import cli
+
+        log = tmp_path / "exp.jsonl"
+        argv = ["mix", "correlate", "--t", "1", "--samples", "100", "--log",
+                str(log)]
+        if writer == "_emit":
+            monkeypatch.setattr(cli, "roof_area", lambda iet, spec: math.inf)
+        elif writer == "_rows":
+            argv = ["bs", "sigma-sets", "--l-max", "2", "--log", str(log)]
+            monkeypatch.setattr(cli, "sigma_set", lambda *args:
+                                types.SimpleNamespace(
+                                    sigma=1, measure=math.nan, bound=1.0))
+        else:
+            emit = cli._emit
+
+            def emit_then_spoil(payload):
+                emit(payload)
+                payload["estimate"] = -math.inf
+
+            monkeypatch.setattr(cli, "_emit", emit_then_spoil)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        # only the spoiled log record's payload was finite when printed
+        assert (captured.out != "") == (writer == "_log_record")
+        assert not log.exists()
+        for text in (captured.out, captured.err):
+            for token in ("Traceback", "NaN", "Infinity"):
+                assert token not in text
+        for line in captured.out.splitlines():
+            json.loads(line)
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": "NonFiniteOutput",
+            "detail": "Out of range float values are not JSON compliant"}
+
+    @pytest.mark.parametrize("kind", ["straddle", "tie"])
+    def test_witness_pair_with_no_deviation_prints_null(self, kind,
+                                                        monkeypatch, capsys):
+        # a straddling or tied pair never gets a certified deviation
+        # (max_deviation = inf): its row prints max_dev null, strict JSON
+        from ietflow import cli, ratner
+
+        walk = ratner._pair_walk
+
+        def failing(*args, **kwargs):
+            checkpoints, straddle, deriv = walk(*args, **kwargs)
+            if kind == "straddle":
+                return checkpoints, 1, deriv
+            v, e, d = checkpoints[-1]
+            return checkpoints[:-1] + [(v, e, -d)], straddle, deriv
+
+        monkeypatch.setattr(ratner, "_pair_walk", failing)
+        code = cli.main(["ratner", "witness", "--eps", "0.2", "--pairs", "2",
+                         "--steps", "30"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        *rows, summary = [json.loads(line)
+                          for line in captured.out.splitlines()]
+        assert [row["max_dev"] for row in rows] == [None, None]
+        assert [row["verdict"] for row in rows] == ["failed", "failed"]
+        assert summary["failures"][kind] == 2
+        assert summary["rate"] == 0.0
+
+    def test_mixing_with_no_positive_window_prints_null(self, monkeypatch,
+                                                        capsys):
+        # no window positive: every diameter is inf, and so is the report's
+        # max_diameter, which prints null
+        import dataclasses
+
+        from ietflow import cli
+
+        report = cli.mixing_dc_report
+
+        def no_positive_window(*args):
+            out = report(*args)
+            return dataclasses.replace(
+                out, windows_positive=[False] * len(out.diameters),
+                diameters=[math.inf] * len(out.diameters))
+
+        monkeypatch.setattr(cli, "mixing_dc_report", no_positive_window)
+        code = cli.main(["dc", "mixing", "--depth", "3", "--steps", "20"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        out = json.loads(captured.out)
+        assert out["max_diameter"] is None
+        assert out["all_windows_positive"] is False
 
     def test_flow_step_budget_is_reported(self, monkeypatch, capsys):
         import functools

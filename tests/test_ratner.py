@@ -1409,8 +1409,11 @@ class TestMixingProbes:
 
     def test_flows_reuse_the_sampled_roof_values(self, monkeypatch):
         # the flow-space check reads f(x) from `sample_flow_space`, with no
-        # second roof pass; a flow from flowed points makes its own
+        # second roof pass; a flow from flowed points makes its own.  The
+        # triple probes carry constants, so their live samples (h's
+        # support) reach both flows
         seen, inner = [], kernels._require_flow_space
+        one = ConstantObservable(1.0)
 
         def spy(tables, x, y, mod, f=None):
             seen.append(f)
@@ -1419,15 +1422,16 @@ class TestMixingProbes:
         monkeypatch.setattr(kernels, "_require_flow_space", spy)
         mixing_correlation(self.iet, self.spec, self.g, self.h, 7.0, 20000,
                            seed=11)
-        triple_mixing_probe(self.iet, self.spec, self.h, self.g, self.g,
-                            3.5, 2.0, 20000, seed=11)
-        triple_mixing_probe(self.iet, self.spec, self.h, self.g, self.g,
-                            0.0, 2.0, 20000, seed=11)
+        triple_mixing_probe(self.iet, self.spec, self.h, one, one, 3.5,
+                            2.0, 20000, seed=11)
+        triple_mixing_probe(self.iet, self.spec, self.h, one, one, 0.0,
+                            2.0, 20000, seed=11)
         assert [f is None for f in seen] == [False, False, True, False]
         x, y, tables, fx = sample_flow_space(self.iet, self.spec, 20000,
                                              np.random.default_rng(11))
         assert np.array_equal(fx, kernels.roof_values(tables, x))
-        assert np.array_equal(seen[0], fx)
+        # the first flow moves only the samples in h's support
+        assert np.array_equal(seen[0], fx.take(np.flatnonzero(self.h(x, y))))
 
     def test_triple_marginalization(self):
         one = ConstantObservable(1.0)
@@ -1471,6 +1475,14 @@ class TestMixingProbes:
                                 1.0, 2.0, n)
         est = mixing_correlation(self.iet, self.spec, self.g, self.g, 5.0, 2)
         assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constant_refuses_a_non_finite_value(self, value):
+        # 0.0 times a non-finite factor is NaN, not the 0.0 that a sample
+        # dropped from the probe keeps
+        with pytest.raises(ValueError, match=r"ConstantObservable value = "):
+            ConstantObservable(value)
+        ConstantObservable(-1e308)
 
     def test_triple_decay_trend(self):
         small = triple_mixing_probe(self.iet, self.spec, self.g, self.g,
