@@ -9,10 +9,11 @@ full configuration echo, the seed, and a fingerprint of the induction type
 word, so that a record replays bit-for-bit for exact outputs.
 
 Exit codes: 0 ok, 1 a requested check failed (or a run failed), 2 usage
-error; `_run` reports each error as one JSON object on stderr.  Output is
-strict JSON: the `max_dev` of a pair that never got a certified deviation
-and the `max_diameter` of windows none of which is positive are null, and
-any other non-finite value fails the run (`NonFiniteOutput`, exit 1).
+error; `_run` reports each error as one JSON object on stderr, and `main`
+each flag value that its `_positive` type refuses.  Output is strict JSON:
+the `max_dev` of a pair that never got a certified deviation and the
+`max_diameter` of windows none of which is positive are null, and any
+other non-finite value fails the run (`NonFiniteOutput`, exit 1).
 """
 
 from __future__ import annotations
@@ -63,12 +64,29 @@ from .serialize import (
 from .zippered import ZipperedRectangles, backward_rv_step, generic_tau
 
 
-class _FlagError(ValueError):
-    """A flag's value outside its domain: a usage error naming the flag."""
+class _FlagError(Exception):
+    """A flag's value outside its domain: a usage error naming the flag.
+    Not a ValueError, which argparse would turn into its own usage text
+    when a `type=` converter raises it: this one reaches `main`."""
 
     def __init__(self, field, detail):
         super().__init__(detail)
         self.constraint = field
+
+
+def _positive(kind, field):
+    """The argparse `type=` of a flag that takes a positive finite `kind`
+    (float or int); text that is no `kind` at all stays argparse's
+    error."""
+    need = ("a finite --%s > 0" if kind is float else "--%s > 0") % field
+
+    def convert(text):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise _FlagError(field, "need %s, got %s" % (need, text))
+        return value
+    convert.__name__ = kind.__name__    # argparse's error names the type
+    return convert
 
 
 def _load_iet(args) -> Iet:
@@ -579,8 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("growth")
     _add_common(p, csv=True, roof=True, induction=True)
     p.add_argument("--r-grid", dest="r_grid", default="1000,3000,10000")
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--eps", type=float, default=0.39)
+    p.add_argument("--points", type=_positive(int, "points"), default=10,
+                   help="sample points, > 0")
+    p.add_argument("--eps", type=_positive(float, "eps"), default=0.39,
+                   help="growth-bound epsilon, finite and > 0")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bs_growth)
     p = s.add_parser("sigma-sets")
@@ -605,8 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = group("ratner", "switchable-Ratner witness")
     p = s.add_parser("witness")
     _add_common(p, roof=True, window=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--eps", type=_positive(float, "eps"), required=True,
+                   help="SR epsilon, finite and > 0")
+    p.add_argument("--pairs", type=_positive(int, "pairs"), required=True,
+                   help="pairs to test, > 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gap", default=None, help="pair separation (fraction)")
     p.add_argument("--n-floor", dest="n_floor", type=int, default=10)
@@ -617,8 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, csv=True, window=True)
     p.add_argument("--l-range", dest="l_range", required=True,
                    help="1 <= lo..hi <= accelerated times, e.g. 6..12")
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.2)
+    p.add_argument("--grid", type=_positive(int, "grid"), required=True,
+                   help="points k/(grid+1) per scale, > 0")
+    p.add_argument("--eps", type=_positive(float, "eps"), default=0.2,
+                   help="SR epsilon, finite and > 0")
     p.set_defaults(func=cmd_ratner_forbac)
 
     s = group("mix", "Monte-Carlo mixing probes")
@@ -649,7 +673,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return _run(_parser().parse_args(argv))
+    try:
+        args = _parser().parse_args(argv)
+    except _FlagError as exc:     # raised by a `_positive` flag type
+        print(json.dumps(_usage(exc)), file=sys.stderr)
+        return 2
+    return _run(args)
 
 
 #: Package errors that fail a run (exit 1), reported by their type name
@@ -667,8 +696,7 @@ def _run(args) -> int:
             _log_record(args, payload, trace)
         return code
     except (ParamWindowError, _FlagError) as exc:
-        error, code = {"error": "usage", "field": exc.constraint,
-                       "detail": str(exc)}, 2
+        error, code = _usage(exc), 2
     except RVUndefinedError as exc:
         error, code = {"error": "RVUndefined", "detail": str(exc),
                        "depth_reached": exc.depth}, 1
@@ -682,6 +710,11 @@ def _run(args) -> int:
         error, code = {"error": "usage", "detail": str(exc)}, 2
     print(json.dumps(error), file=sys.stderr)
     return code
+
+
+def _usage(exc) -> dict:
+    """The report of a flag outside its domain, naming the flag."""
+    return {"error": "usage", "field": exc.constraint, "detail": str(exc)}
 
 
 if __name__ == "__main__":

@@ -489,12 +489,15 @@ def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
              max_steps: int = 10 ** 7):
     """Move (x, y) by t time units, i.e. (x, 0) by s = y + t: returns
     (T^r x, s - S_r, r) with 0 <= remainder < f(T^r x), after at most
-    max_steps jumps (FlowStepBudgetError beyond; ValueError when y + t is
-    not finite).  The cursor walks
+    max_steps jumps (FlowStepBudgetError beyond; ValueError when y < 0 or
+    y + t is not finite).  The cursor walks
     segments, each after the first as long as the mean of the roof values
     walked so far predicts; r is the first step where the running
     remainder (a cumsum in step order) falls below f, or reaches 0
     backward.  Points past it never raise."""
+    if y < 0:
+        raise ValueError("flow point y = %r is below 0, outside the flow "
+                         "space" % y)
     s = y + t
     if not math.isfinite(s):
         raise ValueError("flow time y + t = %r (y = %r, t = %r) is not "

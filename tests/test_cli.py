@@ -296,6 +296,79 @@ class TestErrorReports:
         assert json.loads(captured.err) == {
             "error": "usage", "detail": "negative induction step %d" % step}
 
+    @pytest.mark.parametrize("argv,flag,value", [
+        (argv, "--eps", value)
+        for argv in ("ratner witness --pairs 1",
+                     "ratner forbac --l-range 6..6 --grid 1",
+                     "bs growth --points 1")
+        for value in ("inf", "-inf", "nan", "0", "-0.5", "1e400")] + [
+        (argv, flag, value)
+        for argv, flag in (("ratner witness --eps 0.2", "--pairs"),
+                           ("ratner forbac --l-range 6..6", "--grid"),
+                           ("bs growth", "--points"))
+        for value in ("-1", "0")])
+    def test_flag_outside_its_domain_is_a_usage_error(self, argv, flag,
+                                                      value, capsys):
+        # refused by the flag's argparse type before the command runs
+        from ietflow import cli
+
+        code = cli.main(argv.split() + ["%s=%s" % (flag, value)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        need = "a finite %s" % flag if flag == "--eps" else flag
+        assert json.loads(captured.err) == {
+            "error": "usage", "field": flag[2:],
+            "detail": "need %s > 0, got %s" % (need, value)}
+
+    @pytest.mark.parametrize("y,t", [("-1", "1"), ("-1e-300", "1"),
+                                     ("-inf", "1"), ("-0.5", "-2")])
+    def test_flow_point_below_the_base_is_a_usage_error(self, y, t, capsys):
+        from ietflow import cli
+
+        code = cli.main(["flow", "orbit", "--x", "1/3", "--t", t,
+                         "--y=" + y])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "detail": "flow point y = %r is below 0, outside the flow space"
+                      % float(y)}
+
+    @pytest.mark.parametrize("command,flag", [
+        ("ratner witness", "--eps"), ("ratner witness", "--pairs"),
+        ("ratner forbac", "--eps"), ("ratner forbac", "--grid"),
+        ("bs growth", "--eps"), ("bs growth", "--points")])
+    def test_flag_help_states_its_domain(self, command, flag):
+        from ietflow import cli
+
+        parser = cli.build_parser()
+        for word in command.split():
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[word]
+        text = next(a.help for a in parser._actions
+                    if flag in a.option_strings)
+        assert text.endswith("> 0")
+        assert ("finite" in text) == (flag == "--eps")
+
+    @pytest.mark.parametrize("t", ["1", "-2"])
+    def test_flow_point_at_negative_zero_flows_from_the_base(self, t,
+                                                              capsys):
+        # -0.0 is not below 0: it flows as y = 0 does
+        from ietflow import cli
+
+        ends = []
+        for y in ("0", "-0.0"):
+            code = cli.main(["flow", "orbit", "--x", "1/3", "--t", t,
+                             "--y=" + y])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0
+            ends.append((out["end_x"], out["end_y"],
+                         out["discrete_iterations"]))
+        assert ends[0] == ends[1]
+
     #: three accelerated times at --steps 30
     FOUR = ("top = A B C D\nbottom = D C B A\n"
             "lengths = 3/17 5/19 2/7 621/2261\n")

@@ -1,12 +1,11 @@
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ietflow import _core_py, kernels, ratner
+from ietflow import kernels, ratner
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import (asymmetric_log_roof, bounded_type_3iet,
                               constant_roof, golden_rotation)
@@ -19,20 +18,19 @@ F = Fraction
 
 
 @pytest.fixture
-def module(request):
-    """The kernel backend named by the test's parameter: numpy, or the
-    compiled build that `compiled_core` (conftest) provides or skips for."""
-    if request.param == "numpy":
-        return _core_py
-    return request.getfixturevalue("compiled_core")
+def kernel(request):
+    """The float kernel named by the test's parameter, the one that
+    `implementation_name` reports."""
+    assert request.param == kernels.implementation_name()
+    return kernels
 
 
-BACKENDS = pytest.mark.parametrize("module", ["numpy", "cython"],
-                                   indirect=True)
+#: each case id names the kernel it ran on
+KERNEL = pytest.mark.parametrize("kernel", ["numpy"], indirect=True)
 
 
 def numpy_min_distance(tables, x, n, points):
-    """The former numpy per-step scan of `_core_py.min_orbit_distance`,
+    """The former numpy per-step scan of `min_orbit_distance`,
     kept as its reference."""
     def index(cuts, v):
         return min(int(np.searchsorted(cuts, np.array([v]), side="right")[0]),
@@ -55,7 +53,7 @@ def _searchsorted_index(rights, x):
 
 
 def numpy_roof_values(tables, x):
-    """The former numpy `_core_py.roof_values` (searchsorted index, both
+    """The former numpy `roof_values` (searchsorted index, both
     terms always evaluated), kept as the reference of the comparison
     index and the zero-term skip."""
     idx = _searchsorted_index(tables.rights, x)
@@ -66,7 +64,7 @@ def numpy_roof_values(tables, x):
 
 
 def numpy_flow_points(tables, x, y, t):
-    """The former numpy `_core_py.flow_points` (masked full-length loop,
+    """The former numpy `flow_points` (masked full-length loop,
     every sample located twice per forward jump), kept as the reference
     of the compacted kernel."""
     x = np.array(x, dtype=np.float64, copy=True)
@@ -200,16 +198,16 @@ def setup():
     return iet, spec, tables
 
 
-@BACKENDS
+@KERNEL
 class TestAgainstExactPath:
-    def test_flow_matches_exact_path(self, module, setup):
+    def test_flow_matches_exact_path(self, kernel, setup):
         iet, spec, tables = setup
         rng = random.Random(4)
         xs = [F(rng.randrange(1, 10 ** 6), 10 ** 6) for _ in range(20)]
         ys = [rng.uniform(0.05, 0.9) for _ in range(20)]
         for t in [4.25, -3.5]:
-            xf, yf, steps = kernels.flow_points(
-                tables, [float(x) for x in xs], ys, t, module=module)
+            xf, yf, steps = kernel.flow_points(
+                tables, [float(x) for x in xs], ys, t)
             for i, (x, y) in enumerate(zip(xs, ys)):
                 out = flow(iet, spec, FlowPoint(ExactScalar(x), y), t)
                 assert xf[i] == pytest.approx(float(out.x), abs=1e-7)
@@ -217,14 +215,14 @@ class TestAgainstExactPath:
 
     @pytest.mark.parametrize("make_iet", [golden_rotation,
                                           bounded_type_3iet])
-    def test_min_distance_matches_exact_path(self, module, make_iet):
+    def test_min_distance_matches_exact_path(self, kernel, make_iet):
         iet = make_iet()
         tables = kernels.float_tables(iet, asymmetric_log_roof(iet))
         endpoints = np.array(sorted({float(s) for s in iet.singular_points()}))
         for x in [F(123457, 10 ** 6), F(1, 3), F(9, 10)]:
             for n in [400, -400]:
-                got = kernels.min_orbit_distance(tables, float(x), n,
-                                                 endpoints, module=module)
+                got = kernel.min_orbit_distance(tables, float(x), n,
+                                                endpoints)
                 assert got == numpy_min_distance(tables, float(x), n,
                                                  endpoints)
                 exact = BirkhoffCursor(iet, None, x, forward=n > 0) \
@@ -232,16 +230,16 @@ class TestAgainstExactPath:
                 # the float orbit drifts by at most two roundings a step
                 assert abs(got - float(exact)) <= 2 * abs(n) * 2.0 ** -52
 
-    def test_min_distance_of_empty_segment(self, module, setup):
+    def test_min_distance_of_empty_segment(self, kernel, setup):
         _, _, tables = setup
         points = np.array([0.0, 0.5, 1.0])
-        assert kernels.min_orbit_distance(tables, 0.123, 0, points,
-                                          module=module) == math.inf
+        assert kernel.min_orbit_distance(tables, 0.123, 0,
+                                         points) == math.inf
 
-    def test_roof_values(self, module, setup):
+    def test_roof_values(self, kernel, setup):
         iet, spec, tables = setup
         xs = np.array([0.1, 0.2, 0.5, 0.9])
-        got = kernels.roof_values(tables, xs, module=module)
+        got = kernel.roof_values(tables, xs)
         want = [eval_roof(iet, spec, F(v).limit_denominator(10)).value
                 for v in [F(1, 10), F(1, 5), F(1, 2), F(9, 10)]]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -283,7 +281,7 @@ class TestNumpyKernelsMatchFormer:
     def test_roof_values(self, make_iet, make_roof):
         tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
         x, _ = _kernel_samples(tables)
-        got = kernels.roof_values(tables, x, module=_core_py)
+        got = kernels.roof_values(tables, x)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, numpy_roof_values(tables, x))
 
@@ -291,8 +289,7 @@ class TestNumpyKernelsMatchFormer:
     def test_flow_points(self, make_iet, make_roof, t):
         tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
         x, y = _kernel_samples(tables, n=1000 if abs(t) > 100 else 3000)
-        got = kernels.flow_points(tables, x, y, t,
-                                  module=_core_py)
+        got = kernels.flow_points(tables, x, y, t)
         want = numpy_flow_points(tables, x, y, t)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -302,8 +299,8 @@ class TestNumpyKernelsMatchFormer:
     def test_flow_points_across_blocks(self, make_iet, make_roof, t):
         # three blocks: the samples' order and every bit survive the cuts
         tables = kernels.float_tables(make_iet(), make_roof(make_iet()))
-        x, y = _kernel_samples(tables, n=2 * _core_py._BLOCK + 1001)
-        got = kernels.flow_points(tables, x, y, t, module=_core_py)
+        x, y = _kernel_samples(tables, n=2 * kernels._BLOCK + 1001)
+        got = kernels.flow_points(tables, x, y, t)
         want = numpy_flow_points(tables, x, y, t)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -352,50 +349,25 @@ def test_sample_flow_space_matches_masked_draw(make_iet, make_roof):
             np.testing.assert_array_equal(a, b)
 
 
-@BACKENDS
+@KERNEL
 @pytest.mark.parametrize("forward", [True, False])
-def test_flow_step_budget_allows_exactly_max_steps(module, forward, setup):
+def test_flow_step_budget_allows_exactly_max_steps(kernel, forward, setup):
     """A sample that needs exactly one jump flows under max_steps=1 and
-    raises under max_steps=0, in both directions, on every backend."""
+    raises under max_steps=0, in both directions."""
     iet, _, tables = setup
     x = np.array([0.3])
     if forward:
         nxt = float(iet.evaluate(F(3, 10)))
-        t = float(kernels.roof_values(tables, x)[0]
-                  + 0.5 * kernels.roof_values(tables, [nxt])[0])
+        t = float(kernel.roof_values(tables, x)[0]
+                  + 0.5 * kernel.roof_values(tables, [nxt])[0])
     else:
         prev = float(iet.evaluate_inverse(F(3, 10)))
-        t = float(-0.5 * kernels.roof_values(tables, [prev])[0])
-    _, _, steps = kernels.flow_points(tables, x, [0.0], t, max_steps=1,
-                                      module=module)
+        t = float(-0.5 * kernel.roof_values(tables, [prev])[0])
+    _, _, steps = kernel.flow_points(tables, x, [0.0], t, max_steps=1)
     assert steps[0] == (1 if forward else -1)
     with pytest.raises(FlowStepBudgetError, match="exceeded 0 steps") as info:
-        kernels.flow_points(tables, x, [0.0], t, max_steps=0, module=module)
+        kernel.flow_points(tables, x, [0.0], t, max_steps=0)
     assert (info.value.max_steps, info.value.t) == (0, t)
-
-
-def test_plain_budget_error_is_typed_and_chained(setup):
-    # a backend that reports the budget as the compiled build does, with a
-    # plain RuntimeError; any other RuntimeError passes through
-    _, _, tables = setup
-
-    def backend(message):
-        def flow_points(*args):
-            raise RuntimeError(message)
-        return SimpleNamespace(roof_values=_core_py.roof_values,
-                               flow_points=flow_points)
-
-    x, y = np.array([0.3]), np.array([0.0])
-    with pytest.raises(FlowStepBudgetError) as info:
-        kernels.flow_points(tables, x, y, 7.5, max_steps=4,
-                            module=backend("flow advance exceeded 4 steps"))
-    err = info.value
-    assert (err.max_steps, err.t, err.pending, err.steps) == (4, 7.5, None,
-                                                              None)
-    assert str(err.__cause__) == "flow advance exceeded 4 steps"
-    with pytest.raises(RuntimeError, match="^other$") as info:
-        kernels.flow_points(tables, x, y, 7.5, module=backend("other"))
-    assert type(info.value) is RuntimeError
 
 
 @pytest.mark.parametrize("t", [50.0, -50.0])
@@ -403,14 +375,13 @@ def test_numpy_flow_budget_error_carries_context(setup, t):
     # past one block, `pending` still counts the whole array
     _, _, tables = setup
     rng = np.random.default_rng(9)
-    for n in [400, 2 * _core_py._BLOCK + 7]:
+    for n in [400, 2 * kernels._BLOCK + 7]:
         x = rng.uniform(0.0, 1.0, n)
         y = rng.uniform(0.0, 0.5, n)
-        _, _, steps = kernels.flow_points(tables, x, y, t, module=_core_py)
+        _, _, steps = kernels.flow_points(tables, x, y, t)
         budget = int(np.median(np.abs(steps)))
         with pytest.raises(FlowStepBudgetError) as info:
-            kernels.flow_points(tables, x, y, t, max_steps=budget,
-                                module=_core_py)
+            kernels.flow_points(tables, x, y, t, max_steps=budget)
         err = info.value
         assert isinstance(err, RuntimeError)
         assert (err.max_steps, err.t, err.steps) == (budget, t, None)
@@ -423,132 +394,98 @@ def test_numpy_flow_runs_in_equal_blocks(setup, monkeypatch, t):
     _, _, tables = setup
     sizes = []
     for name in ("_forward", "_backward"):
-        def spy(*args, inner=getattr(_core_py, name)):
+        def spy(*args, inner=getattr(kernels, name)):
             sizes.append(args[-4].size)  # the block of x
             return inner(*args)
-        monkeypatch.setattr(_core_py, name, spy)
+        monkeypatch.setattr(kernels, name, spy)
     rng = np.random.default_rng(4)
-    for n in [0, 1, _core_py._BLOCK, _core_py._BLOCK + 1,
-              3 * _core_py._BLOCK + 2]:
+    for n in [0, 1, kernels._BLOCK, kernels._BLOCK + 1,
+              3 * kernels._BLOCK + 2]:
         del sizes[:]
         x = rng.uniform(0.0, 1.0, n)
-        kernels.flow_points(tables, x, 0.5 * x, t, module=_core_py)
+        kernels.flow_points(tables, x, 0.5 * x, t)
         assert sum(sizes) == n
-        assert len(sizes) == -(-n // _core_py._BLOCK)
+        assert len(sizes) == -(-n // kernels._BLOCK)
         assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
-class TestParity:
-    """The compiled kernels against numpy; `compiled_core` (conftest)
-    builds the committed _core.c when no extension is installed."""
-
-    def test_flow_parity(self, setup, compiled_core):
-        _, _, tables = setup
-        rng = np.random.default_rng(23)
-        x = rng.uniform(0.001, 0.999, size=500)
-        y = rng.uniform(0.0, 0.9, size=500)
-        for t in [7.3, -2.9]:
-            xa, ya, sa = kernels.flow_points(tables, x, y, t,
-                                             module=compiled_core)
-            xb, yb, sb = kernels.flow_points(tables, x, y, t, module=_core_py)
-            # jump counts may differ only where a sample sits within float
-            # rounding of a jump boundary; none of these random samples do
-            np.testing.assert_array_equal(sa, sb)
-            np.testing.assert_allclose(xa, xb, atol=1e-12)
-            np.testing.assert_allclose(ya, yb, atol=1e-10)
-
-    @pytest.mark.parametrize("t", [5.0, -5.0])
-    def test_flow_parity_across_blocks(self, setup, compiled_core, t):
-        # the numpy kernel runs these in three blocks, the compiled one in
-        # a single loop
-        _, _, tables = setup
-        rng = np.random.default_rng(29)
-        n = 2 * _core_py._BLOCK + 1001
-        x = rng.uniform(0.001, 0.999, size=n)
-        y = rng.uniform(0.0, 0.9, size=n)
-        xa, ya, sa = kernels.flow_points(tables, x, y, t,
-                                         module=compiled_core)
-        xb, yb, sb = kernels.flow_points(tables, x, y, t, module=_core_py)
-        np.testing.assert_array_equal(sa, sb)
-        np.testing.assert_allclose(xa, xb, atol=1e-12)
-        np.testing.assert_allclose(ya, yb, atol=1e-10)
-
-    def test_min_distance_parity(self, setup, compiled_core):
-        iet, _, tables = setup
-        points = np.array([0.0, float(iet.right("A")), 1.0])
-        for x in [0.123, 0.456, 0.789]:
-            for n in [50, -50]:
-                a = kernels.min_orbit_distance(tables, x, n, points,
-                                               module=compiled_core)
-                b = kernels.min_orbit_distance(tables, x, n, points,
-                                               module=_core_py)
-                assert a == b
-
-    def test_3iet_roof_parity(self, compiled_core):
-        iet = bounded_type_3iet()
-        spec = asymmetric_log_roof(iet)
-        tables = kernels.float_tables(iet, spec)
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0.001, 0.999, size=300)
-        a = kernels.roof_values(tables, x, module=compiled_core)
-        b = kernels.roof_values(tables, x, module=_core_py)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
-
-
 def test_selected_implementation_reported():
-    assert kernels.implementation_name() in ("numpy", "cython")
+    assert kernels.implementation_name() == "numpy"
 
 
-@BACKENDS
-def test_backend_defines_the_kernel_contract(module):
-    """Every function `kernels` dispatches to, plus IMPLEMENTATION."""
-    assert module.IMPLEMENTATION in ("numpy", "cython")
+@KERNEL
+def test_backend_defines_the_kernel_contract(kernel):
+    """The public kernel functions, which `perfbench` wraps on traced
+    runs, and the kernel name of each run's environment stamp."""
+    assert kernel.implementation_name() == "numpy"
     for name in ("roof_values", "flow_points", "min_orbit_distance"):
-        assert callable(getattr(module, name)), name
+        assert callable(getattr(kernel, name)), name
 
 
-@BACKENDS
+@pytest.mark.parametrize("t", [5.0, -5.0])
+def test_inner_calls_skip_the_public_kernels(setup, monkeypatch, t):
+    """`flow_points` and `min_orbit_distance` run on the raw-array kernels,
+    never through the public names that `perfbench` wraps on traced runs,
+    so that each traced span counts only outside calls."""
+    _, _, tables = setup
+    flow_points = kernels.flow_points
+    min_orbit_distance = kernels.min_orbit_distance
+    x = np.array([0.1, 0.3, 0.7])
+    y = np.array([0.2, 0.2, 0.2])
+    f = kernels.roof_values(tables, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public kernel called from inside one")
+    for name in ("roof_values", "flow_points", "min_orbit_distance"):
+        monkeypatch.setattr(kernels, name, refuse)
+    for given in (None, f):
+        _, _, steps = flow_points(tables, x, y, t, f=given)
+        assert steps.any()
+    points = np.array([0.0, 0.5, 1.0])
+    assert min_orbit_distance(tables, 0.3, int(10 * t), points) < math.inf
+
+
+@KERNEL
 @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((), ()),
                                     ((1, 1), (1, 1)), ((5,), (4,)),
                                     ((5,), ())])
-def test_flow_points_take_1d_arrays_of_one_length(module, setup, shapes):
+def test_flow_points_take_1d_arrays_of_one_length(kernel, setup, shapes):
     # samples are written back by flat position, which a 2-d array would
     # take for a row
     _, _, tables = setup
     x, y = np.full(shapes[0], 0.3), np.full(shapes[1], 0.1)
     with pytest.raises(ValueError, match="takes 1-d x and y of one length"):
-        kernels.flow_points(tables, x, y, 5.0, module=module)
+        kernel.flow_points(tables, x, y, 5.0)
 
 
-@BACKENDS
+@KERNEL
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_flow_points_refuse_a_non_finite_time(module, setup, t):
+def test_flow_points_refuse_a_non_finite_time(kernel, setup, t):
     # nan would flow nowhere and inf would run the whole step budget
     _, _, tables = setup
     with pytest.raises(ValueError, match="flow time t = %r is not finite"
                        % t):
-        kernels.flow_points(tables, np.array([0.3]), np.array([0.1]), t,
-                            module=module)
+        kernel.flow_points(tables, np.array([0.3]), np.array([0.1]), t)
 
 
-@BACKENDS
+@KERNEL
 @pytest.mark.parametrize("t", [0.5, -0.5])
 @pytest.mark.parametrize("where", ["y below 0", "y at f(x)", "y above f(x)",
                                    "x below 0", "x at total"])
-def test_flow_domain_error_on_every_backend(module, setup, t, where):
+def test_flow_domain_error_on_every_backend(kernel, setup, t, where):
     """A sample outside 0 <= x < total, 0 <= y < f(x) is refused before
-    dispatch with one typed error naming it, never returned unmoved."""
+    the flow with one typed error naming it, never returned unmoved."""
     _, _, tables = setup
     x = np.array([0.1, 0.3, 0.7])
     y = np.array([0.2, 0.2, 0.2])
-    f = kernels.roof_values(tables, x, module=module)
+    f = kernel.roof_values(tables, x)
     x[1], y[1] = {"y below 0": (0.3, -1.0),
                   "y at f(x)": (0.3, f[1]),
                   "y above f(x)": (0.3, f[1] + 1.0),
                   "x below 0": (-0.25, 0.2),
                   "x at total": (tables.total, 0.2)}[where]
     with pytest.raises(FlowDomainError) as info:
-        kernels.flow_points(tables, x, y, t, module=module)
+        kernel.flow_points(tables, x, y, t)
     err = info.value
     assert isinstance(err, ValueError)
     assert (err.index, err.x, err.y, err.count) == (1, x[1], y[1], 1)
@@ -556,23 +493,23 @@ def test_flow_domain_error_on_every_backend(module, setup, t, where):
     assert "outside the flow space" in str(err)
 
 
-@BACKENDS
+@KERNEL
 @pytest.mark.parametrize("where", ["y at f(x)", "y above f(x)", "x at total"])
-def test_flow_domain_error_with_given_roof_values(module, setup, where):
+def test_flow_domain_error_with_given_roof_values(kernel, setup, where):
     """Roof values handed to `flow_points` replace its roof pass, not its
     check: a sample outside the flow space raises the same error."""
     _, _, tables = setup
     x = np.array([0.1, 0.3, 0.7])
     y = np.array([0.2, 0.2, 0.2])
-    f = kernels.roof_values(tables, x, module=module)
+    f = kernel.roof_values(tables, x)
     x[1], y[1] = {"y at f(x)": (0.3, f[1]),
                   "y above f(x)": (0.3, f[1] + 1.0),
                   "x at total": (tables.total, 0.2)}[where]
-    f = kernels.roof_values(tables, x, module=module)
+    f = kernel.roof_values(tables, x)
     errors = []
     for given in (None, f):
         with pytest.raises(FlowDomainError) as info:
-            kernels.flow_points(tables, x, y, 0.5, module=module, f=given)
+            kernel.flow_points(tables, x, y, 0.5, f=given)
         err = info.value
         errors.append((err.index, err.x, err.y, err.f, err.total, err.count))
     assert errors[0] == errors[1]

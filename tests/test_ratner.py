@@ -1415,9 +1415,9 @@ class TestMixingProbes:
         seen, inner = [], kernels._require_flow_space
         one = ConstantObservable(1.0)
 
-        def spy(tables, x, y, mod, f=None):
+        def spy(tables, x, y, f=None):
             seen.append(f)
-            return inner(tables, x, y, mod, f)
+            return inner(tables, x, y, f)
 
         monkeypatch.setattr(kernels, "_require_flow_space", spy)
         mixing_correlation(self.iet, self.spec, self.g, self.h, 7.0, 20000,
@@ -1507,12 +1507,9 @@ PINNED_PROBES = {
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_PROBES))
-def test_probe_outputs_are_pinned(seed, monkeypatch):
+def test_probe_outputs_are_pinned(seed):
     """Every bit of the mix_probe estimates on the numpy kernel: the
     benchmark's fingerprint holds only the item and the sample count."""
-    from ietflow import _core_py
-
-    monkeypatch.setattr(kernels, "impl", _core_py)
     iet = golden_rotation()
     spec = asymmetric_log_roof(iet)
     g = BumpObservable(x0=0.5, wx=0.3, y0=0.5, wy=0.49)

@@ -298,6 +298,26 @@ class TestFlow:
         with pytest.raises(ValueError, match="is not finite"):
             flow(iet, spec, FlowPoint(ExactScalar(F(1, 3)), y), t)
 
+    @pytest.mark.parametrize("y,t", [(-1.0, 1.0), (-1e-300, 0.0),
+                                     (-0.5, -2.0), (-math.inf, 1.0)])
+    def test_point_below_the_base_is_refused(self, y, t):
+        # outside the flow space, where no flow orbit passes
+        iet = golden_rotation()
+        spec = asymmetric_log_roof(iet)
+        with pytest.raises(ValueError, match="flow point y = %r is below 0"
+                           % y):
+            flow(iet, spec, FlowPoint(ExactScalar(F(1, 3)), y), t)
+
+    @pytest.mark.parametrize("t", [1.0, -2.0, 0.0])
+    def test_point_at_negative_zero_is_on_the_base(self, t):
+        # -0.0 is not below 0: it flows as y = 0 does
+        iet = golden_rotation()
+        spec = asymmetric_log_roof(iet)
+        x = ExactScalar(F(1, 3))
+        one = flow(iet, spec, FlowPoint(x, 0.0), t)
+        two = flow(iet, spec, FlowPoint(x, -0.0), t)
+        assert (one.x, one.y) == (two.x, two.y)
+
     @pytest.mark.parametrize("forward", [True, False])
     def test_step_budget_allows_exactly_max_steps(self, forward):
         """A point that needs exactly one jump flows under max_steps=1;
