@@ -10,7 +10,7 @@ word, so that a record replays bit-for-bit for exact outputs.
 
 Exit codes: 0 ok, 1 a requested check failed (or a run failed), 2 usage
 error; `_run` reports each error as one JSON object on stderr, and `main`
-each flag value that its `_positive` type refuses.  Output is strict JSON:
+each flag value outside the domain of its `_flag` type.  Output is strict JSON:
 the `max_dev` of a pair that never got a certified deviation and the
 `max_diameter` of windows none of which is positive are null, and any
 other non-finite value fails the run (`NonFiniteOutput`, exit 1).
@@ -74,15 +74,22 @@ class _FlagError(Exception):
         self.constraint = field
 
 
-def _positive(kind, field):
-    """The argparse `type=` of a flag that takes a positive finite `kind`
-    (float or int); text that is no `kind` at all stays argparse's
-    error."""
-    need = ("a finite --%s > 0" if kind is float else "--%s > 0") % field
+#: The domains a `_flag` type checks, by the text its error shows.
+_DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+            "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _flag(kind, field, domain="> 0"):
+    """The argparse `type=` of a flag that takes a finite `kind` (float or
+    int) in `domain`, a key of `_DOMAINS`; text that is no `kind` at all
+    stays argparse's error."""
+    need = ("a finite --%s %s" if kind is float else "--%s %s") % (field,
+                                                                   domain)
+    inside = _DOMAINS[domain]
 
     def convert(text):
         value = kind(text)
-        if not (value > 0 and math.isfinite(value)):
+        if not (inside(value) and (kind is int or math.isfinite(value))):
             raise _FlagError(field, "need %s, got %s" % (need, text))
         return value
     convert.__name__ = kind.__name__    # argparse's error names the type
@@ -597,9 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("growth")
     _add_common(p, csv=True, roof=True, induction=True)
     p.add_argument("--r-grid", dest="r_grid", default="1000,3000,10000")
-    p.add_argument("--points", type=_positive(int, "points"), default=10,
+    p.add_argument("--points", type=_flag(int, "points"), default=10,
                    help="sample points, > 0")
-    p.add_argument("--eps", type=_positive(float, "eps"), default=0.39,
+    p.add_argument("--eps", type=_flag(float, "eps"), default=0.39,
                    help="growth-bound epsilon, finite and > 0")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bs_growth)
@@ -616,32 +623,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, required=True,
                        help="scales to report, >= 1 on mixing, else >= 0")
         if name != "mixing":
-            p.add_argument("--window-len", dest="window_len", type=int,
+            p.add_argument("--window-len", dest="window_len",
+                           type=_flag(int, "window-len", ">= 0"),
                            default=None,
                            help="override the L-window (0 = consecutive "
-                                "scales)")
+                                "scales), >= 0")
         p.set_defaults(func=func)
 
     s = group("ratner", "switchable-Ratner witness")
     p = s.add_parser("witness")
     _add_common(p, roof=True, window=True)
-    p.add_argument("--eps", type=_positive(float, "eps"), required=True,
+    p.add_argument("--eps", type=_flag(float, "eps"), required=True,
                    help="SR epsilon, finite and > 0")
-    p.add_argument("--pairs", type=_positive(int, "pairs"), required=True,
+    p.add_argument("--pairs", type=_flag(int, "pairs"), required=True,
                    help="pairs to test, > 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gap", default=None, help="pair separation (fraction)")
     p.add_argument("--n-floor", dest="n_floor", type=int, default=10)
-    p.add_argument("--rate-floor", dest="rate_floor", type=float, default=0.9)
-    p.add_argument("--window-len", dest="window_len", type=int, default=0)
+    p.add_argument("--rate-floor", dest="rate_floor",
+                   type=_flag(float, "rate-floor", "in [0, 1]"), default=0.9,
+                   help="least verified rate, finite and in [0, 1]")
+    p.add_argument("--window-len", dest="window_len",
+                   type=_flag(int, "window-len", ">= 0"), default=0,
+                   help="the L-window (0 = consecutive scales), >= 0")
     p.set_defaults(func=cmd_ratner_witness)
     p = s.add_parser("forbac")
     _add_common(p, csv=True, window=True)
     p.add_argument("--l-range", dest="l_range", required=True,
                    help="1 <= lo..hi <= accelerated times, e.g. 6..12")
-    p.add_argument("--grid", type=_positive(int, "grid"), required=True,
+    p.add_argument("--grid", type=_flag(int, "grid"), required=True,
                    help="points k/(grid+1) per scale, > 0")
-    p.add_argument("--eps", type=_positive(float, "eps"), default=0.2,
+    p.add_argument("--eps", type=_flag(float, "eps"), default=0.2,
                    help="SR epsilon, finite and > 0")
     p.set_defaults(func=cmd_ratner_forbac)
 
@@ -675,7 +687,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _FlagError as exc:     # raised by a `_positive` flag type
+    except _FlagError as exc:     # raised by a `_flag` flag type
         print(json.dumps(_usage(exc)), file=sys.stderr)
         return 2
     return _run(args)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,10 +143,8 @@ def _first_above(p: int, q: int, cuts, field, scale: int = 1) -> int:
 
 
 class _Walk(NamedTuple):
-    """The tables of one direction of `IntegerOrbit.segment`: exact pairs
-    and their float shadows."""
-    cuts: tuple             # right ends, top (bottom) order, integer pairs
-    fcuts: tuple            # their shadows
+    """The tables of one direction of `IntegerOrbit.segment`: exact
+    translations and their float shadows."""
     ftrans: list            # shadow translations, negated backward
     ft: np.ndarray          # ftrans as an array
     big: int                # the largest translation numerator
@@ -275,14 +272,17 @@ class Iet:
         return self._ftables[0]
 
     def itinerary_table(self):
-        """The `rauzy.ItineraryTable` of this IET (computed once), or None
-        where it has none: without float tables, or where the induction
-        stops before every tower is `_SEGMENT` floors tall.  Its build
-        walks no orbit."""
+        """The `rauzy.ItineraryTable` of this IET (computed once): its
+        Rohlin towers with their floors in exact order, the one source of
+        the interval indices of its orbit segments.  Every IET has one,
+        with or without float tables, with no fallback: at the first
+        induction step where each tower is `_SEGMENT` floors tall, else at
+        the deepest step the build reaches (see
+        `rauzy.build_itinerary_table`).  Its build walks no orbit."""
         if self._towers is None:
             from .rauzy import build_itinerary_table
-            self._towers = (build_itinerary_table(self),)
-        return self._towers[0]
+            self._towers = build_itinerary_table(self)
+        return self._towers
 
     def discontinuities(self) -> list[ExactScalar]:
         """Orbits of these points decide the Keane condition: l_a, pi_t(a) != 1."""
@@ -422,21 +422,18 @@ class IntegerOrbit:
     what the one-step methods leave; `ratner._pair_walk`,
     `roof.BirkhoffCursor`, the exact flow, `keane_check` and
     `first_return_map` walk so.  Their interval indices J come first, then
-    `follow(J)` gives every other output from J by array operations;
-    `rauzy.build_itinerary_table` follows each tower's word so.
+    `follow(J)` gives every other output from J by array operations.
 
-    J comes by one rule on every field.  Where the shadow re-syncs (with
-    float tables) and the IET has an itinerary table
-    (`Iet.itinerary_table`: its Rohlin towers at the first induction step
-    where each is `_SEGMENT` floors tall), J is read off the towers
-    (`_itinerary`).  An exact locate gives the point's tower and floor,
-    and the next points follow that tower's word up to its top, where the
-    point is located again; backward, the reversed word below the floor in
-    bottom order, then at floor 0 one `_first_above` on the bottom cuts.
-    This J is the exact itinerary, so no locate needs certifying.
-    Elsewhere, that is without float tables or on an IET whose induction
-    stops before its towers are that tall, `_stepped` locates one step at
-    a time by `_locate`, the certified locate of the one-step methods.
+    J has one index source on every field and every IET, with no
+    fallback: the IET's itinerary table (`Iet.itinerary_table`, its Rohlin
+    towers with their floors in exact order), read by `_itinerary`.  An
+    exact locate gives the point's tower and floor, and the next points
+    follow that tower's word up to its top, where the point is located
+    again; backward, the reversed word below the floor in bottom order,
+    then at floor 0 one `_first_above` on the bottom cuts.  This J is the
+    exact itinerary, so no locate needs certifying.  The one-step methods
+    locate by `_locate` instead, the certified shadow locate, and are the
+    reference the segments are tested against.
 
     From a re-sync xerr grows by 2 units a step, exact multiples of the
     power of two `unit`, so one array holds the bounds of a run of up to
@@ -597,16 +594,13 @@ class IntegerOrbit:
         walk = self._walks[forward]
         if walk is None:
             sign = 1 if forward else -1
-            cuts, fcuts, trans, ftrans = (
-                (self.cuts, self.frights, self.trans, self.ftrans) if forward
-                else (self.cuts_b, self.frights_b, self.trans_b,
-                      self.ftrans_b))
+            trans, ftrans = ((self.trans, self.ftrans) if forward
+                             else (self.trans_b, self.ftrans_b))
             ftrans = [sign * t for t in ftrans]
             big = max(abs(v) for t in trans for v in t)
             tt = [[sign * t[c] for t in trans] for c in (0, 1)]
             walk = self._walks[forward] = _Walk(
-                cuts, fcuts, ftrans,
-                np.array(ftrans, np.float64), big, tt,
+                ftrans, np.array(ftrans, np.float64), big, tt,
                 [np.array(t, np.int64) for t in tt] if big < 2 ** 63
                 else None, np.array(self.top_of_b))
         return walk
@@ -616,15 +610,12 @@ class IntegerOrbit:
         backward) read off the itinerary table: slices of a tower's word
         (backward, reversed, in bottom order) from the floor of the point
         on, an exact locate after each tower's top, and backward from a
-        floor 0 one `_first_above` on the bottom cuts.  The shadow guesses
-        for the locates are moved along with the exact point, so that no
-        float is rounded from an exact pair."""
+        floor 0 one `_first_above` on the bottom cuts."""
         scale = self.den // table.den
-        p, q, guess = self.p, self.q, self.xf
-        lp, lq, fl = table.lp, table.lq, table.fl
+        p, q, lp, lq = self.p, self.q, table.lp, table.lq
         J, n = np.empty(k, np.int64), 0
         while True:
-            a, g = table.locate(p, q, scale, guess, self.field)
+            a, g = table.locate(p, q, scale, self.field)
             if forward:
                 m = min(table.ends[a] - g, k - n)
                 J[n:n + m] = table.word[g:g + m]
@@ -633,9 +624,8 @@ class IntegerOrbit:
                     return J
                 # past the top: x - (left end of g) + the tower's exit
                 ep, eq = table.exits[a]
-                p += scale * (ep - lp.item(g))
-                q += scale * (eq - lq.item(g))
-                guess += table.fexits[a] - fl.item(g)
+                p += scale * (ep - lp[g])
+                q += scale * (eq - lq[g])
             else:
                 g0 = table.starts[a]
                 m = min(g - g0, k - n)
@@ -644,42 +634,23 @@ class IntegerOrbit:
                 if n == k:
                     return J
                 # down to floor 0, then one step below the base
-                p -= scale * (lp.item(g) - lp.item(g0))
-                q -= scale * (lq.item(g) - lq.item(g0))
+                p -= scale * (lp[g] - lp[g0])
+                q -= scale * (lq[g] - lq[g0])
                 J[n] = j = _first_above(p, q, self.cuts_b, self.field)
                 n += 1
                 if n == k:
                     return J
                 p, q = p - self.trans_b[j][0], q - self.trans_b[j][1]
-                guess -= fl.item(g) - fl.item(g0) + self.ftrans_b[j]
-
-    def _stepped(self, walk, k: int) -> np.ndarray:
-        """The indices of the next k steps of `segment` (bottom order
-        backward) by the certified one-step locate `_locate`, the orbit
-        moved along each step as the one-step methods move it and then
-        back to where it was."""
-        cuts, fcuts, ftrans, tp, tq = (walk.cuts, walk.fcuts, walk.ftrans,
-                                       *walk.tt)
-        start = self.p, self.q, self.xf, self.xerr
-        js = array("q", bytes(8 * k))
-        for n in range(k):
-            js[n] = j = self._locate(fcuts, cuts)
-            self.p += tp[j]
-            self.q += tq[j]
-            self._shift(ftrans[j])
-        self.p, self.q, self.xf, self.xerr = start
-        return np.frombuffer(js, np.int64)
 
     def segment(self, k: int, forward: bool = True) -> tuple:
         """Take k >= 1 steps, backward when not forward, and return arrays
         (i, xf, xerr, dp, dq) over the points visited: top-order interval
         indices, shadows, their error bounds and exact pairs less the pair
         before the first step.  Forward visits x .. T^(k-1) x before each
-        step, backward T^-1 x .. T^-k x after each step.  Then `follow`."""
-        table = self.iet.itinerary_table() if self.unit < math.inf else None
-        J = (self._stepped(self._walk(forward), k) if table is None
-             else self._itinerary(table, k, forward))
-        return self.follow(J, forward)
+        step, backward T^-1 x .. T^-k x after each step.  The indices are
+        `_itinerary`'s, then `follow`."""
+        return self.follow(self._itinerary(self.iet.itinerary_table(), k,
+                                           forward), forward)
 
     def follow(self, J: np.ndarray, forward: bool = True) -> tuple:
         """Take the steps of the orbit's own int64 interval indices J (top
@@ -818,10 +789,11 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     `_FIRST_SEGMENT` points long, as most returns are.  A point's float
     shadow (on Q as on Q(sqrt d)) decides its side of the cut where it is
     more than its error bound plus two units away from the cut's float;
-    elsewhere `exact._sign` decides.  The segments read the IET's
-    itinerary table where it has one, whose towers `rauzy.towers` lays
-    along the Rauzy-Veech words but checks floor by floor against the
-    intervals of T, so the oracle still rests on T alone.
+    elsewhere `exact._sign` decides.  The segments read their indices off
+    the IET's itinerary table, their one index source with no fallback:
+    the towers `rauzy.towers` lays along the Rauzy-Veech words but checks
+    floor by floor against the intervals of T, their floors in exact
+    order, so the oracle still rests on T alone.
     """
     if not (ExactScalar(0) < cut and cut <= iet.total):
         raise IetDomainError("cut must lie in (0, total]")

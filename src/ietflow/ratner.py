@@ -368,8 +368,7 @@ def _pair_walk(iet: Iet, spec: RoofSpec, x, y, M: int, L: int,
     straddle a cut exactly when r_a - x_n <= delta (backward, after the
     step, which also catches a pair split by a bottom cut).  The orbit goes
     by `IntegerOrbit.segment`, whose docstring says where its itinerary
-    comes from (the IET's Rohlin towers, else certified one-step locates,
-    on Q as on Q(sqrt d)).
+    comes from (the IET's Rohlin towers, on Q as on Q(sqrt d)).
     The straddle test goes by the shadow when its difference clears xerr +
     3 units (xerr + 1 for a gap, one for delta and the difference, one
     spare), else by `exact._sign`; the walk stops at the first straddle.

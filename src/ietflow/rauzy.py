@@ -10,9 +10,11 @@ pairs over the base IET's common denominator; a trace builds the induced
 `Iet` of a step only when asked.  The executable ground truth is
 `first_return_map` in `iet.py`: tests check every step against directly
 iterated return times.  `towers` lays each Rohlin tower's floors along its
-word, read off the steps, and checks each floor against the intervals of
-T itself; the oracle reads its orbits off the IET's itinerary table, built
-from those towers, so it does not rest on `rv_step`.
+word, read off the steps, checks each floor against the intervals of T
+itself and sorts the floors once by an exact key.  The IET's itinerary
+table is those towers as arrays in that exact floor order: one index
+source for every orbit segment on every IET, with no fallback.  The oracle
+reads its orbits off it, so it does not rest on `rv_step`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .exact import ZERO, ExactScalar, _reduce, _sign, exact_max, exact_min
+from .exact import ExactScalar, _reduce, _sign, exact_max, exact_min
 from .iet import _SEGMENT, Iet, IetDomainError, IntegerOrbit, Permutation
 
 
@@ -381,7 +383,9 @@ class TowerSystem:
 
     Floor i of the tower over I^(n)_a is T^i I^(n)_a, 0 <= i < h_a; the
     floors of all towers partition [0, total) exactly.  The towers share
-    one denominator and field.
+    one denominator and field.  Their floors, numbered tower by tower
+    floor 0 first, are sorted once by an exact key (`order`), which the
+    partition check and the itinerary table both read.
     """
 
     def __init__(self, towers: list[Tower], total: ExactScalar, step: int):
@@ -390,48 +394,59 @@ class TowerSystem:
         self.towers = towers
         self.total = total
         self.step = step
+        self._order = None
 
     def all_floors(self):
         for tower in self.towers:
             for floor in tower.floors:
                 yield floor + (tower.label,)
 
+    def order(self) -> tuple:
+        """(m, keys, order), computed once: the floors in increasing order
+        of their keys (`order`) and those keys (`keys`, increasing).  The
+        key of the left end (p, q) is p 2^m + q r, r = floor(sqrt(d) 2^m)
+        (p on Q, where m = 0), less than |q| below the value times 2^m:
+        with 2^m > 2 max|q| over the least width, tiling floors' keys
+        follow their order, which is then the exact order of the left
+        ends."""
+        if self._order is None:
+            towers = self.towers
+            field = towers[0].field
+            m = root = 0
+            if field is not None:
+                # w = |wp^2 - d wq^2| / |wp - wq sqrt(d)| >= 1 / (big (r + 2))
+                pairs = chain.from_iterable((t.width, *t.lefts)
+                                            for t in towers)
+                big = max(map(abs, chain.from_iterable(pairs)))
+                m = (2 * big * big * (math.isqrt(field) + 2)).bit_length()
+                root = math.isqrt(field << 2 * m)
+            keys = [(p << m) + q * root for t in towers for p, q in t.lefts]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._order = m, [keys[g] for g in order], order
+        return self._order
+
     def check_partition(self) -> bool:
-        """Exact check by one sort of the floors' integer left ends: every
-        width is positive and, in the sorted order, the first floor starts
-        at 0, each right end is the next left end (so none repeats) and
-        the last is `total`; a chain that passes tiles the interval in any
-        order.  The key of (p, q) is p 2^m + q r, r = floor(sqrt(d) 2^m)
-        (p on Q), less than |q| below the value times 2^m: with 2^m > 2
-        max|q| over the least width, tiling floors' keys follow their
-        order."""
+        """Exact check along `order`: every width is positive and, in that
+        order, the first floor starts at 0, each right end is the next
+        left end (so none repeats) and the last is `total`; a chain that
+        passes tiles the interval in any order."""
         towers, total = self.towers, self.total
         if not towers:
             return total.sign() == 0
         den, field = towers[0].den, towers[0].field
         if den % total.den or (total.d is not None and total.d != field):
             return False
-        k = den // total.den
-        m = root = 0
-        if field is not None:
-            # w = |wp^2 - d wq^2| / |wp - wq sqrt(d)| >= 1 / (big (r + 2))
-            pairs = chain.from_iterable((t.width, *t.lefts) for t in towers)
-            big = max(map(abs, chain.from_iterable(pairs)))
-            m = (2 * big * big * (math.isqrt(field) + 2)).bit_length()
-            root = math.isqrt(field << 2 * m)
-        keys, lefts, widths = [], [], []
-        for t in towers:
-            if _sign(*t.width, field) <= 0:
-                return False
-            lefts += t.lefts
-            widths += [t.width] * len(t.lefts)
-            keys += [(p << m) + q * root for p, q in t.lefts]
+        if any(_sign(*t.width, field) <= 0 for t in towers):
+            return False
+        lefts = [left for t in towers for left in t.lefts]
+        widths = [t.width for t in towers for _ in t.lefts]
         x = (0, 0)
-        for i in sorted(range(len(keys)), key=keys.__getitem__):
-            if lefts[i] != x:
+        for g in self.order()[2]:
+            if lefts[g] != x:
                 return False
-            wp, wq = widths[i]
+            wp, wq = widths[g]
             x = (x[0] + wp, x[1] + wq)
+        k = den // total.den
         return x == (total.p * k, total.q * k)
 
     def floor_count(self) -> int:
@@ -471,14 +486,15 @@ def towers(trace: InductionTrace, n: int) -> TowerSystem:
     return system
 
 
-#: Induction steps and floors past which an IET gets no itinerary table.
+#: Induction steps and floors past which an itinerary table goes no deeper.
 _TABLE_STEPS = 1024
 _TABLE_FLOORS = 1 << 16
 
 
 class ItineraryTable:
     """The Rohlin towers of an IET as arrays (`towers` at the table's
-    `step`): the orbit itineraries that `IntegerOrbit.segment` reads.
+    `step`): the orbit itineraries that `IntegerOrbit.segment` reads, its
+    one source of interval indices.
 
     Floors are numbered tower by tower in alphabet order, floor 0 first:
     tower a holds floors starts[a] .. ends[a] - 1.  Per floor g: `word[g]`,
@@ -490,30 +506,32 @@ class ItineraryTable:
     f stays on floors g + 1, .. of its tower for h_a - f - 1 steps and then
     lands on exits[a] + (x - left end of g).
 
-    `fsorted` holds the floors' shadows in increasing order and `order`
-    the floor of each.  Each shadow came with an error bound, and
-    consecutive ones differ by more than both bounds, so this is the exact
-    order of the left ends; `fl` and `fexits` are the shadows by floor and
-    of the exits.
+    `order` holds the floors in increasing order of their left ends and
+    `keys` their keys, both `TowerSystem.order`'s, whose m is `shift`.
     """
 
     __slots__ = ("den", "field", "step", "heights", "starts", "ends", "word",
-                 "bword", "lp", "lq", "fl", "widths", "exits", "fexits",
-                 "fsorted", "order")
+                 "bword", "lp", "lq", "widths", "exits", "shift", "keys",
+                 "order")
 
-    def locate(self, p: int, q: int, scale: int, guess: float,
-               field) -> tuple:
+    def locate(self, p: int, q: int, scale: int, field) -> tuple:
         """(a, g): the tower and floor holding the point (p + q
-        sqrt(field))/(den scale), from the floor whose shadow is the last
-        at or below `guess`, stepped to the exact one by `_sign` at its two
-        ends.  `field` is the point's, which on a rational IET may be a
-        quadratic one."""
-        fsorted, order, lp, lq = self.fsorted, self.order, self.lp, self.lq
-        s = min(max(int(fsorted.searchsorted(guess, "right")) - 1, 0),
-                fsorted.size - 1)
+        sqrt(field))/(den scale).  The floor of the point's value times
+        2^shift (over den), exact by `math.isqrt`, bisects the keys to the
+        point's floor or one next to it, stepped to the exact one by
+        `_sign` at its two ends.  `field` is the point's, which on a
+        rational IET may be a quadratic one."""
+        m, order, lp, lq = self.shift, self.order, self.lp, self.lq
+        key = p << m
+        if q:
+            # floor(q sqrt(field) 2^m)
+            square = q * q * field << 2 * m
+            r = math.isqrt(square)
+            key += r if q > 0 else -r - (r * r != square)
+        s = bisect_right(self.keys, key // scale) - 1
         while True:
-            g = order.item(s)
-            dp, dq = p - scale * lp.item(g), q - scale * lq.item(g)
+            g = order[s]
+            dp, dq = p - scale * lp[g], q - scale * lq[g]
             if _sign(dp, dq, field) < 0:
                 s -= 1
                 continue
@@ -525,71 +543,48 @@ class ItineraryTable:
             return a, g
 
 
-def _offset(base: int, off):
-    """base + off as an array, int64 unless that could wrap."""
-    if off.dtype != object and \
-            abs(base) + int(np.abs(off).max()) < 2 ** 62:
-        return off + base
-    return off.astype(object) + base
+def build_itinerary_table(iet: Iet) -> ItineraryTable:
+    """The towers of `iet` as an `ItineraryTable`, on Q as on Q(sqrt d),
+    with or without float tables: at the first induction step where each
+    is at least `_SEGMENT` floors tall, else at the deepest step before
+    the induction is undefined or passes `_TABLE_STEPS` steps or
+    `_TABLE_FLOORS` floors.  Step 0, one floor per interval of T, always
+    qualifies, so every IET has a table.
 
-
-def build_itinerary_table(iet: Iet) -> Optional[ItineraryTable]:
-    """The towers of `iet` at the first induction step n where each is at
-    least `_SEGMENT` floors tall, as an `ItineraryTable`, on Q as on
-    Q(sqrt d); None without float tables, when a step is undefined, or
-    past `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
-
-    The words, floors and widths are those of `towers`, which checks every
-    floor against the intervals of T and their partition: a wrong base or
-    width refuses the table with its error.  One `IntegerOrbit.follow` of
-    each word from its tower's base gives the floors' left ends, shadows
-    and error bounds, which certify the floors' order, and the exit.  No
+    The words, floors, widths and floor order are those of `towers`, which
+    checks every floor against the intervals of T and their partition: a
+    wrong base or width refuses the table with its error.  Each exit is
+    its tower's top floor moved by the translation its word names.  No
     orbit is walked.  `Iet.itinerary_table` calls this once per IET."""
-    den, field = iet.integer_tables()[:2]
-    if iet.float_tables() is None:
-        return None
     trace = InductionTrace(iet)
+    n = 0
     try:
-        n = next((n for n in range(_TABLE_STEPS + 1)
-                  if min(trace.heights(n)) >= _SEGMENT
-                  or sum(trace.heights(n)) > _TABLE_FLOORS), None)
+        while n < _TABLE_STEPS and min(trace.heights(n)) < _SEGMENT and \
+                sum(trace.heights(n + 1)) <= _TABLE_FLOORS:
+            n += 1
     except RVUndefinedError:
-        return None
-    if n is None or sum(trace.heights(n)) > _TABLE_FLOORS:
-        return None
-    heights = trace.heights(n)
+        pass
     system = towers(trace, n)
-    orbit = IntegerOrbit(iet, ZERO)
+    den, field, _, _, trans = iet.integer_tables()[:5]
     t = ItineraryTable()
-    t.den, t.field, t.step, t.heights = den, field, n, heights
-    t.ends = tuple(np.cumsum(heights).tolist())
+    t.den, t.field, t.step, t.heights = den, field, n, trace.heights(n)
+    t.ends = tuple(accumulate(t.heights))
     t.starts = (0,) + t.ends[:-1]
-    t.widths, t.exits, t.fexits = [], [], []
-    lps, lqs, fls, fes = [], [], [], []
+    t.widths = [tower.width for tower in system.towers]
+    t.exits = []
     for tower in system.towers:
-        bp, bq = tower.lefts[0]
-        orbit.move_to((bp, bq))
-        _, xf, xerr, dp, dq = orbit.follow(np.array(tower.word, np.int64))
-        lps.append(_offset(bp, dp))
-        lqs.append(_offset(bq, dq))
-        fls.append(xf)
-        fes.append(xerr)
-        t.widths.append(tower.width)
-        t.exits.append((orbit.p, orbit.q))
-        t.fexits.append(orbit.xf)
+        (p, q), e = tower.lefts[-1], trans[tower.word[-1]]
+        ep, eq = e if field else (e, 0)
+        t.exits.append((p + ep, q + eq))
     perm = iet.perm
     idt = np.int8 if perm.d < 128 else np.int64
     t.word = np.array([j for tower in system.towers for j in tower.word],
                       idt)
     t.bword = np.array([perm.bottom.index(a) for a in perm.top],
                        idt)[t.word]
-    t.lp, t.lq = np.concatenate(lps), np.concatenate(lqs)
-    t.fl = np.concatenate(fls)
-    order = np.argsort(t.fl, kind="stable")
-    fs, fe = t.fl[order], np.concatenate(fes)[order]
-    if not (np.diff(fs) > fe[1:] + fe[:-1] + orbit.unit).all():
-        return None
-    t.fsorted, t.order = fs, order.astype(np.int32)
+    lefts = [left for tower in system.towers for left in tower.lefts]
+    t.lp, t.lq = [p for p, _ in lefts], [q for _, q in lefts]
+    t.shift, t.keys, t.order = system.order()
     return t
 
 

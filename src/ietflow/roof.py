@@ -489,8 +489,12 @@ def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
              max_steps: int = 10 ** 7):
     """Move (x, y) by t time units, i.e. (x, 0) by s = y + t: returns
     (T^r x, s - S_r, r) with 0 <= remainder < f(T^r x), after at most
-    max_steps jumps (FlowStepBudgetError beyond; ValueError when y < 0 or
-    y + t is not finite).  The cursor walks
+    max_steps jumps (FlowStepBudgetError beyond; ValueError when (x, y)
+    is outside the flow space 0 <= y < f(x) or y + t is not finite).  f(x)
+    is `eval_roof`'s, the value the forward cursor starts from; at y = 0
+    it is not needed, and on a log singularity, where f blows up, or
+    within the hard cutoff of one, where it is not evaluated, y is not
+    compared with it.  The cursor walks
     segments, each after the first as long as the mean of the roof values
     walked so far predicts; r is the first step where the running
     remainder (a cumsum in step order) falls below f, or reaches 0
@@ -502,6 +506,14 @@ def _advance(iet: Iet, spec: RoofSpec, x, y: float, t: float,
     if not math.isfinite(s):
         raise ValueError("flow time y + t = %r (y = %r, t = %r) is not "
                          "finite" % (s, y, t))
+    if y > 0:
+        try:
+            f = eval_roof(iet, spec, x, 0).value
+        except (RoofDomainError, SingularityTooClose):
+            f = math.inf
+        if y >= f:
+            raise ValueError("flow point y = %r is at or above f(x), "
+                             "outside the flow space" % y)
     forward = s >= 0
     cur = BirkhoffCursor(iet, spec, x, forward=forward)
     k = 16

@@ -262,6 +262,12 @@ class TestAnalysisCommands:
         assert all(line["lower_ok"] and line["upper_ok"] for line in lines)
 
 
+#: The domain text of a flag's usage error, where it is not "--flag > 0".
+FLAG_DOMAINS = {"--eps": "a finite --eps > 0",
+                "--window-len": "--window-len >= 0",
+                "--rate-floor": "a finite --rate-floor in [0, 1]"}
+
+
 class TestErrorReports:
     """`_run` reports every error of a run as one JSON object on stderr."""
 
@@ -306,7 +312,12 @@ class TestErrorReports:
         for argv, flag in (("ratner witness --eps 0.2", "--pairs"),
                            ("ratner forbac --l-range 6..6", "--grid"),
                            ("bs growth", "--points"))
-        for value in ("-1", "0")])
+        for value in ("-1", "0")] + [
+        (argv, "--window-len", "-1")
+        for argv in ("dc ratner --depth 3", "dc summability --depth 3",
+                     "ratner witness --eps 0.2 --pairs 2")] + [
+        ("ratner witness --eps 0.2 --pairs 2", "--rate-floor", value)
+        for value in ("nan", "2", "-0.1", "inf", "1.0000001")])
     def test_flag_outside_its_domain_is_a_usage_error(self, argv, flag,
                                                       value, capsys):
         # refused by the flag's argparse type before the command runs
@@ -316,10 +327,10 @@ class TestErrorReports:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert len(captured.err.splitlines()) == 1
-        need = "a finite %s" % flag if flag == "--eps" else flag
+        need = FLAG_DOMAINS.get(flag, "%s > 0" % flag)
         assert json.loads(captured.err) == {
             "error": "usage", "field": flag[2:],
-            "detail": "need %s > 0, got %s" % (need, value)}
+            "detail": "need %s, got %s" % (need, value)}
 
     @pytest.mark.parametrize("y,t", [("-1", "1"), ("-1e-300", "1"),
                                      ("-inf", "1"), ("-0.5", "-2")])
@@ -339,7 +350,9 @@ class TestErrorReports:
     @pytest.mark.parametrize("command,flag", [
         ("ratner witness", "--eps"), ("ratner witness", "--pairs"),
         ("ratner forbac", "--eps"), ("ratner forbac", "--grid"),
-        ("bs growth", "--eps"), ("bs growth", "--points")])
+        ("bs growth", "--eps"), ("bs growth", "--points"),
+        ("ratner witness", "--rate-floor"), ("ratner witness", "--window-len"),
+        ("dc ratner", "--window-len"), ("dc summability", "--window-len")])
     def test_flag_help_states_its_domain(self, command, flag):
         from ietflow import cli
 
@@ -350,8 +363,24 @@ class TestErrorReports:
             parser = sub.choices[word]
         text = next(a.help for a in parser._actions
                     if flag in a.option_strings)
-        assert text.endswith("> 0")
-        assert ("finite" in text) == (flag == "--eps")
+        need = FLAG_DOMAINS.get(flag, "%s > 0" % flag)
+        assert text.endswith(need.rpartition(flag + " ")[2])
+        assert ("finite" in text) == need.startswith("a finite")
+
+    @pytest.mark.parametrize("y", ["100", "4.023459588906523"])
+    def test_flow_point_on_or_above_the_roof_is_a_usage_error(self, y,
+                                                               capsys):
+        # f(1/3) = 4.023459588906523 on the golden rotation's log roof
+        from ietflow import cli
+
+        code = cli.main(["flow", "orbit", "--x", "1/3", "--t", "0",
+                         "--y", y])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "detail": "flow point y = %r is at or above f(x), outside the "
+                      "flow space" % float(y)}
 
     @pytest.mark.parametrize("t", ["1", "-2"])
     def test_flow_point_at_negative_zero_flows_from_the_base(self, t,

@@ -1,8 +1,8 @@
 """Stdlib lint of the package: no module imports a name it never uses
 (the re-exports of `__init__.py` excepted), every private module-level
-function or class and every private method is used somewhere in the
-package outside its own body, and every local name a function binds is
-read."""
+function, class or constant and every private method is used somewhere
+in the package outside its own body, and every local name a function
+binds is read."""
 
 import ast
 from pathlib import Path
@@ -47,9 +47,10 @@ def _is_private(name: str) -> bool:
 
 
 class _Uses(ast.NodeVisitor):
-    """The private module-level functions and classes and the private
-    methods a module defines, and the names it reads outside the body of
-    the function or class of the same name."""
+    """The private module-level functions, classes and constants (names an
+    assignment binds) and the private methods a module defines, and the
+    names it reads outside the body of the function or class of the same
+    name."""
 
     def __init__(self):
         self.defined, self.used, self._inside = set(), set(), []
@@ -67,6 +68,12 @@ class _Uses(ast.NodeVisitor):
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and _is_private(child.name):
                 self.defined.add(child.name)
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) \
+                    else [child.target]
+                self.defined.update(
+                    name.id for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and _is_private(name.id))
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node):
@@ -81,7 +88,8 @@ class _Uses(ast.NodeVisitor):
             self.used.add(name)
 
     def visit_Name(self, node):
-        self._read(node.id)
+        if not isinstance(node.ctx, ast.Store):
+            self._read(node.id)
 
     def visit_Attribute(self, node):
         self._read(node.attr)
@@ -93,9 +101,9 @@ class _Uses(ast.NodeVisitor):
 
 
 def unused_private(sources: dict) -> list:
-    """(module, name) of every private module-level function or class or
-    private method that no module of `sources` (name -> source) reads
-    outside its own body."""
+    """(module, name) of every private module-level function, class or
+    constant or private method that no module of `sources` (name ->
+    source) reads outside its own body."""
     defined, used = [], set()
     for module, source in sources.items():
         uses = _Uses()
@@ -111,9 +119,13 @@ def test_lint_finds_an_unused_private_function():
                     "class C:\n    def _m(self):\n        self._m()\n"
                     "    def __len__(self):\n        return 0\n\n"
                     "class _Left:\n    def f(self):\n        return _Left()\n"
-                    "\nclass _Made(tuple):\n    pass\n",
-               "b": "import a\nfrom a import _used\n\nx = a._Made()\n"}
-    assert unused_private(sources) == [("a", "_Left"), ("a", "_kept"),
+                    "\nclass _Made(tuple):\n    pass\n"
+                    "\n_READ = 1\n_UNREAD, _PAIR = 2, (_READ, 3)\n"
+                    "_TYPED: int = 4\n_LATER = 5\n",
+               "b": "import a\nfrom a import _used\n\nx = a._Made()\n"
+                    "y = a._PAIR + a._LATER\n"}
+    assert unused_private(sources) == [("a", "_Left"), ("a", "_TYPED"),
+                                       ("a", "_UNREAD"), ("a", "_kept"),
                                        ("a", "_m")]
 
 

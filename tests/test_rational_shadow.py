@@ -2,8 +2,8 @@
 
 An `IntegerOrbit` of a rational IET keeps a float shadow of each point
 with an error bound, from `Iet.float_tables()`, and its segments read
-their interval indices off the IET's itinerary table where it has one and
-by the certified one-step locate elsewhere, as one over Q(sqrt d) does;
+their interval indices off the IET's itinerary table, however deep its
+towers, as one over Q(sqrt d) does;
 only the pair walk's roof terms (from correctly rounded exact gaps) are
 its own.  Every decision is exact, so the outputs of the exact walkers on
 Q are those of the former integer shadow and of the former bisection on
@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import event, example, given, settings, strategies as st
 
-from ietflow import iet as iet_module
+from ietflow import iet as iet_module, rauzy
 from ietflow.exact import ExactScalar
 from ietflow.fixtures import asymmetric_log_roof, constant_roof
 from ietflow.iet import (Iet, IntegerOrbit, Permutation, first_return_map,
@@ -169,7 +169,7 @@ def rational_walks(draw):
 @st.composite
 def tabled_walks(draw):
     """Walks on rational IETs of the reversal permutation with numerators
-    of 10^5 .. 10^7, most of which have an itinerary table."""
+    of 10^5 .. 10^7, most of which have towers a segment tall."""
     d = draw(st.integers(min_value=2, max_value=5))
     den = draw(st.sampled_from([1, 7, 1000]))
     lengths = [F(draw(st.integers(min_value=10 ** 5, max_value=10 ** 7)),
@@ -208,12 +208,16 @@ def assert_segment_is_the_one_steps(iet, x, k, forward):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_rational_segment_shadows_are_the_one_steps(case):
     # on Q a segment's J, X and E are those of the one-step walk at each
-    # point, bit for bit, read off the IET's itinerary table where it has
-    # one and by the one-step locate without
+    # point, bit for bit, read off the IET's itinerary table, with towers
+    # a segment tall or not, and off a table at step 0, where every step
+    # is a locate
     iet, x, k, forward = case
-    event("table" if iet.itinerary_table() is not None else "no table")
+    tall = min(iet.itinerary_table().heights) >= iet_module._SEGMENT
+    event("segment-tall towers" if tall else "shallow towers")
     assert_segment_is_the_one_steps(iet, x, k, forward)
-    with mock.patch.object(Iet, "itinerary_table", return_value=None):
+    with mock.patch.object(rauzy, "_TABLE_STEPS", 0):
+        iet = Iet(iet.perm, iet.lengths)
+        assert iet.itinerary_table().step == 0
         assert_segment_is_the_one_steps(iet, x, k, forward)
 
 

@@ -995,8 +995,7 @@ def count_walk_floats(monkeypatch, iet):
     its orbit is built: the exact gaps (`quadratic_float` in `roof`) and the
     shadow re-syncs (`quadratic_float` in `iet`, inside
     `IntegerOrbit.segment`); returns the one-item count list.  The IET's
-    itinerary table, whose build walks its own orbits once per IET, is
-    built before counting."""
+    itinerary table, built once per IET, is built before counting."""
     iet.itinerary_table()
     calls = count_calls(monkeypatch, roof_module, "quadratic_float")
     inside = [False]
@@ -1224,13 +1223,12 @@ class TestTwoPassWalk:
         # T^5 x lands exactly on l_C (bounded-3, forward), or T^-9 x =
         # T^2 l_B on the right end of T(I_B), the first bottom cut
         # (golden, backward), where the bisection of the shadow cannot
-        # decide: the segment's certified locate falls back to the exact
-        # `_sign_index` there; the roof is constant, so the walk goes on
-        # past the hit.  The segments use this locate only without the
-        # IETs' itinerary tables.
+        # decide: the per-step reference's locate falls back to the exact
+        # `_first_above` there, and the pair walk, whose segments read
+        # their indices off the IET's itinerary table, agrees with it; the
+        # roof is constant, so the walk goes on past the hit
         accel, _, _ = setup()
         iet = accel.trace.base
-        monkeypatch.setattr(Iet, "itinerary_table", lambda self: None)
         spec = constant_roof(iet)
         n = 5 if forward else 10
         x = iet.iterate(iet.left(label), -n if forward else n + 1)
@@ -1238,19 +1236,19 @@ class TestTwoPassWalk:
         on_cut = iet.left(label) if forward else \
             iet.right_image(iet.perm.bottom[0])
         assert iet.iterate(x, n if forward else 1 - n) == on_cut
-        points, inner = [], IntegerOrbit._sign_index
+        orbit = IntegerOrbit(iet, x, extra=[y])
+        points, inner = [], _first_above
 
-        def spy(orbit, cuts):
-            points.append(orbit.value())
-            return inner(orbit, cuts)
+        def spy(p, q, cuts, field):
+            points.append((p, q))
+            return inner(p, q, cuts, field)
 
-        monkeypatch.setattr(IntegerOrbit, "_sign_index", spy)
-        ratner._pair_walk(iet, spec, x, y, 0, n + 20, forward)
-        assert on_cut in points
-        monkeypatch.setattr(IntegerOrbit, "_sign_index", inner)
+        monkeypatch.setitem(scalar_pair_walk.__globals__, "_first_above",
+                            spy)
         _, straddle, _ = assert_walks_agree(iet, spec, x, y, 0, n + 20,
                                             forward)
         assert straddle is None
+        assert orbit.pair_of(on_cut) in points
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("setup", [witness_setup,

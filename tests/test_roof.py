@@ -309,6 +309,27 @@ class TestFlow:
             flow(iet, spec, FlowPoint(ExactScalar(F(1, 3)), y), t)
 
     @pytest.mark.parametrize("t", [1.0, -2.0, 0.0])
+    def test_point_on_or_above_the_roof_is_refused(self, t):
+        # y >= f(x) is outside the flow space 0 <= y < f(x), as y < 0 is;
+        # the float just below f(x) is inside, and flows for time 0 to
+        # itself, as the forward cursor compares it with the same f(x)
+        iet = golden_rotation()
+        spec = asymmetric_log_roof(iet)
+        x = ExactScalar(F(1, 3))
+        f = eval_roof(iet, spec, x).value
+        for y in (f, math.nextafter(f, math.inf), 100.0):
+            with pytest.raises(ValueError, match="flow point y = %r is at "
+                               "or above f" % y):
+                flow(iet, spec, FlowPoint(x, y), t)
+        below = math.nextafter(f, 0.0)
+        assert _advance(iet, spec, x, below, 0.0) == (x, below, 0)
+        flow(iet, spec, FlowPoint(x, below), t)
+        # on l_B, where the log roof is undefined, y is not compared with
+        # f: a backward flow never evaluates it there
+        assert flow(iet, spec, FlowPoint(iet.left("B"), 100.0),
+                    -200.0 + t).y >= 0
+
+    @pytest.mark.parametrize("t", [1.0, -2.0, 0.0])
     def test_point_at_negative_zero_is_on_the_base(self, t):
         # -0.0 is not below 0: it flows as y = 0 does
         iet = golden_rotation()

@@ -10,7 +10,6 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +25,7 @@ from ietflow.fixtures import (
 from ietflow.iet import (_SEGMENT, Iet, IetDomainError, IntegerOrbit,
                          Permutation)
 from ietflow.ratner import _pair_walk
-from ietflow.rauzy import InductionTrace, towers
+from ietflow.rauzy import InductionTrace, RVUndefinedError, towers
 from ietflow.roof import (
     _EPS,
     BirkhoffCursor,
@@ -232,8 +231,8 @@ def rational_4iet():
 
 
 def rational_3iet():
-    """A 3-IET over Q whose induction stops before its towers are a
-    segment tall: it has no itinerary table."""
+    """A 3-IET over Q whose induction is undefined at step 26, before its
+    towers are a segment tall: its itinerary table is at step 26."""
     return Iet(Permutation("ABC", "CAB"), [F(5, 13), F(7, 11), F(1, 3)])
 
 
@@ -284,8 +283,8 @@ DEN50 = F(41, 100) + F(1, 10 ** 50)
 
 def connected_4iet():
     """A 4-IET over Q(sqrt 2) with lambda_A = lambda_D: its first
-    Rauzy-Veech step is undefined, so it has no itinerary table and its
-    segments over Q(sqrt 2) step by the certified one-step locate."""
+    Rauzy-Veech step is undefined, so its itinerary table is at step 0,
+    one floor per interval of T, and its segments locate at every step."""
     a = ExactScalar(F(-1, 2), F(1, 2), 2)
     return Iet(Permutation("ABCD", "DCBA"),
                [a, ExactScalar(F(1, 5)), ExactScalar(F(9, 5), -1, 2), a])
@@ -297,9 +296,17 @@ HUGE = ExactScalar(2 ** 1100)
 
 def huge_3iet():
     """A 3-IET over Q(sqrt 2) of total length above 2^800: it has no float
-    tables, so its shadow is off (unit infinite) and every locate exact."""
+    tables, so its shadow is off (unit infinite) and every locate exact;
+    its itinerary table is at step 80."""
     return Iet(Permutation("ABC", "CBA"),
                [(1 + R2) * HUGE, 2 * R2 * HUGE, (4 - R2) * HUGE])
+
+
+def huge_q_3iet():
+    """A 3-IET over Q of total length above 2^800, with no float tables,
+    whose induction is undefined at step 2: its itinerary table is at
+    step 2."""
+    return Iet(Permutation("ABC", "CBA"), [HUGE, 2 * HUGE, 4 * HUGE])
 
 
 @pytest.mark.parametrize("forward", [True, False])
@@ -308,9 +315,10 @@ def huge_3iet():
     (rational_4iet, (3 + R2) / 10), (rational_3iet, F(41, 100)),
     (golden_rotation, F(41, 100)), (golden_rotation, DEN50),
     (bounded_type_3iet, F(41, 100)), (connected_4iet, F(41, 100)),
-    (huge_3iet, (3 + R2) * HUGE)],
-    ids=["Q", "Q-den50", "Q-sqrt2-point", "Q-no-table", "sqrt5",
-         "sqrt5-den50", "sqrt2", "sqrt2-no-table", "sqrt2-no-float"])
+    (huge_3iet, (3 + R2) * HUGE), (huge_q_3iet, 3 * HUGE / 2)],
+    ids=["Q", "Q-den50", "Q-sqrt2-point", "Q-step26-table", "sqrt5",
+         "sqrt5-den50", "sqrt2", "sqrt2-step0-table", "sqrt2-no-float",
+         "Q-no-float"])
 def test_segment_matches_one_steps(make, x, forward):
     # uneven segments across several shadow re-syncs (one per 2048 steps
     # from a re-sync), each resumed where the last one stopped
@@ -321,11 +329,27 @@ def test_segment_matches_one_steps(make, x, forward):
         assert IntegerOrbit(iet, x).segment(3000, forward)[3].dtype == object
 
 
-def test_the_fixtures_without_tables():
-    assert connected_4iet().itinerary_table() is None
-    iet = huge_3iet()
-    assert iet.itinerary_table() is None
-    assert IntegerOrbit(iet, 0).unit == math.inf
+@pytest.mark.parametrize("make,step", [(rational_3iet, 26),
+                                       (connected_4iet, 0), (huge_q_3iet, 2)])
+def test_table_at_the_deepest_defined_step(make, step):
+    # an induction undefined before the towers are a segment tall leaves
+    # the table at the last step it defines; step 0 always is
+    iet = make()
+    table = iet.itinerary_table()
+    assert table.step == step and min(table.heights) < _SEGMENT
+    with pytest.raises(RVUndefinedError) as info:
+        InductionTrace(iet).extend(step + 1)
+    assert info.value.depth == step
+    assert table.heights == InductionTrace(iet).heights(step)
+
+
+def test_tables_without_float_tables():
+    for make, step in ((huge_3iet, 80), (huge_q_3iet, 2)):
+        iet = make()
+        assert iet.float_tables() is None
+        assert IntegerOrbit(iet, 0).unit == math.inf
+        assert iet.itinerary_table().step == step
+    assert min(huge_3iet().itinerary_table().heights) >= _SEGMENT
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -361,8 +385,8 @@ def spy_on(monkeypatch, owner, name):
 
 
 def exact_locates(monkeypatch, iet, x, k, forward):
-    """The points of a k-step segment from x at which `_sign_index`
-    decided the locate."""
+    """The points of k one-steps from x at which `_sign_index` decided the
+    locate."""
     points, inner = [], IntegerOrbit._sign_index
 
     def spy(orbit, cuts):
@@ -370,7 +394,9 @@ def exact_locates(monkeypatch, iet, x, k, forward):
         return inner(orbit, cuts)
 
     monkeypatch.setattr(IntegerOrbit, "_sign_index", spy)
-    IntegerOrbit(iet, x).segment(k, forward)
+    orbit = IntegerOrbit(iet, x)
+    for _ in range(k):
+        orbit.step_forward() if forward else orbit.step_backward()
     monkeypatch.setattr(IntegerOrbit, "_sign_index", inner)
     return points
 
@@ -380,11 +406,23 @@ def exact_locates(monkeypatch, iet, x, k, forward):
 def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
                                           forward):
     # T^2 x = l_B, or T^-7 x = l_B (located among the bottom cuts, where
-    # it is r_D): the shadow's bisection there cannot decide, so the
-    # segment's locate falls back to the exact `_sign_index` at that point
+    # it is r_D): the shadow's bisection there cannot decide, so the one
+    # step's locate falls back to the exact `_sign_index` at that point;
+    # the segment's table locate finds l_B on the left end of a floor,
+    # where its `_sign` is 0
     iet = make()
-    assert iet.itinerary_table() is None
+    assert iet.itinerary_table().step == 0
     x = iet.iterate(iet.left(label), -n if forward else n)
+    signs, inner = [], rauzy._sign
+
+    def spy(p, q, d):
+        signs.append(inner(p, q, d))
+        return signs[-1]
+
+    monkeypatch.setattr(rauzy, "_sign", spy)
+    IntegerOrbit(iet, x).segment(40, forward)
+    assert 0 in signs
+    monkeypatch.undo()
     assert iet.left(label) in exact_locates(monkeypatch, iet, x, 40,
                                             forward)
     assert_segments_match_steps(iet, x, (40,), forward)
@@ -394,18 +432,18 @@ def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
 # Segments read off the itinerary table
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make,source", [(rational_4iet, "_itinerary"),
-                                         (rational_3iet, "_stepped")])
-def test_rational_iets_take_the_one_index_rule(monkeypatch, make, source):
-    # on Q as on Q(sqrt d): J read off the towers where the IET has an
-    # itinerary table, else by the certified one-step locate
+@pytest.mark.parametrize("make", [rational_4iet, rational_3iet])
+def test_rational_iets_take_the_one_index_rule(monkeypatch, make):
+    # on Q as on Q(sqrt d), with towers a segment tall (rational_4iet) or
+    # not (rational_3iet): J is read off the IET's itinerary table, and no
+    # one-step locate is taken
     iet = make()
-    assert (iet.itinerary_table() is None) == (source == "_stepped")
-    calls = {name: spy_on(monkeypatch, IntegerOrbit, name)
-             for name in ("_itinerary", "_stepped")}
+    table = iet.itinerary_table()
+    calls = spy_on(monkeypatch, IntegerOrbit, "_itinerary")
+    locates = spy_on(monkeypatch, IntegerOrbit, "_locate")
     for forward in (True, False):
         IntegerOrbit(iet, F(41, 100)).segment(100, forward)
-    assert len(calls[source]) == 2 and sum(map(len, calls.values())) == 2
+    assert [args[1] for args in calls] == [table, table] and not locates
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
@@ -425,8 +463,8 @@ def test_table_matches_the_towers(make):
         assert tower.label == iet.perm.alphabet[a]
         assert g1 - g0 == tower.height == table.heights[a]
         assert table.widths[a] == tower.width
-        assert list(zip(table.lp[g0:g1].tolist(),
-                        table.lq[g0:g1].tolist())) == list(tower.lefts)
+        assert list(zip(table.lp[g0:g1], table.lq[g0:g1])) == \
+            list(tower.lefts)
         words = []
         for left in tower.lefts:
             orbit.move_to(left)
@@ -435,9 +473,11 @@ def test_table_matches_the_towers(make):
         assert table.bword[g0:g1].tolist() == [bpos[i] for i in words]
         top, t = tower.lefts[-1], orbit.trans[words[-1]]
         assert table.exits[a] == (top[0] + t[0], top[1] + t[1])
-    # the sorted shadows are the exact order of the floors
-    assert (np.diff(table.fsorted) > 0).all()
-    lefts = [(table.lp.item(g), table.lq.item(g)) for g in table.order]
+    # the towers' one floor order, by increasing keys, is the exact order
+    # of the floors' left ends
+    assert (table.shift, table.keys, table.order) == system.order()
+    assert all(u < v for u, v in zip(table.keys, table.keys[1:]))
+    lefts = [(table.lp[g], table.lq[g]) for g in table.order]
     assert all(orbit.pair_less(u, v) for u, v in zip(lefts, lefts[1:]))
 
 
@@ -513,35 +553,37 @@ def tower_starts(iet):
     below it, a cut and DEN50."""
     table = iet.itinerary_table()
     g = table.starts[1] + 1000
-    floor = ExactScalar(F(table.lp.item(g), table.den),
-                        F(table.lq.item(g), table.den), table.field)
+    floor = ExactScalar(F(table.lp[g], table.den),
+                        F(table.lq[g], table.den), table.field)
     return [floor, floor - ExactScalar(F(1, 10 ** 30)),
             iet.left(iet.perm.top[1]), DEN50]
 
 
-@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet])
+@pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
+                                  rational_4iet, rational_3iet,
+                                  connected_4iet])
 def test_locate_is_exact_at_floor_ends(make):
-    # points on, just below and just above floor left ends, from guesses a
-    # few ulps off their floors' shadows either way
+    # points on, just below and just above floor left ends, located by
+    # their exact keys alone; on Q also points a quadratic irrational off
     iet = make()
     table = iet.itinerary_table()
     scale = 10 ** 30
-    tiny = ExactScalar(F(1, table.den * scale))
-    pos = {g: s for s, g in enumerate(table.order.tolist())}
+    tiny = [ExactScalar(F(1, table.den * scale))]
+    if table.field is None:
+        tiny.append(tiny[0] * R2)
+    pos = {g: s for s, g in enumerate(table.order)}
     for g in range(0, table.ends[-1], 97):
-        left = ExactScalar(F(table.lp.item(g), table.den),
-                           F(table.lq.item(g), table.den), table.field)
-        below = table.order.item(pos[g] - 1) if pos[g] else None
-        for x, want in ((left - tiny, below), (left, g), (left + tiny, g)):
+        left = ExactScalar(F(table.lp[g], table.den),
+                           F(table.lq[g], table.den), table.field)
+        below = table.order[pos[g] - 1] if pos[g] else None
+        for x, want in ((left, g), *((left - e, below) for e in tiny),
+                        *((left + e, g) for e in tiny)):
             if want is None:
                 continue
-            p, q = x.p * (table.den * scale // x.den), \
-                x.q * (table.den * scale // x.den)
-            shadow = table.fsorted.item(pos[g])
-            for ulps in (-2, 0, 2):
-                guess = shadow + ulps * math.ulp(shadow)
-                a, h = table.locate(p, q, scale, guess, table.field)
-                assert h == want and table.starts[a] <= h < table.ends[a]
+            k = table.den * scale // x.den
+            a, h = table.locate(x.p * k, x.q * k, scale,
+                                x.d or table.field)
+            assert h == want and table.starts[a] <= h < table.ends[a]
 
 
 @pytest.mark.parametrize("forward", [True, False])
@@ -550,7 +592,6 @@ def test_locate_is_exact_at_floor_ends(make):
 def test_tower_segments_match_one_steps(monkeypatch, make, forward):
     iet = make()
     table = iet.itinerary_table()
-    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
     locates = spy_on(monkeypatch, type(table), "locate")
     signs = spy_on(monkeypatch, rauzy, "_sign")
     ks = (1, 2047, 2048, 2049, 1, 7000, 7000)
@@ -559,10 +600,9 @@ def test_tower_segments_match_one_steps(monkeypatch, make, forward):
         assert_segments_match_steps(iet, x, ks, forward)
         # one locate per call and one past each tower top crossed
         assert len(locates) - len(ks) >= 3
-        # each from a good guess: the shadow's floor or the next one
+        # each from its key's floor or the next one
         assert len(signs) <= 3 * len(locates)
         del signs[:]
-    assert not steps
 
 
 @pytest.mark.parametrize("make", [golden_rotation, bounded_type_3iet,
@@ -576,8 +616,8 @@ def test_backward_segment_ending_below_a_tower_base(monkeypatch, make):
     for a in range(iet.perm.d):
         for f in (0, 5):
             g = table.starts[a] + f
-            x = ExactScalar(F(table.lp.item(g), table.den),
-                            F(table.lq.item(g), table.den), table.field)
+            x = ExactScalar(F(table.lp[g], table.den),
+                            F(table.lq[g], table.den), table.field)
             del below[:]
             IntegerOrbit(iet, x).segment(f + 1, False)
             assert len(below) == 1
@@ -589,18 +629,19 @@ def test_witness_walk_builds_and_reads_the_table(monkeypatch, make):
     iet = make()
     spec = asymmetric_log_roof(iet)
     builds = spy_on(monkeypatch, rauzy, "build_itinerary_table")
-    steps = spy_on(monkeypatch, IntegerOrbit, "_stepped")
+    locates = spy_on(monkeypatch, IntegerOrbit, "_locate")
     reads = spy_on(monkeypatch, IntegerOrbit, "_itinerary")
     x = ExactScalar(F(41, 100))
     y = x + ExactScalar(F(1, 10 ** 5))
     segments = 0
     for forward in (True, False):
         straddle = _pair_walk(iet, spec, x, y, 10770, 18, forward)[1]
-        table = iet.itinerary_table()
-        assert table is not None and len(builds) == 1
-        # the build takes no one-step; the witness walk reads every one of
-        # its 2048-step segments off the table
-        assert not steps
+        iet.itinerary_table()
+        assert len(builds) == 1
+        # neither the build nor the walk takes a one-step locate; the
+        # witness walk reads every one of its 2048-step segments off the
+        # table
+        assert not locates
         end = 10788 if straddle is None else straddle + 1
         segments += -(-end // _SEGMENT)
         assert len(reads) == segments
