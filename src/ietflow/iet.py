@@ -272,9 +272,10 @@ class Iet:
         return self._ftables[0]
 
     def itinerary_table(self):
-        """The `rauzy.ItineraryTable` of this IET (computed once): its
-        Rohlin towers with their floors in exact order, the one source of
-        the interval indices of its orbit segments.  Every IET has one,
+        """The itinerary table of this IET (computed once): the
+        `rauzy.TowerSystem` of its Rohlin towers at one induction step,
+        their floors laid flat in exact order, the one source of the
+        interval indices of its orbit segments.  Every IET has one,
         with or without float tables, with no fallback: at the first
         induction step where each tower is `_SEGMENT` floors tall, else at
         the deepest step the build reaches (see
@@ -425,15 +426,16 @@ class IntegerOrbit:
     `follow(J)` gives every other output from J by array operations.
 
     J has one index source on every field and every IET, with no
-    fallback: the IET's itinerary table (`Iet.itinerary_table`, its Rohlin
-    towers with their floors in exact order), read by `_itinerary`.  An
-    exact locate gives the point's tower and floor, and the next points
-    follow that tower's word up to its top, where the point is located
-    again; backward, the reversed word below the floor in bottom order,
-    then at floor 0 one `_first_above` on the bottom cuts.  This J is the
-    exact itinerary, so no locate needs certifying.  The one-step methods
-    locate by `_locate` instead, the certified shadow locate, and are the
-    reference the segments are tested against.
+    fallback: the IET's itinerary table (`Iet.itinerary_table`, the
+    `rauzy.TowerSystem` of its Rohlin towers, their floors laid flat in
+    exact order), read by `_itinerary`.  An exact locate gives the point's
+    tower and floor, and the next points follow that tower's word up to
+    its top, where the point is located again; backward, the reversed
+    word below the floor in bottom order, then at floor 0 one
+    `_first_above` on the bottom cuts.  This J is the exact itinerary, so
+    no locate needs certifying.  The one-step methods locate by `_locate`
+    instead, the certified shadow locate, and are the reference the
+    segments are tested against.
 
     From a re-sync xerr grows by 2 units a step, exact multiples of the
     power of two `unit`, so one array holds the bounds of a run of up to
@@ -791,9 +793,9 @@ def first_return_map(iet: Iet, cut: ExactScalar, max_steps: int = 10 ** 7):
     more than its error bound plus two units away from the cut's float;
     elsewhere `exact._sign` decides.  The segments read their indices off
     the IET's itinerary table, their one index source with no fallback:
-    the towers `rauzy.towers` lays along the Rauzy-Veech words but checks
-    floor by floor against the intervals of T, their floors in exact
-    order, so the oracle still rests on T alone.
+    the `TowerSystem` that `rauzy.towers` lays along the Rauzy-Veech words
+    but checks floor by floor against the intervals of T, its floors in
+    exact order, so the oracle still rests on T alone.
     """
     if not (ExactScalar(0) < cut and cut <= iet.total):
         raise IetDomainError("cut must lie in (0, total]")

@@ -10,11 +10,12 @@ pairs over the base IET's common denominator; a trace builds the induced
 `Iet` of a step only when asked.  The executable ground truth is
 `first_return_map` in `iet.py`: tests check every step against directly
 iterated return times.  `towers` lays each Rohlin tower's floors along its
-word, read off the steps, checks each floor against the intervals of T
-itself and sorts the floors once by an exact key.  The IET's itinerary
-table is those towers as arrays in that exact floor order: one index
-source for every orbit segment on every IET, with no fallback.  The oracle
-reads its orbits off it, so it does not rest on `rv_step`.
+word, read off the steps, into one flat store, the `TowerSystem`; it checks
+each floor against the intervals of T itself and sorts the floors once by
+an exact key.  The IET's itinerary table is that `TowerSystem` at one
+step: one index source for every orbit segment on every IET, with no
+fallback.  The oracle reads its orbits off it, so it does not rest on
+`rv_step`.
 """
 
 from __future__ import annotations
@@ -333,20 +334,21 @@ def induct(trace: InductionTrace, n: int) -> InductionTrace:
 # ---------------------------------------------------------------------------
 
 class Tower:
-    """Rohlin tower over I^(n)_label: floor i is T^i(base), 0 <= i < height.
+    """Read view of one tower of a `TowerSystem`, over I^(n)_label: floor
+    i is T^i(base), 0 <= i < height.
 
-    The floors are kept as integer pairs over the common denominator `den`
-    of the base IET, a pair (P, Q) standing for (P + Q sqrt(field))/den:
-    the left end of every floor (`lefts`, floor 0 first) and the width
-    they share.  `word` holds the top-order index of the interval of T
-    each floor lies in.  Reading `floors`, `base_left` or `base_right`
-    builds ExactScalars.
+    The floors are integer pairs over the common denominator `den` of the
+    base IET, a pair (P, Q) standing for (P + Q sqrt(field))/den: the left
+    end of every floor (`lefts`, floor 0 first) and the width they share.
+    `word` holds the top-order index of the interval of T each floor lies
+    in.  Reading `floors`, `base_left` or `base_right` builds
+    ExactScalars.
     """
 
     __slots__ = ("label", "lefts", "width", "den", "field", "word")
 
-    def __init__(self, label: str, lefts, width: tuple, den: int,
-                 field=None, word=()):
+    def __init__(self, label: str, lefts, width: tuple, den: int, field,
+                 word: tuple):
         self.label = label
         self.lefts = tuple(lefts)
         self.width = width
@@ -379,140 +381,88 @@ class Tower:
 
 
 class TowerSystem:
-    """Rohlin towers over the step-n induced IET.
+    """The Rohlin towers over the step-n induced IET, their floors laid
+    flat: the one store of a step's towers, which the partition check,
+    `locate` and the orbit segments (`IntegerOrbit._itinerary`) read.
 
     Floor i of the tower over I^(n)_a is T^i I^(n)_a, 0 <= i < h_a; the
-    floors of all towers partition [0, total) exactly.  The towers share
-    one denominator and field.  Their floors, numbered tower by tower
-    floor 0 first, are sorted once by an exact key (`order`), which the
-    partition check and the itinerary table both read.
+    floors of all towers partition [0, total) exactly.  Floors are
+    numbered tower by tower in alphabet order, floor 0 first: tower a
+    holds floors starts[a] .. ends[a] - 1.  Values are integer pairs
+    (P, Q) over `den`, the base IET's common denominator, standing for
+    (P + Q sqrt(field))/den.  Per floor g: its left end (lp[g], lq[g]),
+    `word[g]`, the top-order index of the interval of T holding it, and
+    `bword[g]`, the bottom-order index of the interval holding T(floor g)
+    (None until `build_itinerary_table` sets it).  Per tower a: `labels`,
+    `heights`, the width its floors share (`widths`) and `exits[a]`, the
+    left end of T^h_a of its base (h_a = its height), in I^(n).  A point
+    x of floor g = starts[a] + f stays on floors g + 1, .. of its tower
+    for h_a - f - 1 steps and then lands on exits[a] + (x - left end of
+    g).  `towers` reads the towers as `Tower` views.
+
+    The floor order is computed once, at construction: `order` holds the
+    floors in increasing order of their keys and `keys` those keys.  The
+    key of the left end (p, q) is p 2^shift + q r, r = floor(sqrt(d)
+    2^shift) (p on Q, where shift = 0), less than |q| below the value
+    times 2^shift: with 2^shift > 2 max|q| over the least width, tiling
+    floors' keys follow their order, which is then the exact order of the
+    left ends.
     """
 
-    def __init__(self, towers: list[Tower], total: ExactScalar, step: int):
-        if len({(t.den, t.field) for t in towers}) > 1:
-            raise ValueError("towers over different denominators")
-        self.towers = towers
-        self.total = total
-        self.step = step
-        self._order = None
+    __slots__ = ("den", "field", "total", "step", "labels", "heights",
+                 "starts", "ends", "widths", "exits", "lp", "lq", "word",
+                 "bword", "shift", "keys", "order")
 
-    def all_floors(self):
-        for tower in self.towers:
-            for floor in tower.floors:
-                yield floor + (tower.label,)
+    def __init__(self, den: int, field, total: ExactScalar, step: int,
+                 labels, heights, widths, exits, lp, lq, word):
+        self.den, self.field, self.total, self.step = den, field, total, step
+        self.labels, self.heights, self.widths, self.exits = \
+            labels, heights, widths, exits
+        self.ends = tuple(accumulate(heights))
+        self.starts = (0,) + self.ends[:-1]
+        self.lp, self.lq, self.word, self.bword = lp, lq, word, None
+        m, keys = 0, lp
+        if field is not None:
+            # w = |wp^2 - d wq^2| / |wp - wq sqrt(d)| >= 1 / (big (r + 2))
+            big = max(map(abs, chain(lp, lq, *widths)))
+            m = (2 * big * big * (math.isqrt(field) + 2)).bit_length()
+            root = math.isqrt(field << 2 * m)
+            keys = [(p << m) + q * root for p, q in zip(lp, lq)]
+        self.order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.shift, self.keys = m, [keys[g] for g in self.order]
 
-    def order(self) -> tuple:
-        """(m, keys, order), computed once: the floors in increasing order
-        of their keys (`order`) and those keys (`keys`, increasing).  The
-        key of the left end (p, q) is p 2^m + q r, r = floor(sqrt(d) 2^m)
-        (p on Q, where m = 0), less than |q| below the value times 2^m:
-        with 2^m > 2 max|q| over the least width, tiling floors' keys
-        follow their order, which is then the exact order of the left
-        ends."""
-        if self._order is None:
-            towers = self.towers
-            field = towers[0].field
-            m = root = 0
-            if field is not None:
-                # w = |wp^2 - d wq^2| / |wp - wq sqrt(d)| >= 1 / (big (r + 2))
-                pairs = chain.from_iterable((t.width, *t.lefts)
-                                            for t in towers)
-                big = max(map(abs, chain.from_iterable(pairs)))
-                m = (2 * big * big * (math.isqrt(field) + 2)).bit_length()
-                root = math.isqrt(field << 2 * m)
-            keys = [(p << m) + q * root for t in towers for p, q in t.lefts]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            self._order = m, [keys[g] for g in order], order
-        return self._order
+    @property
+    def towers(self) -> list:
+        """A `Tower` view of each tower, alphabet order, built per read."""
+        lp, lq, word = self.lp, self.lq, self.word
+        return [Tower(a, zip(lp[s:e], lq[s:e]), w, self.den, self.field,
+                      tuple(word[s:e].tolist()))
+                for a, s, e, w in zip(self.labels, self.starts, self.ends,
+                                      self.widths)]
 
     def check_partition(self) -> bool:
         """Exact check along `order`: every width is positive and, in that
         order, the first floor starts at 0, each right end is the next
         left end (so none repeats) and the last is `total`; a chain that
         passes tiles the interval in any order."""
-        towers, total = self.towers, self.total
-        if not towers:
-            return total.sign() == 0
-        den, field = towers[0].den, towers[0].field
+        den, field, total = self.den, self.field, self.total
         if den % total.den or (total.d is not None and total.d != field):
             return False
-        if any(_sign(*t.width, field) <= 0 for t in towers):
+        if any(_sign(wp, wq, field) <= 0 for wp, wq in self.widths):
             return False
-        lefts = [left for t in towers for left in t.lefts]
-        widths = [t.width for t in towers for _ in t.lefts]
-        x = (0, 0)
-        for g in self.order()[2]:
-            if lefts[g] != x:
+        widths = [w for w, h in zip(self.widths, self.heights)
+                  for _ in range(h)]
+        lp, lq, x, y = self.lp, self.lq, 0, 0
+        for g in self.order:
+            if lp[g] != x or lq[g] != y:
                 return False
             wp, wq = widths[g]
-            x = (x[0] + wp, x[1] + wq)
+            x, y = x + wp, y + wq
         k = den // total.den
-        return x == (total.p * k, total.q * k)
+        return x == total.p * k and y == total.q * k
 
     def floor_count(self) -> int:
-        return sum(t.height for t in self.towers)
-
-
-def towers(trace: InductionTrace, n: int) -> TowerSystem:
-    """Exact tower system at step n, with no orbit walked: floor 0 is
-    I^(n)_a and each next floor the last moved by the translation its word
-    (`InductionTrace.words`) names.  Every floor, the top one included,
-    must lie inside the interval of T its word names (else IetDomainError)
-    and the floors must partition the interval (else AssertionError).
-    Floors are integer pairs over the base IET's common denominator."""
-    words = trace.words(n)
-    base_iet = trace.base
-    den, field, rights, lefts, trans = base_iet.integer_tables()[:5]
-    if field is None:
-        rights, lefts, trans = ([(c, 0) for c in t]
-                                for t in (rights, lefts, trans))
-    out = []
-    for a, word, ((p, q), (wp, wq)) in zip(base_iet.perm.alphabet, words,
-                                           trace.intervals(n)):
-        floors = []
-        for j in word:
-            (lp, lq), (rp, rq), (tp, tq) = lefts[j], rights[j], trans[j]
-            # a pair with no negative entry is no negative value
-            dp, dq, ep, eq = p - lp, q - lq, rp - wp - p, rq - wq - q
-            if (dp < 0 or dq < 0) and _sign(dp, dq, field) < 0 or \
-                    (ep < 0 or eq < 0) and _sign(ep, eq, field) < 0:
-                raise IetDomainError("tower floor crosses a discontinuity")
-            floors.append((p, q))
-            p, q = p + tp, q + tq
-        out.append(Tower(a, floors, (wp, wq), den, field, word))
-    system = TowerSystem(out, base_iet.total, n)
-    if not system.check_partition():
-        raise AssertionError("tower floors do not partition the interval")
-    return system
-
-
-#: Induction steps and floors past which an itinerary table goes no deeper.
-_TABLE_STEPS = 1024
-_TABLE_FLOORS = 1 << 16
-
-
-class ItineraryTable:
-    """The Rohlin towers of an IET as arrays (`towers` at the table's
-    `step`): the orbit itineraries that `IntegerOrbit.segment` reads, its
-    one source of interval indices.
-
-    Floors are numbered tower by tower in alphabet order, floor 0 first:
-    tower a holds floors starts[a] .. ends[a] - 1.  Per floor g: `word[g]`,
-    the top-order index of the interval of T holding it, `bword[g]`, the
-    bottom-order index of the interval holding T(floor g), and its exact
-    left end (lp[g], lq[g]) over `den`, the IET's common denominator.  Per
-    tower: its floors' width and `exits[a]`, the left end of T^h_a of its
-    base (h_a = its height), in I^(n).  A point x of floor g = starts[a] +
-    f stays on floors g + 1, .. of its tower for h_a - f - 1 steps and then
-    lands on exits[a] + (x - left end of g).
-
-    `order` holds the floors in increasing order of their left ends and
-    `keys` their keys, both `TowerSystem.order`'s, whose m is `shift`.
-    """
-
-    __slots__ = ("den", "field", "step", "heights", "starts", "ends", "word",
-                 "bword", "lp", "lq", "widths", "exits", "shift", "keys",
-                 "order")
+        return len(self.lp)
 
     def locate(self, p: int, q: int, scale: int, field) -> tuple:
         """(a, g): the tower and floor holding the point (p + q
@@ -543,19 +493,64 @@ class ItineraryTable:
             return a, g
 
 
-def build_itinerary_table(iet: Iet) -> ItineraryTable:
-    """The towers of `iet` as an `ItineraryTable`, on Q as on Q(sqrt d),
-    with or without float tables: at the first induction step where each
-    is at least `_SEGMENT` floors tall, else at the deepest step before
-    the induction is undefined or passes `_TABLE_STEPS` steps or
-    `_TABLE_FLOORS` floors.  Step 0, one floor per interval of T, always
-    qualifies, so every IET has a table.
+def towers(trace: InductionTrace, n: int) -> TowerSystem:
+    """Exact tower system at step n, with no orbit walked: floor 0 is
+    I^(n)_a and each next floor the last moved by the translation its word
+    (`InductionTrace.words`) names, appended to the flat floor lists as it
+    is laid; a tower's exit is where that walk stands after its top
+    floor.  Every floor, the top one included, must lie inside the
+    interval of T its word names (else IetDomainError) and the floors
+    must partition the interval (else AssertionError).  Floors are
+    integer pairs over the base IET's common denominator."""
+    words = trace.words(n)
+    base_iet = trace.base
+    den, field, rights, lefts, trans = base_iet.integer_tables()[:5]
+    if field is None:
+        rights, lefts, trans = ([(c, 0) for c in t]
+                                for t in (rights, lefts, trans))
+    ps, qs, widths, exits = [], [], [], []
+    for word, ((p, q), (wp, wq)) in zip(words, trace.intervals(n)):
+        for j in word:
+            (lp, lq), (rp, rq), (tp, tq) = lefts[j], rights[j], trans[j]
+            # a pair with no negative entry is no negative value
+            dp, dq, ep, eq = p - lp, q - lq, rp - wp - p, rq - wq - q
+            if (dp < 0 or dq < 0) and _sign(dp, dq, field) < 0 or \
+                    (ep < 0 or eq < 0) and _sign(ep, eq, field) < 0:
+                raise IetDomainError("tower floor crosses a discontinuity")
+            ps.append(p)
+            qs.append(q)
+            p, q = p + tp, q + tq
+        widths.append((wp, wq))
+        exits.append((p, q))
+    perm = base_iet.perm
+    word = np.fromiter(chain.from_iterable(words),
+                       np.int8 if perm.d < 128 else np.int64, len(ps))
+    system = TowerSystem(den, field, base_iet.total, n, perm.alphabet,
+                         trace.heights(n), widths, exits, ps, qs, word)
+    if not system.check_partition():
+        raise AssertionError("tower floors do not partition the interval")
+    return system
 
-    The words, floors, widths and floor order are those of `towers`, which
-    checks every floor against the intervals of T and their partition: a
-    wrong base or width refuses the table with its error.  Each exit is
-    its tower's top floor moved by the translation its word names.  No
-    orbit is walked.  `Iet.itinerary_table` calls this once per IET."""
+
+#: Induction steps and floors past which an itinerary table goes no deeper.
+_TABLE_STEPS = 1024
+_TABLE_FLOORS = 1 << 16
+
+
+def build_itinerary_table(iet: Iet) -> TowerSystem:
+    """The itinerary table of `iet`, the orbit itineraries that
+    `IntegerOrbit.segment` reads, its one source of interval indices: the
+    `TowerSystem` of `towers`, on Q as on Q(sqrt d), with or without float
+    tables, at the first induction step where each tower is at least
+    `_SEGMENT` floors tall, else at the deepest step before the induction
+    is undefined or passes `_TABLE_STEPS` steps or `_TABLE_FLOORS` floors.
+    Step 0, one floor per interval of T, always qualifies, so every IET
+    has a table.
+
+    `towers` checks every floor against the intervals of T and their
+    partition: a wrong base or width refuses the table with its error.
+    The table is that system with `bword` set.  No orbit is walked.
+    `Iet.itinerary_table` calls this once per IET."""
     trace = InductionTrace(iet)
     n = 0
     try:
@@ -565,27 +560,10 @@ def build_itinerary_table(iet: Iet) -> ItineraryTable:
     except RVUndefinedError:
         pass
     system = towers(trace, n)
-    den, field, _, _, trans = iet.integer_tables()[:5]
-    t = ItineraryTable()
-    t.den, t.field, t.step, t.heights = den, field, n, trace.heights(n)
-    t.ends = tuple(accumulate(t.heights))
-    t.starts = (0,) + t.ends[:-1]
-    t.widths = [tower.width for tower in system.towers]
-    t.exits = []
-    for tower in system.towers:
-        (p, q), e = tower.lefts[-1], trans[tower.word[-1]]
-        ep, eq = e if field else (e, 0)
-        t.exits.append((p + ep, q + eq))
     perm = iet.perm
-    idt = np.int8 if perm.d < 128 else np.int64
-    t.word = np.array([j for tower in system.towers for j in tower.word],
-                      idt)
-    t.bword = np.array([perm.bottom.index(a) for a in perm.top],
-                       idt)[t.word]
-    lefts = [left for tower in system.towers for left in tower.lefts]
-    t.lp, t.lq = [p for p, _ in lefts], [q for _, q in lefts]
-    t.shift, t.keys, t.order = system.order()
-    return t
+    system.bword = np.array([perm.bottom.index(a) for a in perm.top],
+                            system.word.dtype)[system.word]
+    return system
 
 
 def return_time_oracle(trace: InductionTrace, n: int, label: str) -> int:

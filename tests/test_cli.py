@@ -263,9 +263,19 @@ class TestAnalysisCommands:
 
 
 #: The domain text of a flag's usage error, where it is not "--flag > 0".
+#: (`--steps` is `zip backward`'s; the induction depth's is checked apart.)
 FLAG_DOMAINS = {"--eps": "a finite --eps > 0",
                 "--window-len": "--window-len >= 0",
+                "--n-floor": "--n-floor >= 0", "--steps": "--steps >= 0",
                 "--rate-floor": "a finite --rate-floor in [0, 1]"}
+
+
+#: The commands that take --lbar-max, each with the other flags it needs.
+LBAR_MAX_COMMANDS = ("rv accel", "bs growth --points 1",
+                     "bs sigma-sets --l-max 2", "dc mixing --depth 2",
+                     "dc ratner --depth 2", "dc summability --depth 2",
+                     "ratner witness --eps 0.2 --pairs 1",
+                     "ratner forbac --l-range 6..6 --grid 1")
 
 
 class TestErrorReports:
@@ -317,7 +327,12 @@ class TestErrorReports:
         for argv in ("dc ratner --depth 3", "dc summability --depth 3",
                      "ratner witness --eps 0.2 --pairs 2")] + [
         ("ratner witness --eps 0.2 --pairs 2", "--rate-floor", value)
-        for value in ("nan", "2", "-0.1", "inf", "1.0000001")])
+        for value in ("nan", "2", "-0.1", "inf", "1.0000001")] + [
+        (argv, "--lbar-max", value)
+        for argv in LBAR_MAX_COMMANDS for value in ("-1", "0")] + [
+        ("ratner witness --eps 0.2 --pairs 1", "--n-floor", "-1"),
+        ("zip backward", "--steps", "-1"),
+        ("bs sigma-sets", "--l-max", "-1"), ("bs sigma-sets", "--l-max", "0")])
     def test_flag_outside_its_domain_is_a_usage_error(self, argv, flag,
                                                       value, capsys):
         # refused by the flag's argparse type before the command runs
@@ -352,7 +367,11 @@ class TestErrorReports:
         ("ratner forbac", "--eps"), ("ratner forbac", "--grid"),
         ("bs growth", "--eps"), ("bs growth", "--points"),
         ("ratner witness", "--rate-floor"), ("ratner witness", "--window-len"),
-        ("dc ratner", "--window-len"), ("dc summability", "--window-len")])
+        ("dc ratner", "--window-len"), ("dc summability", "--window-len"),
+        ("ratner witness", "--n-floor"), ("zip backward", "--steps"),
+        ("bs sigma-sets", "--l-max")] + [
+        (argv.partition(" --")[0], "--lbar-max")
+        for argv in LBAR_MAX_COMMANDS])
     def test_flag_help_states_its_domain(self, command, flag):
         from ietflow import cli
 

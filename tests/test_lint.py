@@ -2,7 +2,8 @@
 (the re-exports of `__init__.py` excepted), every private module-level
 function, class or constant and every private method is used somewhere
 in the package outside its own body, and every local name a function
-binds is read."""
+binds is read.  The CLI encodes JSON only through `cli._dumps`, its one
+strict encoder."""
 
 import ast
 from pathlib import Path
@@ -200,3 +201,29 @@ def test_lint_finds_an_unused_local():
                          ids=lambda p: p.name)
 def test_every_local_is_read(path):
     assert unused_locals(path.read_text()) == []
+
+
+def direct_json_dumps(source: str) -> list:
+    """Lines that read `json.dumps` outside the body of `_dumps`."""
+    tree = ast.parse(source)
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == "_dumps"
+              for node in ast.walk(func)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and
+                  node.attr == "dumps" and isinstance(node.value, ast.Name)
+                  and node.value.id == "json" and id(node) not in inside)
+
+
+def test_lint_finds_a_direct_json_dumps():
+    source = ("import json\n"
+              "def _dumps(obj):\n"
+              "    return json.dumps(obj, allow_nan=False)\n"
+              "print(_dumps({}))\n"
+              "print(json.dumps({}))\n"
+              "encode = json.dumps\n")
+    assert direct_json_dumps(source) == [5, 6]
+
+
+def test_cli_encodes_json_only_through_dumps():
+    assert direct_json_dumps((PACKAGE / "cli.py").read_text()) == []

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,6 @@ from ietflow.rauzy import (
     InductionTrace,
     MatrixDomainError,
     RVUndefinedError,
-    Tower,
     TowerSystem,
     balance_check,
     col_norm,
@@ -382,11 +382,29 @@ def _sorted_partition(floors, total):
     return x == total
 
 
+def _flat(den, field, total, specs):
+    """Hand-built TowerSystem at step 0 of per-tower (label, lefts, width)
+    specs, left ends and widths as integer pairs over den; every word
+    index and exit is 0."""
+    lefts = [left for _, ls, _ in specs for left in ls]
+    return TowerSystem(den, field, total, 0, [a for a, _, _ in specs],
+                       [len(ls) for _, ls, _ in specs],
+                       [w for _, _, w in specs], [(0, 0)] * len(specs),
+                       [p for p, _ in lefts], [q for _, q in lefts],
+                       np.zeros(len(lefts), np.int8))
+
+
 def _system(total, den, *towers_):
     """Hand-built TowerSystem over Q: (label, lefts, width) numerators over
     den per tower."""
-    return TowerSystem([Tower(a, [(p, 0) for p in lefts], (w, 0), den)
-                        for a, lefts, w in towers_], ExactScalar(total), 0)
+    return _flat(den, None, ExactScalar(total),
+                 [(a, [(p, 0) for p in lefts], (w, 0))
+                  for a, lefts, w in towers_])
+
+
+def _floors(system):
+    """(left, right, label) of every floor, tower by tower."""
+    return [floor + (t.label,) for t in system.towers for floor in t.floors]
 
 
 class TestTowers:
@@ -425,7 +443,7 @@ class TestTowers:
             assert got == _reference_towers(trace, n)
             for t in system.towers:
                 assert (t.base_left, t.base_right) == t.floors[0]
-            assert _sorted_partition(system.all_floors(), system.total)
+            assert _sorted_partition(_floors(system), system.total)
 
     def test_check_partition_faults(self):
         # three single-floor towers tile [0, 1) in tenths
@@ -454,12 +472,9 @@ class TestTowers:
         }
         for name, spec in faults.items():
             assert not _system(1, 10, *spec).check_partition(), name
-        with pytest.raises(ValueError):
-            TowerSystem([Tower("A", [(0, 0)], (1, 0), 2),
-                         Tower("B", [(1, 0)], (1, 0), 4)], ExactScalar(1), 0)
         # a zero-width floor the sort-based check lets through
         assert _sorted_partition(
-            _system(1, 10, *faults["zero width"]).all_floors(),
+            _floors(_system(1, 10, *faults["zero width"])),
             ExactScalar(1))
 
     def test_check_partition_faults_on_a_quadratic_field(self):
@@ -467,9 +482,7 @@ class TestTowers:
         a, b = (-1, 1), (2, -1)
 
         def system(*towers_):
-            return TowerSystem([Tower(label, lefts, w, 1, 2)
-                                for label, lefts, w in towers_],
-                               ExactScalar(1), 0)
+            return _flat(1, 2, ExactScalar(1), towers_)
 
         assert system(("A", [(0, 0)], a), ("B", [a], b)).check_partition()
         assert system(("B", [a], b), ("A", [(0, 0)], a)).check_partition()
@@ -499,17 +512,15 @@ class TestTowers:
         lefts = [(j * wp, j * wq) for j in range(50)]
         random.Random(0).shuffle(lefts)
         rest = (1 - 50 * wp, -50 * wq)
-        system = TowerSystem([Tower("A", lefts, (wp, wq), 1, 2),
-                              Tower("B", [(50 * wp, 50 * wq)], rest, 1, 2)],
-                             ExactScalar(1), 0)
+        system = _flat(1, 2, ExactScalar(1), [
+            ("A", lefts, (wp, wq)), ("B", [(50 * wp, 50 * wq)], rest)])
         floats = sorted(lefts, key=lambda f: f[0] + f[1] * math.sqrt(2))
         assert floats != sorted(lefts, key=lambda f: f[0] // wp)
         assert system.check_partition()
         lefts[7] = (lefts[7][0] + wp, lefts[7][1] + wq)
-        assert not TowerSystem(
-            [Tower("A", lefts, (wp, wq), 1, 2),
-             Tower("B", [(50 * wp, 50 * wq)], rest, 1, 2)],
-            ExactScalar(1), 0).check_partition()
+        assert not _flat(1, 2, ExactScalar(1), [
+            ("A", lefts, (wp, wq)),
+            ("B", [(50 * wp, 50 * wq)], rest)]).check_partition()
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 5), n=st.integers(0, 8),
@@ -540,8 +551,7 @@ def _compare_checks(system, edits):
     """Apply `edits` to the integer floors of `system` and compare
     check_partition with the reference `_sorted_partition` and positive
     widths."""
-    specs = [[t.label, list(t.lefts), t.width, t.den, t.field]
-             for t in system.towers]
+    specs = [[t.label, list(t.lefts), t.width] for t in system.towers]
     for kind, pick, delta in edits:
         spec = specs[pick % len(specs)]
         lefts = spec[1]
@@ -559,11 +569,11 @@ def _compare_checks(system, edits):
             else:
                 lefts[j] = (p + delta, q) if kind == "shift" else \
                     (p, q + delta)
-    perturbed = TowerSystem([Tower(*spec) for spec in specs],
-                            system.total, system.step)
-    want = (_sorted_partition(perturbed.all_floors(), perturbed.total)
-            and all(ExactScalar(F(t.width[0], t.den), F(t.width[1], t.den),
-                                t.field) > 0 for t in perturbed.towers))
+    den, field = system.den, system.field
+    perturbed = _flat(den, field, system.total, specs)
+    want = (_sorted_partition(_floors(perturbed), perturbed.total)
+            and all(ExactScalar(F(wp, den), F(wq, den), field) > 0
+                    for wp, wq in perturbed.widths))
     assert perturbed.check_partition() == want
 
 

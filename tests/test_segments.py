@@ -475,7 +475,8 @@ def test_table_matches_the_towers(make):
         assert table.exits[a] == (top[0] + t[0], top[1] + t[1])
     # the towers' one floor order, by increasing keys, is the exact order
     # of the floors' left ends
-    assert (table.shift, table.keys, table.order) == system.order()
+    assert (table.shift, table.keys, table.order) == \
+        (system.shift, system.keys, system.order)
     assert all(u < v for u, v in zip(table.keys, table.keys[1:]))
     lefts = [(table.lp[g], table.lq[g]) for g in table.order]
     assert all(orbit.pair_less(u, v) for u, v in zip(lefts, lefts[1:]))

@@ -2,9 +2,9 @@
 
 `rauzy.towers` lays every floor by following its tower's word (the
 interval of T each floor lies in, read off the induction steps), checks
-each floor against the intervals of T and sorts the floors by an exact
-key; `build_itinerary_table` reads the towers and that order.  Neither
-walks an orbit.  The floor digests were recorded from the orbit-walking
+each floor against the intervals of T, lays the floors flat and sorts
+them by an exact key; `build_itinerary_table` returns that tower system
+as the IET's itinerary table.  Neither walks an orbit.  The floor digests were recorded from the orbit-walking
 builders these replaced, so the floors are pinned to what those walks
 produced.  The table digests pin the slots in `TABLE_SLOTS`, the ones the
 table kept from the float-sorted build whose own digests were recorded
@@ -15,15 +15,17 @@ with
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ietflow.exact import ExactScalar, _sign
 from ietflow.fixtures import bounded_type_3iet, golden_rotation
 from ietflow.iet import Iet, IntegerOrbit, Permutation
-from ietflow.rauzy import (InductionTrace, ItineraryTable, RVUndefinedError,
+from ietflow.rauzy import (InductionTrace, RVUndefinedError, TowerSystem,
                            build_itinerary_table, towers)
 
 FIXTURES = {"golden": golden_rotation, "bounded3": bounded_type_3iet}
@@ -92,7 +94,7 @@ RANDOM_FLOORS_DIGEST = "1fe53f84e1cfe2e3"
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_table_slots_are_pinned(name):
-    assert set(TABLE_SLOTS) <= set(ItineraryTable.__slots__)
+    assert set(TABLE_SLOTS) <= set(TowerSystem.__slots__)
     assert table_digest(FIXTURES[name]()) == TABLE_DIGESTS[name]
 
 
@@ -137,6 +139,69 @@ def test_words_name_the_intervals_of_the_floors():
             assert tower.word == word
             assert [trace.base.interval_of(left) for left, _ in
                     tower.floors] == [top[j] for j in word]
+
+
+def scan_locate(system, p, q, scale, field) -> list:
+    """Every (tower, floor) whose [left, left + width) holds the point
+    (p + q sqrt(field))/(den scale), by an exact scan of all floors."""
+    lp, lq = system.lp, system.lq
+    return [(a, g) for a, (s, e, (wp, wq)) in enumerate(zip(
+                system.starts, system.ends, system.widths))
+            for g in range(s, e)
+            if _sign(p - scale * lp[g], q - scale * lq[g], field) >= 0 and
+            _sign(p - scale * (lp[g] + wp), q - scale * (lq[g] + wq),
+                  field) < 0]
+
+
+def locate_points(system, rng) -> list:
+    """Points of [0, total) to locate in `system`: two random exact ones
+    (in its field), a left and a right floor end, each with the points
+    10^-30 to either side, and on Q a multiple of sqrt 2."""
+    den, field, total = system.den, system.field, system.total
+
+    def scalar(p, q):
+        return ExactScalar(Fraction(p, den), Fraction(q, den), field)
+
+    def rand():
+        return Fraction(rng.randrange(10 ** 6), 10 ** 6)
+
+    points = [total * ExactScalar(rand()) for _ in range(2)]
+    if field is not None:
+        points.append(ExactScalar(rand() / 4, rand() / 4, field))
+    else:
+        points.append(total * ExactScalar(0, rand() / 2, 2))
+    g = rng.randrange(system.floor_count())
+    a = next(a for a, e in enumerate(system.ends) if g < e)
+    wp, wq = system.widths[a]
+    tiny = ExactScalar(Fraction(1, 10 ** 30))
+    for end in (scalar(system.lp[g], system.lq[g]),
+                scalar(system.lp[g] + wp, system.lq[g] + wq)):
+        points += [end - tiny, end, end + tiny]
+    return [x for x in points if ExactScalar(0) <= x < total]
+
+
+def assert_locate_matches_the_scan(system, rng):
+    for x in locate_points(system, rng):
+        scale = math.lcm(system.den, x.den) // system.den
+        k = system.den * scale // x.den
+        p, q, field = x.p * k, x.q * k, x.d or system.field
+        assert [system.locate(p, q, scale, field)] == \
+            scan_locate(system, p, q, scale, field), x
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_locate_matches_a_scan_of_the_floors(name):
+    rng = random.Random(name)
+    trace = InductionTrace(FIXTURES[name]())
+    for n in range(21):
+        assert_locate_matches_the_scan(towers(trace, n), rng)
+
+
+def test_locate_matches_a_scan_on_random_rational_towers():
+    rng = random.Random(0)
+    for trace in random_traces(12):
+        for n in range(trace.depth + 1):
+            assert_locate_matches_the_scan(towers(trace, n), rng)
 
 
 if __name__ == "__main__":
