@@ -39,7 +39,7 @@ from .diophantine import (
     validate_params,
 )
 from .exact import ExactScalar, FieldMismatchError
-from .iet import Iet, ReturnBudgetError, keane_check
+from .iet import Iet, IntegerOrbit, ReturnBudgetError, keane_check
 from .rauzy import InductionTrace, RVUndefinedError, select_accel_times, towers
 from .ratner import (
     BumpObservable,
@@ -76,22 +76,25 @@ class _FlagError(Exception):
 
 #: The domains a `_flag` type checks, by the text its error shows.
 _DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-            "in [0, 1]": lambda v: 0 <= v <= 1}
+            "in [0, 1]": lambda v: 0 <= v <= 1, "> 1": lambda v: v > 1}
 
 
 def _flag(kind, field, domain="> 0"):
-    """The argparse `type=` of a flag that takes a finite `kind` (float or
-    int) in `domain`, a key of `_DOMAINS`; text that is no `kind` at all
-    stays argparse's error."""
+    """The argparse `type=` of a flag that takes a `kind` (int, a finite
+    float or an exact Fraction) in `domain`, a key of `_DOMAINS`; text
+    that is no `kind` at all stays argparse's error.  A Fraction flag is
+    read exactly, as `diophantine._as_exact` reads text, and keeps its
+    text, which the commands read and the --log record echoes."""
     need = ("a finite --%s %s" if kind is float else "--%s %s") % (field,
                                                                    domain)
     inside = _DOMAINS[domain]
 
     def convert(text):
         value = kind(text)
-        if not (inside(value) and (kind is int or math.isfinite(value))):
+        if not (inside(value) and (kind is not float or
+                                   math.isfinite(value))):
             raise _FlagError(field, "need %s, got %s" % (need, text))
-        return value
+        return text if kind is Fraction else value
     convert.__name__ = kind.__name__    # argparse's error names the type
     return convert
 
@@ -119,6 +122,15 @@ def _dumps(obj, **options) -> str:
     try:
         return json.dumps(obj, allow_nan=False, **options)
     except ValueError as exc:
+        raise NonFiniteOutput(str(exc)) from None
+
+
+def _float(value) -> float:
+    """float(value) for an output row: `NonFiniteOutput` where the value
+    lies past the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
         raise NonFiniteOutput(str(exc)) from None
 
 
@@ -180,14 +192,20 @@ def _induct(args, iet: Iet, partial=False):
                                      depth=trace.depth)
 
 
+#: --nu: the balance constant of the accelerated times
+_NU = dict(default="3", type=_flag(Fraction, "nu", "> 1"),
+           help="balance constant, exact, > 1")
+
 #: (flag, options, in the parameter window): the flags of the commands
 #: that induct, the window ones only where `_params_from` reads them
 _INDUCTION_FLAGS = (
     ("--tau", dict(default="1.01"), True),
-    ("--tau-prime", dict(dest="tau_prime", default="0.995"), False),
+    ("--tau-prime", dict(dest="tau_prime", default="0.995",
+                         type=_flag(Fraction, "tau-prime"),
+                         help="sigma_l exponent, exact, > 0"), False),
     ("--eta", dict(default="0.9"), True),
     ("--xi", dict(default="0.992"), True),
-    ("--nu", dict(default="3"), False),
+    ("--nu", _NU, False),
     ("--lbar", dict(type=int, default=2), True),
     ("--d", dict(type=int, default=2), True),
     ("--window", dict(default="para", choices=["para", "asucons"]), True),
@@ -226,9 +244,11 @@ def _add_common(parser, csv=False, roof=False, induction=False,
 # ---------------------------------------------------------------------------
 
 def cmd_iet_eval(args):
-    iet = _load_iet(args)
-    x = ExactScalar.parse(args.x)
-    value = iet.iterate(x, args.n)
+    orbit = IntegerOrbit(_load_iet(args), ExactScalar.parse(args.x))
+    step = orbit.step_forward if args.n >= 0 else orbit.step_backward
+    for _ in range(abs(args.n)):
+        step()
+    value = orbit.value()
     payload = {"x": args.x, "n": args.n, "result": value.to_string(),
                "float": float(value)}
     _emit(payload)
@@ -377,8 +397,8 @@ def cmd_bs_sigma_sets(args):
     rows = []
     for ell in range(1, args.l_max + 1):
         sset = sigma_set(accel, ell, float(args.tau_prime))
-        rows.append((ell, sset.sigma, float(sset.measure), float(sset.bound),
-                     accel.q(ell), accel.A_norm(ell)))
+        rows.append((ell, sset.sigma, _float(sset.measure),
+                     _float(sset.bound), accel.q(ell), accel.A_norm(ell)))
     _rows(["ell", "sigma", "measure", "bound", "q", "normA"], rows,
           args.csv)
     ok = all(row[2] <= row[3] for row in rows)
@@ -576,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("accel")
     _add_common(p)
     p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--nu", default="3")
+    p.add_argument("--nu", **_NU)
     p.add_argument("--lbar-max", dest="lbar_max",
                    type=_flag(int, "lbar-max"), required=True,
                    help="widest window tried, > 0")

@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exact import (ZERO, ExactScalar, _join, _reduce, _sign, as_scalar,
-                    exact_sum, quadratic_float)
+from .exact import (ZERO, ExactScalar, _reduce, _sign, as_scalar, exact_sum,
+                    quadratic_float)
 
 #: Re-sync the float shadow of an IntegerOrbit point from its exact pair
 #: once the shadow's error bound passes this many rounding units.
@@ -110,22 +110,24 @@ class Permutation:
 
 
 def _geometry(perm: Permutation, lengths) -> tuple:
-    """(rights, lefts, trans, rights_b, trans_b) of the exchange of
-    integer `lengths` (aligned with perm.alphabet): right and left
+    """(rights, lefts, trans, rights_b, trans_b) of the exchange of the
+    integer pairs `lengths` (aligned with perm.alphabet): right and left
     endpoints and translations in top order, right endpoints and
-    translations in bottom order."""
+    translations in bottom order, each an integer pair (P, Q), and one
+    pair object wherever two tables hold the same entry."""
     length = dict(zip(perm.alphabet, lengths))
-    left_top, rights, x = {}, [], 0
+    left_top, rights, x = {}, [], (0, 0)
     for a in perm.top:
         left_top[a] = x
-        x += length[a]
+        x = (x[0] + length[a][0], x[1] + length[a][1])
         rights.append(x)
-    trans, rights_b, x = {}, [], 0
+    trans, rights_b, x = {}, [], (0, 0)
     for a in perm.bottom:
-        trans[a] = x - left_top[a]
-        x += length[a]
+        lp, lq = left_top[a]
+        trans[a] = (x[0] - lp, x[1] - lq)
+        x = (x[0] + length[a][0], x[1] + length[a][1])
         rights_b.append(x)
-    return (tuple(rights), (0, *rights[:-1]),
+    return (tuple(rights), ((0, 0), *rights[:-1]),
             tuple(trans[a] for a in perm.top), tuple(rights_b),
             tuple(trans[a] for a in perm.bottom))
 
@@ -160,11 +162,13 @@ class Iet:
     `perm.alphabet`.  The transformation acts on [0, total).
 
     An Iet keeps its permutation, lengths and total.  Its geometry (the
-    endpoints and translations) is kept once, in integer form, by
-    `integer_tables` on first use, and every endpoint or translation is
-    read from there; an Iet that is only asked for its lengths, as the
-    ones of zippered induction steps are, never builds it.  It also keeps
-    its orbits' itinerary table (`itinerary_table`), built on first use.
+    endpoints and translations) is kept once, as integer pairs on every
+    field, by `integer_tables` on first use, and every endpoint or
+    translation is read from there; an Iet that is only asked for its
+    lengths, as the ones of zippered induction steps are, never builds it.
+    It also keeps its orbits' itinerary table (`itinerary_table`), built
+    on first use.  It steps no point itself: `evaluate`, `evaluate_inverse`
+    and `interval_of` are one step or locate of an `IntegerOrbit`.
     """
 
     __slots__ = ("perm", "lengths", "total", "_itables", "_ftables",
@@ -196,10 +200,8 @@ class Iet:
     def _scalar(self, table: int, i: int) -> ExactScalar:
         """Entry i of integer table `table` (see integer_tables)."""
         tables = self.integer_tables()
-        den, field, e = tables[0], tables[1], tables[table][i]
-        if field is None:
-            return _reduce(e, 0, den, None)
-        return _reduce(e[0], e[1], den, field)
+        p, q = tables[table][i]
+        return _reduce(p, q, tables[0], tables[1])
 
     def left(self, label) -> ExactScalar:
         """l_a: left endpoint of I_a (top order)."""
@@ -225,8 +227,8 @@ class Iet:
         denominator D of the lengths, their quadratic field d (None on Q)
         and, over D, the right and left endpoints and the translations in
         top order and the right endpoints and the translations in bottom
-        order (computed once).  On Q(sqrt d) an entry is an integer pair
-        (P, Q) standing for (P + Q sqrt(d))/D; on Q it is the integer P.
+        order (computed once).  Every entry is an integer pair (P, Q)
+        standing for (P + Q sqrt(d))/D, with Q = 0 on Q.
 
         The endpoints and translations are sums and differences of the
         lengths, so D (the lcm of the lengths' denominators) is also the
@@ -234,11 +236,7 @@ class Iet:
         D and summed."""
         if self._itables is None:
             den, field, lengths = self.integer_lengths()
-            tables = _geometry(self.perm, [p for p, _ in lengths])
-            if field is not None:
-                q_tables = _geometry(self.perm, [q for _, q in lengths])
-                tables = [tuple(zip(p, q)) for p, q in zip(tables, q_tables)]
-            self._itables = (den, field, *tables)
+            self._itables = (den, field, *_geometry(self.perm, lengths))
         return self._itables
 
     def integer_lengths(self) -> tuple:
@@ -263,11 +261,8 @@ class Iet:
             if ExactScalar(Fraction(1, 2 ** 1000)) < self.total and \
                     self.total < ExactScalar(2 ** 800):
                 den, field, *itables = self.integer_tables()
-                if field is None:
-                    tables = tuple(tuple(e / den for e in t) for t in itables)
-                else:
-                    tables = tuple(tuple(quadratic_float(p, q, den, field)
-                                         for p, q in t) for t in itables)
+                tables = tuple(tuple(quadratic_float(p, q, den, field)
+                                     for p, q in t) for t in itables)
             self._ftables = (tables,)
         return self._ftables[0]
 
@@ -298,51 +293,22 @@ class Iet:
 
     # -- the map -------------------------------------------------------------
 
-    def _index(self, x: ExactScalar, table: int) -> int:
-        """Index of the interval holding x among the right endpoints in
-        integer table `table` (2: top order, 5: bottom order)."""
-        if x.sign() < 0 or not x < self.total:
-            raise IetDomainError("point %r outside [0, %s)" %
-                                 (x, self.total.to_string()))
-        tables = self.integer_tables()
-        den, field, cuts = tables[0], tables[1], tables[table]
-        if field is None:
-            cuts = [(c, 0) for c in cuts]
-        # x < (P + Q sqrt d)/D <=> (p + q sqrt d) D < den (P + Q sqrt d)
-        return _first_above(x.p * den, x.q * den, cuts, _join(field, x.d),
-                            x.den)
-
-    def interval_of(self, x: ExactScalar) -> str:
-        return self.perm.top[self._index(x, 2)]
-
-    def image_interval_of(self, x: ExactScalar) -> str:
-        return self.perm.bottom[self._index(x, 5)]
+    def interval_of(self, x) -> str:
+        """The label of the interval holding x: one certified
+        `IntegerOrbit.interval_index`."""
+        return self.perm.top[IntegerOrbit(self, x).interval_index()]
 
     def evaluate(self, x) -> ExactScalar:
-        x = as_scalar(x)
-        return x + self._scalar(4, self._index(x, 2))
+        """T x: one certified `IntegerOrbit.step_forward`."""
+        orbit = IntegerOrbit(self, x)
+        orbit.step_forward()
+        return orbit.value()
 
     def evaluate_inverse(self, x) -> ExactScalar:
-        x = as_scalar(x)
-        return x - self._scalar(6, self._index(x, 5))
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def iterate(self, x, n: int) -> ExactScalar:
-        x = as_scalar(x)
-        step = self.evaluate if n >= 0 else self.evaluate_inverse
-        for _ in range(abs(n)):
-            x = step(x)
-        return x
-
-    def orbit(self, x, n: int):
-        """Yield x, Tx, ..., T^(n-1)x (or inverse orbit for n < 0)."""
-        x = as_scalar(x)
-        step = self.evaluate if n >= 0 else self.evaluate_inverse
-        for _ in range(abs(n)):
-            yield x
-            x = step(x)
+        """T^-1 x: one certified `IntegerOrbit.step_backward`."""
+        orbit = IntegerOrbit(self, x)
+        orbit.step_backward()
+        return orbit.value()
 
     def invert(self) -> "Iet":
         inv_perm = self.perm.inverse()
@@ -387,8 +353,9 @@ class IntegerOrbit:
     pair (P, Q) with value (P + Q sqrt(d))/D and every orbit step is two
     integer additions plus sign tests — no rational normalization.  The
     pairs of the IET's endpoints and translations are read from its integer
-    tables (`Iet.integer_tables`, numerators alone on Q) and scaled to D.
-    This is the one carrier of every exact orbit walk in the package;
+    tables (`Iet.integer_tables`, pairs on every field) and scaled to D.
+    This is the one carrier of every exact orbit walk in the package, the
+    IET's own `evaluate`, `evaluate_inverse` and `interval_of` included;
     results convert back to ExactScalar on demand.
 
     Shadow: beside the exact pair the walker keeps a shadow `xf` of the
@@ -456,7 +423,6 @@ class IntegerOrbit:
         x = as_scalar(x)
         self.iet = iet
         den0, field, *tables = iet.integer_tables()
-        rational = field is None
         points = (x, *map(as_scalar, extra))
         den = math.lcm(den0, *(s.den for s in points))
         for s in points:
@@ -465,10 +431,7 @@ class IntegerOrbit:
                     raise InvalidIetError("mixed quadratic fields in orbit")
                 field = s.d
         k = den // den0
-        if rational:
-            # the tables of Q hold numerators P: pairs (P, 0)
-            tables = [tuple([(c * k, 0) for c in t]) for t in tables]
-        elif k > 1:
+        if k > 1:
             tables = [tuple([(p * k, q * k) for p, q in t]) for t in tables]
         self.den = den
         self.field = field

@@ -505,9 +505,6 @@ def towers(trace: InductionTrace, n: int) -> TowerSystem:
     words = trace.words(n)
     base_iet = trace.base
     den, field, rights, lefts, trans = base_iet.integer_tables()[:5]
-    if field is None:
-        rights, lefts, trans = ([(c, 0) for c in t]
-                                for t in (rights, lefts, trans))
     ps, qs, widths, exits = [], [], [], []
     for word, ((p, q), (wp, wq)) in zip(words, trace.intervals(n)):
         for j in word:

@@ -1,10 +1,14 @@
 """The benchmark's traced run (perfbench/run.py --trace 1) wraps names of
 the package listed in perfbench/layers.py and reads others in its
 environment stamp (perfbench/stats.py).  A refactor that renames or
-deletes one of them breaks the traced run; this test names the break."""
+deletes one of them breaks the traced run; this test names the break.
+The benchmark's run also checks every output it times: one whole cycle of
+each workload must pass those checks here."""
 
 import os
 import sys
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                          "perfbench")
@@ -70,3 +74,21 @@ def test_every_induction_step_passes_the_step_hook():
     finally:
         tr.uninstall()
     assert tr.counts["rauzy.rv_steps"] == 25
+
+
+@pytest.mark.parametrize("name", ["sr_witness", "exact_scan", "mix_probe",
+                                  "induction"])
+def test_one_cycle_of_each_workload_passes_its_checks(name, tmp_path,
+                                                      monkeypatch):
+    # the checks of perfbench/run.py (exact_scan's first-return check reads
+    # `Iet.evaluate` and `Iet.interval_of`) on one whole cycle at seed 1
+    monkeypatch.syspath_prepend(PERFBENCH)
+    run, workloads = bench_module("run"), bench_module("workloads")
+    wl = workloads.make(name)
+    wl.setup(1, str(tmp_path))
+    try:
+        items = [wl.item(i) for i in range(1, len(wl.cycle) + 1)]
+        outs = [run._run_item(wl, item, run._rejections()) for item in items]
+        assert run._failures(wl, items, outs, set()) == []
+    finally:
+        wl.close()

@@ -30,6 +30,7 @@ from ietflow.fixtures import (
 from ietflow.iet import Iet, Permutation
 from ietflow.rauzy import InductionTrace, select_accel_times, towers
 from ietflow.roof import BirkhoffCursor, RoofSpec
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -116,7 +117,7 @@ class TestSigmaSet:
         sset = sigma_set(accel, 5, 0.995)
         iet = accel.trace.base
         y = iet.left("B") + sset.radius * F(1, 2)
-        x = iet.iterate(y, -3)
+        x = ReferenceMap(iet).iterate(y, -3)
         assert sset.contains(x)
         assert sset.witness(x) is not None
 
@@ -197,7 +198,7 @@ class TestApproachStats:
         stats = approach_stats(iet, x, 1)
         assert stats.U == pytest.approx(1e7, rel=1e-9)
         # pulling back five steps and scanning six recovers the same gap
-        x5 = iet.iterate(x, -5)
+        x5 = ReferenceMap(iet).iterate(x, -5)
         stats6 = approach_stats(iet, x5, 6)
         assert stats6.U >= 1e7 * (1 - 1e-12)
 
@@ -222,7 +223,7 @@ class TestApproachStats:
         x = F(17, 101)
         back = approach_stats(iet, x, -8)
         # backward stats equal forward stats started at T^-8 x over 8 steps
-        x8 = iet.iterate(x, -8)
+        x8 = ReferenceMap(iet).iterate(x, -8)
         fwd = approach_stats(iet, x8, 8)
         assert back.U == pytest.approx(fwd.U)
         assert back.V == pytest.approx(fwd.V)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from iet_reference import ReferenceMap, probe_points
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -24,6 +26,33 @@ def run_cli(*argv, check=True):
 
 
 class TestBasics:
+    @pytest.mark.parametrize("lengths", [None, "2/3 1/3", "1/2 1/3 1/6"])
+    def test_iet_eval_matches_the_reference(self, lengths, tmp_path,
+                                            capsys):
+        # the golden rotation (default) and two IETs over Q, at the probe
+        # points of every cut, forward and backward
+        from ietflow import cli, fixtures
+        from ietflow.serialize import loads_iet
+
+        argv = ["iet", "eval"]
+        iet = fixtures.golden_rotation()
+        if lengths is not None:
+            labels = "A B C"[:len(lengths.split()) * 2 - 1]
+            text = "top = %s\nbottom = %s\nlengths = %s\n" % (
+                labels, labels[::-1], lengths)
+            (tmp_path / "t.iet").write_text(text)
+            argv += ["--iet", str(tmp_path / "t.iet")]
+            iet = loads_iet(text)
+        ref = ReferenceMap(iet)
+        for x in probe_points(iet):
+            for n in (0, 1, -1, 7, -7):
+                code = cli.main(argv + ["--x", x.to_string(), "--n=%d" % n])
+                want = ref.iterate(x, n)
+                assert code == 0
+                assert json.loads(capsys.readouterr().out) == {
+                    "x": x.to_string(), "n": n, "result": want.to_string(),
+                    "float": float(want)}
+
     def test_induct_matches_committed_fixture(self):
         proc = run_cli("rv", "induct", "--steps", "10")
         expected = (DATA / "golden_induct_10.jsonl").read_text()
@@ -267,7 +296,8 @@ class TestAnalysisCommands:
 FLAG_DOMAINS = {"--eps": "a finite --eps > 0",
                 "--window-len": "--window-len >= 0",
                 "--n-floor": "--n-floor >= 0", "--steps": "--steps >= 0",
-                "--rate-floor": "a finite --rate-floor in [0, 1]"}
+                "--rate-floor": "a finite --rate-floor in [0, 1]",
+                "--nu": "--nu > 1"}
 
 
 #: The commands that take --lbar-max, each with the other flags it needs.
@@ -332,7 +362,16 @@ class TestErrorReports:
         for argv in LBAR_MAX_COMMANDS for value in ("-1", "0")] + [
         ("ratner witness --eps 0.2 --pairs 1", "--n-floor", "-1"),
         ("zip backward", "--steps", "-1"),
-        ("bs sigma-sets", "--l-max", "-1"), ("bs sigma-sets", "--l-max", "0")])
+        ("bs sigma-sets", "--l-max", "-1"),
+        ("bs sigma-sets", "--l-max", "0")] + [
+        (argv, "--nu", value)
+        for argv in ("rv accel --lbar-max 4", "bs sigma-sets --l-max 2",
+                     "dc mixing --depth 2")
+        for value in ("0", "1", "-3", "1/2")] + [
+        (argv, "--tau-prime", value)
+        for argv in ("bs sigma-sets --l-max 2", "bs growth --points 1",
+                     "dc mixing --depth 2")
+        for value in ("0", "-1", "-1/2", "-0.0")])
     def test_flag_outside_its_domain_is_a_usage_error(self, argv, flag,
                                                       value, capsys):
         # refused by the flag's argparse type before the command runs
@@ -346,6 +385,66 @@ class TestErrorReports:
         assert json.loads(captured.err) == {
             "error": "usage", "field": flag[2:],
             "detail": "need %s, got %s" % (need, value)}
+
+    @pytest.mark.parametrize("argv,flag", [
+        ("bs sigma-sets --l-max 2 --tau-prime inf", "--tau-prime"),
+        ("bs growth --points 1 --tau-prime nan", "--tau-prime"),
+        ("rv accel --lbar-max 4 --nu inf", "--nu"),
+        ("dc mixing --depth 2 --nu 3x", "--nu")])
+    def test_exact_flag_that_reads_no_fraction_is_argparse_usage(
+            self, argv, flag, capsys):
+        # an exact flag reads the Fraction of its text: inf, nan and
+        # other text that is no Fraction stay argparse's error
+        from ietflow import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument %s: invalid Fraction value" % flag in captured.err
+
+    @pytest.mark.parametrize("nu", ["1e400", "1e200"])
+    def test_row_float_past_the_float_range_is_non_finite_output(self, nu,
+                                                                 capsys):
+        # the sigma-set bound grows as nu^2: its float overflows
+        from ietflow import cli
+
+        code = cli.main(["bs", "sigma-sets", "--l-max", "3", "--nu", nu])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"] == "NonFiniteOutput"
+
+    def test_exact_flags_echo_their_text(self, tmp_path, capsys):
+        # --nu 7/2 and --nu 3.5 are one value: the same times, each text
+        # echoed on stdout and in the log's config
+        from ietflow import cli
+
+        times = []
+        for k, text in enumerate(("7/2", "3.5")):
+            log = tmp_path / ("accel%d.jsonl" % k)
+            code = cli.main(["rv", "accel", "--lbar-max", "4", "--nu", text,
+                             "--log", str(log)])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and out["nu"] == text
+            assert json.loads(log.read_text())["config"]["nu"] == text
+            times.append(out["times"])
+        assert times[0] == times[1]
+
+    @pytest.mark.parametrize("n", ["0", "1", "-1"])
+    @pytest.mark.parametrize("x", ["5", "-1/2", "1"])
+    def test_eval_point_outside_the_interval_is_a_usage_error(self, x, n,
+                                                               capsys):
+        from ietflow import cli
+
+        code = cli.main(["iet", "eval", "--x=" + x, "--n", n])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "detail": "point ExactScalar(%s) outside [0, 1)" % x}
 
     @pytest.mark.parametrize("y,t", [("-1", "1"), ("-1e-300", "1"),
                                      ("-inf", "1"), ("-0.5", "-2")])
@@ -369,7 +468,9 @@ class TestErrorReports:
         ("ratner witness", "--rate-floor"), ("ratner witness", "--window-len"),
         ("dc ratner", "--window-len"), ("dc summability", "--window-len"),
         ("ratner witness", "--n-floor"), ("zip backward", "--steps"),
-        ("bs sigma-sets", "--l-max")] + [
+        ("bs sigma-sets", "--l-max"), ("rv accel", "--nu"),
+        ("bs sigma-sets", "--nu"), ("ratner witness", "--nu"),
+        ("bs growth", "--tau-prime"), ("dc mixing", "--tau-prime")] + [
         (argv.partition(" --")[0], "--lbar-max")
         for argv in LBAR_MAX_COMMANDS])
     def test_flag_help_states_its_domain(self, command, flag):
@@ -453,7 +554,8 @@ class TestErrorReports:
         code = cli.main(argv.split())
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert json.loads(captured.err)["error"] == "usage"
+        assert json.loads(captured.err) == {
+            "error": "usage", "detail": "mixed quadratic fields in orbit"}
 
     HALF = "top = A B\nbottom = B A\nlengths = 1/2 1/2\n"
 

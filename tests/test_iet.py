@@ -8,11 +8,13 @@ from ietflow.exact import ExactScalar
 from ietflow.iet import (
     Iet,
     IetDomainError,
+    IntegerOrbit,
     InvalidIetError,
     Permutation,
     first_return_map,
     keane_check,
 )
+from iet_reference import ReferenceMap, probe_points
 
 F = Fraction
 
@@ -183,11 +185,18 @@ def test_first_return_oracle_trivial():
 
 
 def test_orbit_generator():
+    # x, Tx, T^2 x and x, T^-1 x as the one exact walker steps them, and
+    # as the reference's orbits
     t = rotation_third()
-    pts = list(t.orbit(F(0), 3))
-    assert pts == [ExactScalar(0), ExactScalar(F(1, 3)), ExactScalar(F(2, 3))]
-    back = list(t.orbit(F(0), -2))
-    assert back == [ExactScalar(0), ExactScalar(F(2, 3))]
+    for n, want in ((3, [0, F(1, 3), F(2, 3)]), (-2, [0, F(2, 3)])):
+        orbit = IntegerOrbit(t, F(0))
+        step = orbit.step_forward if n > 0 else orbit.step_backward
+        pts = []
+        for _ in range(abs(n)):
+            pts.append(orbit.value())
+            step()
+        assert pts == [ExactScalar(x) for x in want]
+        assert pts == list(ReferenceMap(t).orbit(F(0), n))
 
 
 def fraction_geometry(perm, lengths):
@@ -231,6 +240,17 @@ def test_lazy_geometry_matches_fraction_reference(seed):
         lengths = [lam.a for lam in iet.lengths]
         length, left, left_b = fraction_geometry(iet.perm, lengths)
         assert iet.total == ExactScalar(sum(lengths))
+        # every table entry is an integer pair (P, 0) over D on Q
+        den, field, *tables = iet.integer_tables()
+        assert field is None
+        top, bottom = iet.perm.top, iet.perm.bottom
+        want = ([left[a] + length[a] for a in top], [left[a] for a in top],
+                [left_b[a] - left[a] for a in top],
+                [left_b[a] + length[a] for a in bottom],
+                [left_b[a] - left[a] for a in bottom])
+        for table, values in zip(tables, want):
+            assert [F(p, den) for p, _ in table] == values
+            assert all(type(p) is int and q == 0 for p, q in table)
         for a in alphabet:
             assert iet.left(a) == ExactScalar(left[a])
             assert iet.right(a) == ExactScalar(left[a] + length[a])
@@ -247,7 +267,8 @@ def test_lazy_geometry_matches_fraction_reference(seed):
             assert iet.interval_of(ExactScalar(x)) == want
             want_b = next(a for a in iet.perm.bottom
                           if left_b[a] <= x < left_b[a] + length[a])
-            assert iet.image_interval_of(ExactScalar(x)) == want_b
+            j = IntegerOrbit(iet, x).image_interval_index()
+            assert iet.perm.bottom[j] == want_b
             assert iet.evaluate(x) == ExactScalar(
                 x + left_b[want] - left[want])
         with pytest.raises(IetDomainError):
@@ -261,6 +282,13 @@ def test_lazy_geometry_on_quadratic_lengths():
     trace = InductionTrace(golden_rotation()).extend(10)
     for n in range(11):
         iet = trace.iet(n)
+        # every table entry is an integer pair (P, Q) over D
+        den, field, *tables = iet.integer_tables()
+        assert field == 5
+        assert all(type(p) is int and type(q) is int
+                   for table in tables for p, q in table)
+        assert [F(p, den) + F(q, den) * ExactScalar(0, 1, 5)
+                for p, q in tables[1]] == [iet.left(a) for a in iet.perm.top]
         lengths = [(lam.a, lam.b) for lam in iet.lengths]
         length = dict(zip(iet.perm.alphabet, lengths))
         for row, get in ((iet.perm.top, iet.left),
@@ -276,3 +304,31 @@ def test_lazy_geometry_on_quadratic_lengths():
             mid = (iet.left(a) + iet.right(a)) / 2
             assert iet.interval_of(mid) == a
             assert iet.interval_of(iet.left(a)) == a
+
+
+@pytest.mark.parametrize("make", [rotation_third, symmetric_3iet,
+                                  golden_rotation])
+def test_kept_names_match_the_reference(make):
+    # `evaluate`, `evaluate_inverse` and `interval_of` are one IntegerOrbit
+    # step or locate each, tied here to the ExactScalar reference on Q and
+    # Q(sqrt 5) and, on Q, at a Q(sqrt 2) point
+    iet = make()
+    ref = ReferenceMap(iet)
+    for x in probe_points(iet):
+        assert iet.evaluate(x) == ref.evaluate(x), x
+        assert iet.evaluate_inverse(x) == ref.evaluate_inverse(x), x
+        assert iet.interval_of(x) == ref.interval_of(x), x
+    for x in (ExactScalar(F(-1, 10 ** 30)), iet.total):
+        for name in ("evaluate", "evaluate_inverse", "interval_of"):
+            with pytest.raises(IetDomainError):
+                getattr(iet, name)(x)
+            with pytest.raises(IetDomainError):
+                getattr(ref, name)(x)
+
+
+def test_kept_names_refuse_a_point_of_another_field():
+    iet = golden_rotation()
+    x = ExactScalar(F(1, 4), F(1, 4), 2)
+    for name in ("evaluate", "evaluate_inverse", "interval_of"):
+        with pytest.raises(InvalidIetError, match="mixed quadratic fields"):
+            getattr(iet, name)(x)

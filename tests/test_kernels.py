@@ -13,6 +13,7 @@ from ietflow.iet import Iet, Permutation
 from ietflow.ratner import BumpObservable
 from ietflow.roof import (BirkhoffCursor, FlowDomainError, FlowPoint,
                           FlowStepBudgetError, RoofSpec, eval_roof, flow)
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -357,11 +358,11 @@ def test_flow_step_budget_allows_exactly_max_steps(kernel, forward, setup):
     iet, _, tables = setup
     x = np.array([0.3])
     if forward:
-        nxt = float(iet.evaluate(F(3, 10)))
+        nxt = float(ReferenceMap(iet).evaluate(F(3, 10)))
         t = float(kernel.roof_values(tables, x)[0]
                   + 0.5 * kernel.roof_values(tables, [nxt])[0])
     else:
-        prev = float(iet.evaluate_inverse(F(3, 10)))
+        prev = float(ReferenceMap(iet).evaluate_inverse(F(3, 10)))
         t = float(-0.5 * kernel.roof_values(tables, [prev])[0])
     _, _, steps = kernel.flow_points(tables, x, [0.0], t, max_steps=1)
     assert steps[0] == (1 if forward else -1)

@@ -47,6 +47,7 @@ from ietflow.roof import (
     roof_area,
 )
 from ietflow.serialize import loads_iet
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -98,7 +99,7 @@ class TestForbac:
         thr = F(1, 6) / params.nu / accel.q(ell + params.L)
         # plant x so the forward orbit hits within c/(2 q_{l+L}) of l_B
         target = iet.left("B") + ExactScalar(thr / 2)
-        x = iet.iterate(target, -5)
+        x = ReferenceMap(iet).iterate(target, -5)
         rep = forbac_scan(accel, x, ell, params)
         assert not rep.forward_ok
         assert rep.backward_ok
@@ -114,7 +115,8 @@ class TestForbac:
         ell = 8
         thr = F(1, 6) / params.nu / accel.q(ell + params.L)
         target = iet.left("B") + ExactScalar(thr / 2)
-        rep = forbac_scan(accel, iet.iterate(target, shift), ell, params)
+        rep = forbac_scan(accel, ReferenceMap(iet).iterate(target, shift),
+                          ell, params)
         assert rep.which_holds == holds
         assert dataclasses.replace(rep, forward_ok=True,
                                    backward_ok=True).which_holds == "both"
@@ -260,7 +262,7 @@ class TestWitness:
         # plant a discontinuity preimage strictly inside [x, y]: the
         # forward attempt must fail with the witnessing index; the pair may
         # still rescue itself by switching to the backward direction
-        inside = iet.iterate(iet.left("B"), -7)
+        inside = ReferenceMap(iet).iterate(iet.left("B"), -7)
         x = inside - ExactScalar(gap / 2)
         res = sr_pair_test(accel, spec, cfg, x, x + ExactScalar(gap))
         fwd_attempts = [a for a in res.attempts if a[0] == "forward"]
@@ -531,7 +533,7 @@ class TestReverification:
         res = sr_pair_test(accel, spec, cfg, *pairs[0], good_region=region)
         # the pair walk, which makes the certificate, raises on the orbit
         # point that lands on l_B; verification reads no orbit
-        x = iet.iterate(iet.left("B"), -5)
+        x = ReferenceMap(iet).iterate(iet.left("B"), -5)
         y = x + F(1, 10 ** 5)
         with pytest.raises(RoofDomainError, match="orbit index 5"):
             ratner._pair_walk(iet, spec, x, y, res.M, res.L, True)
@@ -896,10 +898,11 @@ class TestPairWalk:
         # bottom cut at T^-k x backward (the pair then lands in two top
         # intervals at T^-(k+1) x, which the walk reports as index k)
         k = M + L // 2
+        rmap = ReferenceMap(iet)
         if forward:
-            mid = iet.iterate(iet.left(iet.perm.top[1]), -k)
+            mid = rmap.iterate(iet.left(iet.perm.top[1]), -k)
         else:
-            mid = iet.iterate(iet.left_image(iet.perm.bottom[1]), k)
+            mid = rmap.iterate(iet.left_image(iet.perm.bottom[1]), k)
         pairs.append((mid - ExactScalar(gap / 2), mid + ExactScalar(gap / 2)))
         straddles = []
         for x, y in pairs:
@@ -935,17 +938,17 @@ class TestPairWalk:
         # at every n the radius is at least the sum of the eval_roof radii
         # of x_k and y_k over the points walked (up to float summation),
         # except where the roof is constant and f(x_k) - f(y_k) = 0 exactly
-        bound = 0.0
+        bound, ref = 0.0, ReferenceMap(iet)
         for n, (_, err, _) in enumerate(checkpoints):
             assert err >= bound * (1 - 1e-12), n
             if not forward:
-                x, y = iet.evaluate_inverse(x), iet.evaluate_inverse(y)
-            a = iet.interval_of(x)
+                x, y = ref.evaluate_inverse(x), ref.evaluate_inverse(y)
+            a = ref.interval_of(x)
             if spec.cplus[a] or spec.cminus[a]:
                 bound += (eval_roof(iet, spec, x).err
                           + eval_roof(iet, spec, y).err)
             if forward:
-                x, y = iet(x), iet(y)
+                x, y = ref.evaluate(x), ref.evaluate(y)
         assert bound > 0
 
     def test_pair_on_a_cut_straddles_by_the_exact_test(self, monkeypatch):
@@ -953,7 +956,7 @@ class TestPairWalk:
         iet = accel.trace.base
         # y_7 lands exactly on l_B: r_A - x_7 equals delta, a tie that
         # only the exact sign can decide, and a straddle
-        y = iet.iterate(iet.left("B"), -7)
+        y = ReferenceMap(iet).iterate(iet.left("B"), -7)
         x = y - ExactScalar(F(1, 10 ** 5))
         signs = []
         exact_sign = ratner._sign
@@ -1064,7 +1067,7 @@ class TestShadowGapWalk:
         # (T l_B = 0).  The 2^-20 rule rounds those two gaps exactly.
         target = iet.left("B") + tiny if side == "left" \
             else iet.left("B") - tiny
-        start = iet.iterate(target, -7 if forward else 7)
+        start = ReferenceMap(iet).iterate(target, -7 if forward else 7)
         x, y = (start, start + gap) if side == "left" else (start - gap,
                                                             start)
         calls = count_walk_floats(monkeypatch, iet)
@@ -1179,10 +1182,11 @@ class TestTwoPassWalk:
         accel, spec, _ = witness_setup()
         iet = accel.trace.base
         half = ExactScalar(F(1, 2 * 10 ** 9))
+        rmap = ReferenceMap(iet)
         if forward:
-            mid = iet.iterate(iet.left(iet.perm.top[1]), -k)
+            mid = rmap.iterate(iet.left(iet.perm.top[1]), -k)
         else:
-            mid = iet.iterate(iet.left_image(iet.perm.bottom[1]), k)
+            mid = rmap.iterate(iet.left_image(iet.perm.bottom[1]), k)
         M = 50
         checkpoints, straddle, _ = assert_walks_agree(
             iet, spec, mid - half, mid + half, M, 6000, forward)
@@ -1201,7 +1205,7 @@ class TestTwoPassWalk:
         # the edge of the gate of a log roof and of a constant one.
         iet = rational_4iet() if field == "Q" else golden_rotation()
         spec = roof(iet)
-        y = iet.iterate(iet.left("B"), -n if forward else n + 2)
+        y = ReferenceMap(iet).iterate(iet.left("B"), -n if forward else n + 2)
         x = y - ExactScalar(F(1, 10 ** 5))
         signs = []
         exact_sign = ratner._sign
@@ -1231,11 +1235,12 @@ class TestTwoPassWalk:
         iet = accel.trace.base
         spec = constant_roof(iet)
         n = 5 if forward else 10
-        x = iet.iterate(iet.left(label), -n if forward else n + 1)
+        ref = ReferenceMap(iet)
+        x = ref.iterate(iet.left(label), -n if forward else n + 1)
         y = x + ExactScalar(F(1, 10 ** 9))
         on_cut = iet.left(label) if forward else \
             iet.right_image(iet.perm.bottom[0])
-        assert iet.iterate(x, n if forward else 1 - n) == on_cut
+        assert ref.iterate(x, n if forward else 1 - n) == on_cut
         orbit = IntegerOrbit(iet, x, extra=[y])
         points, inner = [], _first_above
 
@@ -1293,8 +1298,9 @@ class TestTwoPassWalk:
         # backward orbit of a point past l_B meets 0 first)
         accel, spec, _ = witness_setup()
         iet = accel.trace.base
-        x = iet.iterate(iet.left("B"), -n) if forward else \
-            iet.iterate(iet.left("A"), n + 1)
+        ref = ReferenceMap(iet)
+        x = ref.iterate(iet.left("B"), -n) if forward else \
+            ref.iterate(iet.left("A"), n + 1)
         y = x + ExactScalar(F(1, 10 ** 5))
         walk = assert_walks_agree(iet, spec, x, y, 0, n + 10, forward)
         assert walk[0] is RoofDomainError
@@ -1316,7 +1322,7 @@ class TestTwoPassWalk:
             target = iet.left("B") + (tiny if side == "left" else -tiny)
         else:
             target = tiny if side == "left" else iet.total - tiny
-        start = iet.iterate(target, -n if forward else n + 1)
+        start = ReferenceMap(iet).iterate(target, -n if forward else n + 1)
         x, y = (start, start + gap) if side == "left" else (start - gap,
                                                             start)
         walk = assert_walks_agree(iet, spec, x, y, 0, n + 10, forward)

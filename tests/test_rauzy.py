@@ -39,6 +39,7 @@ from ietflow.rauzy import (
     select_accel_times,
     towers,
 )
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -869,14 +870,14 @@ class TestIntegerOrbit:
         for iet in (golden_rotation(), bounded_type_3iet()):
             x = F(13, 97)
             orbit = IntegerOrbit(iet, x)
-            ref = ExactScalar(x)
+            ref, step = ExactScalar(x), ReferenceMap(iet)
             for _ in range(200):
                 orbit.step_forward()
-                ref = iet.evaluate(ref)
+                ref = step.evaluate(ref)
                 assert orbit.value() == ref
             for _ in range(400):
                 orbit.step_backward()
-                ref = iet.evaluate_inverse(ref)
+                ref = step.evaluate_inverse(ref)
                 assert orbit.value() == ref
 
     def test_distance_comparisons(self):

@@ -35,6 +35,7 @@ from ietflow.roof import (
     SingularityTooClose,
     _advance,
 )
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -368,7 +369,7 @@ def test_segments_near_a_cut_match_one_steps(cut, side, n, forward, ks):
     cuts = ([iet.left(a) for a in top[1:]] +
             [iet.left_image(a) for a in bottom[1:]])
     y = cuts[cut] + ExactScalar(F(side, 10 ** 30))
-    x = iet.iterate(y, -n if forward else n)
+    x = ReferenceMap(iet).iterate(y, -n if forward else n)
     assert_segments_match_steps(iet, x, ks, forward)
 
 
@@ -412,7 +413,7 @@ def test_segment_repairs_a_point_on_a_cut(monkeypatch, make, label, n,
     # where its `_sign` is 0
     iet = make()
     assert iet.itinerary_table().step == 0
-    x = iet.iterate(iet.left(label), -n if forward else n)
+    x = ReferenceMap(iet).iterate(iet.left(label), -n if forward else n)
     signs, inner = [], rauzy._sign
 
     def spy(p, q, d):
@@ -704,9 +705,10 @@ def start_points(iet):
     (T l_B = 0 on the golden rotation) and one whose orbit passes 10^-40
     left of r_A at index 4 either way."""
     near = iet.right("A") - ExactScalar(F(1, 10 ** 40))
-    return [ExactScalar(F(41, 100)), iet.iterate(iet.left("B"), -5),
-            iet.iterate(iet.left("B"), 5), iet.iterate(near, -4),
-            iet.iterate(near, 5)]
+    ref = ReferenceMap(iet)
+    return [ExactScalar(F(41, 100)), ref.iterate(iet.left("B"), -5),
+            ref.iterate(iet.left("B"), 5), ref.iterate(near, -4),
+            ref.iterate(near, 5)]
 
 
 @pytest.mark.parametrize("forward", [True, False])
@@ -749,7 +751,7 @@ def test_flow_stops_before_a_point_on_a_cut(forward):
     # walks past that point
     iet = golden_rotation()
     spec = asymmetric_log_roof(iet)
-    x = iet.iterate(iet.left("B"), -5 if forward else 5)
+    x = ReferenceMap(iet).iterate(iet.left("B"), -5 if forward else 5)
     ref = LoopCursor(iet, spec, x, forward)
     values = []
     with pytest.raises(RoofDomainError) as info:

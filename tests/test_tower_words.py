@@ -27,6 +27,7 @@ from ietflow.fixtures import bounded_type_3iet, golden_rotation
 from ietflow.iet import Iet, IntegerOrbit, Permutation
 from ietflow.rauzy import (InductionTrace, RVUndefinedError, TowerSystem,
                            build_itinerary_table, towers)
+from iet_reference import ReferenceMap
 
 FIXTURES = {"golden": golden_rotation, "bounded3": bounded_type_3iet}
 
@@ -129,15 +130,16 @@ def test_towers_and_table_walk_no_orbit(monkeypatch):
 
 def test_words_name_the_intervals_of_the_floors():
     # each floor of a tower lies in the interval of T its word names, as
-    # Iet.interval_of finds it, and a word is as long as its tower is tall
+    # the reference map finds it, and a word is as long as its tower is tall
     trace = InductionTrace(bounded_type_3iet())
     top = trace.base.perm.top
+    ref = ReferenceMap(trace.base)
     for n in range(9):
         words = trace.words(n)
         assert [len(word) for word in words] == list(trace.heights(n))
         for tower, word in zip(towers(trace, n).towers, words):
             assert tower.word == word
-            assert [trace.base.interval_of(left) for left, _ in
+            assert [ref.interval_of(left) for left, _ in
                     tower.floors] == [top[j] for j in word]
 
 

@@ -1,8 +1,8 @@
 """Differential tests: every exact orbit walker against a plain ExactScalar
 reference.
 
-The walkers run on IntegerOrbit; the references below step `Iet.evaluate`
-/ `Iet.evaluate_inverse` on ExactScalar points and sum `eval_roof` /
+The walkers run on IntegerOrbit; the references below step ExactScalar
+points by the tests' `iet_reference.ReferenceMap` and sum `eval_roof` /
 `eval_roof_derivative` term by term, with the endpoint minima taken by
 brute force over the whole endpoint set.  Floats must agree bit for bit
 and exact values must be equal, errors included (type, orbit index).
@@ -50,6 +50,7 @@ from ietflow.roof import (
     eval_roof_derivative,
     flow,
 )
+from iet_reference import ReferenceMap
 
 F = Fraction
 
@@ -101,9 +102,9 @@ def points(iet, count=4, seed=3):
 def ref_orbit(iet, x, n):
     """(index, point) over x .. T^(n-1) x, or T^-1 x .. T^n x for n < 0."""
     if n >= 0:
-        return list(enumerate(iet.orbit(x, n)))
+        return list(enumerate(ReferenceMap(iet).orbit(x, n)))
     return [(-(i + 1), pt) for i, pt in
-            enumerate(list(iet.orbit(x, n - 1))[1:])]
+            enumerate(list(ReferenceMap(iet).orbit(x, n - 1))[1:])]
 
 
 def ref_sums(iet, spec, x, n):
@@ -146,6 +147,7 @@ def ref_minima(iet, x, n):
 def ref_flow(iet, spec, x, s):
     """(T^r x, remainder, r) of the special flow, on ExactScalar."""
     x = ExactScalar(x) if not isinstance(x, ExactScalar) else x
+    ref = ReferenceMap(iet)
     steps = 0
     if s >= 0:
         while True:
@@ -153,10 +155,10 @@ def ref_flow(iet, spec, x, s):
             if s < fx:
                 return x, s, steps
             s -= fx
-            x = iet.evaluate(x)
+            x = ref.evaluate(x)
             steps += 1
     while s < 0:
-        x = iet.evaluate_inverse(x)
+        x = ref.evaluate_inverse(x)
         steps -= 1
         s += eval_roof(iet, spec, x, orbit_index=steps).value
     return x, s, steps
@@ -164,6 +166,7 @@ def ref_flow(iet, spec, x, s):
 
 def ref_keane(iet, depth):
     discs = iet.discontinuities()
+    ref = ReferenceMap(iet)
     seen = {}
     for j, x in enumerate(discs):
         for k in range(depth + 1):
@@ -173,15 +176,16 @@ def ref_keane(iet, depth):
                 return (False, ((j, k), seen[x]))
             seen[x] = (j, k)
             if k < depth:
-                x = iet.evaluate(x)
+                x = ref.evaluate(x)
     return (True, None)
 
 
 def ref_first_return(iet, cut, x):
-    y = iet.evaluate(x)
+    ref = ReferenceMap(iet)
+    y = ref.evaluate(x)
     n = 1
     while not y < cut:
-        y = iet.evaluate(y)
+        y = ref.evaluate(y)
         n += 1
     return y, n
 
@@ -400,7 +404,7 @@ def test_first_return_step_budget(make, n):
         (x, cut, m - 1)
     # a first step back below the cut is always a return
     one = first_return_map(iet, iet.total, max_steps=0)(x)
-    assert one == (iet.evaluate(x), 1)
+    assert one == (ReferenceMap(iet).evaluate(x), 1)
 
 
 def golden_accel():
@@ -433,8 +437,9 @@ def test_exact_hit_forward_and_backward():
     assert accel.q(6) == 21
     # T^5 x = l_B; T l_B = 0, so the backward walk from T^5 l_B first
     # lands on the endpoint 0, at index -4
-    for x, n, hit in ((iet.iterate(l_b, -5), 21, (5, l_b)),
-                      (iet.iterate(l_b, 5), -21, (-4, ExactScalar(0)))):
+    ref = ReferenceMap(iet)
+    for x, n, hit in ((ref.iterate(l_b, -5), 21, (5, l_b)),
+                      (ref.iterate(l_b, 5), -21, (-4, ExactScalar(0)))):
         assert ref_minima(iet, x, n)[5] == hit
         with pytest.raises(ExactHitError) as info:
             approach_stats(iet, x, n)
@@ -465,7 +470,8 @@ def test_hard_cutoff_carries_orbit_index(k):
     iet = golden_rotation()
     spec = asymmetric_log_roof(iet)     # Cminus_A = 1 at r_A
     near = iet.right("A") - ExactScalar(F(1, 10 ** 40))
-    x = iet.iterate(near, -k)           # T^k x is 1e-40 left of r_A
+    ref = ReferenceMap(iet)
+    x = ref.iterate(near, -k)           # T^k x is 1e-40 left of r_A
     n = 10 if k > 0 else -10
     with pytest.raises(SingularityTooClose) as info:
         birkhoff_sum(iet, spec, x, n)
@@ -475,11 +481,12 @@ def test_hard_cutoff_carries_orbit_index(k):
     assert outcome(ref_sums, iet, spec, x, n) == \
         (SingularityTooClose, "A", "right", exc.distance, k)
     # the cutoff itself is inside: dl <= hard_cutoff is refused
-    at_cut = iet.iterate(iet.right("A") - ExactScalar(spec.hard_cutoff), -k)
+    at_cut = ref.iterate(iet.right("A") - ExactScalar(spec.hard_cutoff), -k)
     with pytest.raises(SingularityTooClose):
         birkhoff_sum(iet, spec, at_cut, n)
     # just outside the cutoff the walk goes through, bit for bit
-    ok = iet.iterate(iet.right("A") - ExactScalar(2 * spec.hard_cutoff), -k)
+    ok = ref.iterate(iet.right("A") - ExactScalar(2 * spec.hard_cutoff),
+                     -k)
     assert birkhoff_sum(iet, spec, ok, n) == ref_sums(iet, spec, ok, n)[0]
 
 
@@ -490,6 +497,7 @@ def test_hard_cutoff_carries_orbit_index(k):
 @pytest.mark.parametrize("name", sorted(IETS))
 def test_integer_orbit_float_rounds_like_exact_scalar(name):
     iet = IETS[name]()
+    step = ReferenceMap(iet).evaluate
     for x in points(iet, count=3, seed=2):
         orbit = IntegerOrbit(iet, x)
         ref = x
@@ -502,7 +510,7 @@ def test_integer_orbit_float_rounds_like_exact_scalar(name):
             assert orbit.value(dr) == iet.right(a) - ref
             assert orbit.to_float(dl) == float(ref - iet.left(a))
             orbit.step_forward()
-            ref = iet.evaluate(ref)
+            ref = step(ref)
 
 
 def test_pair_of_rejects_quadratic_scalar_on_rational_orbit():
